@@ -39,7 +39,6 @@ from .measurement import (
     distribution_to_csv,
     outcome_distribution,
     outcome_labels,
-    pair_sum_gradients,
 )
 from .montecarlo import (
     CountTable,
@@ -57,6 +56,7 @@ from .qfim import (
     matrix_to_csv,
     matrix_to_json_dict,
     original_chart,
+    pair_sum_gradients,
     qfim_closed_form_original,
     qfim_finite_difference_oracle,
     qfim_pure,

@@ -379,6 +379,8 @@ def _build_run_config(command: str, values: dict) -> RunConfig:
         config.replicates = _require_int(values["replicates"], "replicates")
     if values.get("seed") is not None:
         config.seed = _require_int(values["seed"], "seed")
+        if config.seed < 0:
+            raise ValidationError(f"seed must be a nonnegative integer, got {config.seed}")
 
     if command == "sweep":
         config.photon_list = _parse_int_list(values.get("N"), "N")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .ghz_state import _check_counts, node_pair, phase_vector
-from .qfim import Chart, FisherMatrix, _directions_for
+from .qfim import Chart, FisherMatrix, _directions_for, pair_sum_gradients
 
 PATTERNS = ("++", "--", "+-", "-+")
 
@@ -137,12 +137,6 @@ def outcome_distribution(photons: int, nodes: int, phases) -> OutcomeDistributio
         probs[OutcomeLabel(j, "+-")] = disagree
         probs[OutcomeLabel(j, "-+")] = disagree
     return OutcomeDistribution(probs, photons, nodes, phi)
-
-
-def pair_sum_gradients(d: int, chart: Chart | None = None) -> np.ndarray:
-    """Rows are grad of x_j = phi_j + phi_{j+1} with respect to chart params."""
-    chart, directions = _directions_for(d, chart)
-    return directions + np.roll(directions, -1, axis=0)
 
 
 def cfim(photons: int, nodes: int, phases, chart: Chart | None = None) -> FisherMatrix:

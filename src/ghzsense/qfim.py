@@ -5,9 +5,19 @@ directions of a parameter chart, the information matrix is
 
     F[m, n] = 4 * Re( <d_m psi|d_n psi> - <d_m psi|psi><psi|d_n psi> ).
 
-Every amplitude of the imprinted state has constant modulus, so for any fixed
-linear chart the matrix is independent of the phases at which it is evaluated;
-the evaluation point is still recorded on the result for provenance.
+For the imprinted ring state every one of the 2d amplitudes is 1/sqrt(2d),
+and differentiating along chart direction m scales the vertical ket of pair j
+by i*(N/2)*G[j, m], where G is the pair-sum gradient matrix (row j is the
+gradient of x_j = phi_j + phi_{j+1}).  So <d_m psi|d_n psi> = (N^2/8d) (G^T G)
+and <d_m psi|psi> = -i (N/4d) s_m with s the sum of the rows of G, giving the
+Gram form
+
+    F = (N^2 / 2d) * G^T G - (N^2 / 4d^2) * s s^T.
+
+It holds in every linear chart and is independent of the phases at which it
+is evaluated; the evaluation point is still recorded on the result for
+provenance.  The closed form and the finite-difference oracle below are
+computed independently of G, as cross-checks.
 """
 
 from __future__ import annotations
@@ -18,12 +28,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .ghz_state import (
-    SparseKetState,
     _check_counts,
     apply_phases,
     build_input_state,
-    directional_state_derivative,
-    inner_product,
     ket_labels,
     phase_vector,
 )
@@ -158,28 +165,27 @@ def _directions_for(d: int, chart: Chart | None) -> tuple[Chart, np.ndarray]:
     return chart, chart.directions
 
 
+def pair_sum_gradients(d: int, chart: Chart | None = None) -> np.ndarray:
+    """Rows are grad of x_j = phi_j + phi_{j+1} with respect to chart params."""
+    chart, directions = _directions_for(d, chart)
+    return directions + np.roll(directions, -1, axis=0)
+
+
 def qfim_pure(photons: int, nodes: int, phases, chart: Chart | None = None) -> FisherMatrix:
     """Quantum Fisher information of the imprinted state in a given chart.
 
-    Derivative states are evaluated analytically; see
-    :func:`ghzsense.ghz_state.directional_state_derivative`.
+    Evaluates the Gram form (N^2/2d) G^T G - (N^2/4d^2) s s^T, where G is
+    :func:`pair_sum_gradients` of the chart and s is the sum of its rows
+    (see the module docstring for the derivation).
     """
     phi = phase_vector(phases, nodes)
-    chart, directions = _directions_for(nodes, chart)
-    state = apply_phases(build_input_state(photons, nodes), phi)
-    derivs = [
-        directional_state_derivative(photons, nodes, phi, directions[:, m])
-        for m in range(chart.size)
-    ]
-    overlaps = [inner_product(dm, state) for dm in derivs]
-    k = chart.size
-    entries = np.empty((k, k))
-    for m in range(k):
-        for n in range(m, k):
-            gram = inner_product(derivs[m], derivs[n])
-            value = 4.0 * (gram - overlaps[m] * overlaps[n].conjugate()).real
-            entries[m, n] = value
-            entries[n, m] = value
+    chart, _ = _directions_for(nodes, chart)
+    _check_counts(photons, nodes)
+    grads = pair_sum_gradients(nodes, chart)
+    sums = grads.sum(axis=0)
+    entries = (photons**2 / (2.0 * nodes)) * (grads.T @ grads) - (
+        photons**2 / (4.0 * nodes**2)
+    ) * np.outer(sums, sums)
     return FisherMatrix(entries, "quantum", chart, photons, nodes, phi)
 
 
@@ -193,16 +199,10 @@ def qfim_closed_form_original(photons: int, nodes: int) -> FisherMatrix:
     _check_counts(photons, nodes)
     d = nodes
     scale = photons**2 / d**2
-    entries = np.empty((d, d))
-    for m in range(d):
-        for n in range(d):
-            if m == n:
-                entries[m, n] = scale * (d - 1)
-            elif min((m - n) % d, (n - m) % d) == 1:
-                entries[m, n] = scale * (d / 2 - 1)
-            else:
-                entries[m, n] = -scale
-    return FisherMatrix(entries, "quantum", original_chart(d), photons, nodes, None)
+    offset = np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
+    distance = np.minimum(offset, d - offset)
+    units = np.where(distance == 0, d - 1, np.where(distance == 1, d / 2 - 1, -1.0))
+    return FisherMatrix(scale * units, "quantum", original_chart(d), photons, nodes, None)
 
 
 def rank_and_nullspace(matrix, tol: float = 1e-9) -> RankReport:
@@ -221,7 +221,7 @@ def rank_and_nullspace(matrix, tol: float = 1e-9) -> RankReport:
     return RankReport(rank, vt[rank:].T.copy(), float(tol))
 
 
-def _dense(state: SparseKetState, labels) -> np.ndarray:
+def _dense(state, labels) -> np.ndarray:
     return np.array([state.amplitude(label) for label in labels], dtype=complex)
 
 

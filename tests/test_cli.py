@@ -130,6 +130,24 @@ def test_flags_take_precedence_over_config(tmp_path, capsys):
     assert "N=2" in out
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_is_status_2_before_sampling(source, tmp_path, monkeypatch, capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling ran for an invalid seed")
+
+    monkeypatch.setattr("ghzsense.cli.crb_saturation_experiment", no_sampling)
+    if source == "flag":
+        argv = ["simulate", "--N", "2", "--d", "4", "--seed", "-1"]
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"N": 2, "d": 4, "seed": -1}))
+        argv = ["simulate", "--config", str(config)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration: ")
+    assert "seed" in err and "Traceback" not in err
+
+
 def test_unknown_config_keys_rejected(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"N": 2, "d": 4, "bogus": True}))

@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 
 from ghzsense.errors import ValidationError
+from ghzsense.ghz_state import (
+    apply_phases,
+    build_input_state,
+    directional_state_derivative,
+    inner_product,
+)
 from ghzsense.qfim import (
     Chart,
     FisherMatrix,
@@ -16,6 +22,7 @@ from ghzsense.qfim import (
     qfim_pure,
     rank_and_nullspace,
 )
+from ghzsense.reparam import build_mc
 
 RNG = np.random.default_rng(20210407)
 
@@ -104,6 +111,47 @@ def test_oracle_agrees_with_analytic_matrix_on_random_charts():
         analytic = qfim_pure(photons, nodes, phi, chart)
         numeric = qfim_finite_difference_oracle(photons, nodes, phi, chart)
         np.testing.assert_allclose(analytic.entries, numeric.entries, atol=1e-6)
+
+
+def per_entry_qfim(photons, nodes, phi, directions):
+    """Reference: one sparse-ket inner product per matrix entry."""
+    state = apply_phases(build_input_state(photons, nodes), phi)
+    derivs = [
+        directional_state_derivative(photons, nodes, phi, directions[:, m])
+        for m in range(directions.shape[1])
+    ]
+    overlaps = [inner_product(dm, state) for dm in derivs]
+    pairs = list(zip(derivs, overlaps))
+    return np.array(
+        [
+            [4.0 * (inner_product(dm, dn) - om * on.conjugate()).real for dn, on in pairs]
+            for dm, om in pairs
+        ]
+    )
+
+
+@pytest.mark.parametrize("photons", [2, 4, 6])
+@pytest.mark.parametrize("nodes", [3, 5, 8, 32])
+@pytest.mark.parametrize("shape", ["square", "rectangular"])
+def test_gram_form_matches_per_entry_inner_products(photons, nodes, shape):
+    rng = np.random.default_rng(1000 * nodes + photons)
+    size = nodes if shape == "square" else max(1, nodes // 2)
+    directions = rng.normal(size=(nodes, size))
+    chart = Chart("random", tuple(f"c{i}" for i in range(size)), directions)
+    phi = rng.uniform(-2.0, 2.0, nodes)
+    reference = per_entry_qfim(photons, nodes, phi, directions)
+    computed = qfim_pure(photons, nodes, phi, chart).entries
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(computed - reference)) <= 1e-12 * scale
+
+
+def test_oracle_agrees_with_analytic_matrix_on_a_wide_reduced_chart():
+    nodes = 64
+    chart = build_mc(nodes).chart(True)
+    phi = RNG.uniform(-1.0, 1.0, nodes)
+    analytic = qfim_pure(4, nodes, phi, chart)
+    numeric = qfim_finite_difference_oracle(4, nodes, phi, chart)
+    np.testing.assert_allclose(analytic.entries, numeric.entries, atol=1e-6)
 
 
 def test_matrix_validation_rejects_asymmetry_and_nan():
