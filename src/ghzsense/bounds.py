@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SingularMatrixError, ValidationError
 from .measurement import cfim
@@ -59,8 +58,7 @@ def exact_crb(matrix, alpha, shots: int = 1) -> float:
             "re-express it in an invertible chart via a reparametrization "
             "before taking the exact bound"
         )
-    solved = scipy.linalg.cho_solve(scipy.linalg.cho_factor(entries), a)
-    return float(a @ solved) / n
+    return float(a @ np.linalg.solve(entries, a)) / n
 
 
 def weak_crb(matrix, alpha, shots: int = 1) -> float:
@@ -170,17 +168,15 @@ def weak_vs_exact_check(matrix, alpha) -> WeakExactReport:
         raise ValidationError(
             f"matrix must be positive definite; smallest eigenvalue is {eigs[0]:.3e}"
         )
-    factor = scipy.linalg.cho_factor(s)
-    inv_a = scipy.linalg.cho_solve(factor, a)
-    exact_side = float(a @ inv_a)
+    # columns: S^{-1} a and the first column of S^{-1}
+    solved = np.linalg.solve(s, np.column_stack([a, np.eye(s.shape[0])[:, 0]]))
+    exact_side = float(a @ solved[:, 0])
     quad = float(a @ s @ a)
     norm2 = float(a @ a)
     weak_side = norm2**2 / quad
     rayleigh = quad / norm2
     residual = float(np.linalg.norm(s @ a - rayleigh * a)) / math.sqrt(norm2)
-    inverse_first = float(
-        scipy.linalg.cho_solve(factor, np.eye(s.shape[0])[:, 0])[0]
-    )
+    inverse_first = float(solved[0, 1])
     reciprocal_first = 1.0 / float(s[0, 0])
     return WeakExactReport(
         weak_side,

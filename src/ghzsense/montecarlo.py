@@ -5,10 +5,17 @@ coordinate pinned to zero.  Because every outcome probability depends on the
 phases only through cos((N/2) x_j), the likelihood is exactly even under a
 global sign flip of all coordinates, and a guess whose pair sums all vanish
 sits on a stationary point of the likelihood.  Estimation is therefore
-strictly local: one deterministic gradient-based fit inside a box around the
-initial guess.  When the starting gradient vanishes identically the start is
-nudged along the average-phase axis (toward positive values, a documented
+strictly local: one deterministic Newton fit inside a box around the initial
+guess.  When the starting gradient vanishes identically the start is nudged
+along the average-phase axis (toward positive values, a documented
 convention) so the fit can leave the stationary point.
+
+The likelihood depends on theta only through the pair sums x = G theta, so
+its Hessian is G^T diag(w) G with one weight per pair.  On an even ring the
+range of G is the hyperplane sum_j (-1)^j x_j = 0, and a Newton step is a
+per-pair diagonal solve plus a rank-one correction onto that hyperplane,
+mapped back to theta through any phase vector with those pair sums.  Many
+count tables are fit at once, one row each, without forming a Hessian.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-import scipy.optimize
 
 from .bounds import exact_crb
 from .errors import ConvergenceError, ValidationError
@@ -33,6 +39,10 @@ from .measurement import (
 from .reparam import build_mc, pushforward_fisher
 
 DEFAULT_BOX_HALF_WIDTH = 0.25
+# Largest replicates * 4d count table that crb_saturation_experiment will
+# allocate (32 MiB of int64 counts; the fit's float working arrays take a few
+# times that).  Larger experiments are refused before anything is allocated.
+MAX_COUNT_CELLS = 2**22
 
 
 @dataclass(eq=False)
@@ -90,6 +100,11 @@ class EstimationResult:
     iterations: int
 
 
+def _draw(probabilities: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """Multinomial counts over the 4*d outcomes in canonical label order."""
+    return np.random.default_rng(seed).multinomial(shots, probabilities / probabilities.sum())
+
+
 def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountTable:
     """Multinomial draw over the 4*d outcomes; a pure function of (dist, shots, seed)."""
     if not isinstance(shots, (int, np.integer)) or isinstance(shots, bool) or shots < 1:
@@ -97,34 +112,100 @@ def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountTabl
     seed = int(seed)
     if seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
-    rng = np.random.default_rng(seed)
-    labels = outcome_labels(dist.nodes)
-    p = dist.as_array()
-    draws = rng.multinomial(int(shots), p / p.sum())
-    counts = {label: int(c) for label, c in zip(labels, draws)}
+    draws = _draw(dist.as_array(), int(shots), seed)
+    counts = {label: int(c) for label, c in zip(outcome_labels(dist.nodes), draws)}
     return CountTable(
         counts, int(shots), seed, dist.photons, dist.nodes, dist.phases.copy()
     )
 
 
-def _pair_aggregates(counts, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair agree/disagree count totals in ring order."""
-    get = counts.get
-    agree = np.array(
-        [
-            get(OutcomeLabel(j, "++"), 0) + get(OutcomeLabel(j, "--"), 0)
-            for j in range(1, nodes + 1)
-        ],
-        dtype=float,
-    )
-    disagree = np.array(
-        [
-            get(OutcomeLabel(j, "+-"), 0) + get(OutcomeLabel(j, "-+"), 0)
-            for j in range(1, nodes + 1)
-        ],
-        dtype=float,
-    )
-    return agree, disagree
+class _PairLikelihood:
+    """Per-event negative log likelihood of many count tables, one per row.
+
+    ``agree`` and ``disagree`` hold the per-pair (++ plus --) and (+- plus -+)
+    totals, shape (R, d).  Rows are evaluated independently; every method
+    takes the row indices it works on.  The objective is the average per
+    detection event, not the raw sum: dividing by the total weight keeps the
+    same maximizer while making the tolerances independent of the number of
+    shots.
+    """
+
+    def __init__(self, photons: int, nodes: int, agree, disagree):
+        rep = build_mc(nodes)
+        jac = rep.inverse[:, 1:]
+        self.pair_grads = jac + np.roll(jac, -1, axis=0)
+        self.alternating = (-1.0) ** np.arange(nodes)
+        # Maps pair-sum steps y (with sum_j (-1)^j y_j = 0) to theta steps:
+        # phi_k = sum_{i<k} (-1)^(k-1-i) y_i has those pair sums, and the
+        # alternating direction it leaves undetermined is theta_0, which
+        # forward[1:] drops.
+        self.lift = np.triu(-np.outer(self.alternating, self.alternating), 1) @ rep.forward[1:].T
+        self.labels = tuple(rep.labels[i] for i in rep.kept_indices)
+        self.half = photons / 2.0
+        self.scale = 4.0 * nodes
+        self.agree = agree
+        self.disagree = disagree
+        self.total = agree.sum(axis=1) + disagree.sum(axis=1)
+        # A pair without events has zero curvature; one such pair is absorbed
+        # by the alternating-sum correction, two or more leave the maximum
+        # non-unique.
+        self.empty = agree + disagree == 0
+        self.has_empty = self.empty.any(axis=1)
+
+    def evaluate(self, theta, rows):
+        """Objective, theta-gradient, pair-sum gradient and pair curvature of ``rows``."""
+        arg = self.half * (theta @ self.pair_grads.T)
+        c = np.cos(arg)
+        agree = self.agree[rows]
+        disagree = self.disagree[rows]
+        total = self.total[rows, None]
+        log_agree = np.log(np.maximum((1.0 + c) / self.scale, 1e-300))
+        log_disagree = np.log(np.maximum((1.0 - c) / self.scale, 1e-300))
+        value = -np.sum(agree * log_agree + disagree * log_disagree, axis=1) / total[:, 0]
+        ratio_agree = agree / np.maximum(1.0 + c, 1e-15)
+        ratio_disagree = disagree / np.maximum(1.0 - c, 1e-15)
+        pair_grad = self.half * np.sin(arg) * (ratio_agree - ratio_disagree) / total
+        curvature = self.half**2 * (ratio_agree + ratio_disagree) / total
+        return value, pair_grad @ self.pair_grads, pair_grad, curvature
+
+    def newton_step(self, pair_grad, curvature, rows):
+        """Theta step minimizing the quadratic model on the range of G."""
+        alt = self.alternating
+        inverse_curvature = np.divide(
+            1.0, curvature, out=np.zeros_like(curvature), where=curvature > 0
+        )
+        step = -inverse_curvature * pair_grad
+        toward = np.where(
+            self.has_empty[rows, None], self.empty[rows] * alt, inverse_curvature * alt
+        )
+        step -= ((step @ alt) / (toward @ alt))[:, None] * toward
+        return step @ self.lift
+
+
+def _count_rows(counts, photons, nodes) -> tuple[np.ndarray, int, int, bool]:
+    """Counts as an (R, 4d) float array in canonical label order."""
+    if isinstance(counts, CountTable):
+        photons, nodes, counts = counts.photons, counts.nodes, counts.counts
+    elif not isinstance(counts, (Mapping, np.ndarray)):
+        raise ValidationError(f"unsupported counts object: {type(counts).__name__}")
+    elif photons is None or nodes is None:
+        raise ValidationError(
+            "photons and nodes must be given when counts is a plain mapping or an array"
+        )
+    _check_counts(photons, nodes)
+    batched = isinstance(counts, np.ndarray)
+    if batched:
+        rows = np.asarray(counts, dtype=float)
+        if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] != 4 * nodes:
+            raise ValidationError(
+                f"count array must have shape (replicates, {4 * nodes}), got {rows.shape}"
+            )
+    else:
+        get = counts.get
+        rows = np.array([[get(label, 0) for label in outcome_labels(nodes)]], dtype=float)
+    if not np.all(np.isfinite(rows)) or np.any(rows < 0):
+        raise ValidationError("counts must be finite and nonnegative")
+    return rows, photons, nodes, batched
 
 
 def mle_estimate(
@@ -141,173 +222,131 @@ def mle_estimate(
 
     Parameters
     ----------
-    counts : CountTable or mapping from OutcomeLabel to count
-        Observed outcome weights.  Plain mappings (useful for expected-count
-        self-consistency checks) require the ``photons`` and ``nodes``
-        keyword arguments.
+    counts : CountTable, mapping from OutcomeLabel to count, or array
+        Observed outcome weights.  An array of shape (R, 4d) holds R count
+        tables, one per row in canonical label order, which are fit together.
+        Plain mappings (useful for expected-count self-consistency checks)
+        and arrays require the ``photons`` and ``nodes`` keyword arguments.
     initial_theta : array-like, shape (d-1,)
-        Starting point; also the center of the search box.  Its induced pair
-        sums must lie strictly inside the identifiable window |x_j| < 2*pi/N.
+        Starting point of every row; also the center of the search box.  Its
+        induced pair sums must lie strictly inside the identifiable window
+        |x_j| < 2*pi/N.
     box_half_width : float
         Half-width of the per-coordinate search box around the guess.
 
     Returns
     -------
     EstimationResult
-        Only converged fits are returned; non-convergence raises
+        ``theta`` has shape (d-1,) for a single table and (R, d-1) for an
+        array, ``log_likelihood`` is a float or an (R,) array to match, and
+        ``iterations`` counts the Newton iterations the slowest row needed.
+        Only converged fits are returned; non-convergence of any row raises
         :class:`ghzsense.errors.ConvergenceError`.
 
     Notes
     -----
-    Two-stage deterministic scheme: a box-constrained quasi-Newton descent
-    of the per-event average negative log likelihood, then full Newton steps
-    on the analytic gradient until its max-norm falls below ``gradient_tol``.
-    Convergence is certified by the gradient norm, never by the step or
-    objective decrement.
+    Newton iterations on the per-event average negative log likelihood, all
+    rows at once.  Each step is clipped to the box and halved until the
+    objective or the gradient max-norm falls.  Convergence is certified by
+    the gradient max-norm falling below ``gradient_tol``, never by the step
+    or objective decrement.  Two or more pairs without any events leave the
+    likelihood flat along some direction, which also raises
+    :class:`ghzsense.errors.ConvergenceError`.
     """
-    if isinstance(counts, CountTable):
-        table = counts.counts
-        photons = counts.photons
-        nodes = counts.nodes
-    elif isinstance(counts, Mapping):
-        if photons is None or nodes is None:
-            raise ValidationError(
-                "photons and nodes must be given when counts is a plain mapping"
-            )
-        table = counts
-    else:
-        raise ValidationError(f"unsupported counts object: {type(counts).__name__}")
-    _check_counts(photons, nodes)
+    weights, photons, nodes, batched = _count_rows(counts, photons, nodes)
     if not (math.isfinite(box_half_width) and box_half_width > 0):
         raise ValidationError(f"box half-width must be positive, got {box_half_width}")
     if max_iterations < 1:
         raise ValidationError("iteration cap must be at least 1")
-
-    rep = build_mc(nodes)
-    jac = rep.inverse[:, 1:]
-    pair_grads = jac + np.roll(jac, -1, axis=0)
     guess = np.asarray(initial_theta, dtype=float)
     if guess.shape != (nodes - 1,):
         raise ValidationError(
             f"initial guess must have shape ({nodes - 1},), got {guess.shape}"
         )
-    half = photons / 2.0
+    per_pair = weights.reshape(weights.shape[0], nodes, 4)
+    model = _PairLikelihood(
+        photons,
+        nodes,
+        per_pair[:, :, 0] + per_pair[:, :, 1],
+        per_pair[:, :, 2] + per_pair[:, :, 3],
+    )
     window = 2.0 * math.pi / photons
-    pair_sums = pair_grads @ guess
-    worst = float(np.max(np.abs(pair_sums)))
+    worst = float(np.max(np.abs(model.pair_grads @ guess)))
     if worst >= window:
         raise ValidationError(
             f"initial guess outside the identifiable box: max |phi_j + phi_j+1| = "
             f"{worst:.6g} must be < 2*pi/N = {window:.6g}"
         )
-
-    agree, disagree = _pair_aggregates(table, nodes)
-    total = float(np.sum(agree) + np.sum(disagree))
-    if total <= 0:
+    if np.any(model.total <= 0):
         raise ValidationError("counts must have positive total weight")
-    scale = 4.0 * nodes
-    tiny = 1e-300
-
-    # The objective is the average negative log likelihood per detection
-    # event, not the raw sum: dividing by the total weight keeps the same
-    # maximizer while making the optimizer tolerances independent of the
-    # number of shots.
-    def negative_log_likelihood(theta):
-        c = np.cos(half * (pair_grads @ theta))
-        log_agree = np.log(np.maximum((1.0 + c) / scale, tiny))
-        log_disagree = np.log(np.maximum((1.0 - c) / scale, tiny))
-        value = np.where(agree > 0, agree * log_agree, 0.0) + np.where(
-            disagree > 0, disagree * log_disagree, 0.0
+    empty_pairs = model.empty.sum(axis=1)
+    if np.any(empty_pairs > 1):
+        row = int(np.argmax(empty_pairs > 1))
+        raise ConvergenceError(
+            f"count table {row} has no events on {empty_pairs[row]} of {nodes} pairs, so "
+            f"the likelihood is flat along {empty_pairs[row] - 1} direction(s) and has "
+            "no unique maximum"
         )
-        return -float(np.sum(value)) / total
 
-    def gradient(theta):
-        arg = half * (pair_grads @ theta)
-        c = np.cos(arg)
-        s = np.sin(arg)
-        ratio_agree = np.where(agree > 0, agree / np.maximum(1.0 + c, 1e-15), 0.0)
-        ratio_disagree = np.where(
-            disagree > 0, disagree / np.maximum(1.0 - c, 1e-15), 0.0
-        )
-        return pair_grads.T @ (half * s * (ratio_agree - ratio_disagree)) / total
-
-    def hessian(theta):
-        arg = half * (pair_grads @ theta)
-        c = np.cos(arg)
-        s = np.sin(arg)
-        one_plus = np.maximum(1.0 + c, 1e-15)
-        one_minus = np.maximum(1.0 - c, 1e-15)
-        residual = np.where(agree > 0, agree / one_plus, 0.0) - np.where(
-            disagree > 0, disagree / one_minus, 0.0
-        )
-        curvature = np.where(agree > 0, agree / one_plus**2, 0.0) + np.where(
-            disagree > 0, disagree / one_minus**2, 0.0
-        )
-        weights = half * half * (c * residual + s * s * curvature)
-        return (pair_grads.T * weights) @ pair_grads / total
-
-    start = guess.copy()
-    if float(np.max(np.abs(gradient(start)), initial=0.0)) <= gradient_tol:
+    theta = np.repeat(guess[None, :], weights.shape[0], axis=0)
+    # objective, theta-gradient, pair-sum gradient and pair curvature per row
+    state = model.evaluate(theta, np.arange(weights.shape[0]))
+    value, grad, pair_grad, curvature = state
+    stationary = np.flatnonzero(np.max(np.abs(grad), axis=1) <= gradient_tol)
+    if stationary.size:
         # Stationary start (all pair sums at an extremum of the cosine, or a
         # noiseless optimum).  Nudge along the average-phase axis, toward
-        # positive values by convention, so the line search has a direction.
-        start[0] += min(box_half_width / 8.0, 0.01)
+        # positive values by convention, so the fit has a direction.
+        theta[stationary, 0] += min(box_half_width / 8.0, 0.01)
+        for current, fresh in zip(state, model.evaluate(theta[stationary], stationary)):
+            current[stationary] = fresh
 
     lower = guess - box_half_width
     upper = guess + box_half_width
-    result = scipy.optimize.minimize(
-        negative_log_likelihood,
-        start,
-        jac=gradient,
-        method="L-BFGS-B",
-        bounds=list(zip(lower, upper)),
-        options={"gtol": gradient_tol, "ftol": 1e-12, "maxiter": max_iterations},
-    )
-    if result.nit >= max_iterations:
-        raise ConvergenceError(
-            f"likelihood fit did not converge within {max_iterations} iterations: "
-            f"{result.message}"
-        )
+    iterations = 0
+    while True:
+        grad_norm = np.max(np.abs(grad), axis=1)
+        rows = np.flatnonzero(grad_norm > gradient_tol)
+        if rows.size == 0:
+            break
+        if iterations == max_iterations:
+            raise ConvergenceError(
+                f"likelihood fit did not converge within {max_iterations} iterations: "
+                f"{rows.size} of {len(theta)} rows have gradient norm up to "
+                f"{float(np.max(grad_norm)):.3e} above the tolerance {gradient_tol:.3e}"
+            )
+        iterations += 1
+        step = model.newton_step(pair_grad[rows], curvature[rows], rows)
+        length = 1.0
+        # the last of 40 tries is 2**-39 (about 2e-12) of the Newton step
+        for _ in range(40):
+            candidate = np.clip(theta[rows] + length * step, lower, upper)
+            trial = model.evaluate(candidate, rows)
+            accepted = (trial[0] < value[rows]) | (
+                np.max(np.abs(trial[1]), axis=1) < grad_norm[rows]
+            )
+            done = rows[accepted]
+            theta[done] = candidate[accepted]
+            for current, fresh in zip(state, trial):
+                current[done] = fresh[accepted]
+            rows = rows[~accepted]
+            step = step[~accepted]
+            if rows.size == 0:
+                break
+            length *= 0.5
+        else:
+            raise ConvergenceError(
+                "likelihood fit stalled with gradient norm "
+                f"{float(np.max(grad_norm[rows])):.3e} above the tolerance "
+                f"{gradient_tol:.3e}"
+            )
 
-    # A line-search method cannot certify a 1e-10 gradient norm: near the
-    # optimum the objective is flat to float noise while the gradient is
-    # still ~1e-6.  Finish with damped-free Newton steps on the analytic
-    # gradient, accepting a step only if it shrinks the gradient norm.
-    theta = np.asarray(result.x, dtype=float)
-    grad_now = gradient(theta)
-    polish_steps = 0
-    for _ in range(12):
-        worst_grad = float(np.max(np.abs(grad_now)))
-        if worst_grad <= gradient_tol:
-            break
-        try:
-            step = np.linalg.solve(hessian(theta), -grad_now)
-        except np.linalg.LinAlgError:
-            break
-        candidate = theta + step
-        if np.any(candidate < lower) or np.any(candidate > upper):
-            break
-        grad_next = gradient(candidate)
-        if float(np.max(np.abs(grad_next))) >= worst_grad:
-            break
-        theta = candidate
-        grad_now = grad_next
-        polish_steps += 1
-    if float(np.max(np.abs(grad_now))) > gradient_tol:
-        raise ConvergenceError(
-            "likelihood fit stalled with gradient norm "
-            f"{float(np.max(np.abs(grad_now))):.3e} above the tolerance "
-            f"{gradient_tol:.3e}"
+    log_likelihood = -value * model.total
+    if not batched:
+        return EstimationResult(
+            theta[0], model.labels, float(log_likelihood[0]), True, iterations
         )
-
-    labels = tuple(rep.labels[i] for i in rep.kept_indices)
-    return EstimationResult(
-        theta,
-        labels,
-        -negative_log_likelihood(theta) * total,
-        True,
-        int(result.nit) + polish_steps,
-    )
+    return EstimationResult(theta, model.labels, log_likelihood, True, iterations)
 
 
 @dataclass(eq=False)
@@ -374,12 +413,14 @@ def crb_saturation_experiment(
     """Replicate sampling + estimation and compare Var(theta_1) to its bound.
 
     Each replicate draws ``shots`` outcomes from the true distribution with an
-    independently derived child seed, then fits by local maximum likelihood
-    starting from the true parameters.  The theoretical variance bound is
-    taken from the inverted classical Fisher matrix in the reduced chart and
-    equals 1/(N^2 * shots).  The whole experiment is a pure function of its
-    arguments; replicates use precomputed per-replicate seeds, so their
-    estimates do not depend on evaluation order.
+    independently derived child seed; all replicates are then fit together by
+    local maximum likelihood starting from the true parameters.  The
+    theoretical variance bound is taken from the inverted classical Fisher
+    matrix in the reduced chart and equals 1/(N^2 * shots).  The whole
+    experiment is a pure function of its arguments; replicates use
+    precomputed per-replicate seeds, so their estimates do not depend on
+    evaluation order.  ``replicates * 4 * nodes`` may not exceed
+    ``MAX_COUNT_CELLS``.
     """
     _check_counts(photons, nodes)
     phi = phase_vector(phases, nodes)
@@ -387,6 +428,13 @@ def crb_saturation_experiment(
         raise ValidationError(
             f"at least 50 replicates are needed for a stable variance, got {replicates}"
         )
+    cells = int(replicates) * 4 * int(nodes)
+    if cells > MAX_COUNT_CELLS:
+        raise ValidationError(
+            f"replicates * 4d = {cells} count cells exceed the cap of {MAX_COUNT_CELLS}"
+        )
+    if int(seed) < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {int(seed)}")
     window = 2.0 * math.pi / photons
     pair_sums = phi + np.roll(phi, -1)
     worst = float(np.max(np.abs(pair_sums)))
@@ -406,13 +454,14 @@ def crb_saturation_experiment(
     child_seeds = np.random.SeedSequence(int(seed)).generate_state(
         int(replicates), dtype=np.uint64
     )
-    estimates = np.empty((int(replicates), nodes - 1))
-    labels: tuple[str, ...] = ()
-    for r in range(int(replicates)):
-        table = sample_counts(dist, shots, int(child_seeds[r]))
-        fit = mle_estimate(table, theta_true, box_half_width)
-        estimates[r] = fit.theta
-        labels = fit.labels
+    probabilities = dist.as_array()
+    counts = np.empty((int(replicates), 4 * nodes), dtype=np.int64)
+    for r, child in enumerate(child_seeds):
+        counts[r] = _draw(probabilities, int(shots), int(child))
+    fit = mle_estimate(
+        counts, theta_true, box_half_width, photons=photons, nodes=nodes
+    )
+    estimates = fit.theta
     var_theta1 = float(np.var(estimates[:, 0], ddof=1))
     return SaturationReport(
         int(photons),
@@ -422,7 +471,7 @@ def crb_saturation_experiment(
         int(replicates),
         int(seed),
         theta_true,
-        labels,
+        fit.labels,
         estimates,
         var_theta1,
         float(bound),

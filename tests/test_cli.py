@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ghzsense
 from ghzsense.cli import main
 
 SIM_ARGS = [
@@ -146,6 +152,32 @@ def test_negative_seed_is_status_2_before_sampling(source, tmp_path, monkeypatch
     err = capsys.readouterr().err
     assert err.startswith("error: invalid configuration: ")
     assert "seed" in err and "Traceback" not in err
+
+
+def test_oversized_replicate_count_is_status_2_before_allocating(capsys):
+    argv = ["simulate", "--N", "2", "--d", "4", "--replicates", "1000000000000"]
+    tracemalloc.start()
+    try:
+        status = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 2
+    assert peak < 2**20
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration: ")
+    assert "count cells" in err and "Traceback" not in err
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(ghzsense.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, ghzsense; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_unknown_config_keys_rejected(tmp_path, capsys):

@@ -108,6 +108,11 @@ def test_plain_mapping_requires_geometry():
     counts = expected_counts(2, 4, PHI, 1000)
     with pytest.raises(ValidationError):
         mle_estimate(counts, np.zeros(3))
+    rows = np.array([[counts[label] for label in outcome_labels(4)]])
+    with pytest.raises(ValidationError):
+        mle_estimate(rows, np.zeros(3))
+    with pytest.raises(ValidationError):
+        mle_estimate(rows[:, :-1], np.zeros(3), photons=2, nodes=4)
 
 
 def test_iteration_cap_raises_convergence_error():
@@ -160,3 +165,101 @@ def test_saturation_csv_headers():
     long_rows = report.long_csv().strip().split("\n")
     assert long_rows[0] == "replicate,parameter,estimate"
     assert len(long_rows) == 1 + 50 * 3
+
+
+def test_saturation_rejects_negative_seed():
+    with pytest.raises(ValidationError):
+        crb_saturation_experiment(2, 4, PHI, 1000, 50, -1)
+
+
+def test_two_pairs_without_events_have_no_unique_maximum():
+    counts = {label: 0 for label in outcome_labels(4)}
+    counts[OutcomeLabel(1, "++")] = 1
+    counts[OutcomeLabel(3, "++")] = 1
+    with pytest.raises(ConvergenceError):
+        mle_estimate(counts, build_mc(4).apply(PHI)[1:], photons=2, nodes=4)
+
+
+def test_one_pair_without_events_is_absorbed_by_the_ring_constraint():
+    # noiseless counts on pairs 1, 3 and 4 fix their sums; the alternating
+    # sum of an even ring then fixes pair 2, so the truth is the unique fit
+    counts = expected_counts(2, 4, PHI, 10**6)
+    for pattern in ("++", "--", "+-", "-+"):
+        counts[OutcomeLabel(2, pattern)] = 0.0
+    theta_true = build_mc(4).apply(PHI)[1:]
+    result = mle_estimate(counts, theta_true + 0.01, photons=2, nodes=4)
+    np.testing.assert_allclose(result.theta, theta_true, atol=1e-9)
+
+
+def reference_fit(agree, disagree, photons, guess, box=0.25, tol=1e-10):
+    """One count table by Newton steps on the dense theta Hessian, with step halving."""
+    rep = build_mc(agree.size)
+    jac = rep.inverse[:, 1:]
+    grads = jac + np.roll(jac, -1, axis=0)
+    half = photons / 2.0
+    total = agree.sum() + disagree.sum()
+
+    def parts(theta):
+        arg = half * (grads @ theta)
+        c, s = np.cos(arg), np.sin(arg)
+        value = -(agree @ np.log(1.0 + c) + disagree @ np.log(1.0 - c)) / total
+        grad = grads.T @ (half * s * (agree / (1.0 + c) - disagree / (1.0 - c))) / total
+        curvature = half**2 * (agree / (1.0 + c) + disagree / (1.0 - c)) / total
+        return value, grad, (grads.T * curvature) @ grads
+
+    theta = guess.copy()
+    for _ in range(100):
+        value, grad, hessian = parts(theta)
+        if np.max(np.abs(grad)) <= tol:
+            return theta
+        step = np.linalg.solve(hessian, -grad)
+        length = 1.0
+        while True:
+            candidate = np.clip(theta + length * step, guess - box, guess + box)
+            new_value, new_grad, _ = parts(candidate)
+            if new_value < value or np.max(np.abs(new_grad)) < np.max(np.abs(grad)):
+                break
+            length /= 2.0
+            assert length > 1e-12, "reference fit stalled"
+        theta = candidate
+    raise AssertionError("reference fit did not converge")
+
+
+@pytest.mark.parametrize("photons", [2, 4])
+@pytest.mark.parametrize("nodes", [4, 8, 16])
+def test_batched_fit_matches_dense_newton_reference(nodes, photons):
+    for seed in range(3):
+        rng = np.random.default_rng(100 * nodes + 10 * photons + seed)
+        phases = rng.uniform(0.05, 0.15, nodes)
+        theta_true = build_mc(nodes).apply(phases)[1:]
+        p = outcome_distribution(photons, nodes, phases).as_array()
+        draws = rng.multinomial(20000, p / p.sum(), size=4)
+        fit = mle_estimate(draws, theta_true, photons=photons, nodes=nodes)
+        assert fit.theta.shape == (4, nodes - 1)
+        assert fit.log_likelihood.shape == (4,)
+        assert isinstance(fit.iterations, int)
+        for row, theta in zip(draws.reshape(4, nodes, 4), fit.theta):
+            agree = (row[:, 0] + row[:, 1]).astype(float)
+            disagree = (row[:, 2] + row[:, 3]).astype(float)
+            reference = reference_fit(agree, disagree, photons, theta_true)
+            assert np.max(np.abs(theta - reference)) <= 1e-9
+
+
+def test_saturation_replicates_match_single_table_fits():
+    phases = np.full(8, 0.1)
+    report = crb_saturation_experiment(2, 8, phases, 20000, 50, 13)
+    dist = outcome_distribution(2, 8, phases)
+    child_seeds = np.random.SeedSequence(13).generate_state(50, dtype=np.uint64)
+    for r, child in enumerate(child_seeds):
+        single = mle_estimate(sample_counts(dist, 20000, int(child)), report.theta_true)
+        assert np.max(np.abs(report.estimates[r] - single.theta)) <= 1e-12
+
+
+def test_wide_ring_fit_from_the_truth_converges():
+    phases = np.full(256, 0.05)
+    dist = outcome_distribution(2, 256, phases)
+    theta_true = build_mc(256).apply(phases)[1:]
+    for seed in (1, 2):
+        result = mle_estimate(sample_counts(dist, 10**5, seed), theta_true)
+        assert result.converged
+        assert np.all(np.isfinite(result.theta))
