@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import SingularMatrixError, ValidationError
 from .measurement import cfim
-from .qfim import FisherMatrix, _entries_of, qfim_pure
+from .qfim import FisherMatrix, _entries_of, original_chart, qfim_pure
 from .reparam import build_mc, pushforward_fisher
 
 RANK_RTOL = 1e-9
@@ -214,11 +214,12 @@ def heisenberg_sweep(photon_counts, node_counts) -> list[SweepRow]:
     for photons in photon_counts:
         for nodes in node_counts:
             rep = build_mc(nodes)
+            chart = original_chart(nodes)
             zeros = np.zeros(nodes)
             basis = np.zeros(rep.dim - 1)
             basis[0] = 1.0
-            quantum = pushforward_fisher(qfim_pure(photons, nodes, zeros), rep, True)
-            classical = pushforward_fisher(cfim(photons, nodes, zeros), rep, True)
+            quantum = pushforward_fisher(qfim_pure(photons, nodes, zeros, chart), rep, True)
+            classical = pushforward_fisher(cfim(photons, nodes, zeros, chart), rep, True)
             qcrb = math.sqrt(exact_crb(quantum, basis, 1))
             ccrb = math.sqrt(exact_crb(classical, basis, 1))
             rows.append(SweepRow(int(photons), int(nodes), qcrb, ccrb, ccrb / qcrb))

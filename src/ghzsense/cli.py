@@ -18,7 +18,7 @@ from .bounds import (
     sweep_to_json_dict,
 )
 from .errors import ConvergenceError, SingularMatrixError, ValidationError
-from .ghz_state import apply_phases, build_input_state, phase_vector
+from .ghz_state import _check_counts, apply_phases, build_input_state, phase_vector
 from .measurement import cfim, distribution_to_csv, outcome_distribution
 from .montecarlo import crb_saturation_experiment
 from .qfim import (
@@ -406,6 +406,8 @@ def _build_run_config(command: str, values: dict) -> RunConfig:
         config.nodes = _require_int(values["d"], "d")
         if config.photons % 2 != 0:
             raise ValidationError(f"N must be even, got {config.photons}")
+        # before any phase vector or matrix of size d is allocated
+        _check_counts(config.photons, config.nodes)
     if command == "simulate" and values.get("phases") is None:
         config.phases_spec = "uniform:0.1"
     return config

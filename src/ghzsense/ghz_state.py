@@ -20,6 +20,10 @@ from .errors import ValidationError
 
 POLARIZATIONS = ("H", "V")
 
+# Largest accepted ring size: one d x d float64 matrix is then 128 MiB.
+# Counts are checked against it before any d x d array is allocated.
+MAX_NODES = 4096
+
 
 class KetLabel(NamedTuple):
     """Basis-ket identifier: 1-based ring-pair index and polarization."""
@@ -49,6 +53,8 @@ def _check_counts(photons: int, nodes: int) -> None:
         raise ValidationError(f"node count must be an integer, got {nodes!r}")
     if nodes < 3:
         raise ValidationError(f"node count must be an integer >= 3, got {nodes}")
+    if nodes > MAX_NODES:
+        raise ValidationError(f"node count {nodes} exceeds the cap of {MAX_NODES}")
 
 
 def phase_vector(values, d: int) -> np.ndarray:

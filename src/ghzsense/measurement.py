@@ -166,6 +166,7 @@ def cfim_brute_force_oracle(
     """
     if not 0 < step < 1e-2:
         raise ValidationError(f"finite-difference step must be in (0, 1e-2), got {step}")
+    _check_counts(photons, nodes)
     phi = phase_vector(phases, nodes)
     chart, directions = _directions_for(nodes, chart)
     base = outcome_distribution(photons, nodes, phi).as_array()

@@ -47,7 +47,8 @@ class Chart:
     d(phi)/d(param_m).  The original chart uses the standard basis.  Charts
     for transformed parameter sets are produced by reparametrizations (see
     :mod:`ghzsense.reparam`), whose inverse-matrix columns supply the
-    directions.
+    directions.  Charts are shared between matrices, so ``directions`` is
+    stored as a read-only view; the caller's array stays writable.
     """
 
     name: str
@@ -56,7 +57,8 @@ class Chart:
 
     def __post_init__(self):
         self.labels = tuple(str(s) for s in self.labels)
-        self.directions = np.asarray(self.directions, dtype=float)
+        self.directions = np.asarray(self.directions, dtype=float).view()
+        self.directions.flags.writeable = False
         if self.directions.ndim != 2:
             raise ValidationError("chart directions must be a 2-D array")
         d, k = self.directions.shape
@@ -99,7 +101,13 @@ def original_chart(d: int) -> Chart:
 
 @dataclass(eq=False)
 class FisherMatrix:
-    """Symmetric positive-semidefinite information matrix tied to a chart."""
+    """Symmetric positive-semidefinite information matrix tied to a chart.
+
+    The PSD test is a Cholesky factorization of ``entries + PSD_TOL * I``,
+    which succeeds exactly when the smallest eigenvalue exceeds -PSD_TOL up
+    to rounding; a failed factorization is confirmed with ``eigvalsh``
+    before the matrix is rejected.
+    """
 
     entries: np.ndarray
     kind: str
@@ -124,11 +132,16 @@ class FisherMatrix:
         asym = float(np.max(np.abs(self.entries - self.entries.T), initial=0.0))
         if asym > SYMMETRY_TOL:
             raise ValidationError(f"Fisher matrix asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
-        smallest = float(np.linalg.eigvalsh(self.entries)[0])
-        if smallest < -PSD_TOL:
-            raise ValidationError(
-                f"Fisher matrix has negative eigenvalue {smallest:.3e} < -{PSD_TOL}"
-            )
+        shifted = self.entries.copy()
+        shifted.flat[:: shifted.shape[0] + 1] += PSD_TOL
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            smallest = float(np.linalg.eigvalsh(self.entries)[0])
+            if smallest < -PSD_TOL:
+                raise ValidationError(
+                    f"Fisher matrix has negative eigenvalue {smallest:.3e} < -{PSD_TOL}"
+                ) from None
         if self.phases is not None:
             self.phases = phase_vector(self.phases, self.nodes)
 
@@ -178,9 +191,9 @@ def qfim_pure(photons: int, nodes: int, phases, chart: Chart | None = None) -> F
     :func:`pair_sum_gradients` of the chart and s is the sum of its rows
     (see the module docstring for the derivation).
     """
+    _check_counts(photons, nodes)
     phi = phase_vector(phases, nodes)
     chart, _ = _directions_for(nodes, chart)
-    _check_counts(photons, nodes)
     grads = pair_sum_gradients(nodes, chart)
     sums = grads.sum(axis=0)
     entries = (photons**2 / (2.0 * nodes)) * (grads.T @ grads) - (
@@ -206,14 +219,18 @@ def qfim_closed_form_original(photons: int, nodes: int) -> FisherMatrix:
 
 
 def rank_and_nullspace(matrix, tol: float = 1e-9) -> RankReport:
-    """Numerical rank and orthonormal null basis of a symmetric matrix via SVD."""
+    """Numerical rank and orthonormal null basis of a symmetric matrix via SVD.
+
+    The input is symmetrized and decomposed with the eigh-based Hermitian
+    SVD; singular values below ``tol`` times the largest count as zero.
+    """
     m = _entries_of(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError("rank analysis requires a square matrix")
     scale = float(np.max(np.abs(m), initial=0.0))
     if float(np.max(np.abs(m - m.T), initial=0.0)) > 1e-10 * max(1.0, scale):
         raise ValidationError("rank analysis requires a symmetric matrix")
-    _, singular, vt = np.linalg.svd(m)
+    _, singular, vt = np.linalg.svd(0.5 * (m + m.T), hermitian=True)
     if singular.size == 0 or singular[0] == 0.0:
         rank = 0
     else:
@@ -235,6 +252,7 @@ def qfim_finite_difference_oracle(
     """
     if not 0 < step < 1e-2:
         raise ValidationError(f"finite-difference step must be in (0, 1e-2), got {step}")
+    _check_counts(photons, nodes)
     phi = phase_vector(phases, nodes)
     chart, directions = _directions_for(nodes, chart)
     labels = ket_labels(nodes)

@@ -10,11 +10,12 @@ phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
+from .ghz_state import MAX_NODES
 from .qfim import Chart, FisherMatrix
 
 IDENTITY_TOL = 1e-10
@@ -27,7 +28,8 @@ class Reparametrization:
     ``labels`` name the new coordinates with the irrelevant one first;
     ``kept_indices`` are the coordinates retained when it is dropped.  The
     ``inverse`` field is the numerically computed matrix inverse and is the
-    one used everywhere in the toolkit.
+    one used everywhere in the toolkit.  Both matrices are stored as
+    read-only views, so the charts built from them stay valid.
     """
 
     forward: np.ndarray
@@ -35,10 +37,12 @@ class Reparametrization:
     labels: tuple[str, ...]
     kept_indices: tuple[int, ...]
     name: str
+    _charts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.forward = np.asarray(self.forward, dtype=float)
-        self.inverse = np.asarray(self.inverse, dtype=float)
+        self.forward = np.asarray(self.forward, dtype=float).view()
+        self.inverse = np.asarray(self.inverse, dtype=float).view()
+        self.forward.flags.writeable = self.inverse.flags.writeable = False
         d = self.forward.shape[0]
         if self.forward.shape != (d, d) or self.inverse.shape != (d, d):
             raise ValidationError("forward and inverse must be square matrices of equal size")
@@ -75,12 +79,21 @@ class Reparametrization:
         return self.inverse @ theta
 
     def chart(self, drop_irrelevant: bool = False) -> Chart:
-        """Chart whose directions are the columns of the inverse matrix."""
-        if drop_irrelevant:
-            idx = list(self.kept_indices)
-            labels = tuple(self.labels[i] for i in idx)
-            return Chart(self.name, labels, self.inverse[:, idx])
-        return Chart(self.name, self.labels, self.inverse)
+        """Chart whose directions are the columns of the inverse matrix.
+
+        Built and validated on first use, then the same object is returned.
+        """
+        drop = bool(drop_irrelevant)
+        chart = self._charts.get(drop)
+        if chart is None:
+            if drop:
+                idx = list(self.kept_indices)
+                labels = tuple(self.labels[i] for i in idx)
+                chart = Chart(self.name, labels, self.inverse[:, idx])
+            else:
+                chart = Chart(self.name, self.labels, self.inverse)
+            self._charts[drop] = chart
+        return chart
 
     def to_json_dict(self) -> dict:
         return {
@@ -111,6 +124,8 @@ def _check_even_ring(d: int) -> None:
         raise ValidationError(f"node count must be an integer, got {d!r}")
     if d < 4 or d % 2 != 0:
         raise ValidationError(f"node count must be an even integer >= 4, got {d}")
+    if d > MAX_NODES:
+        raise ValidationError(f"node count {d} exceeds the cap of {MAX_NODES}")
 
 
 def build_mc(d: int) -> Reparametrization:

@@ -169,6 +169,25 @@ def test_oversized_replicate_count_is_status_2_before_allocating(capsys):
     assert "count cells" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["qfim", "--N", "2", "--d", "100000"], ["transform", "--d", "1000000", "--chart", "mc"]],
+    ids=["qfim", "transform"],
+)
+def test_oversized_ring_is_status_2_before_allocating(argv, capsys):
+    tracemalloc.start()
+    try:
+        status = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 2
+    assert peak < 2**20
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration: ")
+    assert "exceeds the cap of 4096" in err and "Traceback" not in err
+
+
 def test_import_leaves_scipy_unloaded():
     src = str(Path(ghzsense.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ghzsense.errors import ValidationError
+from ghzsense.ghz_state import MAX_NODES
 from ghzsense.measurement import (
     OutcomeDistribution,
     OutcomeLabel,
@@ -140,3 +141,10 @@ def test_distribution_json_round_trip():
     doc = dist.to_json_dict()
     back = OutcomeDistribution.from_json_dict(doc)
     assert back.to_json_dict() == doc
+
+
+def test_ring_size_cap_is_checked_before_the_chart_is_built():
+    # the phases are never looked at: the count check comes first
+    for build in (cfim, cfim_brute_force_oracle):
+        with pytest.raises(ValidationError, match="exceeds the cap"):
+            build(2, MAX_NODES + 1, None)

@@ -3,7 +3,8 @@
 Both matrices are Gram forms of the pair-sum gradient matrix G:
 CFIM = (N^2/4d) G^T G and QFIM - CFIM = (N^2/4d) G^T (I - 11^T/d) G, so the
 quantum matrix dominates the classical one and the two agree along the
-average phase.
+average phase.  The rank analysis that exposes their null space is checked
+on random PSD matrices of known rank.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzsense.measurement import cfim
-from ghzsense.qfim import Chart, qfim_pure
+from ghzsense.qfim import Chart, qfim_pure, rank_and_nullspace
 from ghzsense.reparam import build_mc
 
 even_rings = st.integers(2, 32).map(lambda half: 2 * half)
@@ -53,3 +54,22 @@ def test_average_phase_decouples_in_the_reduced_mc_chart(nodes, photons, seed):
     quantum = qfim_pure(photons, nodes, phi, build_mc(nodes).chart(True)).entries
     coupling = max(np.max(np.abs(quantum[0, 1:])), np.max(np.abs(quantum[1:, 0])))
     assert coupling <= 1e-12 * np.max(np.abs(quantum))
+
+
+@settings(deadline=None)
+@given(size=st.integers(1, 40), data=st.data(), seed=seeds)
+def test_rank_and_nullspace_on_psd_matrices_of_known_rank(size, data, seed):
+    rank = data.draw(st.integers(0, size), label="rank")
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.normal(size=(size, size)))
+    spectrum = np.zeros(size)
+    spectrum[:rank] = rng.uniform(1.0, 10.0, rank)
+    matrix = basis @ np.diag(spectrum) @ basis.T
+    report = rank_and_nullspace(matrix)
+    singular = np.linalg.svd(matrix, compute_uv=False)
+    general_rank = int(np.sum(singular > 1e-9 * singular[0])) if singular[0] > 0 else 0
+    assert report.rank == rank == general_rank
+    null = report.null_basis
+    assert null.shape == (size, size - rank)
+    np.testing.assert_allclose(null.T @ null, np.eye(size - rank), atol=1e-12)
+    assert np.linalg.norm(matrix @ null) <= 1e-9 * np.linalg.norm(matrix)

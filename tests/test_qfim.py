@@ -5,6 +5,7 @@ import pytest
 
 from ghzsense.errors import ValidationError
 from ghzsense.ghz_state import (
+    MAX_NODES,
     apply_phases,
     build_input_state,
     directional_state_derivative,
@@ -193,3 +194,46 @@ def test_json_round_trip_is_byte_identical():
     back = matrix_from_json_dict(json.loads(text))
     assert json.dumps(matrix_to_json_dict(back), indent=2, sort_keys=True) == text
     assert np.array_equal(back.entries, matrix.entries)
+
+
+def rotated_spectrum(eigenvalues, seed=7):
+    """Symmetric matrix with the given eigenvalues in a random orthonormal basis."""
+    k = len(eigenvalues)
+    basis, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(k, k)))
+    matrix = basis @ np.diag(eigenvalues) @ basis.T
+    return 0.5 * (matrix + matrix.T)
+
+
+def test_psd_check_rejects_an_eigenvalue_just_below_the_tolerance():
+    entries = rotated_spectrum([-1e-8, 0.5, 1.0, 2.0])
+    with pytest.raises(ValidationError, match=r"negative eigenvalue -1\.000e-08 < -1e-09"):
+        FisherMatrix(entries, "quantum", original_chart(4), 2, 4, None)
+
+
+def test_psd_check_accepts_an_eigenvalue_just_above_the_tolerance():
+    entries = rotated_spectrum([-1e-10, 0.5, 1.0, 2.0])
+    matrix = FisherMatrix(entries, "quantum", original_chart(4), 2, 4, None)
+    assert np.array_equal(matrix.entries, entries)
+
+
+def test_psd_check_accepts_the_exactly_singular_wide_ring_matrix():
+    entries = qfim_pure(4, 256, np.zeros(256)).entries
+    assert rank_and_nullspace(entries).nullity == 1
+    FisherMatrix(entries, "quantum", original_chart(256), 4, 256, None)
+
+
+def test_chart_directions_are_a_read_only_view():
+    directions = np.eye(3)
+    chart = Chart("view", ("a", "b", "c"), directions)
+    with pytest.raises(ValueError):
+        chart.directions[0, 0] = 2.0
+    directions[0, 0] = 2.0  # the caller's array stays writable
+    assert chart.directions[0, 0] == 2.0
+
+
+def test_ring_size_cap_is_checked_before_the_chart_is_built():
+    # the phases are never looked at: the count check comes first
+    with pytest.raises(ValidationError, match="exceeds the cap"):
+        qfim_pure(2, MAX_NODES + 1, None)
+    with pytest.raises(ValidationError, match="exceeds the cap"):
+        qfim_finite_difference_oracle(2, MAX_NODES + 1, None)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from ghzsense.bounds import heisenberg_sweep
 from ghzsense.errors import ValidationError
+from ghzsense.ghz_state import MAX_NODES
 from ghzsense.measurement import cfim
 from ghzsense.qfim import qfim_pure, rank_and_nullspace
 from ghzsense.reparam import (
@@ -142,3 +144,43 @@ def test_reparametrization_json_round_trip():
     assert back.to_json_dict() == doc
     np.testing.assert_array_equal(back.forward, rep.forward)
     np.testing.assert_array_equal(back.inverse, rep.inverse)
+
+
+def count_rank_calls(monkeypatch):
+    calls = []
+    matrix_rank = np.linalg.matrix_rank
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return matrix_rank(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", counting)
+    return calls
+
+
+def test_charts_are_built_and_validated_once_per_reparametrization(monkeypatch):
+    rep = build_mc(16)
+    base = qfim_pure(4, 16, np.zeros(16))
+    calls = count_rank_calls(monkeypatch)
+    first = rep.chart(True)
+    assert rep.chart(True) is first
+    reduced = pushforward_fisher(base, rep, True)
+    assert reduced.chart is first
+    assert len(calls) == 1
+    assert rep.chart(False) is rep.chart(False) is not first
+    assert len(calls) == 2
+    with pytest.raises(ValueError):
+        first.directions[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        rep.inverse[0, 0] = 1.0
+
+
+def test_sweep_validates_two_charts_per_grid_point(monkeypatch):
+    calls = count_rank_calls(monkeypatch)
+    heisenberg_sweep([4], [16])
+    assert len(calls) == 2
+
+
+def test_ring_size_cap_is_checked_before_building():
+    with pytest.raises(ValidationError, match="exceeds the cap"):
+        build_mc(MAX_NODES + 2)
