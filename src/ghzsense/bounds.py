@@ -46,19 +46,47 @@ def exact_crb(matrix, alpha, shots: int = 1) -> float:
     Refuses numerically singular matrices: the smallest eigenvalue must
     exceed ``RANK_RTOL`` times the largest.  For a singular matrix, remove
     the irrelevant direction with a reparametrization first.
+
+    The largest absolute row sum b bounds the largest eigenvalue, so a
+    successful Cholesky factorization of F - RANK_RTOL * b * I proves the
+    test; only when it fails does ``eigvalsh`` decide.
     """
     entries = _entries_of(matrix)
     n = _shots(shots)
     a = _weight(alpha, entries.shape[0])
-    eigs = np.linalg.eigvalsh(entries)
-    if eigs[-1] <= 0.0 or eigs[0] <= RANK_RTOL * eigs[-1]:
-        raise SingularMatrixError(
-            "Fisher matrix is numerically singular "
-            f"(smallest eigenvalue {eigs[0]:.3e}, largest {eigs[-1]:.3e}); "
-            "re-express it in an invertible chart via a reparametrization "
-            "before taking the exact bound"
-        )
+    if not _certified_invertible(entries):
+        eigs = np.linalg.eigvalsh(entries)
+        if eigs[-1] <= 0.0 or eigs[0] <= RANK_RTOL * eigs[-1]:
+            raise SingularMatrixError(
+                "Fisher matrix is numerically singular "
+                f"(smallest eigenvalue {eigs[0]:.3e}, largest {eigs[-1]:.3e}); "
+                "re-express it in an invertible chart via a reparametrization "
+                "before taking the exact bound"
+            )
     return float(a @ np.linalg.solve(entries, a)) / n
+
+
+def _certified_invertible(entries: np.ndarray) -> bool:
+    """True when a Cholesky factorization proves lambda_min > RANK_RTOL * lambda_max.
+
+    ``cholesky`` and ``eigvalsh`` both read only the lower triangle, so the
+    eigenvalue bound is the largest absolute row sum of the symmetric matrix
+    that triangle defines (the row sum of F itself when F is symmetric).
+    """
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        return False
+    magnitudes = np.abs(entries)
+    row_sums = np.tril(magnitudes).sum(axis=1) + np.tril(magnitudes, -1).sum(axis=0)
+    bound = float(np.max(row_sums, initial=0.0))
+    if not (math.isfinite(bound) and bound > 0.0):
+        return False
+    shifted = entries.astype(float)
+    shifted.flat[:: shifted.shape[0] + 1] -= RANK_RTOL * bound
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def weak_crb(matrix, alpha, shots: int = 1) -> float:

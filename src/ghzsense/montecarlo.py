@@ -36,6 +36,7 @@ from .measurement import (
     outcome_distribution,
     outcome_labels,
 )
+from .qfim import _read_only_copy, _ring_memo
 from .reparam import build_mc, pushforward_fisher
 
 DEFAULT_BOX_HALF_WIDTH = 0.25
@@ -119,6 +120,23 @@ def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountTabl
     )
 
 
+def _build_fit_geometry(nodes: int) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """Read-only pair-sum gradients, Newton-step lift and labels of the reduced chart."""
+    rep = build_mc(nodes)
+    jac = rep.inverse[:, 1:]
+    pair_grads = _read_only_copy(jac + np.roll(jac, -1, axis=0))
+    alternating = (-1.0) ** np.arange(nodes)
+    # Maps pair-sum steps y (with sum_j (-1)^j y_j = 0) to theta steps:
+    # phi_k = sum_{i<k} (-1)^(k-1-i) y_i has those pair sums, and the
+    # alternating direction it leaves undetermined is theta_0, which
+    # forward[1:] drops.
+    lift = _read_only_copy(np.triu(-np.outer(alternating, alternating), 1) @ rep.forward[1:].T)
+    return pair_grads, lift, tuple(rep.labels[i] for i in rep.kept_indices)
+
+
+_fit_geometry = _ring_memo(_build_fit_geometry)
+
+
 class _PairLikelihood:
     """Per-event negative log likelihood of many count tables, one per row.
 
@@ -131,16 +149,8 @@ class _PairLikelihood:
     """
 
     def __init__(self, photons: int, nodes: int, agree, disagree):
-        rep = build_mc(nodes)
-        jac = rep.inverse[:, 1:]
-        self.pair_grads = jac + np.roll(jac, -1, axis=0)
+        self.pair_grads, self.lift, self.labels = _fit_geometry(nodes)
         self.alternating = (-1.0) ** np.arange(nodes)
-        # Maps pair-sum steps y (with sum_j (-1)^j y_j = 0) to theta steps:
-        # phi_k = sum_{i<k} (-1)^(k-1-i) y_i has those pair sums, and the
-        # alternating direction it leaves undetermined is theta_0, which
-        # forward[1:] drops.
-        self.lift = np.triu(-np.outer(self.alternating, self.alternating), 1) @ rep.forward[1:].T
-        self.labels = tuple(rep.labels[i] for i in rep.kept_indices)
         self.half = photons / 2.0
         self.scale = 4.0 * nodes
         self.agree = agree

@@ -22,12 +22,14 @@ computed independently of G, as cross-checks.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .ghz_state import (
+    MAX_NODES,
     _check_counts,
     apply_phases,
     build_input_state,
@@ -38,8 +40,39 @@ from .ghz_state import (
 SYMMETRY_TOL = 1e-10
 PSD_TOL = 1e-9
 
+# Ring geometry (charts, reparametrizations, fit matrices) is a pure function
+# of the ring size.  Rings up to RING_MEMO_MAX_NODES are built once and shared,
+# keeping the RING_MEMO_SIZES most recently used sizes: about 14 MiB per ring
+# at d = 512.  Larger rings are built on every call.
+RING_MEMO_MAX_NODES = 512
+RING_MEMO_SIZES = 4
+_RING_MEMOS = []
 
-@dataclass(eq=False)
+
+def _ring_memo(build):
+    """Memoize ``build(d)`` for an already validated ring size ``d``."""
+    cached = functools.lru_cache(maxsize=RING_MEMO_SIZES)(build)
+    _RING_MEMOS.append(cached)
+
+    def lookup(d):
+        d = int(d)
+        return cached(d) if d <= RING_MEMO_MAX_NODES else build(d)
+
+    return lookup
+
+
+def _clear_ring_memos() -> None:
+    for cached in _RING_MEMOS:
+        cached.cache_clear()
+
+
+def _read_only_copy(values) -> np.ndarray:
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(eq=False, frozen=True)
 class Chart:
     """Parameter chart: named directions in phase space.
 
@@ -47,8 +80,9 @@ class Chart:
     d(phi)/d(param_m).  The original chart uses the standard basis.  Charts
     for transformed parameter sets are produced by reparametrizations (see
     :mod:`ghzsense.reparam`), whose inverse-matrix columns supply the
-    directions.  Charts are shared between matrices, so ``directions`` is
-    stored as a read-only view; the caller's array stays writable.
+    directions.  Charts are shared between matrices and callers, so a chart
+    is frozen and ``directions`` is its own read-only copy of the array
+    passed in.
     """
 
     name: str
@@ -56,9 +90,8 @@ class Chart:
     directions: np.ndarray
 
     def __post_init__(self):
-        self.labels = tuple(str(s) for s in self.labels)
-        self.directions = np.asarray(self.directions, dtype=float).view()
-        self.directions.flags.writeable = False
+        object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
+        object.__setattr__(self, "directions", _read_only_copy(self.directions))
         if self.directions.ndim != 2:
             raise ValidationError("chart directions must be a 2-D array")
         d, k = self.directions.shape
@@ -93,10 +126,21 @@ class Chart:
         return cls(doc["name"], tuple(doc["labels"]), np.array(doc["directions"]))
 
 
-def original_chart(d: int) -> Chart:
-    """Standard per-node phase chart phi_1..phi_d."""
+def _build_original_chart(d: int) -> Chart:
     labels = tuple(f"phi_{i}" for i in range(1, d + 1))
     return Chart("original", labels, np.eye(d))
+
+
+_original_chart = _ring_memo(_build_original_chart)
+
+
+def original_chart(d: int) -> Chart:
+    """Standard per-node phase chart phi_1..phi_d, shared per ring size."""
+    if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1:
+        raise ValidationError(f"node count must be a positive integer, got {d!r}")
+    if d > MAX_NODES:
+        raise ValidationError(f"node count {d} exceeds the cap of {MAX_NODES}")
+    return _original_chart(d)
 
 
 @dataclass(eq=False)

@@ -16,20 +16,21 @@ import numpy as np
 
 from .errors import ValidationError
 from .ghz_state import MAX_NODES
-from .qfim import Chart, FisherMatrix
+from .qfim import Chart, FisherMatrix, _read_only_copy, _ring_memo
 
 IDENTITY_TOL = 1e-10
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Reparametrization:
     """Invertible linear change of phase coordinates theta = forward @ phi.
 
     ``labels`` name the new coordinates with the irrelevant one first;
     ``kept_indices`` are the coordinates retained when it is dropped.  The
     ``inverse`` field is the numerically computed matrix inverse and is the
-    one used everywhere in the toolkit.  Both matrices are stored as
-    read-only views, so the charts built from them stay valid.
+    one used everywhere in the toolkit.  A reparametrization is frozen and
+    stores its own read-only copies of both matrices, so it and the charts
+    built from it stay valid when shared.
     """
 
     forward: np.ndarray
@@ -40,16 +41,15 @@ class Reparametrization:
     _charts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.forward = np.asarray(self.forward, dtype=float).view()
-        self.inverse = np.asarray(self.inverse, dtype=float).view()
-        self.forward.flags.writeable = self.inverse.flags.writeable = False
+        object.__setattr__(self, "forward", _read_only_copy(self.forward))
+        object.__setattr__(self, "inverse", _read_only_copy(self.inverse))
         d = self.forward.shape[0]
         if self.forward.shape != (d, d) or self.inverse.shape != (d, d):
             raise ValidationError("forward and inverse must be square matrices of equal size")
         if len(self.labels) != d:
             raise ValidationError(f"expected {d} labels, got {len(self.labels)}")
-        self.labels = tuple(str(s) for s in self.labels)
-        self.kept_indices = tuple(int(i) for i in self.kept_indices)
+        object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
+        object.__setattr__(self, "kept_indices", tuple(int(i) for i in self.kept_indices))
         if any(not 0 <= i < d for i in self.kept_indices) or len(
             set(self.kept_indices)
         ) != len(self.kept_indices):
@@ -92,7 +92,7 @@ class Reparametrization:
                 chart = Chart(self.name, labels, self.inverse[:, idx])
             else:
                 chart = Chart(self.name, self.labels, self.inverse)
-            self._charts[drop] = chart
+            chart = self._charts.setdefault(drop, chart)
         return chart
 
     def to_json_dict(self) -> dict:
@@ -136,9 +136,15 @@ def build_mc(d: int) -> Reparametrization:
     row i for i >= 2 is the scaled difference (phi_{i-1} - phi_{i+1})/d.
     The transform is not orthogonal; its numerical inverse satisfies
     column sums (0, d, 0, ..., 0), which is what decouples theta_1 from the
-    remaining coordinates in any pushed-forward Fisher matrix.
+    remaining coordinates in any pushed-forward Fisher matrix.  The result
+    is frozen and shared: rings up to ``qfim.RING_MEMO_MAX_NODES`` are built
+    once per size.
     """
     _check_even_ring(d)
+    return _mc(d)
+
+
+def _build_mc(d: int) -> Reparametrization:
     forward = np.zeros((d, d))
     forward[0] = [(-1.0) ** j / d for j in range(1, d + 1)]
     forward[1] = 1.0 / d
@@ -153,6 +159,9 @@ def build_mc(d: int) -> Reparametrization:
     expected[1] = d
     assert np.max(np.abs(sums - expected)) < 1e-9, "inverse column sums must be (0, d, 0, ...)"
     return rep
+
+
+_mc = _ring_memo(_build_mc)
 
 
 def build_orthogonal_d4() -> Reparametrization:

@@ -1,6 +1,19 @@
 import pytest
 
+from ghzsense.qfim import _clear_ring_memos
+
 _ACCEPTANCE_LINES = []
+
+
+@pytest.fixture(autouse=True)
+def fresh_ring_memos():
+    """Start every test with no ring geometry memoized.
+
+    Charts and reparametrizations are shared per ring size, so without this
+    the factorization counts a test sees would depend on which tests ran
+    before it.
+    """
+    _clear_ring_memos()
 
 
 @pytest.fixture

@@ -95,6 +95,36 @@ def test_exact_bound_refuses_singular_matrices():
         exact_crb(singular, alpha)
 
 
+def test_singular_quantum_matrix_message_reports_the_eigenvalue_rule():
+    entries = qfim_pure(2, 8, np.zeros(8)).entries
+    eigs = np.linalg.eigvalsh(entries)
+    with pytest.raises(SingularMatrixError) as caught:
+        exact_crb(entries, np.full(8, 1.0 / 8.0))
+    # the smallest eigenvalue is rounding noise, so it is read from eigvalsh
+    assert str(caught.value) == (
+        "Fisher matrix is numerically singular "
+        f"(smallest eigenvalue {eigs[0]:.3e}, largest 8.536e-01); "
+        "re-express it in an invertible chart via a reparametrization "
+        "before taking the exact bound"
+    )
+
+
+def test_exact_bound_refuses_a_matrix_containing_nan():
+    with pytest.raises(SingularMatrixError):
+        exact_crb(np.array([[1.0, 0.0], [0.0, np.nan]]), np.array([1.0, 1.0]))
+
+
+def test_exact_bound_judges_the_lower_triangle_it_factorizes():
+    # Cholesky and eigvalsh read only the lower triangle, whose symmetric
+    # matrix has eigenvalues 1 and 1 +/- sqrt(2) c: the smallest is 1.9e-9,
+    # below 1e-9 times the largest, although it exceeds 1e-9 times every
+    # absolute row sum of the (asymmetric) array itself.
+    c = (1.0 - 1.9e-9) / np.sqrt(2.0)
+    lower = np.array([[1.0, 0.0, 0.0], [c, 1.0, 0.0], [c, 0.0, 1.0]])
+    with pytest.raises(SingularMatrixError):
+        exact_crb(lower, np.array([1.0, 0.0, 0.0]))
+
+
 def test_weak_bound_works_on_singular_matrices_off_the_null_space():
     singular = cfim(2, 4, np.zeros(4))
     alpha = np.full(4, 0.25)

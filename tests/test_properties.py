@@ -4,13 +4,17 @@ Both matrices are Gram forms of the pair-sum gradient matrix G:
 CFIM = (N^2/4d) G^T G and QFIM - CFIM = (N^2/4d) G^T (I - 11^T/d) G, so the
 quantum matrix dominates the classical one and the two agree along the
 average phase.  The rank analysis that exposes their null space is checked
-on random PSD matrices of known rank.
+on random PSD matrices of known rank, and the Cholesky certificate of the
+exact bound against the eigenvalue rule it stands in for.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ghzsense.bounds import RANK_RTOL, exact_crb
+from ghzsense.errors import SingularMatrixError
 from ghzsense.measurement import cfim
 from ghzsense.qfim import Chart, qfim_pure, rank_and_nullspace
 from ghzsense.reparam import build_mc
@@ -73,3 +77,31 @@ def test_rank_and_nullspace_on_psd_matrices_of_known_rank(size, data, seed):
     assert null.shape == (size, size - rank)
     np.testing.assert_allclose(null.T @ null, np.eye(size - rank), atol=1e-12)
     assert np.linalg.norm(matrix @ null) <= 1e-9 * np.linalg.norm(matrix)
+
+
+@settings(deadline=None)
+@given(
+    size=st.integers(1, 30),
+    log_margin=st.floats(-1.0, 1.0),
+    log_scale=st.floats(-3.0, 3.0),
+    seed=seeds,
+)
+def test_exact_bound_verdict_matches_the_eigenvalue_rule(size, log_margin, log_scale, seed):
+    # lambda_min / lambda_max = RANK_RTOL * 10**log_margin, at least 1% off the threshold
+    assume(abs(10.0**log_margin - 1.0) >= 0.01)
+    ratio = RANK_RTOL * 10.0**log_margin
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.normal(size=(size, size)))
+    largest = 10.0**log_scale
+    spectrum = rng.uniform(ratio * largest, largest, size)
+    spectrum[0] = ratio * largest
+    spectrum[-1] = largest
+    matrix = basis @ np.diag(spectrum) @ basis.T
+    matrix = 0.5 * (matrix + matrix.T)
+    eigs = np.linalg.eigvalsh(matrix)
+    alpha = np.ones(size)
+    if eigs[0] > RANK_RTOL * eigs[-1]:
+        assert np.isfinite(exact_crb(matrix, alpha))
+    else:
+        with pytest.raises(SingularMatrixError):
+            exact_crb(matrix, alpha)

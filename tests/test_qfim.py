@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -222,13 +223,28 @@ def test_psd_check_accepts_the_exactly_singular_wide_ring_matrix():
     FisherMatrix(entries, "quantum", original_chart(256), 4, 256, None)
 
 
-def test_chart_directions_are_a_read_only_view():
+def test_chart_directions_are_a_read_only_copy():
     directions = np.eye(3)
-    chart = Chart("view", ("a", "b", "c"), directions)
+    chart = Chart("copy", ("a", "b", "c"), directions)
     with pytest.raises(ValueError):
         chart.directions[0, 0] = 2.0
     directions[0, 0] = 2.0  # the caller's array stays writable
-    assert chart.directions[0, 0] == 2.0
+    assert chart.directions[0, 0] == 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        chart.labels = ("x", "y", "z")
+
+
+def test_original_chart_is_shared_per_ring_size():
+    chart = original_chart(16)
+    assert original_chart(16) is chart
+    assert original_chart(np.int64(16)) is chart
+    assert original_chart(8) is not chart
+
+
+@pytest.mark.parametrize("nodes", [0, -4, 4.0, True, [4], np.array(4), MAX_NODES + 1])
+def test_original_chart_rejects_invalid_ring_sizes(nodes):
+    with pytest.raises(ValidationError):
+        original_chart(nodes)
 
 
 def test_ring_size_cap_is_checked_before_the_chart_is_built():

@@ -1,11 +1,18 @@
+import collections
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from ghzsense.bounds import heisenberg_sweep
+from ghzsense import qfim
+from ghzsense.bounds import bound_report, heisenberg_sweep
 from ghzsense.errors import ValidationError
 from ghzsense.ghz_state import MAX_NODES
 from ghzsense.measurement import cfim
-from ghzsense.qfim import qfim_pure, rank_and_nullspace
+from ghzsense.montecarlo import crb_saturation_experiment
+from ghzsense.qfim import original_chart, qfim_pure, rank_and_nullspace
 from ghzsense.reparam import (
     Reparametrization,
     build_mc,
@@ -146,29 +153,30 @@ def test_reparametrization_json_round_trip():
     np.testing.assert_array_equal(back.inverse, rep.inverse)
 
 
-def count_rank_calls(monkeypatch):
-    calls = []
-    matrix_rank = np.linalg.matrix_rank
+def count_linalg_calls(monkeypatch, *names):
+    calls = collections.Counter()
+    for name in names:
+        original = getattr(np.linalg, name)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return matrix_rank(*args, **kwargs)
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "matrix_rank", counting)
+        monkeypatch.setattr(np.linalg, name, counting)
     return calls
 
 
 def test_charts_are_built_and_validated_once_per_reparametrization(monkeypatch):
     rep = build_mc(16)
     base = qfim_pure(4, 16, np.zeros(16))
-    calls = count_rank_calls(monkeypatch)
+    calls = count_linalg_calls(monkeypatch, "matrix_rank")
     first = rep.chart(True)
     assert rep.chart(True) is first
     reduced = pushforward_fisher(base, rep, True)
     assert reduced.chart is first
-    assert len(calls) == 1
+    assert calls["matrix_rank"] == 1
     assert rep.chart(False) is rep.chart(False) is not first
-    assert len(calls) == 2
+    assert calls["matrix_rank"] == 2
     with pytest.raises(ValueError):
         first.directions[0, 0] = 1.0
     with pytest.raises(ValueError):
@@ -176,9 +184,113 @@ def test_charts_are_built_and_validated_once_per_reparametrization(monkeypatch):
 
 
 def test_sweep_validates_two_charts_per_grid_point(monkeypatch):
-    calls = count_rank_calls(monkeypatch)
+    calls = count_linalg_calls(monkeypatch, "matrix_rank")
     heisenberg_sweep([4], [16])
-    assert len(calls) == 2
+    assert calls["matrix_rank"] == 2
+
+
+def fisher_pipeline(photons, nodes, phi):
+    """The steps of one benchmark Fisher pipeline: charts, matrices, rank, bounds."""
+    rep = build_mc(nodes)
+    chart = rep.chart(True)
+    original = qfim_pure(photons, nodes, phi)
+    reduced = qfim_pure(photons, nodes, phi, chart)
+    pushforward_fisher(cfim(photons, nodes, phi), rep, True)
+    rank_and_nullspace(original)
+    average = np.zeros(nodes - 1)
+    average[0] = 1.0
+    bound_report(reduced, average)
+    heisenberg_sweep([photons], [nodes])
+
+
+def test_a_repeated_pipeline_builds_and_factorizes_no_ring_geometry(monkeypatch):
+    phi = np.random.default_rng(16).uniform(-0.2, 0.2, 16)
+    calls = count_linalg_calls(monkeypatch, "matrix_rank", "inv", "eigvalsh")
+    fisher_pipeline(4, 16, phi)
+    assert calls == {"matrix_rank": 2, "inv": 1}
+    calls.clear()
+    fisher_pipeline(4, 16, phi)
+    assert calls == {}
+
+
+def test_saturation_experiment_inverts_the_transform_once(monkeypatch):
+    calls = count_linalg_calls(monkeypatch, "inv")
+    crb_saturation_experiment(2, 8, np.full(8, 0.1), 10_000, 50, 3)
+    assert calls["inv"] == 1
+
+
+def test_reparametrization_keeps_its_own_copy_of_the_matrices():
+    rep = build_mc(4)
+    forward, inverse = np.array(rep.forward), np.array(rep.inverse)
+    copied = Reparametrization(forward, inverse, rep.labels, rep.kept_indices, "copy")
+    chart = copied.chart(False)
+    inverse[:] = 0.0
+    forward[:] = 0.0
+    np.testing.assert_array_equal(copied.inverse, MC4_INVERSE)
+    np.testing.assert_array_equal(chart.directions, MC4_INVERSE)
+    assert copied.chart(False) is chart
+    np.testing.assert_array_equal(copied.forward @ copied.inverse, np.eye(4))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        copied.name = "renamed"
+
+
+@pytest.mark.parametrize("nodes", [[4], np.array(4), 4.0, True])
+def test_mc_rejects_non_integer_ring_sizes(nodes):
+    with pytest.raises(ValidationError):
+        build_mc(nodes)
+
+
+def test_mc_is_shared_per_ring_size():
+    rep = build_mc(8)
+    assert build_mc(np.int64(8)) is rep
+    assert build_mc(8) is rep
+    assert rep.chart(True) is build_mc(8).chart(True)
+
+
+def test_least_recently_used_ring_size_is_evicted():
+    sizes = [4, 6, 8, 10]
+    first = {d: build_mc(d) for d in sizes}
+    assert build_mc(4) is first[4]  # 4 becomes the most recently used
+    build_mc(12)  # evicts 6, the least recently used of five sizes
+    assert build_mc(4) is first[4]
+    assert build_mc(6) is not first[6]
+
+
+def test_shared_ring_geometry_survives_concurrent_eviction():
+    # Six sizes cycle through a four-size memo from more threads than cores,
+    # with frequent thread switches, so lookups race with evictions.
+    sizes = (4, 6, 8, 10, 12, 14)
+    errors = []
+
+    def worker(offset):
+        try:
+            for i in range(200):
+                d = sizes[(i + offset) % len(sizes)]
+                rep = build_mc(d)
+                assert rep.dim == d and rep.chart(True).size == d - 1
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+
+def test_rings_above_the_memo_cutoff_are_built_per_call(monkeypatch):
+    monkeypatch.setattr(qfim, "RING_MEMO_MAX_NODES", 8)
+    assert build_mc(8) is build_mc(8)
+    assert build_mc(10) is not build_mc(10)
+    assert original_chart(8) is original_chart(8)
+    assert original_chart(10) is not original_chart(10)
 
 
 def test_ring_size_cap_is_checked_before_building():
