@@ -45,7 +45,8 @@ def exact_crb(matrix, alpha, shots: int = 1) -> float:
 
     Refuses numerically singular matrices: the smallest eigenvalue must
     exceed ``RANK_RTOL`` times the largest.  For a singular matrix, remove
-    the irrelevant direction with a reparametrization first.
+    the irrelevant direction with a reparametrization first.  A raw array
+    that is not square or not finite raises ValidationError.
 
     The largest absolute row sum b bounds the largest eigenvalue, so a
     successful Cholesky factorization of F - RANK_RTOL * b * I proves the
@@ -73,8 +74,6 @@ def _certified_invertible(entries: np.ndarray) -> bool:
     eigenvalue bound is the largest absolute row sum of the symmetric matrix
     that triangle defines (the row sum of F itself when F is symmetric).
     """
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        return False
     magnitudes = np.abs(entries)
     row_sums = np.tril(magnitudes).sum(axis=1) + np.tril(magnitudes, -1).sum(axis=0)
     bound = float(np.max(row_sums, initial=0.0))
@@ -184,8 +183,6 @@ def weak_vs_exact_check(matrix, alpha) -> WeakExactReport:
     1/S[0,0] <= (S^{-1})[0,0].
     """
     s = _entries_of(matrix)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValidationError("expected a square matrix")
     if float(np.max(np.abs(s - s.T), initial=0.0)) > 1e-10 * max(
         1.0, float(np.max(np.abs(s), initial=0.0))
     ):

@@ -1,21 +1,19 @@
 """Simulated measurement runs and maximum-likelihood bound-saturation checks.
 
 Estimation happens in the cyclic-difference chart with the unidentifiable
-coordinate pinned to zero.  Because every outcome probability depends on the
-phases only through cos((N/2) x_j), the likelihood is exactly even under a
-global sign flip of all coordinates, and a guess whose pair sums all vanish
-sits on a stationary point of the likelihood.  Estimation is therefore
-strictly local: one deterministic Newton fit inside a box around the initial
-guess.  When the starting gradient vanishes identically the start is nudged
-along the average-phase axis (toward positive values, a documented
-convention) so the fit can leave the stationary point.
+coordinate pinned to zero.  Outcome probabilities depend on the phases only
+through the pair sums x_j = phi_j + phi_{j+1}, so the log likelihood is a sum
+of one-variable terms l_j(x) = a_j log(1 + cos hx) + b_j log(1 - cos hx), with
+h = N/2 and a_j, b_j the agree and disagree counts of pair j.  The chart
+reaches exactly the x with sum_j (-1)^j x_j = 0, the only coupling, so the
+maximum solves l_j'(x_j) = lambda (-1)^j with one Lagrange multiplier per
+count table (Aitchison & Silvey, Ann. Math. Statist. 29, 813, 1958): a closed
+form per pair, and a one-dimensional root for lambda.  Many tables are fit at
+once, one row each.
 
-The likelihood depends on theta only through the pair sums x = G theta, so
-its Hessian is G^T diag(w) G with one weight per pair.  On an even ring the
-range of G is the hyperplane sum_j (-1)^j x_j = 0, and a Newton step is a
-per-pair diagonal solve plus a rank-one correction onto that hyperplane,
-mapped back to theta through any phase vector with those pair sums.  Many
-count tables are fit at once, one row each, without forming a Hessian.
+The likelihood is even under a global sign flip, so the fit is local: a pair
+with b_j > 0 keeps the sign of the guess's pair sum (+ when that is zero, a
+documented convention); a pair with b_j = 0 is smooth through zero.
 """
 
 from __future__ import annotations
@@ -36,10 +34,13 @@ from .measurement import (
     outcome_distribution,
     outcome_labels,
 )
-from .qfim import _read_only_copy, _ring_memo
 from .reparam import build_mc, pushforward_fisher
 
 DEFAULT_BOX_HALF_WIDTH = 0.25
+# Largest gradient max-norm of the per-event negative log likelihood that
+# certifies a fit, and the step cap of one table's multiplier solve.
+_GRADIENT_TOL = 1e-10
+_MULTIPLIER_ITERATIONS = 100
 # Largest replicates * 4d count table that crb_saturation_experiment will
 # allocate (32 MiB of int64 counts; the fit's float working arrays take a few
 # times that).  Larger experiments are refused before anything is allocated.
@@ -120,78 +121,6 @@ def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountTabl
     )
 
 
-def _build_fit_geometry(nodes: int) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Read-only pair-sum gradients, Newton-step lift and labels of the reduced chart."""
-    rep = build_mc(nodes)
-    jac = rep.inverse[:, 1:]
-    pair_grads = _read_only_copy(jac + np.roll(jac, -1, axis=0))
-    alternating = (-1.0) ** np.arange(nodes)
-    # Maps pair-sum steps y (with sum_j (-1)^j y_j = 0) to theta steps:
-    # phi_k = sum_{i<k} (-1)^(k-1-i) y_i has those pair sums, and the
-    # alternating direction it leaves undetermined is theta_0, which
-    # forward[1:] drops.
-    lift = _read_only_copy(np.triu(-np.outer(alternating, alternating), 1) @ rep.forward[1:].T)
-    return pair_grads, lift, tuple(rep.labels[i] for i in rep.kept_indices)
-
-
-_fit_geometry = _ring_memo(_build_fit_geometry)
-
-
-class _PairLikelihood:
-    """Per-event negative log likelihood of many count tables, one per row.
-
-    ``agree`` and ``disagree`` hold the per-pair (++ plus --) and (+- plus -+)
-    totals, shape (R, d).  Rows are evaluated independently; every method
-    takes the row indices it works on.  The objective is the average per
-    detection event, not the raw sum: dividing by the total weight keeps the
-    same maximizer while making the tolerances independent of the number of
-    shots.
-    """
-
-    def __init__(self, photons: int, nodes: int, agree, disagree):
-        self.pair_grads, self.lift, self.labels = _fit_geometry(nodes)
-        self.alternating = (-1.0) ** np.arange(nodes)
-        self.half = photons / 2.0
-        self.scale = 4.0 * nodes
-        self.agree = agree
-        self.disagree = disagree
-        self.total = agree.sum(axis=1) + disagree.sum(axis=1)
-        # A pair without events has zero curvature; one such pair is absorbed
-        # by the alternating-sum correction, two or more leave the maximum
-        # non-unique.
-        self.empty = agree + disagree == 0
-        self.has_empty = self.empty.any(axis=1)
-
-    def evaluate(self, theta, rows):
-        """Objective, theta-gradient, pair-sum gradient and pair curvature of ``rows``."""
-        arg = self.half * (theta @ self.pair_grads.T)
-        c = np.cos(arg)
-        agree = self.agree[rows]
-        disagree = self.disagree[rows]
-        total = self.total[rows, None]
-        log_agree = np.log(np.maximum((1.0 + c) / self.scale, 1e-300))
-        log_disagree = np.log(np.maximum((1.0 - c) / self.scale, 1e-300))
-        value = -np.sum(agree * log_agree + disagree * log_disagree, axis=1) / total[:, 0]
-        ratio_agree = agree / np.maximum(1.0 + c, 1e-15)
-        ratio_disagree = disagree / np.maximum(1.0 - c, 1e-15)
-        pair_grad = self.half * np.sin(arg) * (ratio_agree - ratio_disagree) / total
-        curvature = self.half**2 * (ratio_agree + ratio_disagree) / total
-        return value, pair_grad @ self.pair_grads, pair_grad, curvature
-
-    def newton_step(self, pair_grad, curvature, rows):
-        """Theta step minimizing the quadratic model on the range of G."""
-        alt = self.alternating
-        inverse_curvature = np.divide(
-            1.0, curvature, out=np.zeros_like(curvature), where=curvature > 0
-        )
-        step = -inverse_curvature * pair_grad
-        toward = np.where(
-            self.has_empty[rows, None], self.empty[rows] * alt, inverse_curvature * alt
-        )
-        step -= ((step @ alt) / (toward @ alt))[:, None] * toward
-        return step @ self.lift
-
-
 def _count_rows(counts, photons, nodes) -> tuple[np.ndarray, int, int, bool]:
     """Counts as an (R, 4d) float array in canonical label order."""
     if isinstance(counts, CountTable):
@@ -218,6 +147,73 @@ def _count_rows(counts, photons, nodes) -> tuple[np.ndarray, int, int, bool]:
     return rows, photons, nodes, batched
 
 
+def _pair_sums(multiplier, agree, disagree, branch, half):
+    """Pair sums maximizing l_j(x) - multiplier (-1)^j x, and -(-1)^j dx_j/dmultiplier.
+
+    With u = hx/2: if b_j > 0, tan|u| is the positive root of
+    a_j t^2 + mu t - b_j = 0, mu = multiplier (-1)^j branch_j / h, in its
+    cancellation-free form; if b_j = 0, u = -arctan(multiplier (-1)^j / (a_j h)).
+    The derivative is 1/|l_j''| = 2 / (h^2 (a_j / cos^2 u + b_j / sin^2 u)),
+    except for a pair held on the window edge (a_j = 0 and mu < 0): 0.
+    """
+    pull = multiplier[:, None] * (-1.0) ** np.arange(agree.shape[1])
+    mu = pull * branch / half
+    root = np.hypot(mu, 2.0 * np.sqrt(agree * disagree))
+    on_branch = np.where(
+        mu >= 0.0,
+        np.arctan2(2.0 * disagree, mu + root),
+        np.arctan2(root - mu, 2.0 * agree),
+    )
+    angle = np.where(disagree > 0, branch * on_branch, -np.arctan2(pull, half * agree))
+    zeros = np.zeros_like(angle)
+    curvature = np.divide(agree, np.cos(angle) ** 2, out=zeros.copy(), where=agree > 0)
+    curvature += np.divide(disagree, np.sin(angle) ** 2, out=zeros.copy(), where=disagree > 0)
+    moves = (curvature > 0) & ~((agree == 0) & (mu < 0))
+    flex = np.divide(2.0 / half**2, curvature, out=zeros, where=moves)
+    return 2.0 * angle / half, flex
+
+
+def _fit_pair_sums(agree, disagree, branch, half) -> tuple[np.ndarray, int]:
+    """Constrained maximum of every row's pair sums, and the slowest row's step count.
+
+    g(lambda) = sum_j (-1)^j x_j(lambda) falls strictly (g' = -sum_j 1/|l_j''|).
+    Newton steps on g keep a bracket: a step at most doubles the last while a
+    side is open, and bisection replaces one that leaves it.  A row with one
+    empty pair has lambda = 0, and that pair takes the ring residual.
+    """
+    alternating = (-1.0) ** np.arange(agree.shape[1])
+    empty = agree + disagree == 0
+    multiplier = np.zeros(agree.shape[0])
+    lower = np.full_like(multiplier, -np.inf)
+    upper = np.full_like(multiplier, np.inf)
+    last_step = np.full_like(multiplier, np.inf)
+    rounding = 4.0 * np.finfo(float).eps
+    for iterations in range(_MULTIPLIER_ITERATIONS + 1):
+        pair_sums, flex = _pair_sums(multiplier, agree, disagree, branch, half)
+        residual = pair_sums @ alternating
+        step = residual / flex.sum(axis=1)
+        moving = ~(
+            empty.any(axis=1)
+            | (np.abs(residual) <= rounding * np.abs(pair_sums).sum(axis=1))
+            | (np.abs(step) <= rounding * np.abs(multiplier))
+        )
+        if not moving.any():
+            return pair_sums - empty * alternating * residual[:, None], iterations
+        lower = np.where(residual >= 0, multiplier, lower)
+        upper = np.where(residual < 0, multiplier, upper)
+        one_sided = np.isinf(lower) | np.isinf(upper)
+        step = np.where(one_sided, np.clip(step, -2.0 * last_step, 2.0 * last_step), step)
+        target = multiplier + step
+        target = np.where((target > lower) & (target < upper), target, 0.5 * (lower + upper))
+        last_step = np.abs(target - multiplier)
+        multiplier = np.where(moving, target, multiplier)
+    raise ConvergenceError(
+        f"multiplier solve did not converge within {_MULTIPLIER_ITERATIONS} iterations: "
+        f"{int(moving.sum())} of {len(moving)} rows have ring residual up to "
+        f"{float(np.max(np.abs(residual[moving]))):.3e}"
+    )
+
+
 def mle_estimate(
     counts,
     initial_theta,
@@ -225,8 +221,6 @@ def mle_estimate(
     *,
     photons: int | None = None,
     nodes: int | None = None,
-    gradient_tol: float = 1e-10,
-    max_iterations: int = 500,
 ) -> EstimationResult:
     """Maximum-likelihood estimate of the reduced chart coordinates.
 
@@ -238,9 +232,8 @@ def mle_estimate(
         Plain mappings (useful for expected-count self-consistency checks)
         and arrays require the ``photons`` and ``nodes`` keyword arguments.
     initial_theta : array-like, shape (d-1,)
-        Starting point of every row; also the center of the search box.  Its
-        induced pair sums must lie strictly inside the identifiable window
-        |x_j| < 2*pi/N.
+        Center of the search box; the signs of its pair sums pick each pair's
+        branch.  They must lie strictly inside the window |x_j| < 2*pi/N.
     box_half_width : float
         Half-width of the per-coordinate search box around the guess.
 
@@ -249,47 +242,41 @@ def mle_estimate(
     EstimationResult
         ``theta`` has shape (d-1,) for a single table and (R, d-1) for an
         array, ``log_likelihood`` is a float or an (R,) array to match, and
-        ``iterations`` counts the Newton iterations the slowest row needed.
-        Only converged fits are returned; non-convergence of any row raises
-        :class:`ghzsense.errors.ConvergenceError`.
+        ``iterations`` counts the multiplier steps of the slowest row.
 
     Notes
     -----
-    Newton iterations on the per-event average negative log likelihood, all
-    rows at once.  Each step is clipped to the box and halved until the
-    objective or the gradient max-norm falls.  Convergence is certified by
-    the gradient max-norm falling below ``gradient_tol``, never by the step
-    or objective decrement.  Two or more pairs without any events leave the
-    likelihood flat along some direction, which also raises
-    :class:`ghzsense.errors.ConvergenceError`.
+    :class:`ghzsense.errors.ConvergenceError` is raised for a table without
+    events on two or more pairs (no unique maximum), and for a maximum, read
+    from the pair sums of the returned theta, outside the box, on or past the
+    window, or with a per-event gradient max-norm above 1e-10.
     """
     weights, photons, nodes, batched = _count_rows(counts, photons, nodes)
     if not (math.isfinite(box_half_width) and box_half_width > 0):
         raise ValidationError(f"box half-width must be positive, got {box_half_width}")
-    if max_iterations < 1:
-        raise ValidationError("iteration cap must be at least 1")
     guess = np.asarray(initial_theta, dtype=float)
     if guess.shape != (nodes - 1,):
         raise ValidationError(
             f"initial guess must have shape ({nodes - 1},), got {guess.shape}"
         )
-    per_pair = weights.reshape(weights.shape[0], nodes, 4)
-    model = _PairLikelihood(
-        photons,
-        nodes,
-        per_pair[:, :, 0] + per_pair[:, :, 1],
-        per_pair[:, :, 2] + per_pair[:, :, 3],
-    )
+    rep = build_mc(nodes)
+    jac = rep.inverse[:, 1:]
+    pair_grads = jac + np.roll(jac, -1, axis=0)
     window = 2.0 * math.pi / photons
-    worst = float(np.max(np.abs(model.pair_grads @ guess)))
+    guess_sums = pair_grads @ guess
+    worst = float(np.max(np.abs(guess_sums)))
     if worst >= window:
         raise ValidationError(
             f"initial guess outside the identifiable box: max |phi_j + phi_j+1| = "
             f"{worst:.6g} must be < 2*pi/N = {window:.6g}"
         )
-    if np.any(model.total <= 0):
+    per_pair = weights.reshape(weights.shape[0], nodes, 4)
+    agree = per_pair[:, :, 0] + per_pair[:, :, 1]
+    disagree = per_pair[:, :, 2] + per_pair[:, :, 3]
+    total = agree.sum(axis=1) + disagree.sum(axis=1)
+    if np.any(total <= 0):
         raise ValidationError("counts must have positive total weight")
-    empty_pairs = model.empty.sum(axis=1)
+    empty_pairs = (agree + disagree == 0).sum(axis=1)
     if np.any(empty_pairs > 1):
         row = int(np.argmax(empty_pairs > 1))
         raise ConvergenceError(
@@ -298,65 +285,52 @@ def mle_estimate(
             "no unique maximum"
         )
 
-    theta = np.repeat(guess[None, :], weights.shape[0], axis=0)
-    # objective, theta-gradient, pair-sum gradient and pair curvature per row
-    state = model.evaluate(theta, np.arange(weights.shape[0]))
-    value, grad, pair_grad, curvature = state
-    stationary = np.flatnonzero(np.max(np.abs(grad), axis=1) <= gradient_tol)
-    if stationary.size:
-        # Stationary start (all pair sums at an extremum of the cosine, or a
-        # noiseless optimum).  Nudge along the average-phase axis, toward
-        # positive values by convention, so the fit has a direction.
-        theta[stationary, 0] += min(box_half_width / 8.0, 0.01)
-        for current, fresh in zip(state, model.evaluate(theta[stationary], stationary)):
-            current[stationary] = fresh
+    half = photons / 2.0
+    branch = np.where(guess_sums < 0, -1.0, 1.0)
+    pair_sums, iterations = _fit_pair_sums(agree, disagree, branch, half)
+    # phi_k = (-1)^(k-1) sum_{i<k} (-1)^i x_i has these pair sums; the
+    # alternating direction it leaves free is theta_0, which forward[1:] drops
+    alternating = (-1.0) ** np.arange(nodes)
+    phi = np.zeros_like(pair_sums)
+    phi[:, 1:] = -alternating[1:] * np.cumsum(alternating * pair_sums, axis=1)[:, :-1]
+    theta = phi @ rep.forward[1:].T
 
-    lower = guess - box_half_width
-    upper = guess + box_half_width
-    iterations = 0
-    while True:
-        grad_norm = np.max(np.abs(grad), axis=1)
-        rows = np.flatnonzero(grad_norm > gradient_tol)
-        if rows.size == 0:
-            break
-        if iterations == max_iterations:
-            raise ConvergenceError(
-                f"likelihood fit did not converge within {max_iterations} iterations: "
-                f"{rows.size} of {len(theta)} rows have gradient norm up to "
-                f"{float(np.max(grad_norm)):.3e} above the tolerance {gradient_tol:.3e}"
-            )
-        iterations += 1
-        step = model.newton_step(pair_grad[rows], curvature[rows], rows)
-        length = 1.0
-        # the last of 40 tries is 2**-39 (about 2e-12) of the Newton step
-        for _ in range(40):
-            candidate = np.clip(theta[rows] + length * step, lower, upper)
-            trial = model.evaluate(candidate, rows)
-            accepted = (trial[0] < value[rows]) | (
-                np.max(np.abs(trial[1]), axis=1) < grad_norm[rows]
-            )
-            done = rows[accepted]
-            theta[done] = candidate[accepted]
-            for current, fresh in zip(state, trial):
-                current[done] = fresh[accepted]
-            rows = rows[~accepted]
-            step = step[~accepted]
-            if rows.size == 0:
-                break
-            length *= 0.5
-        else:
-            raise ConvergenceError(
-                "likelihood fit stalled with gradient norm "
-                f"{float(np.max(grad_norm[rows])):.3e} above the tolerance "
-                f"{gradient_tol:.3e}"
-            )
-
-    log_likelihood = -value * model.total
-    if not batched:
-        return EstimationResult(
-            theta[0], model.labels, float(log_likelihood[0]), True, iterations
+    fitted = theta @ pair_grads.T
+    # the solved pair sums sit exactly on the window edge when a maximum does;
+    # the recomputed ones may round to either side of it
+    edge = np.max(np.maximum(np.abs(pair_sums), np.abs(fitted)), axis=1)
+    if np.any(edge >= window):
+        row = int(np.argmax(edge >= window))
+        raise ConvergenceError(
+            f"count table {row} is fit at |phi_j + phi_j+1| = {edge[row]:.6g}, "
+            f"not inside the identifiable window 2*pi/N = {window:.6g}"
         )
-    return EstimationResult(theta, model.labels, log_likelihood, True, iterations)
+    shift = np.max(np.abs(theta - guess), axis=1)
+    if np.any(shift > box_half_width):
+        row = int(np.argmax(shift > box_half_width))
+        raise ConvergenceError(
+            f"count table {row} is fit {shift[row]:.6g} from the guess, outside "
+            f"the search box of half-width {box_half_width:.6g}"
+        )
+    # with t = tan(hx/2): -l_j'(x) = h (a_j t - b_j / t), 1 + cos hx = 2 / (1 + t^2)
+    # and 1 - cos hx = 2 t^2 / (1 + t^2)
+    t = np.tan(half * fitted / 2.0)
+    inverse_t = np.divide(1.0, t, out=np.zeros_like(t), where=disagree > 0)
+    pair_grad = half * (agree * t - disagree * inverse_t)
+    grad_norm = np.max(np.abs((pair_grad / total[:, None]) @ pair_grads), axis=1)
+    if not np.all(grad_norm <= _GRADIENT_TOL):
+        raise ConvergenceError(
+            f"likelihood fit left gradient norm {float(np.max(grad_norm)):.3e} above "
+            f"the tolerance {_GRADIENT_TOL:.3e}"
+        )
+
+    log_agree = np.log(0.5 / (nodes * (1.0 + t * t)))
+    log_t2 = np.log(t * t, out=np.zeros_like(t), where=disagree > 0)
+    log_likelihood = np.sum((agree + disagree) * log_agree + disagree * log_t2, axis=1)
+    labels = tuple(rep.labels[i] for i in rep.kept_indices)
+    if not batched:
+        return EstimationResult(theta[0], labels, float(log_likelihood[0]), True, iterations)
+    return EstimationResult(theta, labels, log_likelihood, True, iterations)
 
 
 @dataclass(eq=False)

@@ -40,9 +40,9 @@ from .ghz_state import (
 SYMMETRY_TOL = 1e-10
 PSD_TOL = 1e-9
 
-# Ring geometry (charts, reparametrizations, fit matrices) is a pure function
-# of the ring size.  Rings up to RING_MEMO_MAX_NODES are built once and shared,
-# keeping the RING_MEMO_SIZES most recently used sizes: about 14 MiB per ring
+# Ring geometry (charts and reparametrizations) is a pure function of the
+# ring size.  Rings up to RING_MEMO_MAX_NODES are built once and shared,
+# keeping the RING_MEMO_SIZES most recently used sizes: about 10 MiB per ring
 # at d = 512.  Larger rings are built on every call.
 RING_MEMO_MAX_NODES = 512
 RING_MEMO_SIZES = 4
@@ -208,9 +208,15 @@ class RankReport:
 
 
 def _entries_of(matrix) -> np.ndarray:
+    """Entries of a FisherMatrix, or of a raw array checked square and finite."""
     if isinstance(matrix, FisherMatrix):
         return matrix.entries
-    return np.asarray(matrix, dtype=float)
+    entries = np.asarray(matrix, dtype=float)
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {entries.shape}")
+    if not np.all(np.isfinite(entries)):
+        raise ValidationError("matrix entries must be finite")
+    return entries
 
 
 def _directions_for(d: int, chart: Chart | None) -> tuple[Chart, np.ndarray]:
@@ -269,8 +275,6 @@ def rank_and_nullspace(matrix, tol: float = 1e-9) -> RankReport:
     SVD; singular values below ``tol`` times the largest count as zero.
     """
     m = _entries_of(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError("rank analysis requires a square matrix")
     scale = float(np.max(np.abs(m), initial=0.0))
     if float(np.max(np.abs(m - m.T), initial=0.0)) > 1e-10 * max(1.0, scale):
         raise ValidationError("rank analysis requires a symmetric matrix")

@@ -1,6 +1,14 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from ghzsense.qfim import _clear_ring_memos
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a property
+# that fails in CI fails the same way locally; example counts are unchanged.
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 _ACCEPTANCE_LINES = []
 

@@ -110,8 +110,33 @@ def test_singular_quantum_matrix_message_reports_the_eigenvalue_rule():
 
 
 def test_exact_bound_refuses_a_matrix_containing_nan():
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(ValidationError):
         exact_crb(np.array([[1.0, 0.0], [0.0, np.nan]]), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.full((3, 3), np.nan),
+        np.array([[np.inf, 0.0], [0.0, 1.0]]),
+        np.ones((2, 3)),
+        np.ones((2, 2, 2)),
+    ],
+    ids=["nan", "inf", "non-square", "3-D"],
+)
+def test_exact_bound_refuses_malformed_raw_arrays(matrix):
+    with pytest.raises(ValidationError):
+        exact_crb(matrix, np.ones(matrix.shape[0]))
+
+
+def test_weak_bound_refuses_a_matrix_containing_nan():
+    with pytest.raises(ValidationError):
+        weak_crb(np.array([[1.0, 0.0], [0.0, np.nan]]), np.array([1.0, 1.0]))
+
+
+def test_weak_vs_exact_check_refuses_a_matrix_containing_inf():
+    with pytest.raises(ValidationError):
+        weak_vs_exact_check(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.array([1.0, 0.0]))
 
 
 def test_exact_bound_judges_the_lower_triangle_it_factorizes():

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from ghzsense import montecarlo
 from ghzsense.errors import ConvergenceError, ValidationError
 from ghzsense.measurement import OutcomeLabel, outcome_distribution, outcome_labels
 from ghzsense.montecarlo import (
@@ -87,6 +90,15 @@ def test_estimate_stays_inside_the_search_box():
         assert np.all(np.abs(result.theta - theta_true) <= 0.05 + 1e-12)
 
 
+def test_maximum_outside_the_search_box_is_refused():
+    # this table's maximum lies about 0.014 from the truth in theta_3
+    dist = outcome_distribution(2, 4, PHI)
+    table = sample_counts(dist, 2000, 3)
+    theta_true = build_mc(4).apply(PHI)[1:]
+    with pytest.raises(ConvergenceError):
+        mle_estimate(table, theta_true, 1e-4)
+
+
 def test_estimates_match_between_table_and_plain_mapping():
     dist = outcome_distribution(4, 4, PHI)
     table = sample_counts(dist, 50000, 11)
@@ -115,13 +127,13 @@ def test_plain_mapping_requires_geometry():
         mle_estimate(rows[:, :-1], np.zeros(3), photons=2, nodes=4)
 
 
-def test_iteration_cap_raises_convergence_error():
+def test_multiplier_iteration_cap_raises_convergence_error(monkeypatch):
     dist = outcome_distribution(2, 4, PHI)
     table = sample_counts(dist, 10000, 5)
-    rep = build_mc(4)
-    theta_true = rep.apply(PHI)[1:]
+    theta_true = build_mc(4).apply(PHI)[1:]
+    monkeypatch.setattr(montecarlo, "_MULTIPLIER_ITERATIONS", 0)
     with pytest.raises(ConvergenceError):
-        mle_estimate(table, theta_true, max_iterations=1)
+        mle_estimate(table, theta_true)
 
 
 def test_saturation_experiment_is_deterministic():
@@ -202,9 +214,12 @@ def reference_fit(agree, disagree, photons, guess, box=0.25, tol=1e-10):
     def parts(theta):
         arg = half * (grads @ theta)
         c, s = np.cos(arg), np.sin(arg)
-        value = -(agree @ np.log(1.0 + c) + disagree @ np.log(1.0 - c)) / total
-        grad = grads.T @ (half * s * (agree / (1.0 + c) - disagree / (1.0 - c))) / total
-        curvature = half**2 * (agree / (1.0 + c) + disagree / (1.0 - c)) / total
+        # a pair without disagree events has no 1 - cos term (0 log 0 = 0), so
+        # its sum may reach zero, where 1 - cos rounds to 0
+        one_minus = np.where(disagree > 0, 1.0 - c, 1.0)
+        value = -(agree @ np.log(1.0 + c) + disagree @ np.log(one_minus)) / total
+        grad = grads.T @ (half * s * (agree / (1.0 + c) - disagree / one_minus)) / total
+        curvature = half**2 * (agree / (1.0 + c) + disagree / one_minus) / total
         return value, grad, (grads.T * curvature) @ grads
 
     theta = guess.copy()
@@ -225,24 +240,84 @@ def reference_fit(agree, disagree, photons, guess, box=0.25, tol=1e-10):
     raise AssertionError("reference fit did not converge")
 
 
+def pair_table(agree, disagree):
+    """One count row with each pair's agree events on ++ and disagree events on +-."""
+    row = np.zeros((len(agree), 4))
+    row[:, 0] = agree
+    row[:, 2] = disagree
+    return row.reshape(1, -1)
+
+
 @pytest.mark.parametrize("photons", [2, 4])
 @pytest.mark.parametrize("nodes", [4, 8, 16])
 def test_batched_fit_matches_dense_newton_reference(nodes, photons):
-    for seed in range(3):
-        rng = np.random.default_rng(100 * nodes + 10 * photons + seed)
-        phases = rng.uniform(0.05, 0.15, nodes)
-        theta_true = build_mc(nodes).apply(phases)[1:]
-        p = outcome_distribution(photons, nodes, phases).as_array()
-        draws = rng.multinomial(20000, p / p.sum(), size=4)
-        fit = mle_estimate(draws, theta_true, photons=photons, nodes=nodes)
-        assert fit.theta.shape == (4, nodes - 1)
-        assert fit.log_likelihood.shape == (4,)
-        assert isinstance(fit.iterations, int)
-        for row, theta in zip(draws.reshape(4, nodes, 4), fit.theta):
-            agree = (row[:, 0] + row[:, 1]).astype(float)
-            disagree = (row[:, 2] + row[:, 3]).astype(float)
-            reference = reference_fit(agree, disagree, photons, theta_true)
-            assert np.max(np.abs(theta - reference)) <= 1e-9
+    # regular draws, then low-shot draws near the kink at zero pair sum, where
+    # most pairs see no disagree event
+    for low, high, shots in ((0.05, 0.15, 20000), (0.015, 0.025, 300)):
+        for seed in range(3):
+            rng = np.random.default_rng(100 * nodes + 10 * photons + seed)
+            phases = rng.uniform(low, high, nodes)
+            theta_true = build_mc(nodes).apply(phases)[1:]
+            p = outcome_distribution(photons, nodes, phases).as_array()
+            draws = rng.multinomial(shots, p / p.sum(), size=4)
+            fit = mle_estimate(draws, theta_true, photons=photons, nodes=nodes)
+            assert fit.theta.shape == (4, nodes - 1)
+            assert fit.log_likelihood.shape == (4,)
+            assert isinstance(fit.iterations, int)
+            for row, theta in zip(draws.reshape(4, nodes, 4), fit.theta):
+                agree = (row[:, 0] + row[:, 1]).astype(float)
+                disagree = (row[:, 2] + row[:, 3]).astype(float)
+                reference = reference_fit(agree, disagree, photons, theta_true)
+                assert np.max(np.abs(theta - reference)) <= 1e-9
+
+
+@settings(deadline=None)
+@given(
+    photons=st.sampled_from([2, 4]),
+    nodes=st.sampled_from([4, 6, 8]),
+    shots=st.integers(20, 2000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_matches_dense_newton_reference_on_random_small_tables(photons, nodes, shots, seed):
+    rng = np.random.default_rng(seed)
+    phases = rng.uniform(0.0, 0.15, nodes)
+    theta_true = build_mc(nodes).apply(phases)[1:]
+    p = outcome_distribution(photons, nodes, phases).as_array()
+    row = rng.multinomial(shots, p / p.sum())
+    agree = (row[0::4] + row[1::4]).astype(float)
+    disagree = (row[2::4] + row[3::4]).astype(float)
+    assume(np.sum(agree + disagree == 0) <= 1)
+    try:
+        reference = reference_fit(agree, disagree, photons, theta_true)
+    except (AssertionError, np.linalg.LinAlgError):
+        assume(False)
+    jac = build_mc(nodes).inverse[:, 1:]
+    pair_sums = (jac + np.roll(jac, -1, axis=0)) @ reference
+    assume(np.max(np.abs(pair_sums)) < 2.0 * np.pi / photons - 1e-6)
+    fit = mle_estimate(row[None, :], theta_true, photons=photons, nodes=nodes)
+    assert np.max(np.abs(fit.theta[0] - reference)) <= 1e-9
+
+
+def test_fit_on_the_identifiable_window_edge_is_refused():
+    # pair 3 has disagree events only and pair 6 none at all; with one empty
+    # pair the multiplier is 0, so pair 3 sits on the window edge pi/2 and the
+    # empty pair takes the ring residual 2*pi/3, past it
+    agree = [3, 5, 0, 6, 2, 0, 3, 1, 2, 5, 1, 2, 3, 4, 3, 7]
+    disagree = [1, 0, 2] + [0] * 13
+    guess = build_mc(16).apply(np.full(16, 0.1))[1:]
+    with pytest.raises(ConvergenceError):
+        mle_estimate(pair_table(agree, disagree), guess, photons=4, nodes=16)
+
+
+def test_pair_without_agree_events_can_have_an_interior_maximum():
+    # pair 1 has disagree events only; the ring constraint holds its sum at
+    # 0.908, inside the window pi/2
+    agree = np.array([0.0, 5.0, 5.0, 5.0])
+    disagree = np.array([2.0, 0.0, 0.0, 0.0])
+    guess = build_mc(4).apply(PHI)[1:]
+    fit = mle_estimate(pair_table(agree, disagree), guess, photons=4, nodes=4)
+    reference = reference_fit(agree, disagree, 4, guess)
+    assert np.max(np.abs(fit.theta[0] - reference)) <= 1e-9
 
 
 def test_saturation_replicates_match_single_table_fits():

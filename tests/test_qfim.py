@@ -102,6 +102,16 @@ def test_rank_of_zero_matrix_is_zero():
     assert report.null_basis.shape == (4, 4)
 
 
+def test_rank_analysis_refuses_a_matrix_containing_inf():
+    with pytest.raises(ValidationError):
+        rank_and_nullspace(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+def test_matrix_csv_refuses_a_non_square_array():
+    with pytest.raises(ValidationError):
+        matrix_to_csv(np.ones((2, 3)))
+
+
 def test_oracle_agrees_with_analytic_matrix_on_random_charts():
     for _ in range(20):
         nodes = int(RNG.integers(3, 7))
