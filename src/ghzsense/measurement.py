@@ -16,13 +16,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
 from .ghz_state import _check_counts, node_pair, phase_vector
-from .qfim import Chart, FisherMatrix, _directions_for, pair_sum_gradients
+from .qfim import (
+    Chart,
+    FisherMatrix,
+    _directions_for,
+    _read_only_copy,
+    pair_sum_gradients,
+)
 
 PATTERNS = ("++", "--", "+-", "-+")
 
@@ -39,58 +47,89 @@ def outcome_labels(d: int) -> list[OutcomeLabel]:
     return [OutcomeLabel(j, p) for j in range(1, d + 1) for p in PATTERNS]
 
 
-@dataclass(eq=False)
-class OutcomeDistribution:
-    """Probability table over the 4*d paired diagonal-basis outcomes."""
+def _label_at(index: int) -> OutcomeLabel:
+    """Outcome label at position ``index`` of the canonical order."""
+    return OutcomeLabel(index // 4 + 1, PATTERNS[index % 4])
 
-    probabilities: dict[OutcomeLabel, float]
+
+def _canonical_entries(values, nodes: int, table: str) -> np.ndarray:
+    """Entries of a label-keyed mapping or of a flat array, in canonical label order."""
+    if isinstance(values, Mapping):
+        labels = outcome_labels(nodes)
+        if set(values) == set(labels):
+            return np.array([values[label] for label in labels])
+    else:
+        entries = np.asarray(values)
+        if entries.shape == (4 * nodes,):
+            return entries
+    raise ValidationError(f"{table} must cover exactly the {4 * nodes} canonical outcomes")
+
+
+def _by_label(entries: np.ndarray, nodes: int) -> dict:
+    """Mapping from each outcome label to its entry, in canonical order."""
+    return dict(zip(outcome_labels(nodes), entries.tolist()))
+
+
+@dataclass(eq=False, frozen=True)
+class OutcomeDistribution:
+    """Probability table over the 4*d paired diagonal-basis outcomes.
+
+    ``array`` holds the probabilities in canonical label order (see
+    :func:`outcome_labels`).  It may be given as such an array or as a
+    mapping from :class:`OutcomeLabel`; like ``phases`` it is stored as a
+    read-only copy, so a validated distribution never changes.
+    ``probabilities`` is a read-only label-keyed view of it.
+    """
+
+    array: np.ndarray
     photons: int
     nodes: int
     phases: np.ndarray
 
     def __post_init__(self):
         _check_counts(self.photons, self.nodes)
-        self.phases = phase_vector(self.phases, self.nodes)
-        self.probabilities = dict(self.probabilities)
-        expected = set(outcome_labels(self.nodes))
-        if set(self.probabilities) != expected:
-            raise ValidationError(
-                f"distribution must cover exactly the {4 * self.nodes} canonical outcomes"
-            )
-        for label, p in self.probabilities.items():
-            if not math.isfinite(p) or p < 0.0:
-                raise ValidationError(f"probability for {label} must be finite and >= 0")
-        total = sum(self.probabilities.values())
+        object.__setattr__(self, "phases", _read_only_copy(phase_vector(self.phases, self.nodes)))
+        probs = _read_only_copy(_canonical_entries(self.array, self.nodes, "distribution"))
+        object.__setattr__(self, "array", probs)
+        bad = ~(np.isfinite(probs) & (probs >= 0.0))
+        if bad.any():
+            label = _label_at(int(np.argmax(bad)))
+            raise ValidationError(f"probability for {label} must be finite and >= 0")
+        total = math.fsum(probs.tolist())
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"probabilities sum to {total!r}, expected 1")
-        for j in range(1, self.nodes + 1):
-            if self.probabilities[OutcomeLabel(j, "++")] != self.probabilities[
-                OutcomeLabel(j, "--")
-            ] or self.probabilities[OutcomeLabel(j, "+-")] != self.probabilities[
-                OutcomeLabel(j, "-+")
-            ]:
-                raise ValidationError(
-                    f"pattern symmetry violated for pair {j}: ++/-- and +-/-+ must match"
-                )
+        # consecutive entries pair up as ++/-- and +-/-+
+        unmatched = probs[0::2] != probs[1::2]
+        if unmatched.any():
+            raise ValidationError(
+                f"pattern symmetry violated for pair {int(np.argmax(unmatched)) // 2 + 1}: "
+                "++/-- and +-/-+ must match"
+            )
+
+    @cached_property
+    def _probabilities(self) -> dict:
+        return _by_label(self.array, self.nodes)
+
+    @property
+    def probabilities(self) -> MappingProxyType:
+        return MappingProxyType(self._probabilities)
 
     def probability(self, label: OutcomeLabel) -> float:
         return self.probabilities[label]
 
     def as_array(self) -> np.ndarray:
-        """Probabilities in canonical label order."""
-        return np.array([self.probabilities[lab] for lab in outcome_labels(self.nodes)])
+        """Writable copy of the probabilities in canonical label order."""
+        return self.array.copy()
 
     def to_json_dict(self) -> dict:
-        rows = []
-        for label in outcome_labels(self.nodes):
-            j, k = node_pair(label.pair, self.nodes)
-            rows.append(
-                {
-                    "pair": [j, k],
-                    "pattern": label.pattern,
-                    "probability": float(self.probabilities[label]),
-                }
-            )
+        rows = [
+            {
+                "pair": list(node_pair(label.pair, self.nodes)),
+                "pattern": label.pattern,
+                "probability": p,
+            }
+            for label, p in self.probabilities.items()
+        ]
         return {
             "N": int(self.photons),
             "d": int(self.nodes),
@@ -115,9 +154,9 @@ class OutcomeDistribution:
 def distribution_to_csv(dist: OutcomeDistribution) -> str:
     """CSV rows (pair, pattern, probability), 17 significant digits."""
     lines = ["pair,pattern,probability"]
-    for label in outcome_labels(dist.nodes):
+    for label, p in dist.probabilities.items():
         j, k = node_pair(label.pair, dist.nodes)
-        lines.append(f"{j}-{k},{label.pattern},{dist.probabilities[label]:.17g}")
+        lines.append(f"{j}-{k},{label.pattern},{p:.17g}")
     return "\n".join(lines) + "\n"
 
 
@@ -125,17 +164,11 @@ def outcome_distribution(photons: int, nodes: int, phases) -> OutcomeDistributio
     """Outcome probabilities of the paired diagonal-basis measurement."""
     _check_counts(photons, nodes)
     phi = phase_vector(phases, nodes)
-    half = photons / 2.0
-    d = nodes
-    probs: dict[OutcomeLabel, float] = {}
-    for j in range(1, d + 1):
-        c = math.cos(half * (phi[j - 1] + phi[j % d]))
-        agree = (1.0 + c) / (4.0 * d)
-        disagree = (1.0 - c) / (4.0 * d)
-        probs[OutcomeLabel(j, "++")] = agree
-        probs[OutcomeLabel(j, "--")] = agree
-        probs[OutcomeLabel(j, "+-")] = disagree
-        probs[OutcomeLabel(j, "-+")] = disagree
+    c = np.cos((photons / 2.0) * (phi + np.roll(phi, -1)))
+    agree = (1.0 + c) / (4.0 * nodes)
+    disagree = (1.0 - c) / (4.0 * nodes)
+    # canonical order per pair: ++, -- (agree), +-, -+ (disagree)
+    probs = np.repeat(np.stack([agree, disagree], axis=1), 2)
     return OutcomeDistribution(probs, photons, nodes, phi)
 
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -29,11 +31,14 @@ from .errors import ConvergenceError, ValidationError
 from .ghz_state import _check_counts, phase_vector
 from .measurement import (
     OutcomeDistribution,
-    OutcomeLabel,
+    _by_label,
+    _canonical_entries,
+    _label_at,
     cfim,
     outcome_distribution,
     outcome_labels,
 )
+from .qfim import _read_only_copy
 from .reparam import build_mc, pushforward_fisher
 
 DEFAULT_BOX_HALF_WIDTH = 0.25
@@ -45,13 +50,23 @@ _MULTIPLIER_ITERATIONS = 100
 # allocate (32 MiB of int64 counts; the fit's float working arrays take a few
 # times that).  Larger experiments are refused before anything is allocated.
 MAX_COUNT_CELLS = 2**22
+# Largest shot count per table: multinomial draws and stored counts are int64.
+MAX_SHOTS = 2**63 - 1
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class CountTable:
-    """Observed outcome counts from one measurement run."""
+    """Observed outcome counts from one measurement run.
 
-    counts: dict[OutcomeLabel, int]
+    ``array`` holds the counts as int64 in canonical label order (see
+    :func:`ghzsense.measurement.outcome_labels`).  It may be given as such an
+    array or as a mapping from :class:`OutcomeLabel`; every count must be a
+    whole number, and like ``phases`` the counts are stored as a read-only
+    copy, so a validated table never changes.  ``counts`` is a read-only
+    label-keyed view of them.
+    """
+
+    array: np.ndarray
     shots: int
     seed: int
     photons: int
@@ -60,22 +75,35 @@ class CountTable:
 
     def __post_init__(self):
         _check_counts(self.photons, self.nodes)
-        self.phases = phase_vector(self.phases, self.nodes)
-        self.counts = dict(self.counts)
-        expected = set(outcome_labels(self.nodes))
-        if set(self.counts) != expected:
-            raise ValidationError(
-                f"count table must cover exactly the {4 * self.nodes} canonical outcomes"
-            )
-        total = 0
-        for label, value in self.counts.items():
-            if value < 0:
-                raise ValidationError(f"count for {label} is negative")
-            total += value
+        object.__setattr__(self, "phases", _read_only_copy(phase_vector(self.phases, self.nodes)))
+        entries = _canonical_entries(self.array, self.nodes, "count table")
+        if not np.can_cast(entries.dtype, np.int64):
+            entries = np.asarray(entries, dtype=float)
+            # int64 holds every whole number of magnitude below 2**63 exactly
+            whole = np.isfinite(entries) & (entries == np.trunc(entries))
+            whole &= np.abs(entries) < 2.0**63
+            if not whole.all():
+                label = _label_at(int(np.argmax(~whole)))
+                raise ValidationError(f"count for {label} must be a finite integer below 2**63")
+        counts = entries.astype(np.int64)
+        counts.flags.writeable = False
+        object.__setattr__(self, "array", counts)
+        negative = counts < 0
+        if negative.any():
+            raise ValidationError(f"count for {_label_at(int(np.argmax(negative)))} is negative")
+        total = sum(counts.tolist())
         if total != self.shots:
             raise ValidationError(
                 f"counts sum to {total}, expected shots = {self.shots}"
             )
+
+    @cached_property
+    def _counts(self) -> dict:
+        return _by_label(self.array, self.nodes)
+
+    @property
+    def counts(self) -> MappingProxyType:
+        return MappingProxyType(self._counts)
 
     def to_json_dict(self) -> dict:
         return {
@@ -85,8 +113,8 @@ class CountTable:
             "shots": int(self.shots),
             "seed": int(self.seed),
             "counts": [
-                {"pair": label.pair, "pattern": label.pattern, "count": int(self.counts[label])}
-                for label in outcome_labels(self.nodes)
+                {"pair": label.pair, "pattern": label.pattern, "count": count}
+                for label, count in self.counts.items()
             ],
         }
 
@@ -107,24 +135,30 @@ def _draw(probabilities: np.ndarray, shots: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).multinomial(shots, probabilities / probabilities.sum())
 
 
+def _check_shot_cap(shots: int) -> None:
+    if shots > MAX_SHOTS:
+        raise ValidationError(f"shot count {shots} exceeds the cap of {MAX_SHOTS}")
+
+
 def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountTable:
-    """Multinomial draw over the 4*d outcomes; a pure function of (dist, shots, seed)."""
+    """Multinomial draw over the 4*d outcomes; a pure function of (dist, shots, seed).
+
+    ``shots`` may not exceed ``MAX_SHOTS``.
+    """
     if not isinstance(shots, (int, np.integer)) or isinstance(shots, bool) or shots < 1:
         raise ValidationError(f"shot count must be a positive integer, got {shots!r}")
+    _check_shot_cap(shots)
     seed = int(seed)
     if seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
-    draws = _draw(dist.as_array(), int(shots), seed)
-    counts = {label: int(c) for label, c in zip(outcome_labels(dist.nodes), draws)}
-    return CountTable(
-        counts, int(shots), seed, dist.photons, dist.nodes, dist.phases.copy()
-    )
+    draws = _draw(dist.array, int(shots), seed)
+    return CountTable(draws, int(shots), seed, dist.photons, dist.nodes, dist.phases)
 
 
 def _count_rows(counts, photons, nodes) -> tuple[np.ndarray, int, int, bool]:
     """Counts as an (R, 4d) float array in canonical label order."""
     if isinstance(counts, CountTable):
-        photons, nodes, counts = counts.photons, counts.nodes, counts.counts
+        return counts.array[None, :].astype(float), counts.photons, counts.nodes, False
     elif not isinstance(counts, (Mapping, np.ndarray)):
         raise ValidationError(f"unsupported counts object: {type(counts).__name__}")
     elif photons is None or nodes is None:
@@ -404,7 +438,7 @@ def crb_saturation_experiment(
     experiment is a pure function of its arguments; replicates use
     precomputed per-replicate seeds, so their estimates do not depend on
     evaluation order.  ``replicates * 4 * nodes`` may not exceed
-    ``MAX_COUNT_CELLS``.
+    ``MAX_COUNT_CELLS``, and ``shots`` may not exceed ``MAX_SHOTS``.
     """
     _check_counts(photons, nodes)
     phi = phase_vector(phases, nodes)
@@ -434,14 +468,14 @@ def crb_saturation_experiment(
     basis = np.zeros(nodes - 1)
     basis[0] = 1.0
     bound = exact_crb(reduced, basis, shots)
+    _check_shot_cap(shots)
 
     child_seeds = np.random.SeedSequence(int(seed)).generate_state(
         int(replicates), dtype=np.uint64
     )
-    probabilities = dist.as_array()
     counts = np.empty((int(replicates), 4 * nodes), dtype=np.int64)
     for r, child in enumerate(child_seeds):
-        counts[r] = _draw(probabilities, int(shots), int(child))
+        counts[r] = _draw(dist.array, int(shots), int(child))
     fit = mle_estimate(
         counts, theta_true, box_half_width, photons=photons, nodes=nodes
     )

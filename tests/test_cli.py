@@ -169,6 +169,18 @@ def test_oversized_replicate_count_is_status_2_before_allocating(capsys):
     assert "count cells" in err and "Traceback" not in err
 
 
+def test_shot_count_above_the_int64_cap_is_status_2_before_sampling(monkeypatch, capsys):
+    def no_draw(*args):
+        raise AssertionError("drew at an oversized shot count")
+
+    monkeypatch.setattr("ghzsense.montecarlo._draw", no_draw)
+    argv = ["simulate", "--N", "2", "--d", "4", "--shots", str(2**63), "--replicates", "50"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration: ")
+    assert "exceeds the cap" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["qfim", "--N", "2", "--d", "100000"], ["transform", "--d", "1000000", "--chart", "mc"]],

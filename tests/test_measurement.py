@@ -127,6 +127,20 @@ def test_distribution_rejects_negative_or_unnormalized_input():
         OutcomeDistribution(bad, 2, 4, np.zeros(4))
 
 
+def test_validated_distribution_cannot_be_edited():
+    dist = outcome_distribution(2, 4, np.full(4, 0.1))
+    with pytest.raises(TypeError):
+        dist.probabilities[OutcomeLabel(1, "++")] = 0.9
+    with pytest.raises(ValueError):
+        dist.array[0] = 0.9
+    assert math.fsum(dist.probabilities.values()) == pytest.approx(1.0, abs=1e-12)
+    # the distribution keeps its own copy of the array it was built from
+    probs = dist.as_array()
+    copied = OutcomeDistribution(probs, 2, 4, np.full(4, 0.1))
+    probs[0] = 0.9
+    assert copied.probability(OutcomeLabel(1, "++")) == dist.probability(OutcomeLabel(1, "++"))
+
+
 def test_distribution_csv_includes_every_outcome():
     dist = outcome_distribution(2, 4, np.full(4, 0.1))
     text = distribution_to_csv(dist)

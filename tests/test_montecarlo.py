@@ -54,6 +54,54 @@ def test_count_table_requires_full_coverage():
         CountTable(partial, 100, 1, 2, 4, PHI)
 
 
+def test_validated_count_table_cannot_be_edited():
+    dist = outcome_distribution(2, 4, PHI)
+    table = sample_counts(dist, 1000, 7)
+    with pytest.raises(TypeError):
+        table.counts[OutcomeLabel(1, "++")] += 500
+    with pytest.raises(ValueError):
+        table.array[0] += 500
+    assert sum(table.counts.values()) == table.shots == 1000
+    assert table.to_json_dict()["shots"] == sum(table.array.tolist())
+    # the table keeps its own copy of the counts it was built from
+    draws = table.array.copy()
+    copied = CountTable(draws, 1000, 7, 2, 4, PHI)
+    draws[0] += 500
+    assert sum(copied.counts.values()) == 1000
+
+
+def test_count_table_refuses_fractional_counts():
+    labels = outcome_labels(4)
+    counts = dict.fromkeys(labels, 0)
+    counts[labels[0]], counts[labels[1]] = 50.5, 49.5
+    rows = np.array([counts[label] for label in labels])
+    for bad in (counts, rows):
+        with pytest.raises(ValidationError, match="must be a finite integer"):
+            CountTable(bad, 100, 1, 2, 4, PHI)
+    for value in (np.nan, np.inf, 2.0**63):
+        rows = np.zeros(16)
+        rows[3] = value
+        with pytest.raises(ValidationError, match="must be a finite integer"):
+            CountTable(rows, 100, 1, 2, 4, PHI)
+    # whole numbers held as floats are counts
+    counts[labels[0]], counts[labels[1]] = 50.0, 50.0
+    assert CountTable(counts, 100, 1, 2, 4, PHI).counts[labels[0]] == 50
+
+
+def test_shot_counts_above_the_int64_cap_are_refused_before_drawing(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew at an oversized shot count")
+
+    monkeypatch.setattr(montecarlo, "_draw", no_draw)
+    dist = outcome_distribution(2, 4, PHI)
+    for run in (
+        lambda: sample_counts(dist, 2**63, 1),
+        lambda: crb_saturation_experiment(2, 4, PHI, 2**63, 50, 1),
+    ):
+        with pytest.raises(ValidationError, match="exceeds the cap of 9223372036854775807"):
+            run()
+
+
 def test_noiseless_estimate_recovers_the_truth_exactly():
     rep = build_mc(4)
     theta_true = rep.apply(PHI)[1:]
@@ -217,9 +265,13 @@ def reference_fit(agree, disagree, photons, guess, box=0.25, tol=1e-10):
         # a pair without disagree events has no 1 - cos term (0 log 0 = 0), so
         # its sum may reach zero, where 1 - cos rounds to 0
         one_minus = np.where(disagree > 0, 1.0 - c, 1.0)
-        value = -(agree @ np.log(1.0 + c) + disagree @ np.log(one_minus)) / total
-        grad = grads.T @ (half * s * (agree / (1.0 + c) - disagree / one_minus)) / total
-        curvature = half**2 * (agree / (1.0 + c) + disagree / one_minus) / total
+        # a line-search candidate on the window edge has 1 + cos = 0, so its
+        # value is +inf (or nan, from 0 log 0), which the search rejects by
+        # halving the step
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = -(agree @ np.log(1.0 + c) + disagree @ np.log(one_minus)) / total
+            grad = grads.T @ (half * s * (agree / (1.0 + c) - disagree / one_minus)) / total
+            curvature = half**2 * (agree / (1.0 + c) + disagree / one_minus) / total
         return value, grad, (grads.T * curvature) @ grads
 
     theta = guess.copy()
