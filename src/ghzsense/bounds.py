@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import SingularMatrixError, ValidationError
 from .measurement import cfim
-from .qfim import FisherMatrix, _entries_of, original_chart, qfim_pure
-from .reparam import build_mc, pushforward_fisher
+from .qfim import FisherMatrix, _entries_of, qfim_pure
+from .reparam import build_mc
 
 RANK_RTOL = 1e-9
 
@@ -230,21 +230,22 @@ class SweepRow:
 def heisenberg_sweep(photon_counts, node_counts) -> list[SweepRow]:
     """Standard-deviation bounds on the average phase over an (N, d) grid.
 
-    The average phase is the second coordinate of the cyclic-difference
-    chart; after dropping the irrelevant coordinate both the quantum and
-    classical matrices give an exact bound of 1/N at one shot, independent
-    of d, so the paired measurement saturates the scaling in N.
+    Both matrices are computed directly in the reduced ``mc`` chart
+    (``build_mc(d).chart(True)``), whose first coordinate is the average
+    phase; the alternating coordinate that makes every original-chart matrix
+    singular is already dropped.  Both the quantum and classical matrices
+    give an exact bound of 1/N at one shot, independent of d, so the paired
+    measurement saturates the scaling in N.
     """
     rows = []
     for photons in photon_counts:
         for nodes in node_counts:
-            rep = build_mc(nodes)
-            chart = original_chart(nodes)
+            chart = build_mc(nodes).chart(True)
             zeros = np.zeros(nodes)
-            basis = np.zeros(rep.dim - 1)
+            basis = np.zeros(chart.size)
             basis[0] = 1.0
-            quantum = pushforward_fisher(qfim_pure(photons, nodes, zeros, chart), rep, True)
-            classical = pushforward_fisher(cfim(photons, nodes, zeros, chart), rep, True)
+            quantum = qfim_pure(photons, nodes, zeros, chart)
+            classical = cfim(photons, nodes, zeros, chart)
             qcrb = math.sqrt(exact_crb(quantum, basis, 1))
             ccrb = math.sqrt(exact_crb(classical, basis, 1))
             rows.append(SweepRow(int(photons), int(nodes), qcrb, ccrb, ccrb / qcrb))

@@ -29,7 +29,6 @@ from .qfim import (
     FisherMatrix,
     _directions_for,
     _read_only_copy,
-    pair_sum_gradients,
 )
 
 PATTERNS = ("++", "--", "+-", "-+")
@@ -147,7 +146,7 @@ class OutcomeDistribution:
                 for row in doc["outcomes"]
             }
             return cls(probs, int(doc["N"]), int(doc["d"]), np.array(doc["phases"]))
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise ValidationError(f"malformed distribution document: {exc}") from exc
 
 
@@ -177,14 +176,14 @@ def cfim(photons: int, nodes: int, phases, chart: Chart | None = None) -> Fisher
 
     Uses the analytically collapsed kernel, so the result is exact at every
     phase point including those where some outcomes have probability zero,
-    and is independent of the phases for any fixed linear chart.
+    and is independent of the phases for any fixed linear chart.  The kernel
+    sum is (N^2/4d) G^T G, taken from the chart's cached pair-sum Gram.
     """
     _check_counts(photons, nodes)
     phi = phase_vector(phases, nodes)
     chart, _ = _directions_for(nodes, chart)
-    grads = pair_sum_gradients(nodes, chart)
-    entries = (photons**2 / (4.0 * nodes)) * grads.T @ grads
-    entries = 0.5 * (entries + entries.T)
+    gram, _ = chart._gram
+    entries = (photons**2 / (4.0 * nodes)) * gram
     return FisherMatrix(entries, "classical", chart, photons, nodes, phi)
 
 

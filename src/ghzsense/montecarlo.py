@@ -75,6 +75,8 @@ class CountTable:
 
     def __post_init__(self):
         _check_counts(self.photons, self.nodes)
+        object.__setattr__(self, "shots", _check_shots(self.shots))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         object.__setattr__(self, "phases", _read_only_copy(phase_vector(self.phases, self.nodes)))
         entries = _canonical_entries(self.array, self.nodes, "count table")
         if not np.can_cast(entries.dtype, np.int64):
@@ -135,9 +137,20 @@ def _draw(probabilities: np.ndarray, shots: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).multinomial(shots, probabilities / probabilities.sum())
 
 
-def _check_shot_cap(shots: int) -> None:
+def _check_shots(shots) -> int:
+    """``shots`` as an int: a positive integer (not a bool) of at most ``MAX_SHOTS``."""
+    if not isinstance(shots, (int, np.integer)) or isinstance(shots, bool) or shots < 1:
+        raise ValidationError(f"shot count must be a positive integer, got {shots!r}")
     if shots > MAX_SHOTS:
         raise ValidationError(f"shot count {shots} exceeds the cap of {MAX_SHOTS}")
+    return int(shots)
+
+
+def _check_seed(seed) -> int:
+    """``seed`` as an int: a nonnegative integer, not a bool."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+    return int(seed)
 
 
 def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountTable:
@@ -145,14 +158,10 @@ def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountTabl
 
     ``shots`` may not exceed ``MAX_SHOTS``.
     """
-    if not isinstance(shots, (int, np.integer)) or isinstance(shots, bool) or shots < 1:
-        raise ValidationError(f"shot count must be a positive integer, got {shots!r}")
-    _check_shot_cap(shots)
-    seed = int(seed)
-    if seed < 0:
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
-    draws = _draw(dist.array, int(shots), seed)
-    return CountTable(draws, int(shots), seed, dist.photons, dist.nodes, dist.phases)
+    shots = _check_shots(shots)
+    seed = _check_seed(seed)
+    draws = _draw(dist.array, shots, seed)
+    return CountTable(draws, shots, seed, dist.photons, dist.nodes, dist.phases)
 
 
 def _count_rows(counts, photons, nodes) -> tuple[np.ndarray, int, int, bool]:
@@ -451,8 +460,7 @@ def crb_saturation_experiment(
         raise ValidationError(
             f"replicates * 4d = {cells} count cells exceed the cap of {MAX_COUNT_CELLS}"
         )
-    if int(seed) < 0:
-        raise ValidationError(f"seed must be a nonnegative integer, got {int(seed)}")
+    seed = _check_seed(seed)
     window = 2.0 * math.pi / photons
     pair_sums = phi + np.roll(phi, -1)
     worst = float(np.max(np.abs(pair_sums)))
@@ -468,9 +476,9 @@ def crb_saturation_experiment(
     basis = np.zeros(nodes - 1)
     basis[0] = 1.0
     bound = exact_crb(reduced, basis, shots)
-    _check_shot_cap(shots)
+    _check_shots(shots)
 
-    child_seeds = np.random.SeedSequence(int(seed)).generate_state(
+    child_seeds = np.random.SeedSequence(seed).generate_state(
         int(replicates), dtype=np.uint64
     )
     counts = np.empty((int(replicates), 4 * nodes), dtype=np.int64)
@@ -487,7 +495,7 @@ def crb_saturation_experiment(
         phi,
         int(shots),
         int(replicates),
-        int(seed),
+        seed,
         theta_true,
         fit.labels,
         estimates,

@@ -43,7 +43,8 @@ PSD_TOL = 1e-9
 # Ring geometry (charts and reparametrizations) is a pure function of the
 # ring size.  Rings up to RING_MEMO_MAX_NODES are built once and shared,
 # keeping the RING_MEMO_SIZES most recently used sizes: about 10 MiB per ring
-# at d = 512.  Larger rings are built on every call.
+# at d = 512, and up to 6 MiB more once the pair-sum Grams of its three charts
+# are formed.  Larger rings are built on every call.
 RING_MEMO_MAX_NODES = 512
 RING_MEMO_SIZES = 4
 _RING_MEMOS = []
@@ -82,7 +83,9 @@ class Chart:
     :mod:`ghzsense.reparam`), whose inverse-matrix columns supply the
     directions.  Charts are shared between matrices and callers, so a chart
     is frozen and ``directions`` is its own read-only copy of the array
-    passed in.
+    passed in.  :func:`qfim_pure` and :func:`ghzsense.measurement.cfim`
+    build their matrices from the chart's pair-sum Gram (G^T G, s), formed
+    once on first use and also read-only, so it cannot go stale.
     """
 
     name: str
@@ -105,6 +108,17 @@ class Chart:
             raise ValidationError(
                 "chart directions must be linearly independent columns"
             )
+
+    @functools.cached_property
+    def _gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """(G^T G, s): G is :func:`pair_sum_gradients` and s the sum of its rows.
+
+        numpy forms ``grads.T @ grads`` as a symmetric rank-k update, so G^T G
+        is exactly symmetric and a matrix scaled from it needs no
+        symmetrizing.
+        """
+        grads = pair_sum_gradients(self.nodes, self)
+        return _read_only_copy(grads.T @ grads), _read_only_copy(grads.sum(axis=0))
 
     @property
     def nodes(self) -> int:
@@ -239,14 +253,14 @@ def qfim_pure(photons: int, nodes: int, phases, chart: Chart | None = None) -> F
 
     Evaluates the Gram form (N^2/2d) G^T G - (N^2/4d^2) s s^T, where G is
     :func:`pair_sum_gradients` of the chart and s is the sum of its rows
-    (see the module docstring for the derivation).
+    (see the module docstring for the derivation), from the chart's cached
+    Gram.
     """
     _check_counts(photons, nodes)
     phi = phase_vector(phases, nodes)
     chart, _ = _directions_for(nodes, chart)
-    grads = pair_sum_gradients(nodes, chart)
-    sums = grads.sum(axis=0)
-    entries = (photons**2 / (2.0 * nodes)) * (grads.T @ grads) - (
+    gram, sums = chart._gram
+    entries = (photons**2 / (2.0 * nodes)) * gram - (
         photons**2 / (4.0 * nodes**2)
     ) * np.outer(sums, sums)
     return FisherMatrix(entries, "quantum", chart, photons, nodes, phi)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,20 @@ def test_sweep_reaches_the_heisenberg_point(photons):
         assert row.qcrb == pytest.approx(1.0 / photons, abs=1e-10)
         assert row.ccrb == pytest.approx(1.0 / photons, abs=1e-10)
         assert row.ratio == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("photons", [2, 4, 6])
+def test_sweep_matches_the_pushforward_route(photons):
+    for nodes in (4, 8, 64, 256):
+        rep = build_mc(nodes)
+        zeros = np.zeros(nodes)
+        basis = np.zeros(nodes - 1)
+        basis[0] = 1.0
+        quantum = pushforward_fisher(qfim_pure(photons, nodes, zeros), rep, True)
+        classical = pushforward_fisher(cfim(photons, nodes, zeros), rep, True)
+        expected = [math.sqrt(exact_crb(m, basis)) for m in (quantum, classical)]
+        (row,) = heisenberg_sweep([photons], [nodes])
+        np.testing.assert_array_max_ulp(np.array([row.qcrb, row.ccrb]), expected, maxulp=4)
 
 
 def test_sweep_csv_layout():

@@ -13,9 +13,8 @@ from ghzsense.measurement import (
     distribution_to_csv,
     outcome_distribution,
     outcome_labels,
-    pair_sum_gradients,
 )
-from ghzsense.qfim import original_chart
+from ghzsense.qfim import original_chart, pair_sum_gradients
 
 RNG = np.random.default_rng(5150)
 

@@ -243,6 +243,45 @@ def test_refusal_messages_match_the_reference():
     )
 
 
+def test_a_non_numeric_probability_in_a_document_is_a_validation_error():
+    doc = outcome_distribution(2, 4, np.zeros(4)).to_json_dict()
+    doc["outcomes"][3]["probability"] = "abc"
+    with pytest.raises(ValidationError, match="malformed distribution document"):
+        OutcomeDistribution.from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "shots, seed",
+    [
+        (0, 1),
+        (100.0, 1),
+        (True, 1),
+        (montecarlo.MAX_SHOTS + 1, 1),
+        (100, -5),
+        (100, 2.7),
+        (100, True),
+        (100, "3"),
+    ],
+    ids=[
+        "zero-shots",
+        "float-shots",
+        "bool-shots",
+        "shots-above-cap",
+        "negative-seed",
+        "float-seed",
+        "bool-seed",
+        "string-seed",
+    ],
+)
+def test_count_tables_check_shots_and_seed_like_sample_counts(shots, seed):
+    d = 4
+    phi = np.zeros(d)
+    counts = np.zeros(4 * d, dtype=np.int64)
+    counts[0] = 100
+    expected = refusal(lambda: sample_counts(outcome_distribution(2, d, phi), shots, seed))
+    assert refusal(lambda: CountTable(counts, shots, seed, 2, d, phi)) == expected
+
+
 def test_sampling_and_fitting_build_no_label_list(monkeypatch):
     calls = []
     labels_of = measurement.outcome_labels

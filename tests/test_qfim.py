@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from ghzsense import qfim
 from ghzsense.errors import ValidationError
 from ghzsense.ghz_state import (
     MAX_NODES,
@@ -12,6 +13,7 @@ from ghzsense.ghz_state import (
     directional_state_derivative,
     inner_product,
 )
+from ghzsense.measurement import cfim
 from ghzsense.qfim import (
     Chart,
     FisherMatrix,
@@ -19,6 +21,7 @@ from ghzsense.qfim import (
     matrix_to_csv,
     matrix_to_json_dict,
     original_chart,
+    pair_sum_gradients,
     qfim_closed_form_original,
     qfim_finite_difference_oracle,
     qfim_pure,
@@ -263,3 +266,41 @@ def test_ring_size_cap_is_checked_before_the_chart_is_built():
         qfim_pure(2, MAX_NODES + 1, None)
     with pytest.raises(ValidationError, match="exceeds the cap"):
         qfim_finite_difference_oracle(2, MAX_NODES + 1, None)
+
+
+@pytest.mark.parametrize("photons", [2, 4, 6])
+@pytest.mark.parametrize("nodes", [4, 16, 256])
+def test_cached_gram_is_bit_identical_to_the_explicit_g_formula(photons, nodes):
+    phi = RNG.uniform(-0.2, 0.2, nodes)
+    for chart in (original_chart(nodes), build_mc(nodes).chart(True)):
+        grads = chart.directions + np.roll(chart.directions, -1, axis=0)
+        sums = grads.sum(axis=0)
+        explicit = (photons**2 / (2.0 * nodes)) * (grads.T @ grads) - (
+            photons**2 / (4.0 * nodes**2)
+        ) * np.outer(sums, sums)
+        np.testing.assert_array_equal(qfim_pure(photons, nodes, phi, chart).entries, explicit)
+    # in the original chart G^T G holds small integers, so scaling it is exact
+    grads = pair_sum_gradients(nodes, original_chart(nodes))
+    explicit = (photons**2 / (4.0 * nodes)) * grads.T @ grads
+    np.testing.assert_array_equal(cfim(photons, nodes, phi).entries, explicit)
+
+
+def test_the_gram_is_read_only_and_formed_once_per_chart(monkeypatch):
+    formed = []
+
+    def counting(d, chart=None):
+        formed.append(chart)
+        return pair_sum_gradients(d, chart)
+
+    monkeypatch.setattr(qfim, "pair_sum_gradients", counting)
+    chart = build_mc(16).chart(True)
+    for _ in range(3):
+        qfim_pure(4, 16, np.zeros(16), chart)
+        cfim(4, 16, np.zeros(16), chart)
+    assert formed == [chart]
+    gram, sums = chart._gram
+    for array in (gram, sums):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    # cfim scales G^T G without symmetrizing it
+    np.testing.assert_array_equal(gram, gram.T)

@@ -6,13 +6,13 @@ import threading
 import numpy as np
 import pytest
 
-from ghzsense import qfim
+from ghzsense import bounds, qfim, reparam
 from ghzsense.bounds import bound_report, heisenberg_sweep
 from ghzsense.errors import ValidationError
 from ghzsense.ghz_state import MAX_NODES
 from ghzsense.measurement import cfim
 from ghzsense.montecarlo import crb_saturation_experiment
-from ghzsense.qfim import original_chart, qfim_pure, rank_and_nullspace
+from ghzsense.qfim import original_chart, pair_sum_gradients, qfim_pure, rank_and_nullspace
 from ghzsense.reparam import (
     Reparametrization,
     build_mc,
@@ -183,10 +183,19 @@ def test_charts_are_built_and_validated_once_per_reparametrization(monkeypatch):
         rep.inverse[0, 0] = 1.0
 
 
-def test_sweep_validates_two_charts_per_grid_point(monkeypatch):
+def test_sweep_validates_one_chart_per_grid_point(monkeypatch):
+    pushed = []
+
+    def counting(*args, **kwargs):
+        pushed.append(args)
+        return pushforward_fisher(*args, **kwargs)
+
+    monkeypatch.setattr(reparam, "pushforward_fisher", counting)
+    monkeypatch.setattr(bounds, "pushforward_fisher", counting, raising=False)
     calls = count_linalg_calls(monkeypatch, "matrix_rank")
     heisenberg_sweep([4], [16])
-    assert calls["matrix_rank"] == 2
+    assert calls["matrix_rank"] == 1
+    assert pushed == []
 
 
 def fisher_pipeline(photons, nodes, phi):
@@ -211,6 +220,28 @@ def test_a_repeated_pipeline_builds_and_factorizes_no_ring_geometry(monkeypatch)
     calls.clear()
     fisher_pipeline(4, 16, phi)
     assert calls == {}
+
+
+def test_a_repeated_pipeline_forms_no_gram_and_factorizes_nine_times(monkeypatch):
+    phi = np.random.default_rng(16).uniform(-0.2, 0.2, 16)
+    formed = []
+
+    def counting(d, chart=None):
+        formed.append(chart.name)
+        return pair_sum_gradients(d, chart)
+
+    monkeypatch.setattr(qfim, "pair_sum_gradients", counting)
+    calls = count_linalg_calls(monkeypatch, "cholesky")
+    fisher_pipeline(4, 16, phi)
+    assert sorted(formed) == ["mc", "original"]
+    assert calls["cholesky"] == 9
+    formed.clear()
+    calls.clear()
+    fisher_pipeline(4, 16, phi)
+    assert formed == []
+    # one PSD test per matrix and one certificate per exact bound: 4 matrices
+    # and 1 bound before the sweep, 2 matrices and 2 bounds in it
+    assert calls["cholesky"] == 9
 
 
 def test_saturation_experiment_inverts_the_transform_once(monkeypatch):
