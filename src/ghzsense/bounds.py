@@ -74,13 +74,17 @@ def _certified_invertible(entries: np.ndarray) -> bool:
     eigenvalue bound is the largest absolute row sum of the symmetric matrix
     that triangle defines (the row sum of F itself when F is symmetric).
     """
-    magnitudes = np.abs(entries)
-    row_sums = np.tril(magnitudes).sum(axis=1) + np.tril(magnitudes, -1).sum(axis=0)
+    k = entries.shape[0]
+    lower = np.abs(entries, out=np.zeros((k, k)), where=np.tri(k, dtype=bool))
+    row_sums = lower.sum(axis=1)
+    lower.flat[:: k + 1] = 0.0
+    row_sums += lower.sum(axis=0)
     bound = float(np.max(row_sums, initial=0.0))
     if not (math.isfinite(bound) and bound > 0.0):
         return False
-    shifted = entries.astype(float)
-    shifted.flat[:: shifted.shape[0] + 1] -= RANK_RTOL * bound
+    shifted = lower  # the triangle is summed; its buffer takes the shifted copy
+    np.copyto(shifted, entries)
+    shifted.flat[:: k + 1] -= RANK_RTOL * bound
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:

@@ -81,11 +81,14 @@ def _parse_int_list(value, name: str) -> tuple[int, ...]:
     if value is None:
         raise ValidationError(f"{name} is required")
     if isinstance(value, str):
-        tokens = [tok for tok in value.split(",") if tok.strip()]
-        return tuple(_require_int(tok.strip(), name) for tok in tokens)
-    if isinstance(value, (list, tuple)):
-        return tuple(_require_int(v, name) for v in value)
-    return (_require_int(value, name),)
+        tokens = [tok.strip() for tok in value.split(",") if tok.strip()]
+    elif isinstance(value, (list, tuple)):
+        tokens = value
+    else:
+        tokens = [value]
+    if not tokens:
+        raise ValidationError(f"{name} needs at least one value")
+    return tuple(_require_int(tok, name) for tok in tokens)
 
 
 def _parse_phases(spec, d: int) -> np.ndarray:
@@ -153,8 +156,11 @@ def _resolve_output(path_text: str) -> Path:
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write output {path}: {exc}") from None
 
 
 def _json_text(doc) -> str:

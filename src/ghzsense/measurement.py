@@ -177,14 +177,14 @@ def cfim(photons: int, nodes: int, phases, chart: Chart | None = None) -> Fisher
     Uses the analytically collapsed kernel, so the result is exact at every
     phase point including those where some outcomes have probability zero,
     and is independent of the phases for any fixed linear chart.  The kernel
-    sum is (N^2/4d) G^T G, taken from the chart's cached pair-sum Gram.
+    sum is (N^2/4d) G^T G, scaled from the chart's cached pair-sum Gram.
+    Calls with the same chart and photon number share the entries of one
+    validated matrix; each result carries its own phases.
     """
     _check_counts(photons, nodes)
     phi = phase_vector(phases, nodes)
     chart, _ = _directions_for(nodes, chart)
-    gram, _ = chart._gram
-    entries = (photons**2 / (4.0 * nodes)) * gram
-    return FisherMatrix(entries, "classical", chart, photons, nodes, phi)
+    return chart._fisher_matrix(photons, "classical", phi)
 
 
 def cfim_brute_force_oracle(

@@ -39,7 +39,7 @@ from .measurement import (
     outcome_labels,
 )
 from .qfim import _read_only_copy
-from .reparam import build_mc, pushforward_fisher
+from .reparam import build_mc
 
 DEFAULT_BOX_HALF_WIDTH = 0.25
 # Largest gradient max-norm of the per-event negative log likelihood that
@@ -472,7 +472,7 @@ def crb_saturation_experiment(
     rep = build_mc(nodes)
     theta_true = rep.apply(phi)[1:]
     dist = outcome_distribution(photons, nodes, phi)
-    reduced = pushforward_fisher(cfim(photons, nodes, phi), rep, True)
+    reduced = cfim(photons, nodes, phi, rep.chart(True))
     basis = np.zeros(nodes - 1)
     basis[0] = 1.0
     bound = exact_crb(reduced, basis, shots)

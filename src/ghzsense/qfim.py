@@ -16,14 +16,17 @@ Gram form
 
 It holds in every linear chart and is independent of the phases at which it
 is evaluated; the evaluation point is still recorded on the result for
-provenance.  The closed form and the finite-difference oracle below are
-computed independently of G, as cross-checks.
+provenance.  Each chart therefore keeps the validated matrices of the most
+recent photon number it was asked for, and a repeated (chart, N) call forms
+and validates nothing.  The closed form and the finite-difference oracle
+below are computed independently of G, as cross-checks.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,8 +46,9 @@ PSD_TOL = 1e-9
 # Ring geometry (charts and reparametrizations) is a pure function of the
 # ring size.  Rings up to RING_MEMO_MAX_NODES are built once and shared,
 # keeping the RING_MEMO_SIZES most recently used sizes: about 10 MiB per ring
-# at d = 512, and up to 6 MiB more once the pair-sum Grams of its three charts
-# are formed.  Larger rings are built on every call.
+# at d = 512, up to 6 MiB more once the pair-sum Grams of its three charts are
+# formed, and up to 12 MiB more once each chart holds a quantum and a
+# classical Fisher matrix.  Larger rings are built on every call.
 RING_MEMO_MAX_NODES = 512
 RING_MEMO_SIZES = 4
 _RING_MEMOS = []
@@ -85,12 +89,15 @@ class Chart:
     is frozen and ``directions`` is its own read-only copy of the array
     passed in.  :func:`qfim_pure` and :func:`ghzsense.measurement.cfim`
     build their matrices from the chart's pair-sum Gram (G^T G, s), formed
-    once on first use and also read-only, so it cannot go stale.
+    once on first use and also read-only, so it cannot go stale.  The chart
+    keeps those validated matrices for the most recent photon number in one
+    slot, which a new photon number replaces.
     """
 
     name: str
     labels: tuple[str, ...]
     directions: np.ndarray
+    _fisher_slot: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
@@ -119,6 +126,37 @@ class Chart:
         """
         grads = pair_sum_gradients(self.nodes, self)
         return _read_only_copy(grads.T @ grads), _read_only_copy(grads.sum(axis=0))
+
+    def _fisher_matrix(self, photons: int, kind: str, phi: np.ndarray) -> "FisherMatrix":
+        """Fisher matrix of ``kind`` for ``photons`` at the validated phases ``phi``.
+
+        The entries are formed from the Gram and validated on first use:
+        QFIM = (N^2/2d) G^T G - (N^2/4d^2) s s^T (see the module docstring)
+        and CFIM = (N^2/4d) G^T G (see :mod:`ghzsense.measurement`).  The
+        slot keeps that matrix until a call with another photon number
+        replaces it; each call returns a shallow copy sharing its entries,
+        with ``phi`` as its phases.
+        """
+        photons = int(photons)
+        slot_photons, matrices = self._fisher_slot
+        if slot_photons != photons:
+            matrices = {}
+            object.__setattr__(self, "_fisher_slot", (photons, matrices))
+        matrix = matrices.get(kind)
+        if matrix is None:
+            gram, sums = self._gram
+            d = self.nodes
+            if kind == "quantum":
+                entries = (photons**2 / (2.0 * d)) * gram - (
+                    photons**2 / (4.0 * d**2)
+                ) * np.outer(sums, sums)
+            else:
+                entries = (photons**2 / (4.0 * d)) * gram
+            matrix = FisherMatrix(entries, kind, self, photons, d)
+            matrix = matrices.setdefault(kind, matrix)
+        matrix = copy.copy(matrix)
+        matrix.phases = phi
+        return matrix
 
     @property
     def nodes(self) -> int:
@@ -164,7 +202,9 @@ class FisherMatrix:
     The PSD test is a Cholesky factorization of ``entries + PSD_TOL * I``,
     which succeeds exactly when the smallest eigenvalue exceeds -PSD_TOL up
     to rounding; a failed factorization is confirmed with ``eigvalsh``
-    before the matrix is rejected.
+    before the matrix is rejected.  ``entries`` is the matrix's own
+    read-only copy of the array passed in, so a validated matrix never
+    changes and the matrices of one chart may share it.
     """
 
     entries: np.ndarray
@@ -177,7 +217,7 @@ class FisherMatrix:
     def __post_init__(self):
         if self.kind not in ("quantum", "classical"):
             raise ValidationError(f"kind must be 'quantum' or 'classical', got {self.kind!r}")
-        self.entries = np.asarray(self.entries, dtype=float)
+        self.entries = _read_only_copy(self.entries)
         if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
             raise ValidationError("Fisher matrix entries must be square")
         if self.entries.shape[0] != self.chart.size:
@@ -254,16 +294,13 @@ def qfim_pure(photons: int, nodes: int, phases, chart: Chart | None = None) -> F
     Evaluates the Gram form (N^2/2d) G^T G - (N^2/4d^2) s s^T, where G is
     :func:`pair_sum_gradients` of the chart and s is the sum of its rows
     (see the module docstring for the derivation), from the chart's cached
-    Gram.
+    Gram.  Calls with the same chart and photon number share the entries of
+    one validated matrix; each result carries its own phases.
     """
     _check_counts(photons, nodes)
     phi = phase_vector(phases, nodes)
     chart, _ = _directions_for(nodes, chart)
-    gram, sums = chart._gram
-    entries = (photons**2 / (2.0 * nodes)) * gram - (
-        photons**2 / (4.0 * nodes**2)
-    ) * np.outer(sums, sums)
-    return FisherMatrix(entries, "quantum", chart, photons, nodes, phi)
+    return chart._fisher_matrix(photons, "quantum", phi)
 
 
 def qfim_closed_form_original(photons: int, nodes: int) -> FisherMatrix:

@@ -53,6 +53,25 @@ def test_odd_ring_rejected_for_transform_and_sweep(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("photons, nodes", [("2", ","), (",", "4"), ("", "4,6")])
+def test_sweep_over_an_empty_grid_is_status_2_before_computing(photons, nodes, monkeypatch, capsys):
+    monkeypatch.setattr("ghzsense.cli.heisenberg_sweep", None)  # any call would fail
+    assert main(["sweep", "--N", photons, "--d", nodes]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "needs at least one value" in err
+
+
+def test_unwritable_output_is_status_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = blocker / "below" / "qfim.json"
+    assert main(["qfim", "--N", "2", "--d", "4", "--output", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid configuration: cannot write output {target}:")
+    assert blocker.read_text() == ""
+
+
 def test_null_space_weight_is_status_3(capsys):
     status = main(
         ["bounds", "--N", "2", "--d", "4", "--chart", "original", "--alpha=-1,1,-1,1"]

@@ -222,7 +222,7 @@ def test_a_repeated_pipeline_builds_and_factorizes_no_ring_geometry(monkeypatch)
     assert calls == {}
 
 
-def test_a_repeated_pipeline_forms_no_gram_and_factorizes_nine_times(monkeypatch):
+def test_a_repeated_pipeline_forms_no_gram_and_factorizes_four_times(monkeypatch):
     phi = np.random.default_rng(16).uniform(-0.2, 0.2, 16)
     formed = []
 
@@ -234,14 +234,18 @@ def test_a_repeated_pipeline_forms_no_gram_and_factorizes_nine_times(monkeypatch
     calls = count_linalg_calls(monkeypatch, "cholesky")
     fisher_pipeline(4, 16, phi)
     assert sorted(formed) == ["mc", "original"]
-    assert calls["cholesky"] == 9
+    # one PSD test per newly formed matrix and one certificate per exact
+    # bound: 3 matrices from the charts' slots, the pushforward and 1 bound
+    # before the sweep; in the sweep the reduced CFIM is new, the reduced
+    # QFIM comes from the slot, and there are 2 bounds
+    assert calls["cholesky"] == 8
     formed.clear()
     calls.clear()
     fisher_pipeline(4, 16, phi)
     assert formed == []
-    # one PSD test per matrix and one certificate per exact bound: 4 matrices
-    # and 1 bound before the sweep, 2 matrices and 2 bounds in it
-    assert calls["cholesky"] == 9
+    # every slot is filled: only the pushforward's PSD test and the three
+    # certificates remain
+    assert calls["cholesky"] == 4
 
 
 def test_saturation_experiment_inverts_the_transform_once(monkeypatch):
