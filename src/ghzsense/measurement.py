@@ -178,8 +178,9 @@ def cfim(photons: int, nodes: int, phases, chart: Chart | None = None) -> Fisher
     phase point including those where some outcomes have probability zero,
     and is independent of the phases for any fixed linear chart.  The kernel
     sum is (N^2/4d) G^T G, scaled from the chart's cached pair-sum Gram.
-    Calls with the same chart and photon number share the entries of one
-    validated matrix; each result carries its own phases.
+    Calls with the same chart and photon number copy the entries of one
+    matrix, formed and validated on the first of them; each result carries
+    its own phases.
     """
     _check_counts(photons, nodes)
     phi = phase_vector(phases, nodes)

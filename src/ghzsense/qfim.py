@@ -18,8 +18,9 @@ It holds in every linear chart and is independent of the phases at which it
 is evaluated; the evaluation point is still recorded on the result for
 provenance.  Each chart therefore keeps the validated matrices of the most
 recent photon number it was asked for, and a repeated (chart, N) call forms
-and validates nothing.  The closed form and the finite-difference oracle
-below are computed independently of G, as cross-checks.
+and validates nothing; it only copies the kept entries.  The closed form and
+the finite-difference oracle below are computed independently of G, as
+cross-checks.
 """
 
 from __future__ import annotations
@@ -133,9 +134,10 @@ class Chart:
         The entries are formed from the Gram and validated on first use:
         QFIM = (N^2/2d) G^T G - (N^2/4d^2) s s^T (see the module docstring)
         and CFIM = (N^2/4d) G^T G (see :mod:`ghzsense.measurement`).  The
-        slot keeps that matrix until a call with another photon number
-        replaces it; each call returns a shallow copy sharing its entries,
-        with ``phi`` as its phases.
+        slot keeps that matrix, its entries read-only, until a call with
+        another photon number replaces it.  Each call returns a shallow copy
+        with its own copy of those entries and ``phi`` as its phases, so a
+        write to a result never reaches the slot.
         """
         photons = int(photons)
         slot_photons, matrices = self._fisher_slot
@@ -153,10 +155,12 @@ class Chart:
             else:
                 entries = (photons**2 / (4.0 * d)) * gram
             matrix = FisherMatrix(entries, kind, self, photons, d)
+            matrix.entries.flags.writeable = False
             matrix = matrices.setdefault(kind, matrix)
-        matrix = copy.copy(matrix)
-        matrix.phases = phi
-        return matrix
+        result = copy.copy(matrix)
+        result.entries = matrix.entries.copy()
+        result.phases = phi
+        return result
 
     @property
     def nodes(self) -> int:
@@ -202,9 +206,8 @@ class FisherMatrix:
     The PSD test is a Cholesky factorization of ``entries + PSD_TOL * I``,
     which succeeds exactly when the smallest eigenvalue exceeds -PSD_TOL up
     to rounding; a failed factorization is confirmed with ``eigvalsh``
-    before the matrix is rejected.  ``entries`` is the matrix's own
-    read-only copy of the array passed in, so a validated matrix never
-    changes and the matrices of one chart may share it.
+    before the matrix is rejected.  ``entries`` is the matrix's own copy of
+    the array passed in, so changing that array later changes nothing.
     """
 
     entries: np.ndarray
@@ -217,7 +220,7 @@ class FisherMatrix:
     def __post_init__(self):
         if self.kind not in ("quantum", "classical"):
             raise ValidationError(f"kind must be 'quantum' or 'classical', got {self.kind!r}")
-        self.entries = _read_only_copy(self.entries)
+        self.entries = np.array(self.entries, dtype=float)
         if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
             raise ValidationError("Fisher matrix entries must be square")
         if self.entries.shape[0] != self.chart.size:
@@ -294,8 +297,9 @@ def qfim_pure(photons: int, nodes: int, phases, chart: Chart | None = None) -> F
     Evaluates the Gram form (N^2/2d) G^T G - (N^2/4d^2) s s^T, where G is
     :func:`pair_sum_gradients` of the chart and s is the sum of its rows
     (see the module docstring for the derivation), from the chart's cached
-    Gram.  Calls with the same chart and photon number share the entries of
-    one validated matrix; each result carries its own phases.
+    Gram.  Calls with the same chart and photon number copy the entries of
+    one matrix, formed and validated on the first of them; each result
+    carries its own phases.
     """
     _check_counts(photons, nodes)
     phi = phase_vector(phases, nodes)

@@ -308,37 +308,21 @@ def test_the_gram_is_read_only_and_formed_once_per_chart(monkeypatch):
     np.testing.assert_array_equal(gram, gram.T)
 
 
-def test_fisher_matrix_keeps_its_own_read_only_entries():
+def test_fisher_matrix_keeps_its_own_entries():
     entries = np.eye(3)
     matrix = FisherMatrix(entries, "classical", original_chart(3), 2, 3)
     entries[0, 1] = 5.0
-    entries[2, 2] = -7.0  # the caller's array stays writable
+    entries[2, 2] = -7.0
     np.testing.assert_array_equal(matrix.entries, np.eye(3))
-    with pytest.raises(ValueError):
-        matrix.entries[0, 0] = -1.0
-    with pytest.raises(ValueError):
-        qfim_pure(2, 4, np.zeros(4)).entries[0, 0] = -1.0
 
 
 @pytest.mark.parametrize("information", [qfim_pure, cfim])
-def test_calls_with_one_chart_and_photon_number_share_their_entries(information):
-    first_phases, second_phases = RNG.uniform(-0.2, 0.2, (2, 16))
-    first = information(4, 16, first_phases)
-    second = information(4, 16, second_phases)
-    assert second.entries is first.entries
-    np.testing.assert_array_equal(first.phases, first_phases)
-    np.testing.assert_array_equal(second.phases, second_phases)
-
-
-def test_a_new_photon_number_replaces_the_chart_slot():
-    chart = build_mc(16).chart(True)
-    four = qfim_pure(4, 16, np.zeros(16), chart)
-    assert qfim_pure(4, 16, np.zeros(16), chart).entries is four.entries
-    two = qfim_pure(2, 16, np.zeros(16), chart)
-    np.testing.assert_array_equal(two.entries, four.entries / 4.0)
-    again = qfim_pure(4, 16, np.zeros(16), chart)
-    assert again.entries is not four.entries  # formed and validated anew
-    np.testing.assert_array_equal(again.entries, four.entries)
+def test_a_write_to_a_result_never_reaches_the_chart_slot(information):
+    first = information(4, 16, np.zeros(16))
+    kept = first.entries.copy()
+    first.entries[0, 0] *= 1 + 1e-9  # the result is the caller's to change
+    assert first.entries[0, 0] != kept[0, 0]
+    np.testing.assert_array_equal(information(4, 16, np.zeros(16)).entries, kept)
 
 
 def test_a_shared_chart_slot_survives_concurrent_photon_numbers():

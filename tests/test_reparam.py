@@ -183,6 +183,34 @@ def test_charts_are_built_and_validated_once_per_reparametrization(monkeypatch):
         rep.inverse[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("information", [qfim_pure, cfim])
+def test_calls_with_one_chart_and_photon_number_validate_once(information, monkeypatch):
+    chart = build_mc(16).chart(True)
+    first_phases, second_phases = np.random.default_rng(4).uniform(-0.2, 0.2, (2, 16))
+    first = information(4, 16, first_phases, chart)
+    calls = count_linalg_calls(monkeypatch, "cholesky")
+    second = information(4, 16, second_phases, chart)
+    assert calls == {}  # taken from the chart's slot: nothing formed or validated
+    assert second.entries is not first.entries
+    np.testing.assert_array_equal(second.entries, first.entries)
+    np.testing.assert_array_equal(first.phases, first_phases)
+    np.testing.assert_array_equal(second.phases, second_phases)
+
+
+def test_a_new_photon_number_replaces_the_chart_slot(monkeypatch):
+    chart = build_mc(16).chart(True)
+    four = qfim_pure(4, 16, np.zeros(16), chart)
+    calls = count_linalg_calls(monkeypatch, "cholesky")
+    qfim_pure(4, 16, np.zeros(16), chart)
+    assert calls["cholesky"] == 0
+    two = qfim_pure(2, 16, np.zeros(16), chart)
+    assert calls["cholesky"] == 1
+    np.testing.assert_array_equal(two.entries, four.entries / 4.0)
+    again = qfim_pure(4, 16, np.zeros(16), chart)
+    assert calls["cholesky"] == 2  # formed and validated anew
+    np.testing.assert_array_equal(again.entries, four.entries)
+
+
 def test_sweep_validates_one_chart_per_grid_point(monkeypatch):
     pushed = []
 
