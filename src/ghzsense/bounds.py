@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularMatrixError, ValidationError
+from .ghz_state import _check_shots
 from .measurement import cfim
 from .qfim import FisherMatrix, _entries_of, qfim_pure
 from .reparam import build_mc
@@ -34,12 +35,6 @@ def _weight(alpha, dim: int) -> np.ndarray:
     return a
 
 
-def _shots(n) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"shot count must be a positive integer, got {n!r}")
-    return int(n)
-
-
 def exact_crb(matrix, alpha, shots: int = 1) -> float:
     """Exact variance bound alpha^T F^{-1} alpha / shots.
 
@@ -53,7 +48,7 @@ def exact_crb(matrix, alpha, shots: int = 1) -> float:
     test; only when it fails does ``eigvalsh`` decide.
     """
     entries = _entries_of(matrix)
-    n = _shots(shots)
+    n = _check_shots(shots)
     a = _weight(alpha, entries.shape[0])
     if not _certified_invertible(entries):
         eigs = np.linalg.eigvalsh(entries)
@@ -95,7 +90,7 @@ def _certified_invertible(entries: np.ndarray) -> bool:
 def weak_crb(matrix, alpha, shots: int = 1) -> float:
     """Single-direction bound (alpha^T alpha)^2 / (shots * alpha^T F alpha)."""
     entries = _entries_of(matrix)
-    n = _shots(shots)
+    n = _check_shots(shots)
     a = _weight(alpha, entries.shape[0])
     quad = float(a @ entries @ a)
     scale = float(np.max(np.abs(entries), initial=0.0)) * float(a @ a)
@@ -141,7 +136,7 @@ class BoundReport:
 def bound_report(matrix: FisherMatrix, alpha, shots: int = 1) -> BoundReport:
     """Assemble both bounds; the exact one may be unavailable when singular."""
     a = _weight(alpha, matrix.dim)
-    n = _shots(shots)
+    n = _check_shots(shots)
     weak = weak_crb(matrix, a, n)
     try:
         exact = exact_crb(matrix, a, n)

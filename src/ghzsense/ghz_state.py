@@ -23,6 +23,8 @@ POLARIZATIONS = ("H", "V")
 # Largest accepted ring size: one d x d float64 matrix is then 128 MiB.
 # Counts are checked against it before any d x d array is allocated.
 MAX_NODES = 4096
+# Largest shot count per table: multinomial draws and stored counts are int64.
+MAX_SHOTS = 2**63 - 1
 
 
 class KetLabel(NamedTuple):
@@ -55,6 +57,15 @@ def _check_counts(photons: int, nodes: int) -> None:
         raise ValidationError(f"node count must be an integer >= 3, got {nodes}")
     if nodes > MAX_NODES:
         raise ValidationError(f"node count {nodes} exceeds the cap of {MAX_NODES}")
+
+
+def _check_shots(shots) -> int:
+    """``shots`` as an int: a positive integer (not a bool) of at most ``MAX_SHOTS``."""
+    if not isinstance(shots, (int, np.integer)) or isinstance(shots, bool) or shots < 1:
+        raise ValidationError(f"shot count must be a positive integer, got {shots!r}")
+    if shots > MAX_SHOTS:
+        raise ValidationError(f"shot count {shots} exceeds the cap of {MAX_SHOTS}")
+    return int(shots)
 
 
 def phase_vector(values, d: int) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .bounds import exact_crb
 from .errors import ConvergenceError, ValidationError
-from .ghz_state import _check_counts, phase_vector
+from .ghz_state import MAX_SHOTS, _check_counts, _check_shots, phase_vector  # noqa: F401
 from .measurement import (
     OutcomeDistribution,
     _by_label,
@@ -50,8 +50,6 @@ _MULTIPLIER_ITERATIONS = 100
 # allocate (32 MiB of int64 counts; the fit's float working arrays take a few
 # times that).  Larger experiments are refused before anything is allocated.
 MAX_COUNT_CELLS = 2**22
-# Largest shot count per table: multinomial draws and stored counts are int64.
-MAX_SHOTS = 2**63 - 1
 
 
 @dataclass(eq=False, frozen=True)
@@ -135,15 +133,6 @@ class EstimationResult:
 def _draw(probabilities: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """Multinomial counts over the 4*d outcomes in canonical label order."""
     return np.random.default_rng(seed).multinomial(shots, probabilities / probabilities.sum())
-
-
-def _check_shots(shots) -> int:
-    """``shots`` as an int: a positive integer (not a bool) of at most ``MAX_SHOTS``."""
-    if not isinstance(shots, (int, np.integer)) or isinstance(shots, bool) or shots < 1:
-        raise ValidationError(f"shot count must be a positive integer, got {shots!r}")
-    if shots > MAX_SHOTS:
-        raise ValidationError(f"shot count {shots} exceeds the cap of {MAX_SHOTS}")
-    return int(shots)
 
 
 def _check_seed(seed) -> int:
@@ -257,6 +246,18 @@ def _fit_pair_sums(agree, disagree, branch, half) -> tuple[np.ndarray, int]:
     )
 
 
+def _check_window(pair_sums, photons: int, what: str) -> float:
+    """Refuse pair sums outside the identifiable window |x_j| < 2*pi/N; returns the window."""
+    window = 2.0 * math.pi / photons
+    worst = float(np.max(np.abs(pair_sums)))
+    if worst >= window:
+        raise ValidationError(
+            f"{what} outside the identifiable box: max |phi_j + phi_j+1| = "
+            f"{worst:.6g} must be < 2*pi/N = {window:.6g}"
+        )
+    return window
+
+
 def mle_estimate(
     counts,
     initial_theta,
@@ -305,14 +306,8 @@ def mle_estimate(
     rep = build_mc(nodes)
     jac = rep.inverse[:, 1:]
     pair_grads = jac + np.roll(jac, -1, axis=0)
-    window = 2.0 * math.pi / photons
     guess_sums = pair_grads @ guess
-    worst = float(np.max(np.abs(guess_sums)))
-    if worst >= window:
-        raise ValidationError(
-            f"initial guess outside the identifiable box: max |phi_j + phi_j+1| = "
-            f"{worst:.6g} must be < 2*pi/N = {window:.6g}"
-        )
+    window = _check_window(guess_sums, photons, "initial guess")
     per_pair = weights.reshape(weights.shape[0], nodes, 4)
     agree = per_pair[:, :, 0] + per_pair[:, :, 1]
     disagree = per_pair[:, :, 2] + per_pair[:, :, 3]
@@ -461,14 +456,8 @@ def crb_saturation_experiment(
             f"replicates * 4d = {cells} count cells exceed the cap of {MAX_COUNT_CELLS}"
         )
     seed = _check_seed(seed)
-    window = 2.0 * math.pi / photons
-    pair_sums = phi + np.roll(phi, -1)
-    worst = float(np.max(np.abs(pair_sums)))
-    if worst >= window:
-        raise ValidationError(
-            f"true pair sums outside the identifiable box: max |phi_j + phi_j+1| = "
-            f"{worst:.6g} must be < 2*pi/N = {window:.6g}"
-        )
+    shots = _check_shots(shots)
+    _check_window(phi + np.roll(phi, -1), photons, "true pair sums")
     rep = build_mc(nodes)
     theta_true = rep.apply(phi)[1:]
     dist = outcome_distribution(photons, nodes, phi)
@@ -476,14 +465,13 @@ def crb_saturation_experiment(
     basis = np.zeros(nodes - 1)
     basis[0] = 1.0
     bound = exact_crb(reduced, basis, shots)
-    _check_shots(shots)
 
     child_seeds = np.random.SeedSequence(seed).generate_state(
         int(replicates), dtype=np.uint64
     )
     counts = np.empty((int(replicates), 4 * nodes), dtype=np.int64)
     for r, child in enumerate(child_seeds):
-        counts[r] = _draw(dist.array, int(shots), int(child))
+        counts[r] = _draw(dist.array, shots, int(child))
     fit = mle_estimate(
         counts, theta_true, box_half_width, photons=photons, nodes=nodes
     )
@@ -493,7 +481,7 @@ def crb_saturation_experiment(
         int(photons),
         int(nodes),
         phi,
-        int(shots),
+        shots,
         int(replicates),
         seed,
         theta_true,

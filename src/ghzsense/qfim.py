@@ -136,8 +136,8 @@ class Chart:
         and CFIM = (N^2/4d) G^T G (see :mod:`ghzsense.measurement`).  The
         slot keeps that matrix, its entries read-only, until a call with
         another photon number replaces it.  Each call returns a shallow copy
-        with its own copy of those entries and ``phi`` as its phases, so a
-        write to a result never reaches the slot.
+        with its own copy of those entries and a read-only copy of ``phi`` as
+        its phases, so a write to a result never reaches the slot.
         """
         photons = int(photons)
         slot_photons, matrices = self._fisher_slot
@@ -159,7 +159,7 @@ class Chart:
             matrix = matrices.setdefault(kind, matrix)
         result = copy.copy(matrix)
         result.entries = matrix.entries.copy()
-        result.phases = phi
+        result.phases = _read_only_copy(phi)
         return result
 
     @property
@@ -207,7 +207,8 @@ class FisherMatrix:
     which succeeds exactly when the smallest eigenvalue exceeds -PSD_TOL up
     to rounding; a failed factorization is confirmed with ``eigvalsh``
     before the matrix is rejected.  ``entries`` is the matrix's own copy of
-    the array passed in, so changing that array later changes nothing.
+    the array passed in, so changing that array later changes nothing;
+    ``phases`` is a read-only copy.
     """
 
     entries: np.ndarray
@@ -244,7 +245,7 @@ class FisherMatrix:
                     f"Fisher matrix has negative eigenvalue {smallest:.3e} < -{PSD_TOL}"
                 ) from None
         if self.phases is not None:
-            self.phases = phase_vector(self.phases, self.nodes)
+            self.phases = _read_only_copy(phase_vector(self.phases, self.nodes))
 
     @property
     def dim(self) -> int:

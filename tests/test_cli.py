@@ -1,4 +1,6 @@
+import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 import ghzsense
+from ghzsense import cli
 from ghzsense.cli import main
 
 SIM_ARGS = [
@@ -295,4 +298,81 @@ def test_matrix_json_payload_round_trips(tmp_path, capsys):
 
 def test_d4_orthogonal_chart_requires_four_nodes(capsys):
     assert main(["qfim", "--N", "2", "--d", "6", "--chart", "d4-orthogonal"]) == 2
-    capsys.readouterr()
+    assert main(["bounds", "--N", "2", "--d", "6", "--chart", "d4-orthogonal"]) == 2
+    assert main(["transform", "--d", "6", "--chart", "d4-orthogonal"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: invalid configuration: chart 'd4-orthogonal' requires d = 4\n" * 3
+
+
+@pytest.mark.parametrize(
+    "chart, nodes, weight",
+    [("original", 4, "0.25, 0.25, 0.25, 0.25"), ("mc", 6, "1, 0, 0, 0, 0"), ("d4-orthogonal", 4, "0.5, 0, 0")],
+)
+def test_average_weight_in_each_chart(chart, nodes, weight, capsys):
+    argv = ["bounds", "--N", "2", "--d", str(nodes), "--chart", chart, "--alpha", "avg"]
+    assert main(argv) == 0
+    assert f"variance bounds for alpha = [{weight}] " in capsys.readouterr().out
+
+
+def test_chart_choices_are_the_chart_table(capsys):
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command in ("qfim", "cfim", "bounds", "transform"):
+        (chart,) = [a for a in commands.choices[command]._actions if a.dest == "chart"]
+        assert list(chart.choices) == list(cli.CHARTS)
+    # the node chart is a choice, but transform has no reparametrization to emit for it
+    assert main(["transform", "--d", "4", "--chart", "original"]) == 2
+    assert "chart 'original' has none" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("bounds", {"N": 2, "d": 4, "alpha": ["x", 0, 0, 0]}),
+        ("bounds", {"N": 2, "d": 4, "alpha": [1, None, 0, 0]}),
+        ("qfim", {"N": math.inf, "d": 4}),
+        ("qfim", {"N": 2, "d": math.inf}),
+        ("bounds", {"N": 2, "d": 4, "shots": math.inf}),
+        ("simulate", {"N": 2, "d": 4, "replicates": math.inf}),
+        ("simulate", {"N": 2, "d": 4, "seed": math.inf}),
+        ("sweep", {"N": [2, math.inf], "d": [4]}),
+    ],
+    ids=[
+        "alpha-string",
+        "alpha-null",
+        "N-infinite",
+        "d-infinite",
+        "shots-infinite",
+        "replicates-infinite",
+        "seed-infinite",
+        "sweep-entry-infinite",
+    ],
+)
+def test_malformed_config_values_are_status_2(command, doc, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(doc))  # json writes and reads math.inf as Infinity
+    assert main([command, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transform", "--d", "4", "--chart", "mc", "--output", "x", "--format", "csv"],
+        ["bounds", "--N", "2", "--d", "4", "--output", "x", "--format", "csv"],
+        ["bounds", "--N", "2", "--d", "4", "--format", "csv"],
+        ["state", "--N", "2", "--d", "4", "--format", "csv"],
+    ],
+    ids=["transform", "bounds", "bounds-no-output", "state-no-output"],
+)
+def test_a_format_the_command_cannot_write_is_status_2_before_any_work(
+    argv, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setenv("GHZSENSE_OUTPUT_DIR", str(tmp_path))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: invalid configuration: {argv[0]} output supports json only\n"
+    assert list(tmp_path.iterdir()) == []

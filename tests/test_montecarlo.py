@@ -160,8 +160,12 @@ def test_estimates_match_between_table_and_plain_mapping():
 def test_guess_outside_identifiable_window_rejected():
     counts = expected_counts(2, 4, PHI, 1000)
     too_far = np.array([np.pi, 0.0, 0.0])  # pair sums reach 2*pi = beyond 2*pi/N
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as caught:
         mle_estimate(counts, too_far, photons=2, nodes=4)
+    assert str(caught.value) == (
+        "initial guess outside the identifiable box: max |phi_j + phi_j+1| = 6.28319 "
+        "must be < 2*pi/N = 3.14159"
+    )
 
 
 def test_plain_mapping_requires_geometry():
@@ -213,8 +217,12 @@ def test_saturation_rejects_small_replicate_counts():
 
 
 def test_saturation_rejects_unidentifiable_truth():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as caught:
         crb_saturation_experiment(2, 4, np.full(4, np.pi), 1000, 50, 1)
+    assert str(caught.value) == (
+        "true pair sums outside the identifiable box: max |phi_j + phi_j+1| = 6.28319 "
+        "must be < 2*pi/N = 3.14159"
+    )
 
 
 def test_saturation_csv_headers():

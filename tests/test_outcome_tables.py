@@ -14,12 +14,14 @@ import numpy as np
 import pytest
 
 from ghzsense import measurement, montecarlo
+from ghzsense.bounds import bound_report, exact_crb, weak_crb
 from ghzsense.errors import ValidationError
 from ghzsense.ghz_state import node_pair
 from ghzsense.measurement import (
     PATTERNS,
     OutcomeDistribution,
     OutcomeLabel,
+    cfim,
     distribution_to_csv,
     outcome_distribution,
 )
@@ -280,6 +282,10 @@ def test_count_tables_check_shots_and_seed_like_sample_counts(shots, seed):
     counts[0] = 100
     expected = refusal(lambda: sample_counts(outcome_distribution(2, d, phi), shots, seed))
     assert refusal(lambda: CountTable(counts, shots, seed, 2, d, phi)) == expected
+    if type(seed) is int and seed == 1:  # a shot case: the bounds take shots but no seed
+        matrix = cfim(2, d, phi, build_mc(d).chart(True))
+        for bound in (exact_crb, weak_crb, bound_report):
+            assert refusal(lambda: bound(matrix, np.ones(d - 1), shots)) == expected
 
 
 def test_sampling_and_fitting_build_no_label_list(monkeypatch):

@@ -317,6 +317,20 @@ def test_fisher_matrix_keeps_its_own_entries():
 
 
 @pytest.mark.parametrize("information", [qfim_pure, cfim])
+def test_phases_are_a_read_only_copy_of_the_callers_array(information):
+    phi = np.full(8, 0.1)
+    for matrix in (
+        information(2, 8, phi),
+        FisherMatrix(information(2, 8, phi).entries, "quantum", original_chart(8), 2, 8, phi),
+    ):
+        phi[0] = 99.0
+        assert matrix.phases[0] == 0.1
+        assert not matrix.phases.flags.writeable
+        assert matrix.entries.flags.writeable  # the entries stay the caller's to change
+        phi[0] = 0.1
+
+
+@pytest.mark.parametrize("information", [qfim_pure, cfim])
 def test_a_write_to_a_result_never_reaches_the_chart_slot(information):
     first = information(4, 16, np.zeros(16))
     kept = first.entries.copy()
