@@ -23,6 +23,14 @@ POLARIZATIONS = ("H", "V")
 # Largest accepted ring size: one d x d float64 matrix is then 128 MiB.
 # Counts are checked against it before any d x d array is allocated.
 MAX_NODES = 4096
+# Largest accepted photon number, 2**53.  Pair sums live in the identifiable
+# window |x_j| < 2*pi/N, and a phase of modulus up to pi is stored with a
+# float64 spacing of 2**-51 (4.4e-16).  At N = 2**53 the window, 7.0e-16,
+# still spans that spacing; at the next power of two it no longer does, so
+# phases inside one window cannot be told apart.  Every even integer up to
+# 2**53 is also exactly a float64, so the matrix prefactors N**2/(2d) are
+# formed from an exact N.
+MAX_PHOTONS = 2**53
 # Largest shot count per table: multinomial draws and stored counts are int64.
 MAX_SHOTS = 2**63 - 1
 
@@ -51,6 +59,8 @@ def _check_counts(photons: int, nodes: int) -> None:
         raise ValidationError(
             f"photon count must be an even integer >= 2, got {photons}"
         )
+    if photons > MAX_PHOTONS:
+        raise ValidationError(f"photon count {photons} exceeds the cap of {MAX_PHOTONS}")
     if not isinstance(nodes, (int, np.integer)) or isinstance(nodes, bool):
         raise ValidationError(f"node count must be an integer, got {nodes!r}")
     if nodes < 3:

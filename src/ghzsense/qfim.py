@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -325,21 +326,87 @@ def qfim_closed_form_original(photons: int, nodes: int) -> FisherMatrix:
 
 
 def rank_and_nullspace(matrix, tol: float = 1e-9) -> RankReport:
-    """Numerical rank and orthonormal null basis of a symmetric matrix via SVD.
+    """Numerical rank and orthonormal null basis of a symmetric matrix.
 
-    The input is symmetrized and decomposed with the eigh-based Hermitian
-    SVD; singular values below ``tol`` times the largest count as zero.
+    The input is symmetrized, 0.5 * (m + m^T), and its singular values below
+    ``tol`` times the largest count as zero (all of them for the zero
+    matrix).  Two paths apply that rule:
+
+    - An exactly circulant input, ``m[i, j] == m[0, (j - i) % d]`` for every
+      entry, as the original-chart QFIM and CFIM of a ring are, is
+      diagonalized by the discrete Fourier transform.  Its singular values
+      are the moduli of the FFT of the symmetrized first row, and its null
+      basis is made of orthonormal real Fourier modes: 1/sqrt(d) for k = 0,
+      (-1)^j/sqrt(d) for k = d/2, and sqrt(2/d) cos and sin for each pair of
+      modes (k, d - k).  The rank and the null space are those of the
+      symmetrized matrix, which is circulant too, so this agrees with the
+      general path up to rounding; the basis vectors may differ from it by
+      signs or a rotation within the null space.
+    - Every other matrix (reduced or pushed-forward charts, user arrays) is
+      decomposed with the eigh-based Hermitian SVD.
     """
     m = _entries_of(matrix)
     scale = float(np.max(np.abs(m), initial=0.0))
     if float(np.max(np.abs(m - m.T), initial=0.0)) > 1e-10 * max(1.0, scale):
         raise ValidationError("rank analysis requires a symmetric matrix")
+    row = _circulant_first_row(m)
+    if row is None:
+        return _hermitian_rank_and_nullspace(m, tol)
+    return _circulant_rank_and_nullspace(row, tol)
+
+
+def _hermitian_rank_and_nullspace(m: np.ndarray, tol: float) -> RankReport:
+    """The general path of :func:`rank_and_nullspace`, by eigh-based SVD."""
     _, singular, vt = np.linalg.svd(0.5 * (m + m.T), hermitian=True)
     if singular.size == 0 or singular[0] == 0.0:
         rank = 0
     else:
         rank = int(np.sum(singular > tol * singular[0]))
     return RankReport(rank, vt[rank:].T.copy(), float(tol))
+
+
+def _circulant_first_row(m: np.ndarray) -> np.ndarray | None:
+    """First row of the square ``m`` if ``m[i, j] == m[0, (j - i) % d]`` exactly.
+
+    With c the first row, row i of a circulant is c rotated right by i:
+    entry (i, j) is entry d - 1 - i + j of the doubled row (c[1:], c).
+    ``m`` is compared with a read-only strided view of the doubled row that
+    steps back one entry per row, so no d x d index array is formed; every
+    offset it reads lies in 0..2d - 2.  Returns None for any other matrix,
+    and for the empty one.
+    """
+    d = m.shape[0]
+    if d == 0:
+        return None
+    row = m[0]
+    doubled = np.concatenate((row[1:], row))
+    step = doubled.itemsize
+    rotations = np.lib.stride_tricks.as_strided(
+        doubled[d - 1 :], shape=(d, d), strides=(-step, step), writeable=False
+    )
+    return row if np.array_equal(m, rotations) else None
+
+
+def _circulant_rank_and_nullspace(row: np.ndarray, tol: float) -> RankReport:
+    """The circulant path of :func:`rank_and_nullspace`, from the first ``row``.
+
+    The symmetrized matrix has first row c_sym[l] = (c[l] + c[(d - l) % d])/2,
+    an even sequence, so its eigenvalues are the real FFT of c_sym, equal on
+    modes k and d - k.  Only the modes k = 0..d//2 are formed; each k other
+    than 0 and d/2 stands for two singular values and two null vectors.
+    """
+    d = row.size
+    symmetric = 0.5 * (row + np.concatenate((row[:1], row[:0:-1])))
+    singular = np.abs(np.fft.rfft(symmetric).real)
+    modes = np.arange(singular.size)
+    paired = (modes != 0) & (2 * modes != d)
+    kept = singular > tol * singular.max()
+    rank = np.count_nonzero(kept) + np.count_nonzero(kept & paired)
+    null, null_paired = modes[~kept], paired[~kept]
+    angles = (np.outer(np.arange(d), null) % d) * (2.0 * np.pi / d)
+    cosines = np.cos(angles) * np.where(null_paired, math.sqrt(2.0 / d), math.sqrt(1.0 / d))
+    sines = np.sin(angles[:, null_paired]) * math.sqrt(2.0 / d)
+    return RankReport(rank, np.concatenate((cosines, sines), axis=1), float(tol))
 
 
 def _dense(state, labels) -> np.ndarray:

@@ -1,5 +1,7 @@
+import collections
 import os
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -22,6 +24,28 @@ def fresh_ring_memos():
     before it.
     """
     _clear_ring_memos()
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """``linalg_calls(*names)`` counts later calls of those ``np.linalg`` functions.
+
+    Returns a Counter keyed by function name; the patches end with the test.
+    """
+
+    def count(*names):
+        calls = collections.Counter()
+        for name in names:
+            original = getattr(np.linalg, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        return calls
+
+    return count
 
 
 @pytest.fixture

@@ -222,6 +222,16 @@ def test_oversized_ring_is_status_2_before_allocating(argv, capsys):
     assert "exceeds the cap of 4096" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("photons", [str(2 * 10**21), "2" + "0" * 400], ids=["22-digit", "401-digit"])
+@pytest.mark.parametrize("command", ["qfim", "cfim", "sweep"])
+def test_photon_number_above_the_cap_is_status_2(command, photons, capsys):
+    assert main([command, "--N", photons, "--d", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: invalid configuration: ")
+    assert "exceeds the cap of 9007199254740992" in err and "Traceback" not in err
+
+
 def test_import_leaves_scipy_unloaded():
     src = str(Path(ghzsense.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -5,6 +5,7 @@ import pytest
 
 from ghzsense.errors import ValidationError
 from ghzsense.ghz_state import (
+    MAX_PHOTONS,
     KetLabel,
     SparseKetState,
     apply_phases,
@@ -15,6 +16,8 @@ from ghzsense.ghz_state import (
     node_pair,
     phase_vector,
 )
+from ghzsense.measurement import cfim
+from ghzsense.qfim import qfim_pure
 
 RNG = np.random.default_rng(91101)
 
@@ -57,6 +60,27 @@ def test_input_state_norm_is_one(photons, nodes):
 def test_odd_or_nonpositive_photon_number_rejected(photons):
     with pytest.raises(ValidationError):
         build_input_state(photons, 4)
+
+
+@pytest.mark.parametrize("photons", [2 * 10**21, 2 * 10**400], ids=["22-digit", "401-digit"])
+def test_photon_number_above_the_cap_is_refused(photons):
+    for build in (
+        build_input_state,
+        lambda n, d: qfim_pure(n, d, np.zeros(d)),
+        lambda n, d: cfim(n, d, np.zeros(d)),
+    ):
+        with pytest.raises(ValidationError, match=f"exceeds the cap of {MAX_PHOTONS}"):
+            build(photons, 4)
+
+
+def test_photon_cap_is_the_last_power_of_two_whose_window_float64_resolves():
+    # the window 2*pi/N spans the float64 spacing of phases up to pi at the
+    # cap and no longer at twice the cap
+    assert 2.0 * math.pi / MAX_PHOTONS > np.spacing(math.pi) > math.pi / MAX_PHOTONS
+    assert float(MAX_PHOTONS) == MAX_PHOTONS
+    assert build_input_state(MAX_PHOTONS, 4).photons == MAX_PHOTONS
+    with pytest.raises(ValidationError, match="exceeds the cap"):
+        build_input_state(MAX_PHOTONS + 2, 4)
 
 
 def test_too_few_nodes_rejected():

@@ -4,18 +4,20 @@ Both matrices are Gram forms of the pair-sum gradient matrix G:
 CFIM = (N^2/4d) G^T G and QFIM - CFIM = (N^2/4d) G^T (I - 11^T/d) G, so the
 quantum matrix dominates the classical one and the two agree along the
 average phase.  The rank analysis that exposes their null space is checked
-on random PSD matrices of known rank, and the Cholesky certificate of the
-exact bound against the eigenvalue rule it stands in for.
+on random PSD matrices of known rank, its Fourier path for circulant
+matrices against its eigh path, and the Cholesky certificate of the exact
+bound against the eigenvalue rule it stands in for.
 """
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ghzsense.bounds import RANK_RTOL, exact_crb
 from ghzsense.errors import SingularMatrixError
 from ghzsense.measurement import cfim
+from ghzsense import qfim
 from ghzsense.qfim import Chart, qfim_pure, rank_and_nullspace
 from ghzsense.reparam import build_mc
 
@@ -77,6 +79,50 @@ def test_rank_and_nullspace_on_psd_matrices_of_known_rank(size, data, seed):
     assert null.shape == (size, size - rank)
     np.testing.assert_allclose(null.T @ null, np.eye(size - rank), atol=1e-12)
     assert np.linalg.norm(matrix @ null) <= 1e-9 * np.linalg.norm(matrix)
+
+
+@settings(deadline=None)
+@given(
+    nodes=st.integers(1, 64),
+    planted=st.sets(st.integers(0, 32)),
+    zero=st.booleans(),
+    tilt=st.booleans(),
+    seed=seeds,
+)
+@example(nodes=8, planted={0}, zero=False, tilt=False, seed=1)
+@example(nodes=8, planted={4}, zero=False, tilt=False, seed=2)
+@example(nodes=9, planted={2}, zero=False, tilt=False, seed=3)
+@example(nodes=12, planted={0, 3, 6}, zero=False, tilt=True, seed=4)
+@example(nodes=7, planted=set(), zero=True, tilt=True, seed=5)
+def test_circulant_rank_analysis_matches_the_eigh_path(nodes, planted, zero, tilt, seed):
+    # A symmetric circulant with eigenvalue spectrum[k] on Fourier modes k
+    # and d - k; planted modes are null, all others have |eigenvalue| >= 0.5.
+    rng = np.random.default_rng(seed)
+    modes = nodes // 2 + 1
+    spectrum = rng.uniform(0.5, 10.0, modes) * rng.choice([-1.0, 1.0], modes)
+    null = [k for k in planted if k < modes]
+    spectrum[null] = 0.0
+    if zero:
+        spectrum[:] = 0.0
+    row = np.fft.irfft(spectrum, n=nodes)
+    if tilt:
+        # an odd first row adds an antisymmetric part, well inside the
+        # symmetry tolerance, that symmetrizing removes
+        noise = rng.normal(size=nodes)
+        row = row + 1e-12 * (noise - np.concatenate((noise[:1], noise[:0:-1])))
+    offsets = (np.arange(nodes)[None, :] - np.arange(nodes)[:, None]) % nodes
+    matrix = row[offsets]
+    assert qfim._circulant_first_row(matrix) is not None
+
+    report = rank_and_nullspace(matrix)
+    reference = qfim._hermitian_rank_and_nullspace(matrix, 1e-9)
+    nullity = nodes if zero else sum(1 if 2 * k in (0, nodes) else 2 for k in null)
+    assert report.rank == reference.rank == nodes - nullity
+    basis = report.null_basis
+    assert basis.shape == (nodes, nullity)
+    np.testing.assert_allclose(basis.T @ basis, np.eye(nullity), rtol=0, atol=1e-12)
+    projector = reference.null_basis @ reference.null_basis.T
+    np.testing.assert_allclose(basis @ basis.T, projector, rtol=0, atol=1e-10)
 
 
 @settings(deadline=None)

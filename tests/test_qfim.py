@@ -107,6 +107,44 @@ def test_rank_of_zero_matrix_is_zero():
     assert report.null_basis.shape == (4, 4)
 
 
+@pytest.mark.parametrize("photons", [2, 4, 8])
+@pytest.mark.parametrize("nodes", [3, 4, 5, 6, 15, 16, 63, 64, 255, 256])
+def test_original_chart_spectra_are_the_closed_form_circulant_spectra(photons, nodes):
+    # G^T G = 2I + P + P^T is circulant with eigenvalues 4 cos^2(pi k/d);
+    # the QFIM subtracts the uniform mode's share, leaving N^2/d there.
+    modes = np.arange(nodes)
+    cos2 = np.cos(np.pi * modes / nodes) ** 2
+    quantum = np.where(modes == 0, photons**2 / nodes, (2.0 * photons**2 / nodes) * cos2)
+    classical = (photons**2 / nodes) * cos2
+    for information, spectrum in ((qfim_pure, quantum), (cfim, classical)):
+        matrix = information(photons, nodes, np.zeros(nodes))
+        eigenvalues = np.linalg.eigvalsh(matrix.entries)
+        scale = spectrum.max()
+        assert np.max(np.abs(eigenvalues - np.sort(spectrum))) <= 1e-13 * scale
+        # only the alternating mode k = d/2 of an even ring is null
+        assert rank_and_nullspace(matrix).rank == (nodes - 1 if nodes % 2 == 0 else nodes)
+
+
+@pytest.mark.parametrize("photons", [2, 4])
+@pytest.mark.parametrize("nodes", [3, 4, 16, 256, 512])
+def test_original_chart_matrices_are_exactly_circulant(photons, nodes):
+    # rank_and_nullspace takes its Fourier path only on exactly circulant input
+    offsets = (np.arange(nodes)[None, :] - np.arange(nodes)[:, None]) % nodes
+    for information in (qfim_pure, cfim):
+        entries = information(photons, nodes, np.zeros(nodes)).entries
+        np.testing.assert_array_equal(entries, entries[0][offsets])
+
+
+def test_rank_analysis_factorizes_only_matrices_that_are_not_circulant(linalg_calls):
+    original = qfim_pure(4, 256, np.zeros(256))
+    reduced = qfim_pure(4, 256, np.zeros(256), build_mc(256).chart(True))
+    calls = linalg_calls("eigh", "svd")
+    assert rank_and_nullspace(original).rank == 255
+    assert calls == {}
+    assert rank_and_nullspace(reduced).rank == 255
+    assert sum(calls.values()) == 1
+
+
 def test_rank_analysis_refuses_a_matrix_containing_inf():
     with pytest.raises(ValidationError):
         rank_and_nullspace(np.array([[np.inf, 0.0], [0.0, 1.0]]))

@@ -1,4 +1,3 @@
-import collections
 import dataclasses
 import sys
 import threading
@@ -153,23 +152,10 @@ def test_reparametrization_json_round_trip():
     np.testing.assert_array_equal(back.inverse, rep.inverse)
 
 
-def count_linalg_calls(monkeypatch, *names):
-    calls = collections.Counter()
-    for name in names:
-        original = getattr(np.linalg, name)
-
-        def counting(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
-    return calls
-
-
-def test_charts_are_built_and_validated_once_per_reparametrization(monkeypatch):
+def test_charts_are_built_and_validated_once_per_reparametrization(linalg_calls):
     rep = build_mc(16)
     base = qfim_pure(4, 16, np.zeros(16))
-    calls = count_linalg_calls(monkeypatch, "matrix_rank")
+    calls = linalg_calls("matrix_rank")
     first = rep.chart(True)
     assert rep.chart(True) is first
     reduced = pushforward_fisher(base, rep, True)
@@ -184,11 +170,11 @@ def test_charts_are_built_and_validated_once_per_reparametrization(monkeypatch):
 
 
 @pytest.mark.parametrize("information", [qfim_pure, cfim])
-def test_calls_with_one_chart_and_photon_number_validate_once(information, monkeypatch):
+def test_calls_with_one_chart_and_photon_number_validate_once(information, linalg_calls):
     chart = build_mc(16).chart(True)
     first_phases, second_phases = np.random.default_rng(4).uniform(-0.2, 0.2, (2, 16))
     first = information(4, 16, first_phases, chart)
-    calls = count_linalg_calls(monkeypatch, "cholesky")
+    calls = linalg_calls("cholesky")
     second = information(4, 16, second_phases, chart)
     assert calls == {}  # taken from the chart's slot: nothing formed or validated
     assert second.entries is not first.entries
@@ -197,10 +183,10 @@ def test_calls_with_one_chart_and_photon_number_validate_once(information, monke
     np.testing.assert_array_equal(second.phases, second_phases)
 
 
-def test_a_new_photon_number_replaces_the_chart_slot(monkeypatch):
+def test_a_new_photon_number_replaces_the_chart_slot(linalg_calls):
     chart = build_mc(16).chart(True)
     four = qfim_pure(4, 16, np.zeros(16), chart)
-    calls = count_linalg_calls(monkeypatch, "cholesky")
+    calls = linalg_calls("cholesky")
     qfim_pure(4, 16, np.zeros(16), chart)
     assert calls["cholesky"] == 0
     two = qfim_pure(2, 16, np.zeros(16), chart)
@@ -211,7 +197,7 @@ def test_a_new_photon_number_replaces_the_chart_slot(monkeypatch):
     np.testing.assert_array_equal(again.entries, four.entries)
 
 
-def test_sweep_validates_one_chart_per_grid_point(monkeypatch):
+def test_sweep_validates_one_chart_per_grid_point(monkeypatch, linalg_calls):
     pushed = []
 
     def counting(*args, **kwargs):
@@ -220,7 +206,7 @@ def test_sweep_validates_one_chart_per_grid_point(monkeypatch):
 
     monkeypatch.setattr(reparam, "pushforward_fisher", counting)
     monkeypatch.setattr(bounds, "pushforward_fisher", counting, raising=False)
-    calls = count_linalg_calls(monkeypatch, "matrix_rank")
+    calls = linalg_calls("matrix_rank")
     heisenberg_sweep([4], [16])
     assert calls["matrix_rank"] == 1
     assert pushed == []
@@ -240,9 +226,9 @@ def fisher_pipeline(photons, nodes, phi):
     heisenberg_sweep([photons], [nodes])
 
 
-def test_a_repeated_pipeline_builds_and_factorizes_no_ring_geometry(monkeypatch):
+def test_a_repeated_pipeline_builds_and_factorizes_no_ring_geometry(linalg_calls):
     phi = np.random.default_rng(16).uniform(-0.2, 0.2, 16)
-    calls = count_linalg_calls(monkeypatch, "matrix_rank", "inv", "eigvalsh")
+    calls = linalg_calls("matrix_rank", "inv", "eigvalsh")
     fisher_pipeline(4, 16, phi)
     assert calls == {"matrix_rank": 2, "inv": 1}
     calls.clear()
@@ -250,7 +236,7 @@ def test_a_repeated_pipeline_builds_and_factorizes_no_ring_geometry(monkeypatch)
     assert calls == {}
 
 
-def test_a_repeated_pipeline_forms_no_gram_and_factorizes_four_times(monkeypatch):
+def test_a_repeated_pipeline_forms_no_gram_and_factorizes_four_times(monkeypatch, linalg_calls):
     phi = np.random.default_rng(16).uniform(-0.2, 0.2, 16)
     formed = []
 
@@ -259,7 +245,7 @@ def test_a_repeated_pipeline_forms_no_gram_and_factorizes_four_times(monkeypatch
         return pair_sum_gradients(d, chart)
 
     monkeypatch.setattr(qfim, "pair_sum_gradients", counting)
-    calls = count_linalg_calls(monkeypatch, "cholesky")
+    calls = linalg_calls("cholesky")
     fisher_pipeline(4, 16, phi)
     assert sorted(formed) == ["mc", "original"]
     # one PSD test per newly formed matrix and one certificate per exact
@@ -276,8 +262,8 @@ def test_a_repeated_pipeline_forms_no_gram_and_factorizes_four_times(monkeypatch
     assert calls["cholesky"] == 4
 
 
-def test_saturation_experiment_inverts_the_transform_once(monkeypatch):
-    calls = count_linalg_calls(monkeypatch, "inv")
+def test_saturation_experiment_inverts_the_transform_once(linalg_calls):
+    calls = linalg_calls("inv")
     crb_saturation_experiment(2, 8, np.full(8, 0.1), 10_000, 50, 3)
     assert calls["inv"] == 1
 
