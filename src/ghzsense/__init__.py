@@ -20,17 +20,7 @@ from .bounds import (
     weak_vs_exact_check,
 )
 from .errors import ConvergenceError, GhzSenseError, SingularMatrixError, ValidationError
-from .ghz_state import (
-    KetLabel,
-    SparseKetState,
-    apply_phases,
-    build_input_state,
-    directional_state_derivative,
-    inner_product,
-    ket_labels,
-    node_pair,
-    phase_vector,
-)
+from .ghz_state import RingState, apply_phases, build_input_state, node_pair, phase_vector
 from .measurement import (
     OutcomeDistribution,
     OutcomeLabel,
@@ -82,14 +72,13 @@ __all__ = [
     "FisherMatrix",
     "GhzSenseError",
     "InverseCheckReport",
-    "KetLabel",
     "OutcomeDistribution",
     "OutcomeLabel",
     "RankReport",
     "Reparametrization",
+    "RingState",
     "SaturationReport",
     "SingularMatrixError",
-    "SparseKetState",
     "SweepRow",
     "ValidationError",
     "WeakExactReport",
@@ -102,12 +91,9 @@ __all__ = [
     "cfim_brute_force_oracle",
     "closed_form_inverse_check",
     "crb_saturation_experiment",
-    "directional_state_derivative",
     "distribution_to_csv",
     "exact_crb",
     "heisenberg_sweep",
-    "inner_product",
-    "ket_labels",
     "matrix_from_json_dict",
     "matrix_to_csv",
     "matrix_to_json_dict",

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularMatrixError, ValidationError
-from .ghz_state import _check_shots
+from .ghz_state import _check_counts, _check_shots
 from .measurement import cfim
 from .qfim import FisherMatrix, _entries_of, qfim_pure
-from .reparam import build_mc
+from .reparam import _check_even_ring, build_mc
 
 RANK_RTOL = 1e-9
 
@@ -234,20 +234,24 @@ def heisenberg_sweep(photon_counts, node_counts) -> list[SweepRow]:
     phase; the alternating coordinate that makes every original-chart matrix
     singular is already dropped.  Both the quantum and classical matrices
     give an exact bound of 1/N at one shot, independent of d, so the paired
-    measurement saturates the scaling in N.
+    measurement saturates the scaling in N.  Every grid point is validated
+    before any chart is built.
     """
+    grid = [(photons, nodes) for photons in photon_counts for nodes in node_counts]
+    for photons, nodes in grid:
+        _check_counts(photons, nodes)
+        _check_even_ring(nodes)
     rows = []
-    for photons in photon_counts:
-        for nodes in node_counts:
-            chart = build_mc(nodes).chart(True)
-            zeros = np.zeros(nodes)
-            basis = np.zeros(chart.size)
-            basis[0] = 1.0
-            quantum = qfim_pure(photons, nodes, zeros, chart)
-            classical = cfim(photons, nodes, zeros, chart)
-            qcrb = math.sqrt(exact_crb(quantum, basis, 1))
-            ccrb = math.sqrt(exact_crb(classical, basis, 1))
-            rows.append(SweepRow(int(photons), int(nodes), qcrb, ccrb, ccrb / qcrb))
+    for photons, nodes in grid:
+        chart = build_mc(nodes).chart(True)
+        zeros = np.zeros(nodes)
+        basis = np.zeros(chart.size)
+        basis[0] = 1.0
+        quantum = qfim_pure(photons, nodes, zeros, chart)
+        classical = cfim(photons, nodes, zeros, chart)
+        qcrb = math.sqrt(exact_crb(quantum, basis, 1))
+        ccrb = math.sqrt(exact_crb(classical, basis, 1))
+        rows.append(SweepRow(int(photons), int(nodes), qcrb, ccrb, ccrb / qcrb))
     return rows
 
 

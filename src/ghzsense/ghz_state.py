@@ -1,18 +1,17 @@
-"""Sparse kets for N-photon polarization entanglement shared around a ring of d nodes.
+"""The N-photon polarization state shared around a ring of d nodes.
 
-Every state handled here is a superposition of at most 2*d basis kets: for each
-cyclically adjacent node pair (j, j+1) there is one all-horizontal and one
-all-vertical ket, each placing N/2 photons at both nodes of the pair.  Phase
-accumulation acts only on the vertical kets, which is what makes a sparse
-dictionary representation exact rather than approximate.
+The state is a superposition of exactly 2*d basis kets: for each cyclically
+adjacent node pair (j, j+1) there is one all-horizontal and one all-vertical
+ket, each placing N/2 photons at both nodes of the pair.  The state is held
+exactly as one dense (d, 2) array of amplitudes, one row per pair, and phase
+accumulation acts only on its vertical column.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
@@ -35,21 +34,9 @@ MAX_PHOTONS = 2**53
 MAX_SHOTS = 2**63 - 1
 
 
-class KetLabel(NamedTuple):
-    """Basis-ket identifier: 1-based ring-pair index and polarization."""
-
-    pair: int
-    pol: str
-
-
 def node_pair(pair: int, d: int) -> tuple[int, int]:
     """Return the node indices (j, j+1 mod d) carrying ring pair ``pair``."""
     return pair, pair % d + 1
-
-
-def ket_labels(d: int) -> list[KetLabel]:
-    """All 2*d basis labels for a ring of d nodes, in canonical order."""
-    return [KetLabel(j, pol) for j in range(1, d + 1) for pol in POLARIZATIONS]
 
 
 def _check_counts(photons: int, nodes: int) -> None:
@@ -90,77 +77,84 @@ def phase_vector(values, d: int) -> np.ndarray:
     return phi
 
 
-@dataclass(eq=False)
-class SparseKetState:
-    """Sparse complex superposition over the 2*d ring-pair basis kets.
+@dataclass(eq=False, frozen=True)
+class RingState:
+    """Complex superposition over the 2*d ring-pair basis kets.
 
-    ``terms`` maps a :class:`KetLabel` to its complex amplitude.  Labels with
-    amplitude exactly zero are omitted, so a derivative state that vanishes
-    identically is represented by an empty dictionary.
+    ``amplitudes`` has shape (d, 2): row j - 1 holds the amplitudes of pair
+    j's all-horizontal and all-vertical kets, so its row-major order is the
+    canonical ket order (pair 1..d, H before V).  It is a read-only copy of
+    the array passed in.  The JSON form lists the nonzero amplitudes only.
     """
 
-    terms: dict[KetLabel, complex]
+    amplitudes: np.ndarray
     photons: int
     nodes: int
 
     def __post_init__(self):
         _check_counts(self.photons, self.nodes)
-        self.terms = dict(self.terms)
-        if len(self.terms) > 2 * self.nodes:
+        amplitudes = np.array(self.amplitudes, dtype=complex)
+        if amplitudes.shape != (self.nodes, 2):
             raise ValidationError(
-                f"state has {len(self.terms)} terms, at most {2 * self.nodes} allowed"
+                f"amplitudes must have shape ({self.nodes}, 2), got {amplitudes.shape}"
             )
-        for label, amp in self.terms.items():
-            if not isinstance(label, KetLabel):
-                raise ValidationError(f"term key {label!r} is not a KetLabel")
-            if not 1 <= label.pair <= self.nodes:
-                raise ValidationError(
-                    f"ring-pair index {label.pair} outside 1..{self.nodes}"
-                )
-            if label.pol not in POLARIZATIONS:
-                raise ValidationError(f"polarization must be 'H' or 'V', got {label.pol!r}")
-            if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
-                raise ValidationError(f"amplitude for {label} is not finite")
-
-    def amplitude(self, label: KetLabel) -> complex:
-        return self.terms.get(label, 0j)
+        if not np.all(np.isfinite(amplitudes)):
+            j, col = np.argwhere(~np.isfinite(amplitudes))[0]
+            raise ValidationError(
+                f"amplitude for pair {j + 1} polarization {POLARIZATIONS[col]} is not finite"
+            )
+        amplitudes.flags.writeable = False
+        object.__setattr__(self, "amplitudes", amplitudes)
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.terms.values()))
+        return float(np.linalg.norm(self.amplitudes))
 
     def to_json_dict(self) -> dict:
         rows = []
-        for label in sorted(self.terms):
-            amp = complex(self.terms[label])
-            j, k = node_pair(label.pair, self.nodes)
+        for j, col in zip(*np.nonzero(self.amplitudes)):
+            amp = complex(self.amplitudes[j, col])
             rows.append(
-                {"pair": [j, k], "pol": label.pol, "re": amp.real, "im": amp.imag}
+                {
+                    "pair": list(node_pair(int(j) + 1, self.nodes)),
+                    "pol": POLARIZATIONS[col],
+                    "re": amp.real,
+                    "im": amp.imag,
+                }
             )
         return {"N": int(self.photons), "d": int(self.nodes), "terms": rows}
 
     @classmethod
-    def from_json_dict(cls, doc: Mapping) -> "SparseKetState":
+    def from_json_dict(cls, doc: Mapping) -> "RingState":
         try:
             photons = int(doc["N"])
             nodes = int(doc["d"])
             rows = doc["terms"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed state document: {exc}") from exc
-        terms: dict[KetLabel, complex] = {}
+        _check_counts(photons, nodes)
+        amplitudes = np.zeros((nodes, 2), dtype=complex)
+        seen = set()
         for row in rows:
-            j, k = (int(x) for x in row["pair"])
+            try:
+                j, k = (int(x) for x in row["pair"])
+                pol = str(row["pol"])
+                amp = complex(float(row["re"]), float(row["im"]))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValidationError(f"malformed state term {row!r}: {exc}") from exc
             if not 1 <= j <= nodes or k != j % nodes + 1:
                 raise ValidationError(
                     f"node pair [{j}, {k}] is not cyclically adjacent for d={nodes}"
                 )
-            label = KetLabel(j, str(row["pol"]))
-            if label in terms:
-                raise ValidationError(f"duplicate term for {label}")
-            terms[label] = complex(float(row["re"]), float(row["im"]))
-        return cls(terms, photons, nodes)
+            if pol not in POLARIZATIONS:
+                raise ValidationError(f"polarization must be 'H' or 'V', got {pol!r}")
+            if (j, pol) in seen:
+                raise ValidationError(f"duplicate term for pair {j} polarization {pol}")
+            seen.add((j, pol))
+            amplitudes[j - 1, POLARIZATIONS.index(pol)] = amp
+        return cls(amplitudes, photons, nodes)
 
 
-def build_input_state(photons: int, nodes: int) -> SparseKetState:
+def build_input_state(photons: int, nodes: int) -> RingState:
     """Equal-weight superposition over all 2*d ring-pair kets, zero phases.
 
     Parameters
@@ -173,81 +167,18 @@ def build_input_state(photons: int, nodes: int) -> SparseKetState:
 
     Returns
     -------
-    SparseKetState
+    RingState
         Normalized state with all 2*d amplitudes equal to 1/sqrt(2*d).
     """
     _check_counts(photons, nodes)
     amp = 1.0 / math.sqrt(2 * nodes)
-    terms = {label: complex(amp) for label in ket_labels(nodes)}
-    state = SparseKetState(terms, photons, nodes)
-    assert abs(state.norm() - 1.0) < 1e-12
-    return state
+    return RingState(np.full((nodes, 2), amp, dtype=complex), photons, nodes)
 
 
-def apply_phases(state: SparseKetState, phases) -> SparseKetState:
+def apply_phases(state: RingState, phases) -> RingState:
     """Imprint local phases: the vertical ket of pair (j, j+1) acquires
     exp(i*(N/2)*(phi_j + phi_{j+1})); horizontal kets are unchanged."""
     phi = phase_vector(phases, state.nodes)
-    d = state.nodes
-    half = state.photons / 2.0
-    terms: dict[KetLabel, complex] = {}
-    for label, amp in state.terms.items():
-        if label.pol == "V":
-            j = label.pair
-            terms[label] = amp * cmath.exp(1j * half * (phi[j - 1] + phi[j % d]))
-        else:
-            terms[label] = amp
-    return SparseKetState(terms, state.photons, state.nodes)
-
-
-def directional_state_derivative(
-    photons: int, nodes: int, phases, direction
-) -> SparseKetState:
-    """Derivative of the phase-imprinted state along a phase-space direction.
-
-    Differentiating the imprinted state along ``direction`` v scales the
-    vertical ket of pair (j, j+1) by i*(N/2)*(v_j + v_{j+1}) and removes every
-    horizontal ket.  The result is generally unnormalized; it is the zero
-    state exactly when every cyclic pair sum of v vanishes (the alternating
-    direction on an even ring).
-    """
-    _check_counts(photons, nodes)
-    phi = phase_vector(phases, nodes)
-    v = np.asarray(direction, dtype=float)
-    if v.shape != (nodes,):
-        raise ValidationError(
-            f"direction must have shape ({nodes},), got {v.shape}"
-        )
-    if not np.all(np.isfinite(v)):
-        raise ValidationError("direction entries must be finite")
-    if np.linalg.norm(v) == 0.0:
-        raise ValidationError("direction vector must be nonzero")
-    output = apply_phases(build_input_state(photons, nodes), phi)
-    half = photons / 2.0
-    terms: dict[KetLabel, complex] = {}
-    for j in range(1, nodes + 1):
-        coeff = 1j * half * (v[j - 1] + v[j % nodes])
-        if coeff != 0j:
-            label = KetLabel(j, "V")
-            terms[label] = coeff * output.terms[label]
-    return SparseKetState(terms, photons, nodes)
-
-
-def inner_product(bra: SparseKetState, ket: SparseKetState) -> complex:
-    """Hermitian inner product <bra|ket>; the first argument is conjugated."""
-    if bra.photons != ket.photons or bra.nodes != ket.nodes:
-        raise ValidationError(
-            "states live in different spaces: "
-            f"(N={bra.photons}, d={bra.nodes}) vs (N={ket.photons}, d={ket.nodes})"
-        )
-    if len(bra.terms) > len(ket.terms):
-        return sum(
-            bra.terms[label].conjugate() * amp
-            for label, amp in ket.terms.items()
-            if label in bra.terms
-        )
-    return sum(
-        amp.conjugate() * ket.terms[label]
-        for label, amp in bra.terms.items()
-        if label in ket.terms
-    )
+    amplitudes = state.amplitudes.copy()
+    amplitudes[:, 1] *= np.exp(1j * (state.photons / 2.0) * (phi + np.roll(phi, -1)))
+    return RingState(amplitudes, state.photons, state.nodes)

@@ -209,17 +209,14 @@ def cfim_brute_force_oracle(
             f"brute-force Fisher sum needs all outcome probabilities > 1e-8; "
             f"smallest is {lowest:.3e}"
         )
-    derivs = []
-    for m in range(chart.size):
-        shift = step * directions[:, m]
-        plus = outcome_distribution(photons, nodes, phi + shift).as_array()
-        minus = outcome_distribution(photons, nodes, phi - shift).as_array()
-        derivs.append((plus - minus) / (2.0 * step))
-    k = chart.size
-    entries = np.empty((k, k))
-    for m in range(k):
-        for n in range(m, k):
-            value = float(np.sum(derivs[m] * derivs[n] / base))
-            entries[m, n] = value
-            entries[n, m] = value
-    return FisherMatrix(entries, "classical", chart, photons, nodes, phi)
+    derivs = np.stack(
+        [
+            outcome_distribution(photons, nodes, phi + shift).as_array()
+            - outcome_distribution(photons, nodes, phi - shift).as_array()
+            for shift in (step * directions).T
+        ],
+        axis=1,
+    ) / (2.0 * step)
+    # sum_o dP_o dP_o^T / P_o as one product over the (4d, k) stack
+    weighted = derivs / np.sqrt(base)[:, None]
+    return FisherMatrix(weighted.T @ weighted, "classical", chart, photons, nodes, phi)

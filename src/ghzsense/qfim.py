@@ -33,14 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .ghz_state import (
-    MAX_NODES,
-    _check_counts,
-    apply_phases,
-    build_input_state,
-    ket_labels,
-    phase_vector,
-)
+from .ghz_state import MAX_NODES, _check_counts, apply_phases, build_input_state, phase_vector
 
 SYMMETRY_TOL = 1e-10
 PSD_TOL = 1e-9
@@ -204,12 +197,14 @@ def original_chart(d: int) -> Chart:
 class FisherMatrix:
     """Symmetric positive-semidefinite information matrix tied to a chart.
 
-    The PSD test is a Cholesky factorization of ``entries + PSD_TOL * I``,
-    which succeeds exactly when the smallest eigenvalue exceeds -PSD_TOL up
-    to rounding; a failed factorization is confirmed with ``eigvalsh``
-    before the matrix is rejected.  ``entries`` is the matrix's own copy of
-    the array passed in, so changing that array later changes nothing;
-    ``phases`` is a read-only copy.
+    The PSD test is a Cholesky factorization of ``entries + tol * I``, with
+    tol = PSD_TOL * max(1, b) and b the largest absolute row sum, so the
+    tolerance grows with the matrix as its rounding does.  It succeeds
+    exactly when the smallest eigenvalue exceeds -tol up to rounding; a
+    failed factorization is confirmed with ``eigvalsh`` before the matrix
+    is rejected.  ``entries`` is the matrix's own copy of the array passed
+    in, so changing that array later changes nothing; ``phases`` is a
+    read-only copy.
     """
 
     entries: np.ndarray
@@ -235,15 +230,17 @@ class FisherMatrix:
         asym = float(np.max(np.abs(self.entries - self.entries.T), initial=0.0))
         if asym > SYMMETRY_TOL:
             raise ValidationError(f"Fisher matrix asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
+        # the largest absolute row sum bounds every eigenvalue's modulus
+        tol = PSD_TOL * max(1.0, float(np.max(np.abs(self.entries).sum(axis=1), initial=0.0)))
         shifted = self.entries.copy()
-        shifted.flat[:: shifted.shape[0] + 1] += PSD_TOL
+        shifted.flat[:: shifted.shape[0] + 1] += tol
         try:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             smallest = float(np.linalg.eigvalsh(self.entries)[0])
-            if smallest < -PSD_TOL:
+            if smallest < -tol:
                 raise ValidationError(
-                    f"Fisher matrix has negative eigenvalue {smallest:.3e} < -{PSD_TOL}"
+                    f"Fisher matrix has negative eigenvalue {smallest:.3e} < -{tol:.3e}"
                 ) from None
         if self.phases is not None:
             self.phases = _read_only_copy(phase_vector(self.phases, self.nodes))
@@ -409,10 +406,6 @@ def _circulant_rank_and_nullspace(row: np.ndarray, tol: float) -> RankReport:
     return RankReport(rank, np.concatenate((cosines, sines), axis=1), float(tol))
 
 
-def _dense(state, labels) -> np.ndarray:
-    return np.array([state.amplitude(label) for label in labels], dtype=complex)
-
-
 def qfim_finite_difference_oracle(
     photons: int, nodes: int, phases, chart: Chart | None = None, step: float = 1e-6
 ) -> FisherMatrix:
@@ -420,31 +413,28 @@ def qfim_finite_difference_oracle(
 
     Never calls the analytic derivative; each chart direction is probed by
     re-imprinting the input state at phases +/- step along the direction.
+    With D the (2d, k) stack of those differences and o = D^H psi, the
+    matrix is 4 Re(D^H D - o o^H).
     """
     if not 0 < step < 1e-2:
         raise ValidationError(f"finite-difference step must be in (0, 1e-2), got {step}")
     _check_counts(photons, nodes)
     phi = phase_vector(phases, nodes)
     chart, directions = _directions_for(nodes, chart)
-    labels = ket_labels(nodes)
     base = build_input_state(photons, nodes)
-    psi = _dense(apply_phases(base, phi), labels)
-    derivs = []
-    for m in range(chart.size):
-        shift = step * directions[:, m]
-        plus = _dense(apply_phases(base, phi + shift), labels)
-        minus = _dense(apply_phases(base, phi - shift), labels)
-        derivs.append((plus - minus) / (2.0 * step))
-    k = chart.size
-    entries = np.empty((k, k))
-    for m in range(k):
-        for n in range(m, k):
-            gram = np.vdot(derivs[m], derivs[n])
-            overlap_m = np.vdot(derivs[m], psi)
-            overlap_n = np.vdot(psi, derivs[n])
-            value = 4.0 * (gram - overlap_m * overlap_n).real
-            entries[m, n] = value
-            entries[n, m] = value
+    psi = apply_phases(base, phi).amplitudes.ravel()
+    derivs = np.stack(
+        [
+            apply_phases(base, phi + shift).amplitudes.ravel()
+            - apply_phases(base, phi - shift).amplitudes.ravel()
+            for shift in (step * directions).T
+        ],
+        axis=1,
+    ) / (2.0 * step)
+    # Re(D^H D) as one product over the stacked real and imaginary parts
+    parts = np.concatenate((derivs.real, derivs.imag))
+    overlaps = derivs.conj().T @ psi
+    entries = 4.0 * (parts.T @ parts - np.outer(overlaps, overlaps.conj()).real)
     return FisherMatrix(entries, "quantum", chart, photons, nodes, phi)
 
 

@@ -212,6 +212,25 @@ def test_sweep_matches_the_pushforward_route(photons):
         np.testing.assert_array_max_ulp(np.array([row.qcrb, row.ccrb]), expected, maxulp=4)
 
 
+@pytest.mark.parametrize(
+    "photons, nodes, message",
+    [
+        ([2, 3], [4], "photon count must be an even integer >= 2, got 3"),
+        ([2], [4, 5], "node count must be an even integer >= 4, got 5"),
+        ([2], [4, 2**13], "node count 8192 exceeds the cap"),
+    ],
+    ids=["odd-N", "odd-d", "d-above-cap"],
+)
+def test_sweep_validates_the_whole_grid_before_building_any_chart(
+    photons, nodes, message, monkeypatch
+):
+    built = []
+    monkeypatch.setattr("ghzsense.bounds.build_mc", lambda d: built.append(d))
+    with pytest.raises(ValidationError, match=message):
+        heisenberg_sweep(photons, nodes)
+    assert built == []
+
+
 def test_sweep_csv_layout():
     text = sweep_to_csv(heisenberg_sweep([2, 4], [4]))
     lines = text.strip().split("\n")

@@ -56,6 +56,27 @@ def test_odd_ring_rejected_for_transform_and_sweep(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "photons, nodes, message",
+    [
+        ("2,3", "4", "photon count must be an even integer >= 2, got 3"),
+        ("2", "4,5", "node count must be an even integer >= 4, got 5"),
+    ],
+    ids=["odd-N", "odd-d"],
+)
+def test_sweep_refuses_an_odd_grid_point_before_printing(photons, nodes, message, capsys):
+    assert main(["sweep", "--N", photons, "--d", nodes]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: invalid configuration: {message}\n"
+
+
+def test_a_large_photon_number_passes_the_psd_check(capsys):
+    # the node-chart CFIM at N = 2**20 is singular with entries near 1e11
+    assert main(["cfim", "--N", str(2**20), "--d", "6"]) == 0
+    assert "rank 5 of 6 (singular)" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("photons, nodes", [("2", ","), (",", "4"), ("", "4,6")])
 def test_sweep_over_an_empty_grid_is_status_2_before_computing(photons, nodes, monkeypatch, capsys):
     monkeypatch.setattr("ghzsense.cli.heisenberg_sweep", None)  # any call would fail

@@ -6,20 +6,14 @@ import pytest
 from ghzsense.errors import ValidationError
 from ghzsense.ghz_state import (
     MAX_PHOTONS,
-    KetLabel,
-    SparseKetState,
+    RingState,
     apply_phases,
     build_input_state,
-    directional_state_derivative,
-    inner_product,
-    ket_labels,
     node_pair,
     phase_vector,
 )
 from ghzsense.measurement import cfim
 from ghzsense.qfim import qfim_pure
-
-RNG = np.random.default_rng(91101)
 
 
 def test_node_pair_wraps_around_the_ring():
@@ -29,30 +23,29 @@ def test_node_pair_wraps_around_the_ring():
     assert node_pair(6, 6) == (6, 1)
 
 
-def test_ket_labels_enumerates_both_polarizations_per_pair():
-    labels = ket_labels(4)
-    assert len(labels) == 8
-    assert KetLabel(1, "H") in labels
-    assert KetLabel(4, "V") in labels
-    assert len(set(labels)) == 8
+def test_amplitude_rows_hold_each_pairs_h_and_v_kets_in_canonical_order():
+    state = apply_phases(build_input_state(2, 4), phase_vector([0.3, -0.1, 0.7, 0.2], 4))
+    assert state.amplitudes.shape == (4, 2)
+    rows = [(row["pair"], row["pol"]) for row in state.to_json_dict()["terms"]]
+    assert rows == [(list(node_pair(j, 4)), pol) for j in range(1, 5) for pol in "HV"]
+    flat = [complex(row["re"], row["im"]) for row in state.to_json_dict()["terms"]]
+    assert np.array_equal(state.amplitudes.ravel(), flat)
 
 
 def test_input_state_has_2d_terms_with_uniform_amplitude():
     state = build_input_state(2, 4)
-    assert len(state.terms) == 8
+    assert np.count_nonzero(state.amplitudes) == 8
     expected = 1.0 / math.sqrt(8.0)
     assert expected == 0.35355339059327373  # frozen
-    for label in ket_labels(4):
-        amp = state.amplitude(label)
-        assert amp.real == pytest.approx(expected, abs=1e-15)
-        assert amp.imag == 0.0
+    np.testing.assert_array_equal(state.amplitudes.real, expected)
+    np.testing.assert_array_equal(state.amplitudes.imag, 0.0)
     assert state.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("photons,nodes", [(2, 3), (2, 4), (4, 6), (6, 8)])
 def test_input_state_norm_is_one(photons, nodes):
     state = build_input_state(photons, nodes)
-    assert len(state.terms) == 2 * nodes
+    assert np.count_nonzero(state.amplitudes) == 2 * nodes
     assert state.norm() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -92,13 +85,11 @@ def test_phase_imprint_only_touches_v_terms():
     state = build_input_state(2, 4)
     phi = phase_vector([0.3, -0.1, 0.7, 0.2], 4)
     out = apply_phases(state, phi)
+    np.testing.assert_array_equal(out.amplitudes[:, 0], state.amplitudes[:, 0])
     for j in range(1, 5):
-        assert out.amplitude(KetLabel(j, "H")) == state.amplitude(KetLabel(j, "H"))
         k = j % 4 + 1
-        expected = state.amplitude(KetLabel(j, "V")) * np.exp(
-            1j * (phi[j - 1] + phi[k - 1])
-        )
-        assert out.amplitude(KetLabel(j, "V")) == pytest.approx(expected, abs=1e-15)
+        expected = state.amplitudes[j - 1, 1] * np.exp(1j * (phi[j - 1] + phi[k - 1]))
+        assert out.amplitudes[j - 1, 1] == pytest.approx(expected, abs=1e-15)
     assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -107,7 +98,7 @@ def test_overlap_with_pi_kick_on_one_node_is_one_half():
     # cancel against the two untouched ones, leaving only the H half.
     state = build_input_state(2, 4)
     out = apply_phases(state, phase_vector([math.pi, 0.0, 0.0, 0.0], 4))
-    overlap = inner_product(state, out)
+    overlap = np.vdot(state.amplitudes, out.amplitudes)
     assert overlap.real == pytest.approx(0.5, abs=1e-12)
     assert overlap.imag == pytest.approx(0.0, abs=1e-12)
 
@@ -116,45 +107,19 @@ def test_phase_imprint_scales_with_photon_number():
     phi = phase_vector([0.2, 0.0, 0.0, 0.0, 0.0, 0.0], 6)
     for photons in (2, 4, 6):
         out = apply_phases(build_input_state(photons, 6), phi)
-        amp = out.amplitude(KetLabel(1, "V"))
-        angle = np.angle(amp)
+        angle = np.angle(out.amplitudes[0, 1])
         assert angle == pytest.approx((photons / 2) * 0.2, abs=1e-12)
 
 
-def test_directional_derivative_matches_finite_differences():
-    photons, nodes = 4, 6
-    state = build_input_state(photons, nodes)
-    phi = RNG.uniform(-0.5, 0.5, nodes)
-    direction = RNG.normal(size=nodes)
-    step = 1e-6
-    deriv = directional_state_derivative(photons, nodes, phi, direction)
-    plus = apply_phases(state, phi + step * direction)
-    minus = apply_phases(state, phi - step * direction)
-    for label in ket_labels(nodes):
-        numeric = (plus.amplitude(label) - minus.amplitude(label)) / (2 * step)
-        assert deriv.amplitude(label) == pytest.approx(numeric, abs=1e-8)
-
-
-def test_derivative_along_alternating_direction_is_the_zero_state():
-    # Alternating signs cancel on every neighbor pair of an even ring: the
-    # state is exactly constant along this direction.
-    for nodes in (4, 6, 8):
-        phi = RNG.uniform(-1.0, 1.0, nodes)
-        alternating = np.array([(-1.0) ** j for j in range(nodes)])
-        deriv = directional_state_derivative(2, nodes, phi, alternating)
-        assert deriv.terms == {}
-        assert deriv.norm() == 0.0
-
-
-def test_alternating_direction_still_moves_odd_rings():
-    alternating = np.array([(-1.0) ** j for j in range(5)])
-    deriv = directional_state_derivative(2, 5, np.zeros(5), alternating)
-    assert deriv.norm() > 0.1
-
-
-def test_zero_direction_rejected():
-    with pytest.raises(ValidationError):
-        directional_state_derivative(2, 4, np.zeros(4), np.zeros(4))
+def test_amplitudes_are_a_read_only_copy():
+    amplitudes = np.full((4, 2), 0.5 + 0j)
+    state = RingState(amplitudes, 2, 4)
+    amplitudes[0, 0] = 7.0
+    assert state.amplitudes[0, 0] == 0.5
+    with pytest.raises(ValueError):
+        state.amplitudes[0, 0] = 1.0
+    with pytest.raises(ValidationError, match="shape"):
+        RingState(np.ones(8), 2, 4)
 
 
 def test_phase_vector_validates_shape_and_finiteness():
@@ -164,22 +129,14 @@ def test_phase_vector_validates_shape_and_finiteness():
         phase_vector([0.1, np.nan, 0.0, 0.0], 4)
 
 
-def test_inner_product_conjugates_the_first_argument():
-    state = build_input_state(2, 4)
-    out = apply_phases(state, phase_vector([0.4, 0.1, -0.2, 0.3], 4))
-    forward = inner_product(state, out)
-    backward = inner_product(out, state)
-    assert forward == pytest.approx(np.conj(backward), abs=1e-15)
-
-
 def test_state_json_round_trip_preserves_amplitudes_exactly():
     out = apply_phases(
         build_input_state(4, 6),
         phase_vector([0.3, -0.2, 0.7, 0.1, -0.4, 0.25], 6),
     )
     doc = out.to_json_dict()
-    back = SparseKetState.from_json_dict(doc)
-    assert back.terms == out.terms
+    back = RingState.from_json_dict(doc)
+    assert np.array_equal(back.amplitudes, out.amplitudes)
     assert back.to_json_dict() == doc
 
 
@@ -187,4 +144,24 @@ def test_from_json_rejects_mismatched_pair_links():
     doc = build_input_state(2, 4).to_json_dict()
     doc["terms"][0]["pair"] = [1, 3]  # not ring-adjacent
     with pytest.raises(ValidationError):
-        SparseKetState.from_json_dict(doc)
+        RingState.from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda terms: terms.append(dict(terms[1])), "duplicate term for pair 1 polarization V"),
+        (lambda terms: terms[2].update(pol="D"), "polarization must be 'H' or 'V', got 'D'"),
+        (lambda terms: terms[3].update(im=math.inf), "pair 2 polarization V is not finite"),
+        (lambda terms: terms[4].update(re=math.nan), "pair 3 polarization H is not finite"),
+        (lambda terms: terms[5].update(re="abc"), "malformed state term"),
+        (lambda terms: terms[6].pop("im"), "malformed state term"),
+        (lambda terms: terms[7].update(pair=[4, 1, 2]), "malformed state term"),
+    ],
+    ids=["duplicate", "polarization", "infinite", "nan", "non-numeric", "missing", "triple"],
+)
+def test_from_json_refuses_malformed_terms(edit, message):
+    doc = build_input_state(2, 4).to_json_dict()
+    edit(doc["terms"])
+    with pytest.raises(ValidationError, match=message):
+        RingState.from_json_dict(doc)

@@ -6,8 +6,14 @@ quantum matrix dominates the classical one and the two agree along the
 average phase.  The rank analysis that exposes their null space is checked
 on random PSD matrices of known rank, its Fourier path for circulant
 matrices against its eigh path, and the Cholesky certificate of the exact
-bound against the eigenvalue rule it stands in for.
+bound against the eigenvalue rule it stands in for.  The phase imprint is
+checked bit for bit against a per-ket reference, and the state's JSON form
+as an exact round trip.
 """
+
+import cmath
+import json
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +22,7 @@ from hypothesis import strategies as st
 
 from ghzsense.bounds import RANK_RTOL, exact_crb
 from ghzsense.errors import SingularMatrixError
+from ghzsense.ghz_state import RingState, apply_phases, build_input_state
 from ghzsense.measurement import cfim
 from ghzsense import qfim
 from ghzsense.qfim import Chart, qfim_pure, rank_and_nullspace
@@ -24,6 +31,16 @@ from ghzsense.reparam import build_mc
 even_rings = st.integers(2, 32).map(lambda half: 2 * half)
 photon_numbers = st.sampled_from([2, 4, 6, 8])
 seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def imprints(draw):
+    """(N, d, phi): even N up to 2**20, d from 3 to 64, phi in [-pi, pi]^d."""
+    photons = 2 * draw(st.integers(1, 2**19))
+    nodes = draw(st.integers(3, 64))
+    phases = st.floats(-math.pi, math.pi, allow_subnormal=False)
+    phi = draw(st.lists(phases, min_size=nodes, max_size=nodes))
+    return photons, nodes, np.array(phi)
 
 
 def random_chart(nodes: int, rng: np.random.Generator) -> Chart:
@@ -151,3 +168,29 @@ def test_exact_bound_verdict_matches_the_eigenvalue_rule(size, log_margin, log_s
     else:
         with pytest.raises(SingularMatrixError):
             exact_crb(matrix, alpha)
+
+
+@settings(deadline=None)
+@given(imprint=imprints())
+def test_imprint_is_bit_identical_to_the_per_ket_reference(imprint):
+    photons, nodes, phi = imprint
+    amp = complex(1.0 / math.sqrt(2 * nodes))
+    half = photons / 2.0
+    expected = [
+        [amp, amp * cmath.exp(1j * half * (phi[j - 1] + phi[j % nodes]))]
+        for j in range(1, nodes + 1)
+    ]
+    state = apply_phases(build_input_state(photons, nodes), phi)
+    assert np.array_equal(state.amplitudes, np.array(expected))
+
+
+@settings(deadline=None)
+@given(imprint=imprints(), data=st.data())
+def test_state_json_round_trip_is_an_identity(imprint, data):
+    photons, nodes, phi = imprint
+    doc = apply_phases(build_input_state(photons, nodes), phi).to_json_dict()
+    kept = data.draw(st.lists(st.booleans(), min_size=2 * nodes, max_size=2 * nodes))
+    for terms in (doc["terms"], [row for row, keep in zip(doc["terms"], kept) if keep]):
+        text = json.dumps({**doc, "terms": terms}, indent=2, sort_keys=True)
+        back = RingState.from_json_dict(json.loads(text))
+        assert json.dumps(back.to_json_dict(), indent=2, sort_keys=True) == text

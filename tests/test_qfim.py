@@ -8,13 +8,7 @@ import pytest
 
 from ghzsense import qfim
 from ghzsense.errors import ValidationError
-from ghzsense.ghz_state import (
-    MAX_NODES,
-    apply_phases,
-    build_input_state,
-    directional_state_derivative,
-    inner_product,
-)
+from ghzsense.ghz_state import MAX_NODES, apply_phases, build_input_state
 from ghzsense.measurement import cfim
 from ghzsense.qfim import (
     Chart,
@@ -168,21 +162,59 @@ def test_oracle_agrees_with_analytic_matrix_on_random_charts():
         np.testing.assert_allclose(analytic.entries, numeric.entries, atol=1e-6)
 
 
+def state_derivative(photons, nodes, phi, direction):
+    """Dense derivative of the imprinted state along ``direction``, in ket order.
+
+    The vertical amplitude of pair j is scaled by i(N/2)(v_j + v_{j+1}); the
+    horizontal amplitudes carry no phase, so their derivative is zero.
+    """
+    vertical = apply_phases(build_input_state(photons, nodes), phi).amplitudes[:, 1]
+    scale = 1j * (photons / 2.0) * (direction + np.roll(direction, -1))
+    return np.stack([np.zeros(nodes, dtype=complex), scale * vertical], axis=1).ravel()
+
+
 def per_entry_qfim(photons, nodes, phi, directions):
-    """Reference: one sparse-ket inner product per matrix entry."""
-    state = apply_phases(build_input_state(photons, nodes), phi)
+    """Reference: one inner product per matrix entry, from test-local derivatives."""
+    state = apply_phases(build_input_state(photons, nodes), phi).amplitudes.ravel()
     derivs = [
-        directional_state_derivative(photons, nodes, phi, directions[:, m])
+        state_derivative(photons, nodes, phi, directions[:, m])
         for m in range(directions.shape[1])
     ]
-    overlaps = [inner_product(dm, state) for dm in derivs]
+    overlaps = [np.vdot(dm, state) for dm in derivs]
     pairs = list(zip(derivs, overlaps))
     return np.array(
         [
-            [4.0 * (inner_product(dm, dn) - om * on.conjugate()).real for dn, on in pairs]
+            [4.0 * (np.vdot(dm, dn) - om * on.conjugate()).real for dn, on in pairs]
             for dm, om in pairs
         ]
     )
+
+
+def test_reference_derivative_matches_finite_differences():
+    photons, nodes = 4, 6
+    state = build_input_state(photons, nodes)
+    phi = RNG.uniform(-0.5, 0.5, nodes)
+    direction = RNG.normal(size=nodes)
+    step = 1e-6
+    plus = apply_phases(state, phi + step * direction).amplitudes.ravel()
+    minus = apply_phases(state, phi - step * direction).amplitudes.ravel()
+    np.testing.assert_allclose(
+        state_derivative(photons, nodes, phi, direction), (plus - minus) / (2 * step), atol=1e-8
+    )
+
+
+def test_reference_derivative_vanishes_along_the_alternating_direction_of_even_rings():
+    # Alternating signs cancel on every neighbor pair of an even ring: the
+    # state is exactly constant along this direction.
+    for nodes in (4, 6, 8):
+        phi = RNG.uniform(-1.0, 1.0, nodes)
+        alternating = np.array([(-1.0) ** j for j in range(nodes)])
+        assert not np.any(state_derivative(2, nodes, phi, alternating))
+
+
+def test_alternating_direction_still_moves_odd_rings():
+    alternating = np.array([(-1.0) ** j for j in range(5)])
+    assert np.linalg.norm(state_derivative(2, 5, np.zeros(5), alternating)) > 0.1
 
 
 @pytest.mark.parametrize("photons", [2, 4, 6])
@@ -260,7 +292,8 @@ def rotated_spectrum(eigenvalues, seed=7):
 
 def test_psd_check_rejects_an_eigenvalue_just_below_the_tolerance():
     entries = rotated_spectrum([-1e-8, 0.5, 1.0, 2.0])
-    with pytest.raises(ValidationError, match=r"negative eigenvalue -1\.000e-08 < -1e-09"):
+    # b, the largest absolute row sum, is 2.385 here: the tolerance is 1e-9 * b
+    with pytest.raises(ValidationError, match=r"negative eigenvalue -1\.000e-08 < -2\.385e-09$"):
         FisherMatrix(entries, "quantum", original_chart(4), 2, 4, None)
 
 
@@ -274,6 +307,16 @@ def test_psd_check_accepts_the_exactly_singular_wide_ring_matrix():
     entries = qfim_pure(4, 256, np.zeros(256)).entries
     assert rank_and_nullspace(entries).nullity == 1
     FisherMatrix(entries, "quantum", original_chart(256), 4, 256, None)
+
+
+@pytest.mark.parametrize("nodes", [4, 6, 16, 256])
+def test_node_chart_matrices_validate_for_every_power_of_two_photon_number(nodes):
+    # singular matrices whose entries grow as N^2: their rounding grows with
+    # them, and so does the PSD tolerance
+    for exponent in range(1, 54):
+        for information in (qfim_pure, cfim):
+            matrix = information(2**exponent, nodes, np.zeros(nodes))
+            assert matrix.entries[0, 0] > 0.0
 
 
 def test_chart_directions_are_a_read_only_copy():
