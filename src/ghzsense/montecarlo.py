@@ -39,7 +39,14 @@ from .measurement import (
     outcome_labels,
 )
 from .qfim import _read_only_copy
-from .reparam import build_mc
+from .reparam import (
+    _check_even_ring,
+    _mc_coordinates,
+    _mc_kept_labels,
+    _mc_pair_pullback,
+    _mc_phases,
+    build_mc,
+)
 
 DEFAULT_BOX_HALF_WIDTH = 0.25
 # Largest gradient max-norm of the per-event negative log likelihood that
@@ -130,9 +137,14 @@ class EstimationResult:
     iterations: int
 
 
+def _normalized(dist: OutcomeDistribution) -> np.ndarray:
+    """The outcome probabilities of ``dist`` divided by their sum, as the draws use them."""
+    return dist.array / dist.array.sum()
+
+
 def _draw(probabilities: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Multinomial counts over the 4*d outcomes in canonical label order."""
-    return np.random.default_rng(seed).multinomial(shots, probabilities / probabilities.sum())
+    """Multinomial counts over the 4*d outcomes, from probabilities that sum to 1."""
+    return np.random.default_rng(seed).multinomial(shots, probabilities)
 
 
 def _check_seed(seed) -> int:
@@ -149,7 +161,7 @@ def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountTabl
     """
     shots = _check_shots(shots)
     seed = _check_seed(seed)
-    draws = _draw(dist.array, shots, seed)
+    draws = _draw(_normalized(dist), shots, seed)
     return CountTable(draws, shots, seed, dist.photons, dist.nodes, dist.phases)
 
 
@@ -179,30 +191,48 @@ def _count_rows(counts, photons, nodes) -> tuple[np.ndarray, int, int, bool]:
     return rows, photons, nodes, batched
 
 
-def _pair_sums(multiplier, agree, disagree, branch, half):
-    """Pair sums maximizing l_j(x) - multiplier (-1)^j x, and -(-1)^j dx_j/dmultiplier.
+def _pair_maxima(agree, disagree, branch, half):
+    """Pair sums maximizing l_j(x) - multiplier (-1)^j x, as a function of the multipliers.
 
-    With u = hx/2: if b_j > 0, tan|u| is the positive root of
-    a_j t^2 + mu t - b_j = 0, mu = multiplier (-1)^j branch_j / h, in its
-    cancellation-free form; if b_j = 0, u = -arctan(multiplier (-1)^j / (a_j h)).
-    The derivative is 1/|l_j''| = 2 / (h^2 (a_j / cos^2 u + b_j / sin^2 u)),
-    except for a pair held on the window edge (a_j = 0 and mu < 0): 0.
+    The returned function maps each row's multiplier to the pair sums and
+    -(-1)^j dx_j/dmultiplier; sqrt(a_j b_j), the masks and the signs are
+    formed once here.  With u = hx/2, s_j the branch if b_j > 0 and + if
+    b_j = 0, and mu = multiplier (-1)^j s_j / h, t = tan(s_j u) is: if
+    b_j > 0, the positive root of a_j t^2 + mu t - b_j = 0 in its
+    cancellation-free form; if b_j = 0, -mu / a_j.  The pair sum is
+    2 s_j arctan(t) / h, and its derivative 1/|l_j''| =
+    2 / (h^2 (a_j (1 + t^2) + b_j (1 + 1/t^2))), except for an empty pair
+    and a pair held on the window edge (a_j = 0 and mu < 0): 0.
     """
-    pull = multiplier[:, None] * (-1.0) ** np.arange(agree.shape[1])
-    mu = pull * branch / half
-    root = np.hypot(mu, 2.0 * np.sqrt(agree * disagree))
-    on_branch = np.where(
-        mu >= 0.0,
-        np.arctan2(2.0 * disagree, mu + root),
-        np.arctan2(root - mu, 2.0 * agree),
-    )
-    angle = np.where(disagree > 0, branch * on_branch, -np.arctan2(pull, half * agree))
-    zeros = np.zeros_like(angle)
-    curvature = np.divide(agree, np.cos(angle) ** 2, out=zeros.copy(), where=agree > 0)
-    curvature += np.divide(disagree, np.sin(angle) ** 2, out=zeros.copy(), where=disagree > 0)
-    moves = (curvature > 0) & ~((agree == 0) & (mu < 0))
-    flex = np.divide(2.0 / half**2, curvature, out=zeros, where=moves)
-    return 2.0 * angle / half, flex
+    sign = np.where(disagree > 0, branch, 1.0)
+    scale = (-1.0) ** np.arange(agree.shape[1]) * sign / half
+    to_pair_sum = 2.0 * sign / half
+    geometric = 2.0 * np.sqrt(agree * disagree)
+    twice_disagree = 2.0 * disagree
+    no_agree = agree == 0
+    no_disagree = disagree == 0
+    empty = no_agree & no_disagree
+    with np.errstate(divide="ignore"):
+        half_inverse_agree = 0.5 / agree
+    smooth_slope = np.where(no_disagree & ~no_agree, -2.0 * half_inverse_agree, 0.0)
+    flex_scale = 2.0 / half**2
+
+    def pair_sums(multiplier):
+        mu = multiplier[:, None] * scale
+        root = np.hypot(mu, geometric)
+        rising = mu >= 0.0
+        # a pair without agree events and mu <= 0 has t = inf (u on the window
+        # edge); the branches and terms that np.where discards may be 0/0 or 0*inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(rising, twice_disagree / (mu + root), (root - mu) * half_inverse_agree)
+            t = np.where(no_disagree, mu * smooth_slope, t)
+            t2 = t * t
+            curvature = np.where(no_agree, 0.0, agree * (1.0 + t2))
+            curvature += np.where(no_disagree, 0.0, disagree * (1.0 + 1.0 / t2))
+            flex = np.where(empty | (no_agree & ~rising), 0.0, flex_scale / curvature)
+        return to_pair_sum * np.arctan(t), flex
+
+    return pair_sums
 
 
 def _fit_pair_sums(agree, disagree, branch, half) -> tuple[np.ndarray, int]:
@@ -215,17 +245,19 @@ def _fit_pair_sums(agree, disagree, branch, half) -> tuple[np.ndarray, int]:
     """
     alternating = (-1.0) ** np.arange(agree.shape[1])
     empty = agree + disagree == 0
+    stuck = empty.any(axis=1)
     multiplier = np.zeros(agree.shape[0])
     lower = np.full_like(multiplier, -np.inf)
     upper = np.full_like(multiplier, np.inf)
     last_step = np.full_like(multiplier, np.inf)
     rounding = 4.0 * np.finfo(float).eps
+    maxima = _pair_maxima(agree, disagree, branch, half)
     for iterations in range(_MULTIPLIER_ITERATIONS + 1):
-        pair_sums, flex = _pair_sums(multiplier, agree, disagree, branch, half)
+        pair_sums, flex = maxima(multiplier)
         residual = pair_sums @ alternating
         step = residual / flex.sum(axis=1)
         moving = ~(
-            empty.any(axis=1)
+            stuck
             | (np.abs(residual) <= rounding * np.abs(pair_sums).sum(axis=1))
             | (np.abs(step) <= rounding * np.abs(multiplier))
         )
@@ -234,7 +266,8 @@ def _fit_pair_sums(agree, disagree, branch, half) -> tuple[np.ndarray, int]:
         lower = np.where(residual >= 0, multiplier, lower)
         upper = np.where(residual < 0, multiplier, upper)
         one_sided = np.isinf(lower) | np.isinf(upper)
-        step = np.where(one_sided, np.clip(step, -2.0 * last_step, 2.0 * last_step), step)
+        bound = 2.0 * last_step
+        step = np.where(one_sided, np.minimum(np.maximum(step, -bound), bound), step)
         target = multiplier + step
         target = np.where((target > lower) & (target < upper), target, 0.5 * (lower + upper))
         last_step = np.abs(target - multiplier)
@@ -244,6 +277,11 @@ def _fit_pair_sums(agree, disagree, branch, half) -> tuple[np.ndarray, int]:
         f"{int(moving.sum())} of {len(moving)} rows have ring residual up to "
         f"{float(np.max(np.abs(residual[moving]))):.3e}"
     )
+
+
+def _ring_pair_sums(phases: np.ndarray) -> np.ndarray:
+    """x_j = phi_j + phi_{j+1} of every row, the last pair closing the ring."""
+    return phases + np.concatenate((phases[:, 1:], phases[:, :1]), axis=1)
 
 
 def _check_window(pair_sums, photons: int, what: str) -> float:
@@ -303,19 +341,17 @@ def mle_estimate(
         raise ValidationError(
             f"initial guess must have shape ({nodes - 1},), got {guess.shape}"
         )
-    rep = build_mc(nodes)
-    jac = rep.inverse[:, 1:]
-    pair_grads = jac + np.roll(jac, -1, axis=0)
-    guess_sums = pair_grads @ guess
+    _check_even_ring(nodes)
+    guess_sums = _ring_pair_sums(_mc_phases(guess[None, :]))[0]
     window = _check_window(guess_sums, photons, "initial guess")
     per_pair = weights.reshape(weights.shape[0], nodes, 4)
     agree = per_pair[:, :, 0] + per_pair[:, :, 1]
     disagree = per_pair[:, :, 2] + per_pair[:, :, 3]
     total = agree.sum(axis=1) + disagree.sum(axis=1)
-    if np.any(total <= 0):
+    if (total <= 0).any():
         raise ValidationError("counts must have positive total weight")
     empty_pairs = (agree + disagree == 0).sum(axis=1)
-    if np.any(empty_pairs > 1):
+    if (empty_pairs > 1).any():
         row = int(np.argmax(empty_pairs > 1))
         raise ConvergenceError(
             f"count table {row} has no events on {empty_pairs[row]} of {nodes} pairs, so "
@@ -327,24 +363,24 @@ def mle_estimate(
     branch = np.where(guess_sums < 0, -1.0, 1.0)
     pair_sums, iterations = _fit_pair_sums(agree, disagree, branch, half)
     # phi_k = (-1)^(k-1) sum_{i<k} (-1)^i x_i has these pair sums; the
-    # alternating direction it leaves free is theta_0, which forward[1:] drops
+    # alternating direction it leaves free is theta_0, which the kept coordinates drop
     alternating = (-1.0) ** np.arange(nodes)
     phi = np.zeros_like(pair_sums)
     phi[:, 1:] = -alternating[1:] * np.cumsum(alternating * pair_sums, axis=1)[:, :-1]
-    theta = phi @ rep.forward[1:].T
+    theta = _mc_coordinates(phi)
 
-    fitted = theta @ pair_grads.T
+    fitted = _ring_pair_sums(_mc_phases(theta))
     # the solved pair sums sit exactly on the window edge when a maximum does;
     # the recomputed ones may round to either side of it
-    edge = np.max(np.maximum(np.abs(pair_sums), np.abs(fitted)), axis=1)
-    if np.any(edge >= window):
+    edge = np.maximum(np.abs(pair_sums), np.abs(fitted)).max(axis=1)
+    if (edge >= window).any():
         row = int(np.argmax(edge >= window))
         raise ConvergenceError(
             f"count table {row} is fit at |phi_j + phi_j+1| = {edge[row]:.6g}, "
             f"not inside the identifiable window 2*pi/N = {window:.6g}"
         )
-    shift = np.max(np.abs(theta - guess), axis=1)
-    if np.any(shift > box_half_width):
+    shift = np.abs(theta - guess).max(axis=1)
+    if (shift > box_half_width).any():
         row = int(np.argmax(shift > box_half_width))
         raise ConvergenceError(
             f"count table {row} is fit {shift[row]:.6g} from the guess, outside "
@@ -355,8 +391,8 @@ def mle_estimate(
     t = np.tan(half * fitted / 2.0)
     inverse_t = np.divide(1.0, t, out=np.zeros_like(t), where=disagree > 0)
     pair_grad = half * (agree * t - disagree * inverse_t)
-    grad_norm = np.max(np.abs((pair_grad / total[:, None]) @ pair_grads), axis=1)
-    if not np.all(grad_norm <= _GRADIENT_TOL):
+    grad_norm = np.abs(_mc_pair_pullback(pair_grad / total[:, None])).max(axis=1)
+    if not (grad_norm <= _GRADIENT_TOL).all():
         raise ConvergenceError(
             f"likelihood fit left gradient norm {float(np.max(grad_norm)):.3e} above "
             f"the tolerance {_GRADIENT_TOL:.3e}"
@@ -364,8 +400,8 @@ def mle_estimate(
 
     log_agree = np.log(0.5 / (nodes * (1.0 + t * t)))
     log_t2 = np.log(t * t, out=np.zeros_like(t), where=disagree > 0)
-    log_likelihood = np.sum((agree + disagree) * log_agree + disagree * log_t2, axis=1)
-    labels = tuple(rep.labels[i] for i in rep.kept_indices)
+    log_likelihood = ((agree + disagree) * log_agree + disagree * log_t2).sum(axis=1)
+    labels = _mc_kept_labels(nodes)
     if not batched:
         return EstimationResult(theta[0], labels, float(log_likelihood[0]), True, iterations)
     return EstimationResult(theta, labels, log_likelihood, True, iterations)
@@ -446,11 +482,14 @@ def crb_saturation_experiment(
     """
     _check_counts(photons, nodes)
     phi = phase_vector(phases, nodes)
+    if not isinstance(replicates, (int, np.integer)) or isinstance(replicates, bool):
+        raise ValidationError(f"replicates must be an integer, got {replicates!r}")
+    replicates = int(replicates)
     if replicates < 50:
         raise ValidationError(
             f"at least 50 replicates are needed for a stable variance, got {replicates}"
         )
-    cells = int(replicates) * 4 * int(nodes)
+    cells = replicates * 4 * int(nodes)
     if cells > MAX_COUNT_CELLS:
         raise ValidationError(
             f"replicates * 4d = {cells} count cells exceed the cap of {MAX_COUNT_CELLS}"
@@ -467,11 +506,12 @@ def crb_saturation_experiment(
     bound = exact_crb(reduced, basis, shots)
 
     child_seeds = np.random.SeedSequence(seed).generate_state(
-        int(replicates), dtype=np.uint64
+        replicates, dtype=np.uint64
     )
-    counts = np.empty((int(replicates), 4 * nodes), dtype=np.int64)
+    probabilities = _normalized(dist)
+    counts = np.empty((replicates, 4 * nodes), dtype=np.int64)
     for r, child in enumerate(child_seeds):
-        counts[r] = _draw(dist.array, shots, int(child))
+        counts[r] = _draw(probabilities, shots, int(child))
     fit = mle_estimate(
         counts, theta_true, box_half_width, photons=photons, nodes=nodes
     )
@@ -482,7 +522,7 @@ def crb_saturation_experiment(
         int(nodes),
         phi,
         shots,
-        int(replicates),
+        replicates,
         seed,
         theta_true,
         fit.labels,

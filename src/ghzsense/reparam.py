@@ -164,6 +164,61 @@ def _build_mc(d: int) -> Reparametrization:
 _mc = _ring_memo(_build_mc)
 
 
+def _build_mc_kept_labels(d: int) -> tuple[str, ...]:
+    return tuple(f"theta_{i}" for i in range(1, d))
+
+
+# the labels of build_mc(d).kept_indices, shared per ring size
+_mc_kept_labels = _ring_memo(_build_mc_kept_labels)
+
+
+# The fitter's maps between phases and the kept mc coordinates theta_1..theta_{d-1}
+# (theta_0 = 0), one row per table, in O(d) per row instead of dense d x d products.
+
+
+def _mc_coordinates(phases: np.ndarray) -> np.ndarray:
+    """``phases @ build_mc(d).forward[1:].T``.
+
+    theta_1 is the mean phase and theta_r = (phi_{r-2} - phi_r)/d for r >= 2.
+    """
+    d = phases.shape[1]
+    theta = np.empty((phases.shape[0], d - 1))
+    theta[:, 0] = phases.sum(axis=1) / d
+    theta[:, 1:] = (phases[:, :-2] - phases[:, 2:]) / d
+    return theta
+
+
+def _mc_phases(theta: np.ndarray) -> np.ndarray:
+    """``theta @ build_mc(d).inverse[:, 1:].T``: the phases with theta_0 = 0.
+
+    Each parity class of nodes is a chain phi_r = phi_{r-2} - d theta_r, a
+    cumulative sum; theta_0 = 0 and theta_1 put the mean of both chains at
+    theta_1.  Axis 2 of ``chains`` is the parity.
+    """
+    rows, d = theta.shape[0], theta.shape[1] + 1
+    chains = np.zeros((rows, d // 2, 2))
+    theta[:, 1:].reshape(rows, -1, 2).cumsum(axis=1, out=chains[:, 1:])
+    chains = d * (chains.sum(axis=1, keepdims=True) / (d // 2) - chains)
+    return (theta[:, :1, None] + chains).reshape(rows, d)
+
+
+def _mc_pair_pullback(pair_grad: np.ndarray) -> np.ndarray:
+    """``pair_grad @ (J + np.roll(J, -1, axis=0))`` with J = ``build_mc(d).inverse[:, 1:]``.
+
+    The transpose of the pair sums of :func:`_mc_phases`: each node collects
+    the gradients of its two pairs, and each parity chain's adjoint is a
+    reverse cumulative sum of its centred node gradients.
+    """
+    rows, d = pair_grad.shape
+    node_grad = pair_grad + np.concatenate((pair_grad[:, -1:], pair_grad[:, :-1]), axis=1)
+    chains = node_grad.reshape(rows, d // 2, 2)
+    centred = chains - chains.sum(axis=1, keepdims=True) / (d // 2)
+    grad = np.empty((rows, d - 1))
+    grad[:, 0] = node_grad.sum(axis=1)
+    grad[:, 1:] = (-d * centred[:, :0:-1].cumsum(axis=1)[:, ::-1]).reshape(rows, d - 2)
+    return grad
+
+
 def build_orthogonal_d4() -> Reparametrization:
     """Orthogonal 4-node chart (phi_0, phi_a, phi_b, phi_c).
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ghzsense import montecarlo
+from ghzsense import montecarlo, reparam
 from ghzsense.errors import ConvergenceError, ValidationError
 from ghzsense.measurement import OutcomeLabel, outcome_distribution, outcome_labels
 from ghzsense.montecarlo import (
@@ -15,6 +15,10 @@ from ghzsense.montecarlo import (
 from ghzsense.reparam import build_mc
 
 PHI = np.full(4, 0.1)
+LINALG_FUNCTIONS = (
+    "cholesky", "det", "eig", "eigh", "eigvalsh", "inv", "lstsq", "matrix_rank",
+    "pinv", "qr", "slogdet", "solve", "svd",
+)
 
 
 def expected_counts(photons, nodes, phases, shots):
@@ -240,6 +244,31 @@ def test_saturation_rejects_negative_seed():
         crb_saturation_experiment(2, 4, PHI, 1000, 50, -1)
 
 
+@pytest.mark.parametrize("replicates", [60.5, "60", True])
+def test_saturation_refuses_replicate_counts_that_are_not_integers(replicates):
+    with pytest.raises(ValidationError) as caught:
+        crb_saturation_experiment(2, 4, PHI, 1000, replicates, 1)
+    assert str(caught.value) == f"replicates must be an integer, got {replicates!r}"
+
+
+def test_saturation_replicates_draw_what_sample_counts_draws(monkeypatch):
+    phases = np.full(8, 0.1)
+    fitted = []
+
+    def recording_fit(counts, *args, **kwargs):
+        fitted.append(np.array(counts))
+        return mle_estimate(counts, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "mle_estimate", recording_fit)
+    crb_saturation_experiment(2, 8, phases, 20000, 50, 13)
+    dist = outcome_distribution(2, 8, phases)
+    child_seeds = np.random.SeedSequence(13).generate_state(50, dtype=np.uint64)
+    (counts,) = fitted
+    assert counts.shape == (50, 32)
+    for row, child in zip(counts, child_seeds):
+        np.testing.assert_array_equal(row, sample_counts(dist, 20000, int(child)).array)
+
+
 def test_two_pairs_without_events_have_no_unique_maximum():
     counts = {label: 0 for label in outcome_labels(4)}
     counts[OutcomeLabel(1, "++")] = 1
@@ -388,6 +417,47 @@ def test_saturation_replicates_match_single_table_fits():
     for r, child in enumerate(child_seeds):
         single = mle_estimate(sample_counts(dist, 20000, int(child)), report.theta_true)
         assert np.max(np.abs(report.estimates[r] - single.theta)) <= 1e-12
+
+
+def test_slow_multiplier_table_converges_in_at_most_seventeen_steps():
+    # counts spanning five orders of magnitude leave g(lambda) a plateau that
+    # the bracketed Newton steps cross by doubling; the pinned theta and the
+    # 17 steps are those of the dense-product fitter this one replaced
+    agree = [1.0, 1000.0, 1e5, 1000.0]
+    disagree = [0.0, 1e5, 1e5, 1e5]
+    fit = mle_estimate(pair_table(agree, disagree), np.zeros(3), 100.0, photons=2, nodes=4)
+    pinned = np.array([1.2200090208447307, 0.17537888596847906, 0.17537888596847928])
+    assert np.max(np.abs(fit.theta[0] - pinned)) <= 1e-12 * np.max(np.abs(pinned))
+    assert fit.iterations <= 17
+
+
+def test_wide_ring_fit_matches_dense_newton_reference():
+    phases = np.full(128, 0.05)
+    theta_true = build_mc(128).apply(phases)[1:]
+    table = sample_counts(outcome_distribution(2, 128, phases), 10**5, 3)
+    per_pair = table.array.reshape(128, 4).astype(float)
+    agree = per_pair[:, 0] + per_pair[:, 1]
+    disagree = per_pair[:, 2] + per_pair[:, 3]
+    reference = reference_fit(agree, disagree, 2, theta_true)
+    fit = mle_estimate(table, theta_true)
+    assert np.max(np.abs(fit.theta - reference)) <= 1e-9
+
+
+@pytest.mark.parametrize("nodes", [256, 1024])
+def test_fit_makes_no_factorization_and_builds_no_mc_chart(nodes, monkeypatch, linalg_calls):
+    # uniform phases: theta_1 is the phase and every scaled difference is 0
+    theta_true = np.zeros(nodes - 1)
+    theta_true[0] = 0.05
+    table = sample_counts(outcome_distribution(2, nodes, np.full(nodes, 0.05)), 10**5, 1)
+    built = []
+    monkeypatch.setattr(montecarlo, "build_mc", lambda d: built.append(d))
+    monkeypatch.setattr(reparam, "build_mc", lambda d: built.append(d))
+    calls = linalg_calls(*LINALG_FUNCTIONS)
+    fit = mle_estimate(table, theta_true)
+    assert fit.theta.shape == (nodes - 1,)
+    assert fit.labels == tuple(f"theta_{i}" for i in range(1, nodes))
+    assert built == []
+    assert sum(calls.values()) == 0
 
 
 def test_wide_ring_fit_from_the_truth_converges():

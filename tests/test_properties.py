@@ -8,7 +8,8 @@ on random PSD matrices of known rank, its Fourier path for circulant
 matrices against its eigh path, and the Cholesky certificate of the exact
 bound against the eigenvalue rule it stands in for.  The phase imprint is
 checked bit for bit against a per-ket reference, and the state's JSON form
-as an exact round trip.
+as an exact round trip.  The fitter's O(d) maps between phases and the kept
+mc coordinates are checked against the dense products they replace.
 """
 
 import cmath
@@ -26,7 +27,7 @@ from ghzsense.ghz_state import RingState, apply_phases, build_input_state
 from ghzsense.measurement import cfim
 from ghzsense import qfim
 from ghzsense.qfim import Chart, qfim_pure, rank_and_nullspace
-from ghzsense.reparam import build_mc
+from ghzsense.reparam import _mc_coordinates, _mc_pair_pullback, _mc_phases, build_mc
 
 even_rings = st.integers(2, 32).map(lambda half: 2 * half)
 photon_numbers = st.sampled_from([2, 4, 6, 8])
@@ -194,3 +195,25 @@ def test_state_json_round_trip_is_an_identity(imprint, data):
         text = json.dumps({**doc, "terms": terms}, indent=2, sort_keys=True)
         back = RingState.from_json_dict(json.loads(text))
         assert json.dumps(back.to_json_dict(), indent=2, sort_keys=True) == text
+
+
+@settings(deadline=None)
+@given(
+    nodes=st.one_of(even_rings, st.sampled_from([128, 256, 512])),
+    rows=st.integers(1, 3),
+    seed=seeds,
+)
+def test_structured_mc_maps_match_the_dense_products(nodes, rows, seed):
+    rep = build_mc(nodes)
+    jac = rep.inverse[:, 1:]
+    rng = np.random.default_rng(seed)
+    phases = rng.uniform(-np.pi, np.pi, (rows, nodes))
+    theta = rng.normal(size=(rows, nodes - 1))
+    pair_grad = rng.normal(size=(rows, nodes))
+    for got, want in (
+        (_mc_coordinates(phases), phases @ rep.forward[1:].T),
+        (_mc_phases(theta), theta @ jac.T),
+        (_mc_pair_pullback(pair_grad), pair_grad @ (jac + np.roll(jac, -1, axis=0))),
+    ):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
