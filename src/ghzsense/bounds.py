@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularMatrixError, ValidationError
-from .ghz_state import _check_counts, _check_shots
+from .ghz_state import _check_counts, _check_nodes, _check_shots
 from .measurement import cfim
 from .qfim import FisherMatrix, _entries_of, qfim_pure
-from .reparam import _check_even_ring, build_mc
+from .reparam import build_mc
 
 RANK_RTOL = 1e-9
 
@@ -240,7 +240,7 @@ def heisenberg_sweep(photon_counts, node_counts) -> list[SweepRow]:
     grid = [(photons, nodes) for photons in photon_counts for nodes in node_counts]
     for photons, nodes in grid:
         _check_counts(photons, nodes)
-        _check_even_ring(nodes)
+        _check_nodes(nodes, 4, even=True)
     rows = []
     for photons, nodes in grid:
         chart = build_mc(nodes).chart(True)

@@ -23,7 +23,7 @@ from .ghz_state import _check_counts, apply_phases, build_input_state, phase_vec
 from .measurement import cfim
 from .montecarlo import crb_saturation_experiment
 from .qfim import FisherMatrix, matrix_to_csv, matrix_to_json_dict, qfim_pure, rank_and_nullspace
-from .reparam import build_mc, build_orthogonal_d4, closed_form_inverse_check, pushforward_fisher
+from .reparam import build_mc, build_orthogonal_d4, closed_form_inverse_check
 
 OUTPUT_DIR_ENV = "GHZSENSE_OUTPUT_DIR"
 
@@ -176,8 +176,8 @@ def _matrix_in_chart(config: RunConfig, kind: str) -> FisherMatrix:
     if kind not in ("quantum", "classical"):
         raise ValidationError(f"kind must be 'quantum' or 'classical', got {kind!r}")
     rep = _reparametrization(config.chart, config.nodes)
-    base = (qfim_pure if kind == "quantum" else cfim)(config.photons, config.nodes, phi)
-    return base if rep is None else pushforward_fisher(base, rep, drop_irrelevant=True)
+    chart = None if rep is None else rep.chart(True)
+    return (qfim_pure if kind == "quantum" else cfim)(config.photons, config.nodes, phi, chart)
 
 
 def _cmd_state(config: RunConfig) -> None:

@@ -48,10 +48,16 @@ def _check_counts(photons: int, nodes: int) -> None:
         )
     if photons > MAX_PHOTONS:
         raise ValidationError(f"photon count {photons} exceeds the cap of {MAX_PHOTONS}")
+    _check_nodes(nodes)
+
+
+def _check_nodes(nodes, minimum: int = 3, even: bool = False) -> None:
+    """``nodes`` is an integer (not a bool) from ``minimum`` to ``MAX_NODES``, even if ``even``."""
     if not isinstance(nodes, (int, np.integer)) or isinstance(nodes, bool):
         raise ValidationError(f"node count must be an integer, got {nodes!r}")
-    if nodes < 3:
-        raise ValidationError(f"node count must be an integer >= 3, got {nodes}")
+    if nodes < minimum or (even and nodes % 2 != 0):
+        kind = "an even integer" if even else "an integer"
+        raise ValidationError(f"node count must be {kind} >= {minimum}, got {nodes}")
     if nodes > MAX_NODES:
         raise ValidationError(f"node count {nodes} exceeds the cap of {MAX_NODES}")
 

@@ -28,7 +28,9 @@ import numpy as np
 
 from .bounds import exact_crb
 from .errors import ConvergenceError, ValidationError
-from .ghz_state import MAX_SHOTS, _check_counts, _check_shots, phase_vector  # noqa: F401
+from .ghz_state import (  # noqa: F401
+    MAX_SHOTS, _check_counts, _check_nodes, _check_shots, phase_vector
+)
 from .measurement import (
     OutcomeDistribution,
     _by_label,
@@ -40,7 +42,6 @@ from .measurement import (
 )
 from .qfim import _read_only_copy
 from .reparam import (
-    _check_even_ring,
     _mc_coordinates,
     _mc_kept_labels,
     _mc_pair_pullback,
@@ -341,7 +342,7 @@ def mle_estimate(
         raise ValidationError(
             f"initial guess must have shape ({nodes - 1},), got {guess.shape}"
         )
-    _check_even_ring(nodes)
+    _check_nodes(nodes, 4, even=True)
     guess_sums = _ring_pair_sums(_mc_phases(guess[None, :]))[0]
     window = _check_window(guess_sums, photons, "initial guess")
     per_pair = weights.reshape(weights.shape[0], nodes, 4)

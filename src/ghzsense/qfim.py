@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .ghz_state import MAX_NODES, _check_counts, apply_phases, build_input_state, phase_vector
+from .ghz_state import _check_counts, _check_nodes, apply_phases, build_input_state, phase_vector
 
 SYMMETRY_TOL = 1e-10
 PSD_TOL = 1e-9
@@ -186,10 +186,7 @@ _original_chart = _ring_memo(_build_original_chart)
 
 def original_chart(d: int) -> Chart:
     """Standard per-node phase chart phi_1..phi_d, shared per ring size."""
-    if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1:
-        raise ValidationError(f"node count must be a positive integer, got {d!r}")
-    if d > MAX_NODES:
-        raise ValidationError(f"node count {d} exceeds the cap of {MAX_NODES}")
+    _check_nodes(d, 1)
     return _original_chart(d)
 
 

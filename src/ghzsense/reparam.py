@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .ghz_state import MAX_NODES
+from .ghz_state import _check_nodes
 from .qfim import Chart, FisherMatrix, _read_only_copy, _ring_memo
 
 IDENTITY_TOL = 1e-10
@@ -27,10 +27,11 @@ class Reparametrization:
 
     ``labels`` name the new coordinates with the irrelevant one first;
     ``kept_indices`` are the coordinates retained when it is dropped.  The
-    ``inverse`` field is the numerically computed matrix inverse and is the
-    one used everywhere in the toolkit.  A reparametrization is frozen and
-    stores its own read-only copies of both matrices, so it and the charts
-    built from it stay valid when shared.
+    ``inverse`` field, checked against ``forward`` to ``IDENTITY_TOL``, is the
+    one used everywhere in the toolkit; for ``mc`` it is the exact integer
+    inverse.  A reparametrization is frozen and stores its own read-only
+    copies of both matrices, so it and the charts built from it stay valid
+    when shared.
     """
 
     forward: np.ndarray
@@ -119,46 +120,33 @@ class Reparametrization:
             raise ValidationError(f"malformed reparametrization document: {exc}") from exc
 
 
-def _check_even_ring(d: int) -> None:
-    if not isinstance(d, (int, np.integer)) or isinstance(d, bool):
-        raise ValidationError(f"node count must be an integer, got {d!r}")
-    if d < 4 or d % 2 != 0:
-        raise ValidationError(f"node count must be an even integer >= 4, got {d}")
-    if d > MAX_NODES:
-        raise ValidationError(f"node count {d} exceeds the cap of {MAX_NODES}")
-
-
 def build_mc(d: int) -> Reparametrization:
     """Average-phase-first cyclic-difference coordinates for an even ring.
 
     Row 0 (theta_0, the irrelevant coordinate) is the alternating pattern
     (-1, +1, ..., -1, +1)/d; row 1 (theta_1) is the average (1, ..., 1)/d;
     row i for i >= 2 is the scaled difference (phi_{i-1} - phi_{i+1})/d.
-    The transform is not orthogonal; its numerical inverse satisfies
-    column sums (0, d, 0, ..., 0), which is what decouples theta_1 from the
-    remaining coordinates in any pushed-forward Fisher matrix.  The result
-    is frozen and shared: rings up to ``qfim.RING_MEMO_MAX_NODES`` are built
+    The transform is not orthogonal.  Its inverse is the exact integer
+    matrix: column 0 alternates (-1, +1, ...), column 1 is all ones, and
+    column c >= 2, with m = c // 2, is nonzero only on the rows of c's
+    parity, holding d - 2m on the first m of them and -2m on the rest.  Its
+    column sums are (0, d, 0, ..., 0), which is what decouples theta_1 from
+    the remaining coordinates in any Fisher matrix of this chart.  Both
+    matrices come from the O(d) maps :func:`_mc_coordinates` and
+    :func:`_mc_phases`, so the geometry is stated once.  The result is
+    frozen and shared: rings up to ``qfim.RING_MEMO_MAX_NODES`` are built
     once per size.
     """
-    _check_even_ring(d)
+    _check_nodes(d, 4, even=True)
     return _mc(d)
 
 
 def _build_mc(d: int) -> Reparametrization:
-    forward = np.zeros((d, d))
-    forward[0] = [(-1.0) ** j / d for j in range(1, d + 1)]
-    forward[1] = 1.0 / d
-    for row in range(2, d):
-        forward[row, row - 2] += 1.0 / d
-        forward[row, row] -= 1.0 / d
-    inverse = np.linalg.inv(forward)
+    alternating = (-1.0) ** np.arange(1, d + 1)
+    forward = np.vstack((alternating / d, _mc_coordinates(np.eye(d)).T))
+    inverse = np.column_stack((alternating, _mc_phases(np.eye(d - 1)).T))
     labels = tuple(f"theta_{i}" for i in range(d))
-    rep = Reparametrization(forward, inverse, labels, tuple(range(1, d)), "mc")
-    sums = inverse.sum(axis=0)
-    expected = np.zeros(d)
-    expected[1] = d
-    assert np.max(np.abs(sums - expected)) < 1e-9, "inverse column sums must be (0, d, 0, ...)"
-    return rep
+    return Reparametrization(forward, inverse, labels, tuple(range(1, d)), "mc")
 
 
 _mc = _ring_memo(_build_mc)
@@ -172,8 +160,9 @@ def _build_mc_kept_labels(d: int) -> tuple[str, ...]:
 _mc_kept_labels = _ring_memo(_build_mc_kept_labels)
 
 
-# The fitter's maps between phases and the kept mc coordinates theta_1..theta_{d-1}
-# (theta_0 = 0), one row per table, in O(d) per row instead of dense d x d products.
+# The maps between phases and the kept mc coordinates theta_1..theta_{d-1}
+# (theta_0 = 0), in O(d) per row: the fitter maps one row per table, and
+# _build_mc maps the unit vectors to form both matrices.
 
 
 def _mc_coordinates(phases: np.ndarray) -> np.ndarray:
@@ -193,12 +182,13 @@ def _mc_phases(theta: np.ndarray) -> np.ndarray:
 
     Each parity class of nodes is a chain phi_r = phi_{r-2} - d theta_r, a
     cumulative sum; theta_0 = 0 and theta_1 put the mean of both chains at
-    theta_1.  Axis 2 of ``chains`` is the parity.
+    theta_1.  Axis 2 of ``chains`` is the parity.  With S a chain's sum,
+    d (S/(d/2) - c) is written 2 S - d c, which is exact on integer input.
     """
     rows, d = theta.shape[0], theta.shape[1] + 1
     chains = np.zeros((rows, d // 2, 2))
     theta[:, 1:].reshape(rows, -1, 2).cumsum(axis=1, out=chains[:, 1:])
-    chains = d * (chains.sum(axis=1, keepdims=True) / (d // 2) - chains)
+    chains = 2.0 * chains.sum(axis=1, keepdims=True) - d * chains
     return (theta[:, :1, None] + chains).reshape(rows, d)
 
 
@@ -240,7 +230,7 @@ def build_orthogonal_d4() -> Reparametrization:
 
 @dataclass
 class InverseCheckReport:
-    """Comparison of the literal closed-form inverse against the numerical one."""
+    """The literal closed-form inverse against the exact one, ``build_mc(d).inverse``."""
 
     nodes: int
     closed_form: np.ndarray
@@ -254,8 +244,8 @@ def closed_form_inverse_check(d: int) -> InverseCheckReport:
 
     The closed form uses a modified step function H with H(x) = 1 for x >= 0,
     which makes both step terms fire on the diagonal of the difference block;
-    it is evaluated literally here and compared against the numerical inverse,
-    which is authoritative throughout the toolkit.
+    it is evaluated literally here and compared against the exact integer
+    inverse of :func:`build_mc`, which is authoritative throughout the toolkit.
     """
     rep = build_mc(d)
     closed = np.zeros((d, d))
@@ -288,6 +278,8 @@ def pushforward_fisher(
     With J the inverse matrix (columns are the new chart's phase-space
     directions), the pushed matrix is J^T F J; dropping the irrelevant
     coordinate afterwards removes its (identically zero) row and column.
+    The CLI and the sweep form reduced matrices in ``rep.chart(True)``
+    itself; this route stays as a library function and an independent check.
     """
     if matrix.dim != rep.dim:
         raise ValidationError(

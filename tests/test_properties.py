@@ -8,8 +8,9 @@ on random PSD matrices of known rank, its Fourier path for circulant
 matrices against its eigh path, and the Cholesky certificate of the exact
 bound against the eigenvalue rule it stands in for.  The phase imprint is
 checked bit for bit against a per-ket reference, and the state's JSON form
-as an exact round trip.  The fitter's O(d) maps between phases and the kept
-mc coordinates are checked against the dense products they replace.
+as an exact round trip.  The O(d) maps between phases and the kept mc
+coordinates, which also build the mc matrices, are checked against dense
+products with a transform filled entry by entry and its numerical inverse.
 """
 
 import cmath
@@ -197,6 +198,17 @@ def test_state_json_round_trip_is_an_identity(imprint, data):
         assert json.dumps(back.to_json_dict(), indent=2, sort_keys=True) == text
 
 
+def dense_mc_forward(nodes: int) -> np.ndarray:
+    """The mc transform filled entry by entry from its definition, as a dense reference."""
+    forward = np.zeros((nodes, nodes))
+    forward[0] = [(-1.0) ** j / nodes for j in range(1, nodes + 1)]
+    forward[1] = 1.0 / nodes
+    for row in range(2, nodes):
+        forward[row, row - 2] += 1.0 / nodes
+        forward[row, row] -= 1.0 / nodes
+    return forward
+
+
 @settings(deadline=None)
 @given(
     nodes=st.one_of(even_rings, st.sampled_from([128, 256, 512])),
@@ -204,14 +216,14 @@ def test_state_json_round_trip_is_an_identity(imprint, data):
     seed=seeds,
 )
 def test_structured_mc_maps_match_the_dense_products(nodes, rows, seed):
-    rep = build_mc(nodes)
-    jac = rep.inverse[:, 1:]
+    forward = dense_mc_forward(nodes)
+    jac = np.linalg.inv(forward)[:, 1:]
     rng = np.random.default_rng(seed)
     phases = rng.uniform(-np.pi, np.pi, (rows, nodes))
     theta = rng.normal(size=(rows, nodes - 1))
     pair_grad = rng.normal(size=(rows, nodes))
     for got, want in (
-        (_mc_coordinates(phases), phases @ rep.forward[1:].T),
+        (_mc_coordinates(phases), phases @ forward[1:].T),
         (_mc_phases(theta), theta @ jac.T),
         (_mc_pair_pullback(pair_grad), pair_grad @ (jac + np.roll(jac, -1, axis=0))),
     ):

@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ghzsense import bounds, qfim, reparam
 from ghzsense.bounds import bound_report, heisenberg_sweep
@@ -20,8 +22,8 @@ from ghzsense.reparam import (
     pushforward_fisher,
 )
 
-# Columns of the numerically inverted d=4 transform, frozen by hand:
-# theta_0 is the alternating combination, theta_1 the average.
+# Columns of the exact d=4 inverse, frozen by hand: theta_0 is the
+# alternating combination, theta_1 the average.
 MC4_INVERSE = np.array(
     [
         [-1.0, 1.0, 2.0, 0.0],
@@ -43,6 +45,38 @@ def test_mc_forward_rows_for_four_nodes():
 def test_mc_inverse_matches_frozen_matrix():
     rep = build_mc(4)
     np.testing.assert_allclose(rep.inverse, MC4_INVERSE, atol=1e-12)
+
+
+def integer_mc_inverse(nodes: int) -> np.ndarray:
+    """The exact mc inverse, written out column by column.
+
+    Column 0 alternates (-1, +1, ...); column 1 is all ones; column c >= 2,
+    with m = c // 2, holds d - 2m on its first m rows of c's parity and -2m
+    on the rest of them.
+    """
+    inverse = np.zeros((nodes, nodes))
+    rows = np.arange(nodes)
+    inverse[:, 0] = np.where(rows % 2 == 0, -1.0, 1.0)
+    inverse[:, 1] = 1.0
+    for col in range(2, nodes):
+        m = col // 2
+        matching = rows[rows % 2 == col % 2]
+        inverse[matching[:m], col] = nodes - 2 * m
+        inverse[matching[m:], col] = -2 * m
+    return inverse
+
+
+@settings(deadline=None, max_examples=40)
+@given(nodes=st.integers(2, 256).map(lambda half: 2 * half))
+@example(nodes=4)
+@example(nodes=512)
+def test_mc_inverse_is_the_integer_closed_form(nodes):
+    np.testing.assert_array_equal(build_mc(nodes).inverse, integer_mc_inverse(nodes))
+
+
+def test_mc_inverse_is_exact_above_the_size_where_numerical_inversion_failed():
+    # np.linalg.inv's column sums missed (0, d, 0, ...) by more than 1e-9 here
+    np.testing.assert_array_equal(build_mc(2050).inverse, integer_mc_inverse(2050))
 
 
 @pytest.mark.parametrize("nodes", [4, 6, 8, 10])
@@ -69,8 +103,8 @@ def test_mc_rejects_odd_rings(nodes):
 
 
 def test_closed_form_inverse_check_documents_the_discrepancy():
-    # The textbook closed-form inverse disagrees with the numerical inverse
-    # beyond the first two columns; the numerical one is authoritative.
+    # The textbook closed-form inverse disagrees with the exact integer
+    # inverse beyond the first two columns; the integer one is authoritative.
     report = closed_form_inverse_check(4)
     assert report.max_abs_discrepancy == pytest.approx(4.0, abs=1e-12)
     assert report.matching_columns == (0, 1)
@@ -226,11 +260,11 @@ def fisher_pipeline(photons, nodes, phi):
     heisenberg_sweep([photons], [nodes])
 
 
-def test_a_repeated_pipeline_builds_and_factorizes_no_ring_geometry(linalg_calls):
+def test_a_pipeline_inverts_no_matrix_and_a_repeat_builds_no_ring_geometry(linalg_calls):
     phi = np.random.default_rng(16).uniform(-0.2, 0.2, 16)
     calls = linalg_calls("matrix_rank", "inv", "eigvalsh")
     fisher_pipeline(4, 16, phi)
-    assert calls == {"matrix_rank": 2, "inv": 1}
+    assert calls == {"matrix_rank": 2}  # inv is 0: the mc inverse is built exactly
     calls.clear()
     fisher_pipeline(4, 16, phi)
     assert calls == {}
@@ -262,10 +296,10 @@ def test_a_repeated_pipeline_forms_no_gram_and_factorizes_four_times(monkeypatch
     assert calls["cholesky"] == 4
 
 
-def test_saturation_experiment_inverts_the_transform_once(linalg_calls):
+def test_saturation_experiment_inverts_no_matrix(linalg_calls):
     calls = linalg_calls("inv")
     crb_saturation_experiment(2, 8, np.full(8, 0.1), 10_000, 50, 3)
-    assert calls["inv"] == 1
+    assert calls["inv"] == 0
 
 
 def test_reparametrization_keeps_its_own_copy_of_the_matrices():
