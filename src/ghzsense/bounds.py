@@ -16,20 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularMatrixError, ValidationError
-from .ghz_state import _check_counts, _check_nodes, _check_shots
+from .ghz_state import _check_counts, _check_nodes, _check_shots, _float_array
 from .measurement import cfim
-from .qfim import FisherMatrix, _entries_of, qfim_pure
+from .qfim import FisherMatrix, _entries_of, _shifted_cholesky, qfim_pure
 from .reparam import build_mc
 
 RANK_RTOL = 1e-9
 
 
 def _weight(alpha, dim: int) -> np.ndarray:
-    a = np.asarray(alpha, dtype=float)
-    if a.shape != (dim,):
-        raise ValidationError(f"weight vector must have shape ({dim},), got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValidationError("weight vector entries must be finite")
+    a = _float_array(alpha, "weight vector", (dim,))
     if np.linalg.norm(a) == 0.0:
         raise ValidationError("weight vector must be nonzero")
     return a
@@ -41,16 +37,18 @@ def exact_crb(matrix, alpha, shots: int = 1) -> float:
     Refuses numerically singular matrices: the smallest eigenvalue must
     exceed ``RANK_RTOL`` times the largest.  For a singular matrix, remove
     the irrelevant direction with a reparametrization first.  A raw array
-    that is not square or not finite raises ValidationError.
+    is read by :func:`ghzsense.qfim._entries_of`: one that is not square,
+    not finite or not symmetric raises ValidationError.
 
     The largest absolute row sum b bounds the largest eigenvalue, so a
-    successful Cholesky factorization of F - RANK_RTOL * b * I proves the
-    test; only when it fails does ``eigvalsh`` decide.
+    successful Cholesky factorization of F - RANK_RTOL * b * I
+    (:func:`ghzsense.qfim._shifted_cholesky`) proves the test; only when it
+    fails does ``eigvalsh`` decide.
     """
     entries = _entries_of(matrix)
     n = _check_shots(shots)
     a = _weight(alpha, entries.shape[0])
-    if not _certified_invertible(entries):
+    if not _shifted_cholesky(entries, -RANK_RTOL)[0]:
         eigs = np.linalg.eigvalsh(entries)
         if eigs[-1] <= 0.0 or eigs[0] <= RANK_RTOL * eigs[-1]:
             raise SingularMatrixError(
@@ -62,33 +60,11 @@ def exact_crb(matrix, alpha, shots: int = 1) -> float:
     return float(a @ np.linalg.solve(entries, a)) / n
 
 
-def _certified_invertible(entries: np.ndarray) -> bool:
-    """True when a Cholesky factorization proves lambda_min > RANK_RTOL * lambda_max.
-
-    ``cholesky`` and ``eigvalsh`` both read only the lower triangle, so the
-    eigenvalue bound is the largest absolute row sum of the symmetric matrix
-    that triangle defines (the row sum of F itself when F is symmetric).
-    """
-    k = entries.shape[0]
-    lower = np.abs(entries, out=np.zeros((k, k)), where=np.tri(k, dtype=bool))
-    row_sums = lower.sum(axis=1)
-    lower.flat[:: k + 1] = 0.0
-    row_sums += lower.sum(axis=0)
-    bound = float(np.max(row_sums, initial=0.0))
-    if not (math.isfinite(bound) and bound > 0.0):
-        return False
-    shifted = lower  # the triangle is summed; its buffer takes the shifted copy
-    np.copyto(shifted, entries)
-    shifted.flat[:: k + 1] -= RANK_RTOL * bound
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def weak_crb(matrix, alpha, shots: int = 1) -> float:
-    """Single-direction bound (alpha^T alpha)^2 / (shots * alpha^T F alpha)."""
+    """Single-direction bound (alpha^T alpha)^2 / (shots * alpha^T F alpha).
+
+    The matrix is read like that of :func:`exact_crb`.
+    """
     entries = _entries_of(matrix)
     n = _check_shots(shots)
     a = _weight(alpha, entries.shape[0])
@@ -178,14 +154,11 @@ class WeakExactReport:
 def weak_vs_exact_check(matrix, alpha) -> WeakExactReport:
     """Verify (a^T a)^2 / (a^T S a) <= a^T S^{-1} a for a positive definite S.
 
-    Also reports the eigenvector equality condition and the scalar corollary
+    S is read like the matrix of :func:`exact_crb`.  Also reports the
+    eigenvector equality condition and the scalar corollary
     1/S[0,0] <= (S^{-1})[0,0].
     """
     s = _entries_of(matrix)
-    if float(np.max(np.abs(s - s.T), initial=0.0)) > 1e-10 * max(
-        1.0, float(np.max(np.abs(s), initial=0.0))
-    ):
-        raise ValidationError("expected a symmetric matrix")
     a = _weight(alpha, s.shape[0])
     eigs = np.linalg.eigvalsh(s)
     if eigs[0] <= 0.0:

@@ -135,7 +135,7 @@ def _reparametrization(chart: str, d: int):
 def _parse_alpha(spec, chart: str, dim: int) -> np.ndarray:
     if spec is None or (isinstance(spec, str) and spec.strip() == "avg"):
         return CHARTS[chart][1](dim)
-    alpha = np.asarray(_parse_floats(spec, "alpha"), dtype=float)
+    alpha = np.array(_parse_floats(spec, "alpha"))
     if alpha.shape != (dim,):
         raise ValidationError(
             f"alpha has {alpha.shape[0]} entries but the matrix dimension is {dim}"
@@ -224,13 +224,13 @@ def _cmd_transform(config: RunConfig) -> None:
         raise ValidationError(
             f"transform emits a reparametrization; chart {config.chart!r} has none"
         )
-    doc = rep.to_json_dict()
+    extra = {}
     print(f"reparametrization '{rep.name}' for d={config.nodes}")
     print("  coordinates: " + ", ".join(rep.labels))
     if config.chart == "mc":
         check = closed_form_inverse_check(config.nodes)
         exact = [rep.labels[i] for i in check.matching_columns]
-        doc["closed_form_check"] = {
+        extra["closed_form_check"] = {
             "max_abs_discrepancy": float(check.max_abs_discrepancy),
             "matching_columns": exact,
         }
@@ -241,7 +241,7 @@ def _cmd_transform(config: RunConfig) -> None:
     else:
         residual = float(np.max(np.abs(rep.forward @ rep.forward.T - np.eye(rep.dim))))
         print(f"  orthogonality residual: {residual:.6g}")
-    _emit(config, lambda: doc)
+    _emit(config, lambda: {**rep.to_json_dict(), **extra})
 
 
 def _cmd_bounds(config: RunConfig) -> None:

@@ -71,16 +71,39 @@ def _check_shots(shots) -> int:
     return int(shots)
 
 
+def _check_seed(seed) -> int:
+    """``seed`` as an int: a nonnegative integer, not a bool."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+    return int(seed)
+
+
+def _float_array(values, what: str, shape: tuple) -> np.ndarray:
+    """``values`` read as a new float64 array of ``shape`` with finite entries.
+
+    This is the one reader of every number array a caller hands the library.
+    A None in ``shape`` matches any size along that axis.  Values that numpy
+    cannot convert (strings, ragged lists, None) and any other shape or a
+    non-finite entry raise ValidationError naming ``what``.
+    """
+    try:
+        array = np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be an array of numbers: {exc}") from None
+    if array.ndim != len(shape) or any(
+        n is not None and n != m for n, m in zip(shape, array.shape)
+    ):
+        sizes = ", ".join("any" if n is None else str(n) for n in shape)
+        expected = f"({sizes},)" if len(shape) == 1 else f"({sizes})"
+        raise ValidationError(f"{what} must have shape {expected}, got {array.shape}")
+    if not np.all(np.isfinite(array)):
+        raise ValidationError(f"{what} entries must be finite")
+    return array
+
+
 def phase_vector(values, d: int) -> np.ndarray:
-    """Coerce ``values`` to a length-d float64 phase vector, validating it."""
-    phi = np.asarray(values, dtype=float)
-    if phi.shape != (d,):
-        raise ValidationError(
-            f"phase vector must have shape ({d},), got {phi.shape}"
-        )
-    if not np.all(np.isfinite(phi)):
-        raise ValidationError("phase vector entries must be finite")
-    return phi
+    """``values`` as a new length-d float64 phase vector with finite entries."""
+    return _float_array(values, "phase vector", (d,))
 
 
 @dataclass(eq=False, frozen=True)
@@ -135,7 +158,7 @@ class RingState:
             photons = int(doc["N"])
             nodes = int(doc["d"])
             rows = doc["terms"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed state document: {exc}") from exc
         _check_counts(photons, nodes)
         amplitudes = np.zeros((nodes, 2), dtype=complex)
@@ -145,7 +168,7 @@ class RingState:
                 j, k = (int(x) for x in row["pair"])
                 pol = str(row["pol"])
                 amp = complex(float(row["re"]), float(row["im"]))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"malformed state term {row!r}: {exc}") from exc
             if not 1 <= j <= nodes or k != j % nodes + 1:
                 raise ValidationError(

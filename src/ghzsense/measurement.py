@@ -28,6 +28,7 @@ from .qfim import (
     Chart,
     FisherMatrix,
     _directions_for,
+    _read_only,
     _read_only_copy,
 )
 
@@ -87,7 +88,7 @@ class OutcomeDistribution:
 
     def __post_init__(self):
         _check_counts(self.photons, self.nodes)
-        object.__setattr__(self, "phases", _read_only_copy(phase_vector(self.phases, self.nodes)))
+        object.__setattr__(self, "phases", _read_only(phase_vector(self.phases, self.nodes)))
         probs = _read_only_copy(_canonical_entries(self.array, self.nodes, "distribution"))
         object.__setattr__(self, "array", probs)
         bad = ~(np.isfinite(probs) & (probs >= 0.0))
@@ -145,8 +146,8 @@ class OutcomeDistribution:
                 )
                 for row in doc["outcomes"]
             }
-            return cls(probs, int(doc["N"]), int(doc["d"]), np.array(doc["phases"]))
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
+            return cls(probs, int(doc["N"]), int(doc["d"]), doc["phases"])
+        except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed distribution document: {exc}") from exc
 
 

@@ -29,7 +29,8 @@ import numpy as np
 from .bounds import exact_crb
 from .errors import ConvergenceError, ValidationError
 from .ghz_state import (  # noqa: F401
-    MAX_SHOTS, _check_counts, _check_nodes, _check_shots, phase_vector
+    MAX_SHOTS, _check_counts, _check_nodes, _check_seed, _check_shots, _float_array,
+    phase_vector,
 )
 from .measurement import (
     OutcomeDistribution,
@@ -40,7 +41,7 @@ from .measurement import (
     outcome_distribution,
     outcome_labels,
 )
-from .qfim import _read_only_copy
+from .qfim import _read_only
 from .reparam import (
     _mc_coordinates,
     _mc_kept_labels,
@@ -83,7 +84,7 @@ class CountTable:
         _check_counts(self.photons, self.nodes)
         object.__setattr__(self, "shots", _check_shots(self.shots))
         object.__setattr__(self, "seed", _check_seed(self.seed))
-        object.__setattr__(self, "phases", _read_only_copy(phase_vector(self.phases, self.nodes)))
+        object.__setattr__(self, "phases", _read_only(phase_vector(self.phases, self.nodes)))
         entries = _canonical_entries(self.array, self.nodes, "count table")
         if not np.can_cast(entries.dtype, np.int64):
             entries = np.asarray(entries, dtype=float)
@@ -148,13 +149,6 @@ def _draw(probabilities: np.ndarray, shots: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).multinomial(shots, probabilities)
 
 
-def _check_seed(seed) -> int:
-    """``seed`` as an int: a nonnegative integer, not a bool."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
-    return int(seed)
-
-
 def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountTable:
     """Multinomial draw over the 4*d outcomes; a pure function of (dist, shots, seed).
 
@@ -178,17 +172,14 @@ def _count_rows(counts, photons, nodes) -> tuple[np.ndarray, int, int, bool]:
         )
     _check_counts(photons, nodes)
     batched = isinstance(counts, np.ndarray)
-    if batched:
-        rows = np.asarray(counts, dtype=float)
-        if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] != 4 * nodes:
-            raise ValidationError(
-                f"count array must have shape (replicates, {4 * nodes}), got {rows.shape}"
-            )
-    else:
+    if not batched:
         get = counts.get
-        rows = np.array([[get(label, 0) for label in outcome_labels(nodes)]], dtype=float)
-    if not np.all(np.isfinite(rows)) or np.any(rows < 0):
-        raise ValidationError("counts must be finite and nonnegative")
+        counts = [[get(label, 0) for label in outcome_labels(nodes)]]
+    rows = _float_array(counts, "count array", (None, 4 * nodes))
+    if rows.shape[0] < 1:
+        raise ValidationError("count array must have at least one row")
+    if np.any(rows < 0):
+        raise ValidationError("counts must be nonnegative")
     return rows, photons, nodes, batched
 
 
@@ -315,8 +306,9 @@ def mle_estimate(
         Plain mappings (useful for expected-count self-consistency checks)
         and arrays require the ``photons`` and ``nodes`` keyword arguments.
     initial_theta : array-like, shape (d-1,)
-        Center of the search box; the signs of its pair sums pick each pair's
-        branch.  They must lie strictly inside the window |x_j| < 2*pi/N.
+        Center of the search box, with finite entries; the signs of its pair
+        sums pick each pair's branch.  They must lie strictly inside the
+        window |x_j| < 2*pi/N.
     box_half_width : float
         Half-width of the per-coordinate search box around the guess.
 
@@ -337,11 +329,7 @@ def mle_estimate(
     weights, photons, nodes, batched = _count_rows(counts, photons, nodes)
     if not (math.isfinite(box_half_width) and box_half_width > 0):
         raise ValidationError(f"box half-width must be positive, got {box_half_width}")
-    guess = np.asarray(initial_theta, dtype=float)
-    if guess.shape != (nodes - 1,):
-        raise ValidationError(
-            f"initial guess must have shape ({nodes - 1},), got {guess.shape}"
-        )
+    guess = _float_array(initial_theta, "initial guess", (nodes - 1,))
     _check_nodes(nodes, 4, even=True)
     guess_sums = _ring_pair_sums(_mc_phases(guess[None, :]))[0]
     window = _check_window(guess_sums, photons, "initial guess")

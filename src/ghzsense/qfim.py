@@ -33,7 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .ghz_state import _check_counts, _check_nodes, apply_phases, build_input_state, phase_vector
+from .ghz_state import (
+    _check_counts, _check_nodes, _float_array, apply_phases, build_input_state, phase_vector
+)
 
 SYMMETRY_TOL = 1e-10
 PSD_TOL = 1e-9
@@ -66,10 +68,13 @@ def _clear_ring_memos() -> None:
         cached.cache_clear()
 
 
-def _read_only_copy(values) -> np.ndarray:
-    array = np.array(values, dtype=float)
+def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+def _read_only_copy(values) -> np.ndarray:
+    return _read_only(np.array(values, dtype=float))
 
 
 @dataclass(eq=False, frozen=True)
@@ -96,17 +101,12 @@ class Chart:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
-        object.__setattr__(self, "directions", _read_only_copy(self.directions))
-        if self.directions.ndim != 2:
-            raise ValidationError("chart directions must be a 2-D array")
-        d, k = self.directions.shape
-        if k != len(self.labels) or k < 1:
-            raise ValidationError(
-                f"chart has {len(self.labels)} labels but {k} direction columns"
-            )
-        if not np.all(np.isfinite(self.directions)):
-            raise ValidationError("chart directions must be finite")
-        if np.linalg.matrix_rank(self.directions) != k:
+        k = len(self.labels)
+        directions = _float_array(self.directions, "chart direction matrix", (None, k))
+        object.__setattr__(self, "directions", _read_only(directions))
+        if k < 1:
+            raise ValidationError("chart needs at least one label")
+        if np.linalg.matrix_rank(directions) != k:
             raise ValidationError(
                 "chart directions must be linearly independent columns"
             )
@@ -120,7 +120,7 @@ class Chart:
         symmetrizing.
         """
         grads = pair_sum_gradients(self.nodes, self)
-        return _read_only_copy(grads.T @ grads), _read_only_copy(grads.sum(axis=0))
+        return _read_only(grads.T @ grads), _read_only(grads.sum(axis=0))
 
     def _fisher_matrix(self, photons: int, kind: str, phi: np.ndarray) -> "FisherMatrix":
         """Fisher matrix of ``kind`` for ``photons`` at the validated phases ``phi``.
@@ -173,7 +173,11 @@ class Chart:
 
     @classmethod
     def from_json_dict(cls, doc) -> "Chart":
-        return cls(doc["name"], tuple(doc["labels"]), np.array(doc["directions"]))
+        try:
+            name, labels, directions = doc["name"], tuple(doc["labels"]), doc["directions"]
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"malformed chart document: {exc}") from exc
+        return cls(name, labels, directions)
 
 
 def _build_original_chart(d: int) -> Chart:
@@ -194,14 +198,15 @@ def original_chart(d: int) -> Chart:
 class FisherMatrix:
     """Symmetric positive-semidefinite information matrix tied to a chart.
 
-    The PSD test is a Cholesky factorization of ``entries + tol * I``, with
-    tol = PSD_TOL * max(1, b) and b the largest absolute row sum, so the
+    ``entries`` must be a finite (k, k) array, k the chart's parameter
+    count, symmetric to ``SYMMETRY_TOL``; the matrix stores its own copy of
+    the symmetric part, so changing the array passed in later changes
+    nothing.  The PSD test is :func:`_shifted_cholesky` with the shift
+    tol = PSD_TOL * max(1, b), b the largest absolute row sum, so the
     tolerance grows with the matrix as its rounding does.  It succeeds
     exactly when the smallest eigenvalue exceeds -tol up to rounding; a
     failed factorization is confirmed with ``eigvalsh`` before the matrix
-    is rejected.  ``entries`` is the matrix's own copy of the array passed
-    in, so changing that array later changes nothing; ``phases`` is a
-    read-only copy.
+    is rejected.  ``phases`` is a read-only copy.
     """
 
     entries: np.ndarray
@@ -214,33 +219,17 @@ class FisherMatrix:
     def __post_init__(self):
         if self.kind not in ("quantum", "classical"):
             raise ValidationError(f"kind must be 'quantum' or 'classical', got {self.kind!r}")
-        self.entries = np.array(self.entries, dtype=float)
-        if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
-            raise ValidationError("Fisher matrix entries must be square")
-        if self.entries.shape[0] != self.chart.size:
-            raise ValidationError(
-                f"matrix dimension {self.entries.shape[0]} does not match "
-                f"chart parameter count {self.chart.size}"
-            )
-        if not np.all(np.isfinite(self.entries)):
-            raise ValidationError("Fisher matrix entries must be finite")
-        asym = float(np.max(np.abs(self.entries - self.entries.T), initial=0.0))
-        if asym > SYMMETRY_TOL:
-            raise ValidationError(f"Fisher matrix asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
-        # the largest absolute row sum bounds every eigenvalue's modulus
-        tol = PSD_TOL * max(1.0, float(np.max(np.abs(self.entries).sum(axis=1), initial=0.0)))
-        shifted = self.entries.copy()
-        shifted.flat[:: shifted.shape[0] + 1] += tol
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
+        entries = _float_array(self.entries, "Fisher matrix", (self.chart.size,) * 2)
+        self.entries = _symmetric_part(entries, SYMMETRY_TOL, "Fisher matrix")
+        certified, tol = _shifted_cholesky(self.entries, PSD_TOL, 1.0)
+        if not certified:
             smallest = float(np.linalg.eigvalsh(self.entries)[0])
             if smallest < -tol:
                 raise ValidationError(
                     f"Fisher matrix has negative eigenvalue {smallest:.3e} < -{tol:.3e}"
-                ) from None
+                )
         if self.phases is not None:
-            self.phases = _read_only_copy(phase_vector(self.phases, self.nodes))
+            self.phases = _read_only(phase_vector(self.phases, self.nodes))
 
     @property
     def dim(self) -> int:
@@ -260,16 +249,54 @@ class RankReport:
         return self.null_basis.shape[1]
 
 
-def _entries_of(matrix) -> np.ndarray:
-    """Entries of a FisherMatrix, or of a raw array checked square and finite."""
+def _symmetric_part(entries: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """``entries`` itself when exactly symmetric, else its symmetric part.
+
+    An asymmetry max |entries - entries^T| above ``tol`` raises ValidationError.
+    """
+    asym = float(np.max(np.abs(entries - entries.T), initial=0.0))
+    if asym > tol:
+        raise ValidationError(f"{what} asymmetry {asym:.3e} exceeds {tol:.3g}")
+    return entries if asym == 0.0 else 0.5 * (entries + entries.T)
+
+
+def _shifted_cholesky(entries: np.ndarray, rtol: float, floor: float = 0.0) -> tuple[bool, float]:
+    """Whether a Cholesky factorization of ``entries + shift * I`` succeeds, and the shift.
+
+    The shift is rtol * max(floor, b), where b, the largest absolute row sum
+    of the symmetric ``entries``, bounds the modulus of every eigenvalue.
+    Success proves that the smallest eigenvalue exceeds -shift up to
+    rounding.  This is the one certificate of the toolkit: the
+    :class:`FisherMatrix` PSD test shifts up by PSD_TOL * max(1, b), and
+    :func:`ghzsense.bounds.exact_crb` shifts down by RANK_RTOL * b.
+    """
+    shifted = np.abs(entries)
+    shift = rtol * max(floor, float(np.max(shifted.sum(axis=1), initial=0.0)))
+    np.copyto(shifted, entries)  # the absolute values are summed; reuse their buffer
+    shifted.flat[:: shifted.shape[0] + 1] += shift
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False, shift
+    return True, shift
+
+
+def _entries_of(matrix, symmetric: bool = True) -> np.ndarray:
+    """Entries of a FisherMatrix, or a raw array read as a finite square matrix.
+
+    Unless ``symmetric`` is False, a raw array must also be symmetric to
+    SYMMETRY_TOL * max(1, largest |entry|), and its symmetric part is
+    returned; so every matrix read here is exactly symmetric.
+    """
     if isinstance(matrix, FisherMatrix):
         return matrix.entries
-    entries = np.asarray(matrix, dtype=float)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+    entries = _float_array(matrix, "matrix", (None, None))
+    if entries.shape[0] != entries.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {entries.shape}")
-    if not np.all(np.isfinite(entries)):
-        raise ValidationError("matrix entries must be finite")
-    return entries
+    if not symmetric:
+        return entries
+    scale = max(1.0, float(np.max(np.abs(entries), initial=0.0)))
+    return _symmetric_part(entries, SYMMETRY_TOL * scale, "matrix")
 
 
 def _directions_for(d: int, chart: Chart | None) -> tuple[Chart, np.ndarray]:
@@ -322,27 +349,23 @@ def qfim_closed_form_original(photons: int, nodes: int) -> FisherMatrix:
 def rank_and_nullspace(matrix, tol: float = 1e-9) -> RankReport:
     """Numerical rank and orthonormal null basis of a symmetric matrix.
 
-    The input is symmetrized, 0.5 * (m + m^T), and its singular values below
-    ``tol`` times the largest count as zero (all of them for the zero
-    matrix).  Two paths apply that rule:
+    The matrix is read by :func:`_entries_of`, so it is exactly symmetric,
+    and its singular values below ``tol`` times the largest count as zero
+    (all of them for the zero matrix).  Two paths apply that rule:
 
-    - An exactly circulant input, ``m[i, j] == m[0, (j - i) % d]`` for every
-      entry, as the original-chart QFIM and CFIM of a ring are, is
+    - An exactly circulant matrix, ``m[i, j] == m[0, (j - i) % d]`` for
+      every entry, as the original-chart QFIM and CFIM of a ring are, is
       diagonalized by the discrete Fourier transform.  Its singular values
-      are the moduli of the FFT of the symmetrized first row, and its null
-      basis is made of orthonormal real Fourier modes: 1/sqrt(d) for k = 0,
-      (-1)^j/sqrt(d) for k = d/2, and sqrt(2/d) cos and sin for each pair of
-      modes (k, d - k).  The rank and the null space are those of the
-      symmetrized matrix, which is circulant too, so this agrees with the
-      general path up to rounding; the basis vectors may differ from it by
-      signs or a rotation within the null space.
+      are the moduli of the FFT of its first row, and its null basis is made
+      of orthonormal real Fourier modes: 1/sqrt(d) for k = 0, (-1)^j/sqrt(d)
+      for k = d/2, and sqrt(2/d) cos and sin for each pair of modes
+      (k, d - k).  This agrees with the general path up to rounding; the
+      basis vectors may differ from it by signs or a rotation within the
+      null space.
     - Every other matrix (reduced or pushed-forward charts, user arrays) is
       decomposed with the eigh-based Hermitian SVD.
     """
     m = _entries_of(matrix)
-    scale = float(np.max(np.abs(m), initial=0.0))
-    if float(np.max(np.abs(m - m.T), initial=0.0)) > 1e-10 * max(1.0, scale):
-        raise ValidationError("rank analysis requires a symmetric matrix")
     row = _circulant_first_row(m)
     if row is None:
         return _hermitian_rank_and_nullspace(m, tol)
@@ -351,7 +374,7 @@ def rank_and_nullspace(matrix, tol: float = 1e-9) -> RankReport:
 
 def _hermitian_rank_and_nullspace(m: np.ndarray, tol: float) -> RankReport:
     """The general path of :func:`rank_and_nullspace`, by eigh-based SVD."""
-    _, singular, vt = np.linalg.svd(0.5 * (m + m.T), hermitian=True)
+    _, singular, vt = np.linalg.svd(m, hermitian=True)
     if singular.size == 0 or singular[0] == 0.0:
         rank = 0
     else:
@@ -384,14 +407,13 @@ def _circulant_first_row(m: np.ndarray) -> np.ndarray | None:
 def _circulant_rank_and_nullspace(row: np.ndarray, tol: float) -> RankReport:
     """The circulant path of :func:`rank_and_nullspace`, from the first ``row``.
 
-    The symmetrized matrix has first row c_sym[l] = (c[l] + c[(d - l) % d])/2,
-    an even sequence, so its eigenvalues are the real FFT of c_sym, equal on
-    modes k and d - k.  Only the modes k = 0..d//2 are formed; each k other
-    than 0 and d/2 stands for two singular values and two null vectors.
+    The matrix is symmetric, so its first row c is an even sequence,
+    c[l] = c[(d - l) % d], and its eigenvalues are the real FFT of c, equal
+    on modes k and d - k.  Only the modes k = 0..d//2 are formed; each k
+    other than 0 and d/2 stands for two singular values and two null vectors.
     """
     d = row.size
-    symmetric = 0.5 * (row + np.concatenate((row[:1], row[:0:-1])))
-    singular = np.abs(np.fft.rfft(symmetric).real)
+    singular = np.abs(np.fft.rfft(row).real)
     modes = np.arange(singular.size)
     paired = (modes != 0) & (2 * modes != d)
     kept = singular > tol * singular.max()
@@ -437,7 +459,7 @@ def qfim_finite_difference_oracle(
 
 def matrix_to_csv(matrix) -> str:
     """Row-major CSV with 17 significant digits per entry."""
-    m = _entries_of(matrix)
+    m = _entries_of(matrix, symmetric=False)
     lines = [",".join(f"{x:.17g}" for x in row) for row in m]
     return "\n".join(lines) + "\n"
 
@@ -455,15 +477,8 @@ def matrix_to_json_dict(matrix: FisherMatrix) -> dict:
 
 def matrix_from_json_dict(doc) -> FisherMatrix:
     try:
-        chart = Chart.from_json_dict(doc["chart"])
-        phases = doc["phases"]
-        return FisherMatrix(
-            np.array(doc["entries"], dtype=float),
-            str(doc["kind"]),
-            chart,
-            int(doc["N"]),
-            int(doc["d"]),
-            None if phases is None else np.array(phases, dtype=float),
-        )
-    except (KeyError, TypeError) as exc:
+        chart, entries, phases = doc["chart"], doc["entries"], doc["phases"]
+        kind, photons, nodes = str(doc["kind"]), int(doc["N"]), int(doc["d"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed matrix document: {exc}") from exc
+    return FisherMatrix(entries, kind, Chart.from_json_dict(chart), photons, nodes, phases)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .ghz_state import _check_nodes
-from .qfim import Chart, FisherMatrix, _read_only_copy, _ring_memo
+from .ghz_state import _check_nodes, _float_array
+from .qfim import Chart, FisherMatrix, _read_only, _ring_memo
 
 IDENTITY_TOL = 1e-10
 
@@ -26,7 +26,8 @@ class Reparametrization:
     """Invertible linear change of phase coordinates theta = forward @ phi.
 
     ``labels`` name the new coordinates with the irrelevant one first;
-    ``kept_indices`` are the coordinates retained when it is dropped.  The
+    ``kept_indices`` are the coordinates retained when it is dropped.  Both
+    matrices must be finite and (d, d), d the number of labels.  The
     ``inverse`` field, checked against ``forward`` to ``IDENTITY_TOL``, is the
     one used everywhere in the toolkit; for ``mc`` it is the exact integer
     inverse.  A reparametrization is frozen and stores its own read-only
@@ -42,14 +43,11 @@ class Reparametrization:
     _charts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "forward", _read_only_copy(self.forward))
-        object.__setattr__(self, "inverse", _read_only_copy(self.inverse))
-        d = self.forward.shape[0]
-        if self.forward.shape != (d, d) or self.inverse.shape != (d, d):
-            raise ValidationError("forward and inverse must be square matrices of equal size")
-        if len(self.labels) != d:
-            raise ValidationError(f"expected {d} labels, got {len(self.labels)}")
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
+        d = len(self.labels)
+        for name in ("forward", "inverse"):
+            matrix = _float_array(getattr(self, name), f"{name} matrix", (d, d))
+            object.__setattr__(self, name, _read_only(matrix))
         object.__setattr__(self, "kept_indices", tuple(int(i) for i in self.kept_indices))
         if any(not 0 <= i < d for i in self.kept_indices) or len(
             set(self.kept_indices)
@@ -67,17 +65,11 @@ class Reparametrization:
 
     def apply(self, phases) -> np.ndarray:
         """Map original phases to the new coordinates."""
-        phi = np.asarray(phases, dtype=float)
-        if phi.shape != (self.dim,):
-            raise ValidationError(f"expected phase vector of shape ({self.dim},)")
-        return self.forward @ phi
+        return self.forward @ _float_array(phases, "phase vector", (self.dim,))
 
     def to_phases(self, params) -> np.ndarray:
         """Map new coordinates back to original phases."""
-        theta = np.asarray(params, dtype=float)
-        if theta.shape != (self.dim,):
-            raise ValidationError(f"expected parameter vector of shape ({self.dim},)")
-        return self.inverse @ theta
+        return self.inverse @ _float_array(params, "parameter vector", (self.dim,))
 
     def chart(self, drop_irrelevant: bool = False) -> Chart:
         """Chart whose directions are the columns of the inverse matrix.
@@ -109,15 +101,12 @@ class Reparametrization:
     @classmethod
     def from_json_dict(cls, doc) -> "Reparametrization":
         try:
-            return cls(
-                np.array(doc["forward"], dtype=float),
-                np.array(doc["inverse"], dtype=float),
-                tuple(doc["labels"]),
-                tuple(doc["kept_indices"]),
-                str(doc["name"]),
-            )
-        except (KeyError, TypeError) as exc:
+            forward, inverse, labels = doc["forward"], doc["inverse"], tuple(doc["labels"])
+            kept = tuple(int(i) for i in doc["kept_indices"])
+            name = str(doc["name"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed reparametrization document: {exc}") from exc
+        return cls(forward, inverse, labels, kept, name)
 
 
 def build_mc(d: int) -> Reparametrization:
@@ -246,28 +235,29 @@ def closed_form_inverse_check(d: int) -> InverseCheckReport:
     which makes both step terms fire on the diagonal of the difference block;
     it is evaluated literally here and compared against the exact integer
     inverse of :func:`build_mc`, which is authoritative throughout the toolkit.
+
+    With nodes i, j = 1..d, column 1 is (-1)^i, column 2 is all ones, and
+    column j >= 3 is zero off j's parity; on it, with
+    offset = j - 2 + [i even], the entry is
+    d * (H(j - i) (1 - offset/d) - H(i - j) offset/d).  Each parity block
+    is formed at once: above its diagonal only the head term fires, below
+    it only the tail term, on it both.
     """
     rep = build_mc(d)
     closed = np.zeros((d, d))
-    for i in range(1, d + 1):
-        parity_i = (-1.0) ** i
-        for j in range(1, d + 1):
-            if j == 1:
-                closed[i - 1, j - 1] = parity_i
-            elif j == 2:
-                closed[i - 1, j - 1] = 1.0
-            else:
-                if parity_i != (-1.0) ** j:
-                    continue
-                offset = j - 2 + (1 if parity_i == 1.0 else 0)
-                head = (1 if j - i >= 0 else 0) * (1.0 - offset / d)
-                tail = (1 if i - j >= 0 else 0) * (offset / d)
-                closed[i - 1, j - 1] = d * (head - tail)
+    above = np.triu(np.ones((d // 2, d // 2), dtype=bool), 1)
+    for first in (0, 1):  # the block of odd nodes, then of even nodes
+        offset = np.arange(first + 1, d + 1, 2) - 2 + first
+        head, tail = 1.0 - offset / d, offset / d
+        block = np.where(above, d * head, -d * tail)
+        np.fill_diagonal(block, d * (head - tail))
+        closed[first::2, first::2] = block
+    closed[:, 0] = (-1.0) ** np.arange(1, d + 1)
+    closed[:, 1] = 1.0
     gap = np.abs(closed - rep.inverse)
-    matching = tuple(
-        col for col in range(d) if float(np.max(gap[:, col])) <= 1e-12
-    )
-    return InverseCheckReport(d, closed, rep.inverse.copy(), float(np.max(gap)), matching)
+    column_gap = gap.max(axis=0)
+    matching = tuple(int(col) for col in np.flatnonzero(column_gap <= 1e-12))
+    return InverseCheckReport(d, closed, rep.inverse.copy(), float(column_gap.max()), matching)
 
 
 def pushforward_fisher(

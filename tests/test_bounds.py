@@ -141,15 +141,22 @@ def test_weak_vs_exact_check_refuses_a_matrix_containing_inf():
         weak_vs_exact_check(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.array([1.0, 0.0]))
 
 
-def test_exact_bound_judges_the_lower_triangle_it_factorizes():
-    # Cholesky and eigvalsh read only the lower triangle, whose symmetric
-    # matrix has eigenvalues 1 and 1 +/- sqrt(2) c: the smallest is 1.9e-9,
-    # below 1e-9 times the largest, although it exceeds 1e-9 times every
-    # absolute row sum of the (asymmetric) array itself.
+def test_exact_bound_refuses_a_bare_lower_triangle_and_the_matrix_it_defines():
+    # A raw array must be symmetric, so the bare triangle is refused.  The
+    # symmetric matrix it defines has eigenvalues 1 and 1 +/- sqrt(2) c: the
+    # smallest is 1.9e-9, below 1e-9 times the largest, so the certificate
+    # fails and eigvalsh confirms the refusal.
     c = (1.0 - 1.9e-9) / np.sqrt(2.0)
     lower = np.array([[1.0, 0.0, 0.0], [c, 1.0, 0.0], [c, 0.0, 1.0]])
-    with pytest.raises(SingularMatrixError):
-        exact_crb(lower, np.array([1.0, 0.0, 0.0]))
+    alpha = np.array([1.0, 0.0, 0.0])
+    with pytest.raises(ValidationError, match="asymmetry"):
+        exact_crb(lower, alpha)
+    symmetric = np.tril(lower) + np.tril(lower, -1).T
+    np.testing.assert_allclose(
+        np.linalg.eigvalsh(symmetric), [1.9e-9, 1.0, 2.0 - 1.9e-9], rtol=1e-6, atol=0
+    )
+    with pytest.raises(SingularMatrixError, match="smallest eigenvalue 1.900e-09"):
+        exact_crb(symmetric, alpha)
 
 
 def test_weak_bound_works_on_singular_matrices_off_the_null_space():

@@ -118,6 +118,38 @@ def test_closed_form_check_first_two_columns_match_for_larger_rings():
         assert 1 in report.matching_columns
 
 
+def literal_closed_form(d):
+    """The closed-form inverse filled entry by entry, as the published formula reads."""
+    closed = np.zeros((d, d))
+    for i in range(1, d + 1):
+        parity_i = (-1.0) ** i
+        for j in range(1, d + 1):
+            if j == 1:
+                closed[i - 1, j - 1] = parity_i
+            elif j == 2:
+                closed[i - 1, j - 1] = 1.0
+            else:
+                if parity_i != (-1.0) ** j:
+                    continue
+                offset = j - 2 + (1 if parity_i == 1.0 else 0)
+                head = (1 if j - i >= 0 else 0) * (1.0 - offset / d)
+                tail = (1 if i - j >= 0 else 0) * (offset / d)
+                closed[i - 1, j - 1] = d * (head - tail)
+    return closed
+
+
+@pytest.mark.parametrize("nodes", range(4, 65, 2))
+def test_closed_form_check_is_bit_identical_to_the_entrywise_formula(nodes):
+    report = closed_form_inverse_check(nodes)
+    closed = literal_closed_form(nodes)
+    assert report.closed_form.tobytes() == closed.tobytes()
+    gap = np.abs(closed - build_mc(nodes).inverse)
+    assert report.max_abs_discrepancy == float(np.max(gap))
+    assert report.matching_columns == tuple(
+        col for col in range(nodes) if float(np.max(gap[:, col])) <= 1e-12
+    )
+
+
 def test_orthogonal_d4_is_its_own_transpose_inverse():
     rep = build_orthogonal_d4()
     np.testing.assert_allclose(rep.forward @ rep.forward.T, np.eye(4), atol=1e-15)
