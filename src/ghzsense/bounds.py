@@ -17,9 +17,7 @@ import numpy as np
 
 from .errors import SingularMatrixError, ValidationError
 from .ghz_state import _check_counts, _check_nodes, _check_shots, _float_array
-from .measurement import cfim
-from .qfim import FisherMatrix, _entries_of, _shifted_cholesky, qfim_pure
-from .reparam import build_mc
+from .qfim import FisherMatrix, _entries_of, _shifted_cholesky
 
 RANK_RTOL = 1e-9
 
@@ -188,6 +186,40 @@ def weak_vs_exact_check(matrix, alpha) -> WeakExactReport:
     )
 
 
+def _mc_spectral_bound(photons: int, nodes: int, alpha: np.ndarray, kind: str) -> float:
+    """Exact one-shot bound alpha^T F^{-1} alpha in the reduced ``mc`` chart, from the spectrum.
+
+    ``photons`` and ``nodes`` must already be validated (d even), and
+    ``alpha`` is a weight on the d - 1 kept coordinates theta_1..theta_{d-1}.
+    With J = ``build_mc(d).inverse[:, 1:]`` and W = ``build_mc(d).forward[1:]``,
+    the reduced matrix of a node-chart matrix F is J^T F J.  W J = I and W
+    annihilates the alternating null vector of F, so (J^T F J)^{-1} =
+    W F^+ W^T, and the bound is w^T F^+ w with w = W^T alpha, the adjoint of
+    :func:`ghzsense.reparam._mc_coordinates`.  F is circulant, with the
+    eigenvalue (N^2/d) c_k on Fourier mode k: c_k = cos^2(pi k/d) for the
+    classical matrix, and 2 cos^2(pi k/d) except c_0 = 1 for the quantum one.
+    With U the DFT of u = d w, the bound is the sum of
+    |U_k|^2 / (d^2 N^2 c_k) over every mode but the null mode k = d/2, which
+    is dropped by its index.  Every kept c_k is at least sin^2(pi/d) > 0, so
+    nothing is refused, and no d x d matrix is formed.  The DFT of a real u
+    is even in k, so modes 1..d/2 - 1 are summed twice.  On mode 0,
+    c_0 = 1 and U_0 = d alpha_1 exactly (the differences in w sum to zero),
+    so that mode adds alpha_1^2 / N^2.  For the average phase, alpha = e_1,
+    the other modes hold only rounding noise, far below an ulp of 1, and the
+    bound is 1/N^2 as rounded.
+    """
+    d = nodes
+    u = np.full(d, float(alpha[0]))
+    u[:-2] += alpha[1:]
+    u[2:] -= alpha[1:]
+    spectrum = np.fft.rfft(u)[1 : d // 2]
+    modes = np.cos((np.pi / d) * np.arange(1, d // 2)) ** 2
+    if kind == "quantum":
+        modes *= 2.0
+    rest = 2.0 * float(np.sum((spectrum.real**2 + spectrum.imag**2) / modes))
+    return (float(alpha[0]) ** 2 + rest / d**2) / float(photons) ** 2
+
+
 @dataclass
 class SweepRow:
     """One (N, d) point of the average-phase bound sweep."""
@@ -202,13 +234,15 @@ class SweepRow:
 def heisenberg_sweep(photon_counts, node_counts) -> list[SweepRow]:
     """Standard-deviation bounds on the average phase over an (N, d) grid.
 
-    Both matrices are computed directly in the reduced ``mc`` chart
-    (``build_mc(d).chart(True)``), whose first coordinate is the average
-    phase; the alternating coordinate that makes every original-chart matrix
-    singular is already dropped.  Both the quantum and classical matrices
-    give an exact bound of 1/N at one shot, independent of d, so the paired
-    measurement saturates the scaling in N.  Every grid point is validated
-    before any chart is built.
+    Each bound is the exact one of theta_1, the average phase, in the
+    reduced ``mc`` chart (``build_mc(d).chart(True)``), where the
+    alternating coordinate that makes every original-chart matrix singular
+    is dropped.  It is read off the ring spectrum by
+    :func:`_mc_spectral_bound`, so no chart, matrix or factorization is
+    formed.  Both the quantum and classical matrices give an exact bound of
+    1/N at one shot, independent of d, so the paired measurement saturates
+    the scaling in N.  Every grid point is validated before any bound is
+    computed.
     """
     grid = [(photons, nodes) for photons in photon_counts for nodes in node_counts]
     for photons, nodes in grid:
@@ -216,14 +250,9 @@ def heisenberg_sweep(photon_counts, node_counts) -> list[SweepRow]:
         _check_nodes(nodes, 4, even=True)
     rows = []
     for photons, nodes in grid:
-        chart = build_mc(nodes).chart(True)
-        zeros = np.zeros(nodes)
-        basis = np.zeros(chart.size)
-        basis[0] = 1.0
-        quantum = qfim_pure(photons, nodes, zeros, chart)
-        classical = cfim(photons, nodes, zeros, chart)
-        qcrb = math.sqrt(exact_crb(quantum, basis, 1))
-        ccrb = math.sqrt(exact_crb(classical, basis, 1))
+        average = np.eye(1, nodes - 1)[0]
+        qcrb = math.sqrt(_mc_spectral_bound(photons, nodes, average, "quantum"))
+        ccrb = math.sqrt(_mc_spectral_bound(photons, nodes, average, "classical"))
         rows.append(SweepRow(int(photons), int(nodes), qcrb, ccrb, ccrb / qcrb))
     return rows
 

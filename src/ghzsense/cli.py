@@ -23,7 +23,7 @@ from .ghz_state import _check_counts, apply_phases, build_input_state, phase_vec
 from .measurement import cfim
 from .montecarlo import crb_saturation_experiment
 from .qfim import FisherMatrix, matrix_to_csv, matrix_to_json_dict, qfim_pure, rank_and_nullspace
-from .reparam import build_mc, build_orthogonal_d4, closed_form_inverse_check
+from .reparam import _closed_form_inverse_check, build_mc, build_orthogonal_d4
 
 OUTPUT_DIR_ENV = "GHZSENSE_OUTPUT_DIR"
 
@@ -228,7 +228,7 @@ def _cmd_transform(config: RunConfig) -> None:
     print(f"reparametrization '{rep.name}' for d={config.nodes}")
     print("  coordinates: " + ", ".join(rep.labels))
     if config.chart == "mc":
-        check = closed_form_inverse_check(config.nodes)
+        check = _closed_form_inverse_check(rep)
         exact = [rep.labels[i] for i in check.matching_columns]
         extra["closed_form_check"] = {
             "max_abs_discrepancy": float(check.max_abs_discrepancy),
@@ -256,7 +256,10 @@ def _cmd_bounds(config: RunConfig) -> None:
     )
     print(f"  weak bound:  {report.weak_bound:.6g}")
     if report.exact_bound is None:
-        print("  exact bound: unavailable without reparametrization")
+        if CHARTS[config.chart][0] is None:
+            print("  exact bound: unavailable without reparametrization")
+        else:  # the chart already drops the alternating phase
+            print("  exact bound: unavailable, the matrix is numerically singular in this chart")
         print(f"    ({report.exact_unavailable_reason})")
     else:
         print(f"  exact bound: {report.exact_bound:.6g}")

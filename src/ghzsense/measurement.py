@@ -29,7 +29,6 @@ from .qfim import (
     FisherMatrix,
     _directions_for,
     _read_only,
-    _read_only_copy,
 )
 
 PATTERNS = ("++", "--", "+-", "-+")
@@ -56,13 +55,32 @@ def _canonical_entries(values, nodes: int, table: str) -> np.ndarray:
     """Entries of a label-keyed mapping or of a flat array, in canonical label order."""
     if isinstance(values, Mapping):
         labels = outcome_labels(nodes)
-        if set(values) == set(labels):
-            return np.array([values[label] for label in labels])
-    else:
+        values = [values[label] for label in labels] if set(values) == set(labels) else None
+    try:
         entries = np.asarray(values)
-        if entries.shape == (4 * nodes,):
-            return entries
-    raise ValidationError(f"{table} must cover exactly the {4 * nodes} canonical outcomes")
+    except ValueError:  # a ragged sequence
+        entries = None
+    if entries is None or entries.shape != (4 * nodes,):
+        raise ValidationError(f"{table} must cover exactly the {4 * nodes} canonical outcomes")
+    return entries
+
+
+def _float_entries(entries: np.ndarray, what: str) -> np.ndarray:
+    """Canonical ``entries`` as a new float64 array.
+
+    An entry that is not a number raises ValidationError naming ``what`` and
+    its outcome label.
+    """
+    try:
+        return np.array(entries, dtype=float)
+    except (TypeError, ValueError):
+        pass
+    for index, value in enumerate(entries.tolist()):
+        try:
+            float(value)
+        except (TypeError, ValueError):
+            break
+    raise ValidationError(f"{what} for {_label_at(index)} must be a number, got {value!r}")
 
 
 def _by_label(entries: np.ndarray, nodes: int) -> dict:
@@ -89,7 +107,8 @@ class OutcomeDistribution:
     def __post_init__(self):
         _check_counts(self.photons, self.nodes)
         object.__setattr__(self, "phases", _read_only(phase_vector(self.phases, self.nodes)))
-        probs = _read_only_copy(_canonical_entries(self.array, self.nodes, "distribution"))
+        entries = _canonical_entries(self.array, self.nodes, "distribution")
+        probs = _read_only(_float_entries(entries, "probability"))
         object.__setattr__(self, "array", probs)
         bad = ~(np.isfinite(probs) & (probs >= 0.0))
         if bad.any():

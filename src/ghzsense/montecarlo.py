@@ -19,6 +19,7 @@ documented convention); a pair with b_j = 0 is smooth through zero.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -26,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .bounds import exact_crb
+from .bounds import _mc_spectral_bound
 from .errors import ConvergenceError, ValidationError
 from .ghz_state import (  # noqa: F401
     MAX_SHOTS, _check_counts, _check_nodes, _check_seed, _check_shots, _float_array,
@@ -36,8 +37,8 @@ from .measurement import (
     OutcomeDistribution,
     _by_label,
     _canonical_entries,
+    _float_entries,
     _label_at,
-    cfim,
     outcome_distribution,
     outcome_labels,
 )
@@ -47,7 +48,6 @@ from .reparam import (
     _mc_kept_labels,
     _mc_pair_pullback,
     _mc_phases,
-    build_mc,
 )
 
 DEFAULT_BOX_HALF_WIDTH = 0.25
@@ -87,7 +87,7 @@ class CountTable:
         object.__setattr__(self, "phases", _read_only(phase_vector(self.phases, self.nodes)))
         entries = _canonical_entries(self.array, self.nodes, "count table")
         if not np.can_cast(entries.dtype, np.int64):
-            entries = np.asarray(entries, dtype=float)
+            entries = _float_entries(entries, "count")
             # int64 holds every whole number of magnitude below 2**63 exactly
             whole = np.isfinite(entries) & (entries == np.trunc(entries))
             whole &= np.abs(entries) < 2.0**63
@@ -327,8 +327,12 @@ def mle_estimate(
     window, or with a per-event gradient max-norm above 1e-10.
     """
     weights, photons, nodes, batched = _count_rows(counts, photons, nodes)
-    if not (math.isfinite(box_half_width) and box_half_width > 0):
-        raise ValidationError(f"box half-width must be positive, got {box_half_width}")
+    if (
+        not isinstance(box_half_width, numbers.Real)
+        or isinstance(box_half_width, bool)
+        or not (math.isfinite(box_half_width) and box_half_width > 0)
+    ):
+        raise ValidationError(f"box half-width must be a positive number, got {box_half_width!r}")
     guess = _float_array(initial_theta, "initial guess", (nodes - 1,))
     _check_nodes(nodes, 4, even=True)
     guess_sums = _ring_pair_sums(_mc_phases(guess[None, :]))[0]
@@ -462,11 +466,12 @@ def crb_saturation_experiment(
     Each replicate draws ``shots`` outcomes from the true distribution with an
     independently derived child seed; all replicates are then fit together by
     local maximum likelihood starting from the true parameters.  The
-    theoretical variance bound is taken from the inverted classical Fisher
-    matrix in the reduced chart and equals 1/(N^2 * shots).  The whole
-    experiment is a pure function of its arguments; replicates use
-    precomputed per-replicate seeds, so their estimates do not depend on
-    evaluation order.  ``replicates * 4 * nodes`` may not exceed
+    theoretical variance bound is the exact classical bound on theta_1 in the
+    reduced chart, read off the ring spectrum with no matrix formed
+    (:func:`ghzsense.bounds._mc_spectral_bound`), over ``shots``; it equals
+    1/(N^2 * shots).  The whole experiment is a pure function of its
+    arguments; replicates use precomputed per-replicate seeds, so their
+    estimates do not depend on evaluation order.  ``replicates * 4 * nodes`` may not exceed
     ``MAX_COUNT_CELLS``, and ``shots`` may not exceed ``MAX_SHOTS``.
     """
     _check_counts(photons, nodes)
@@ -486,13 +491,10 @@ def crb_saturation_experiment(
     seed = _check_seed(seed)
     shots = _check_shots(shots)
     _check_window(phi + np.roll(phi, -1), photons, "true pair sums")
-    rep = build_mc(nodes)
-    theta_true = rep.apply(phi)[1:]
+    _check_nodes(nodes, 4, even=True)
+    theta_true = _mc_coordinates(phi[None, :])[0]
     dist = outcome_distribution(photons, nodes, phi)
-    reduced = cfim(photons, nodes, phi, rep.chart(True))
-    basis = np.zeros(nodes - 1)
-    basis[0] = 1.0
-    bound = exact_crb(reduced, basis, shots)
+    bound = _mc_spectral_bound(photons, nodes, np.eye(1, nodes - 1)[0], "classical") / shots
 
     child_seeds = np.random.SeedSequence(seed).generate_state(
         replicates, dtype=np.uint64
@@ -517,7 +519,7 @@ def crb_saturation_experiment(
         fit.labels,
         estimates,
         var_theta1,
-        float(bound),
-        var_theta1 / float(bound),
+        bound,
+        var_theta1 / bound,
         float(np.mean(estimates[:, 0])),
     )

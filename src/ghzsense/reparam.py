@@ -243,7 +243,12 @@ def closed_form_inverse_check(d: int) -> InverseCheckReport:
     is formed at once: above its diagonal only the head term fires, below
     it only the tail term, on it both.
     """
-    rep = build_mc(d)
+    return _closed_form_inverse_check(build_mc(d))
+
+
+def _closed_form_inverse_check(rep: Reparametrization) -> InverseCheckReport:
+    """:func:`closed_form_inverse_check` against ``rep``, an already built ``mc``."""
+    d = rep.dim
     closed = np.zeros((d, d))
     above = np.triu(np.ones((d // 2, d // 2), dtype=bool), 1)
     for first in (0, 1):  # the block of odd nodes, then of even nodes

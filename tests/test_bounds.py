@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ghzsense import qfim, reparam
 from ghzsense.bounds import (
     bound_report,
     exact_crb,
@@ -13,6 +14,7 @@ from ghzsense.bounds import (
 )
 from ghzsense.errors import SingularMatrixError, ValidationError
 from ghzsense.measurement import cfim
+from ghzsense.montecarlo import crb_saturation_experiment
 from ghzsense.qfim import qfim_pure
 from ghzsense.reparam import build_mc, pushforward_fisher
 
@@ -231,11 +233,13 @@ def test_sweep_matches_the_pushforward_route(photons):
 def test_sweep_validates_the_whole_grid_before_building_any_chart(
     photons, nodes, message, monkeypatch
 ):
-    built = []
-    monkeypatch.setattr("ghzsense.bounds.build_mc", lambda d: built.append(d))
+    computed = []
+    monkeypatch.setattr(
+        "ghzsense.bounds._mc_spectral_bound", lambda *args: computed.append(args) or 1.0
+    )
     with pytest.raises(ValidationError, match=message):
         heisenberg_sweep(photons, nodes)
-    assert built == []
+    assert computed == []
 
 
 def test_sweep_csv_layout():
@@ -251,3 +255,28 @@ def test_sweep_csv_layout():
 def test_shots_must_be_positive():
     with pytest.raises(ValidationError):
         exact_crb(np.eye(2), np.array([1.0, 0.0]), shots=0)
+
+
+LINALG_FUNCTIONS = (
+    "cholesky", "det", "eig", "eigh", "eigvalsh", "inv", "lstsq", "matrix_rank",
+    "norm", "pinv", "qr", "slogdet", "solve", "svd",
+)
+
+
+def test_average_bounds_at_large_rings_form_no_chart_and_factorize_nothing(monkeypatch):
+    # d = 3600 and 4096 are past where the dense route's certificate refused
+    # these well-posed bounds; the spectral route builds no chart or mc
+    # reparametrization and calls no np.linalg function
+    def refuse(*args, **kwargs):
+        raise AssertionError("called on the spectral route")
+
+    monkeypatch.setattr(qfim.Chart, "__post_init__", refuse)
+    monkeypatch.setattr(reparam, "build_mc", refuse)
+    for name in LINALG_FUNCTIONS:
+        monkeypatch.setattr(np.linalg, name, refuse)
+    (row,) = heisenberg_sweep([2], [4096])
+    assert (row.qcrb, row.ccrb, row.ratio) == (0.5, 0.5, 1.0)
+    report = crb_saturation_experiment(2, 3600, np.full(3600, 0.1), 10**6, 50, 1)
+    assert report.bound == 1.0 / (4 * 10**6)
+    assert report.theta_true.shape == (3599,)
+    assert np.isfinite(report.ratio) and report.ratio > 0.0

@@ -120,6 +120,34 @@ def test_bounds_on_singular_chart_reports_weak_only(capsys):
     assert "exact bound: unavailable without reparametrization" in out
 
 
+@pytest.mark.parametrize("chart, nodes", [("mc", "4"), ("d4-orthogonal", "4"), ("mc", "6")])
+def test_a_refusal_in_a_reduced_chart_is_reported_as_numerical(chart, nodes, monkeypatch, capsys):
+    # a rule under which every matrix is numerically singular forces the refusal
+    monkeypatch.setattr("ghzsense.bounds.RANK_RTOL", 1.0)
+    status = main(["bounds", "--N", "2", "--d", nodes, "--chart", chart, "--kind", "classical"])
+    out = capsys.readouterr().out
+    assert status == 0
+    assert "exact bound: unavailable, the matrix is numerically singular in this chart" in out
+    assert "without reparametrization" not in out
+
+
+def test_transform_builds_the_mc_reparametrization_once(monkeypatch, capsys):
+    # above the memo cutoff every lookup builds anew; the closed-form check
+    # reads the reparametrization the command already built
+    monkeypatch.setattr(ghzsense.qfim, "RING_MEMO_MAX_NODES", 4)
+    built = []
+    check = ghzsense.reparam.Reparametrization.__post_init__
+
+    def counting(rep):
+        built.append(rep.name)
+        check(rep)
+
+    monkeypatch.setattr(ghzsense.reparam.Reparametrization, "__post_init__", counting)
+    assert main(["transform", "--d", "6", "--chart", "mc"]) == 0
+    assert "closed-form inverse check" in capsys.readouterr().out
+    assert built == ["mc"]
+
+
 def test_bounds_in_reduced_chart_reports_both(capsys):
     status = main(["bounds", "--N", "2", "--d", "4", "--chart", "mc", "--kind", "quantum"])
     out = capsys.readouterr().out

@@ -3,7 +3,8 @@
 Every vector and matrix a caller hands the library goes through
 ``ghz_state._float_array``: strings, ragged lists, None, non-finite entries
 and wrong shapes raise ValidationError, and a raw matrix must also be
-symmetric.  Every matrix certificate is ``qfim._shifted_cholesky``, checked
+symmetric.  The outcome tables keep their own conversion, whose refusals
+name the outcome label, under the same rule.  Every matrix certificate is ``qfim._shifted_cholesky``, checked
 here against the eigenvalue rule it stands in for.
 """
 
@@ -17,7 +18,7 @@ from ghzsense.bounds import RANK_RTOL, bound_report, exact_crb, weak_crb, weak_v
 from ghzsense.errors import ValidationError
 from ghzsense.ghz_state import RingState, apply_phases, build_input_state, phase_vector
 from ghzsense.measurement import OutcomeDistribution, outcome_distribution
-from ghzsense.montecarlo import mle_estimate, sample_counts
+from ghzsense.montecarlo import CountTable, mle_estimate, sample_counts
 from ghzsense.qfim import (
     PSD_TOL,
     Chart,
@@ -64,6 +65,22 @@ def test_reparametrization_refuses_a_nan_matrix(field):
     matrices[field][2, 1] = np.nan
     with pytest.raises(ValidationError, match=f"{field} matrix entries must be finite"):
         Reparametrization(**matrices, labels=rep.labels, kept_indices=(1, 2, 3), name="mc")
+
+
+def test_outcome_tables_and_the_fit_box_name_a_value_that_is_not_a_number():
+    text = ["a"] * (4 * NODES)
+    with pytest.raises(
+        ValidationError,
+        match=r"^count for OutcomeLabel\(pair=1, pattern='\+\+'\) must be a number, got 'a'$",
+    ):
+        CountTable(text, 100, 1, PHOTONS, NODES, PHI)
+    with pytest.raises(
+        ValidationError,
+        match=r"^probability for OutcomeLabel\(pair=1, pattern='\+\+'\) must be a number",
+    ):
+        OutcomeDistribution(text, PHOTONS, NODES, PHI)
+    with pytest.raises(ValidationError, match="^box half-width must be a positive number, got 'x'$"):
+        mle_estimate(count_table(), np.zeros(NODES - 1), "x")
 
 
 def test_fit_refuses_a_nan_guess():
@@ -253,6 +270,8 @@ def _reader_targets() -> dict:
         return len(shape) == 2 and shape[0] >= 1 and shape[1] == 4 * NODES
 
     bad_docs = st.one_of(st.text(max_size=6), st.none(), st.lists(st.integers(), max_size=2))
+    bad_widths = st.one_of(bad_scalars, st.floats(max_value=0.0), st.booleans())
+    dist = outcome_distribution(PHOTONS, NODES, PHI)
     symmetric = bad_arrays(entries, symmetric=True)
     return {
         "phase_vector": (bad_arrays(PHI), lambda v: phase_vector(v, NODES)),
@@ -290,6 +309,13 @@ def _reader_targets() -> dict:
         "Reparametrization.apply": (bad_arrays(PHI), rep.apply),
         "Reparametrization.to_phases": (bad_arrays(rep.apply(PHI)), rep.to_phases),
         "mle_estimate guess": (bad_arrays(guess), lambda v: mle_estimate(table, v)),
+        "mle_estimate box_half_width": (bad_widths, lambda v: mle_estimate(table, guess, v)),
+        "CountTable array": (
+            bad_arrays(table.array), lambda v: CountTable(v, 10_000, 1, PHOTONS, NODES, PHI)
+        ),
+        "OutcomeDistribution array": (
+            bad_arrays(dist.array), lambda v: OutcomeDistribution(v, PHOTONS, NODES, PHI)
+        ),
         "mle_estimate counts": (
             bad_arrays(table.array[None, :], accepts=count_shapes),
             lambda v: mle_estimate(

@@ -11,6 +11,8 @@ checked bit for bit against a per-ket reference, and the state's JSON form
 as an exact round trip.  The O(d) maps between phases and the kept mc
 coordinates, which also build the mc matrices, are checked against dense
 products with a transform filled entry by entry and its numerical inverse.
+The exact bound of any weight in the reduced mc chart, read off the ring
+spectrum, is checked against the factorized reduced matrices.
 """
 
 import cmath
@@ -22,7 +24,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ghzsense.bounds import RANK_RTOL, exact_crb
+from ghzsense.bounds import RANK_RTOL, _mc_spectral_bound, exact_crb
 from ghzsense.errors import SingularMatrixError
 from ghzsense.ghz_state import RingState, apply_phases, build_input_state
 from ghzsense.measurement import cfim
@@ -230,3 +232,20 @@ def test_structured_mc_maps_match_the_dense_products(nodes, rows, seed):
     ):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    nodes=st.integers(2, 64).map(lambda half: 2 * half),
+    photons=st.sampled_from([2, 4, 6]),
+    kind=st.sampled_from(["quantum", "classical"]),
+    seed=seeds,
+)
+@example(nodes=4, photons=2, kind="quantum", seed=0)
+@example(nodes=128, photons=6, kind="classical", seed=1)
+def test_spectral_bound_matches_the_factorized_reduced_matrix(nodes, photons, kind, seed):
+    alpha = np.random.default_rng(seed).normal(size=nodes - 1)
+    information = qfim_pure if kind == "quantum" else cfim
+    reduced = information(photons, nodes, np.zeros(nodes), build_mc(nodes).chart(True))
+    expected = exact_crb(reduced, alpha)
+    assert abs(_mc_spectral_bound(photons, nodes, alpha, kind) - expected) <= 1e-12 * expected

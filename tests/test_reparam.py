@@ -263,19 +263,29 @@ def test_a_new_photon_number_replaces_the_chart_slot(linalg_calls):
     np.testing.assert_array_equal(again.entries, four.entries)
 
 
-def test_sweep_validates_one_chart_per_grid_point(monkeypatch, linalg_calls):
+def test_sweep_builds_and_validates_no_chart(monkeypatch, linalg_calls):
+    # the sweep reads its bounds off the ring spectrum
     pushed = []
+    built = []
 
     def counting(*args, **kwargs):
         pushed.append(args)
         return pushforward_fisher(*args, **kwargs)
 
+    chart_check = qfim.Chart.__post_init__
+
+    def counting_charts(chart):
+        built.append(chart.name)
+        chart_check(chart)
+
     monkeypatch.setattr(reparam, "pushforward_fisher", counting)
     monkeypatch.setattr(bounds, "pushforward_fisher", counting, raising=False)
+    monkeypatch.setattr(qfim.Chart, "__post_init__", counting_charts)
     calls = linalg_calls("matrix_rank")
     heisenberg_sweep([4], [16])
-    assert calls["matrix_rank"] == 1
+    assert calls["matrix_rank"] == 0
     assert pushed == []
+    assert built == []
 
 
 def fisher_pipeline(photons, nodes, phi):
@@ -302,7 +312,7 @@ def test_a_pipeline_inverts_no_matrix_and_a_repeat_builds_no_ring_geometry(linal
     assert calls == {}
 
 
-def test_a_repeated_pipeline_forms_no_gram_and_factorizes_four_times(monkeypatch, linalg_calls):
+def test_a_repeated_pipeline_forms_no_gram_and_factorizes_twice(monkeypatch, linalg_calls):
     phi = np.random.default_rng(16).uniform(-0.2, 0.2, 16)
     formed = []
 
@@ -315,17 +325,16 @@ def test_a_repeated_pipeline_forms_no_gram_and_factorizes_four_times(monkeypatch
     fisher_pipeline(4, 16, phi)
     assert sorted(formed) == ["mc", "original"]
     # one PSD test per newly formed matrix and one certificate per exact
-    # bound: 3 matrices from the charts' slots, the pushforward and 1 bound
-    # before the sweep; in the sweep the reduced CFIM is new, the reduced
-    # QFIM comes from the slot, and there are 2 bounds
-    assert calls["cholesky"] == 8
+    # bound: 3 matrices from the charts' slots, the pushforward and 1 bound;
+    # the sweep reads its bounds off the ring spectrum and factorizes nothing
+    assert calls["cholesky"] == 5
     formed.clear()
     calls.clear()
     fisher_pipeline(4, 16, phi)
     assert formed == []
-    # every slot is filled: only the pushforward's PSD test and the three
-    # certificates remain
-    assert calls["cholesky"] == 4
+    # every slot is filled: only the pushforward's PSD test and the one
+    # certificate remain
+    assert calls["cholesky"] == 2
 
 
 def test_saturation_experiment_inverts_no_matrix(linalg_calls):
