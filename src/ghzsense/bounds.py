@@ -109,6 +109,8 @@ class BoundReport:
 
 def bound_report(matrix: FisherMatrix, alpha, shots: int = 1) -> BoundReport:
     """Assemble both bounds; the exact one may be unavailable when singular."""
+    if not isinstance(matrix, FisherMatrix):
+        raise ValidationError(f"matrix must be a FisherMatrix, got {type(matrix).__name__}")
     a = _weight(alpha, matrix.dim)
     n = _check_shots(shots)
     weak = weak_crb(matrix, a, n)

@@ -83,13 +83,18 @@ def _float_array(values, what: str, shape: tuple) -> np.ndarray:
 
     This is the one reader of every number array a caller hands the library.
     A None in ``shape`` matches any size along that axis.  Values that numpy
-    cannot convert (strings, ragged lists, None) and any other shape or a
+    cannot convert (strings, ragged lists, None), complex values, whose
+    imaginary part the conversion would drop, and any other shape or a
     non-finite entry raise ValidationError naming ``what``.
     """
     try:
-        array = np.array(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+        array = np.asarray(values)
+        if not np.iscomplexobj(array):
+            array = np.array(array, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what} must be an array of numbers: {exc}") from None
+    if np.iscomplexobj(array):
+        raise ValidationError(f"{what} must be real, got dtype {array.dtype}")
     if array.ndim != len(shape) or any(
         n is not None and n != m for n, m in zip(shape, array.shape)
     ):

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import ValidationError
 from .ghz_state import _check_counts, node_pair, phase_vector
 from .qfim import (
+    _ORACLE_STEP,
     Chart,
     FisherMatrix,
     _directions_for,
@@ -68,17 +69,19 @@ def _canonical_entries(values, nodes: int, table: str) -> np.ndarray:
 def _float_entries(entries: np.ndarray, what: str) -> np.ndarray:
     """Canonical ``entries`` as a new float64 array.
 
-    An entry that is not a number raises ValidationError naming ``what`` and
-    its outcome label.
+    Complex entries raise ValidationError naming ``what``, and an entry that
+    is not a number raises one naming ``what`` and its outcome label.
     """
+    if np.iscomplexobj(entries):
+        raise ValidationError(f"{what} entries must be real, got dtype {entries.dtype}")
     try:
         return np.array(entries, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     for index, value in enumerate(entries.tolist()):
         try:
             float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             break
     raise ValidationError(f"{what} for {_label_at(index)} must be a number, got {value!r}")
 
@@ -197,7 +200,8 @@ def cfim(photons: int, nodes: int, phases, chart: Chart | None = None) -> Fisher
     Uses the analytically collapsed kernel, so the result is exact at every
     phase point including those where some outcomes have probability zero,
     and is independent of the phases for any fixed linear chart.  The kernel
-    sum is (N^2/4d) G^T G, scaled from the chart's cached pair-sum Gram.
+    sum is (N^2/4d) G^T G, with G the chart's
+    :func:`ghzsense.qfim.pair_sum_gradients`.
     Calls with the same chart and photon number copy the entries of one
     matrix, formed and validated on the first of them; each result carries
     its own phases.
@@ -209,16 +213,15 @@ def cfim(photons: int, nodes: int, phases, chart: Chart | None = None) -> Fisher
 
 
 def cfim_brute_force_oracle(
-    photons: int, nodes: int, phases, chart: Chart | None = None, step: float = 1e-6
+    photons: int, nodes: int, phases, chart: Chart | None = None
 ) -> FisherMatrix:
     """Independent cross-check: literal sum over outcomes with numerical dP.
 
     Computes sum_o (1/P_o) (dP_o/dm) (dP_o/dn) with central-difference
-    probability derivatives.  Requires every outcome probability to exceed
-    1e-8 so the quotient is well conditioned.
+    probability derivatives of step ``qfim._ORACLE_STEP`` = 1e-6.  Requires
+    every outcome probability to exceed 1e-8 so the quotient is well
+    conditioned.
     """
-    if not 0 < step < 1e-2:
-        raise ValidationError(f"finite-difference step must be in (0, 1e-2), got {step}")
     _check_counts(photons, nodes)
     phi = phase_vector(phases, nodes)
     chart, directions = _directions_for(nodes, chart)
@@ -233,10 +236,10 @@ def cfim_brute_force_oracle(
         [
             outcome_distribution(photons, nodes, phi + shift).as_array()
             - outcome_distribution(photons, nodes, phi - shift).as_array()
-            for shift in (step * directions).T
+            for shift in (_ORACLE_STEP * directions).T
         ],
         axis=1,
-    ) / (2.0 * step)
+    ) / (2.0 * _ORACLE_STEP)
     # sum_o dP_o dP_o^T / P_o as one product over the (4d, k) stack
     weighted = derivs / np.sqrt(base)[:, None]
     return FisherMatrix(weighted.T @ weighted, "classical", chart, photons, nodes, phi)

@@ -458,14 +458,13 @@ def crb_saturation_experiment(
     shots: int,
     replicates: int,
     seed: int,
-    *,
-    box_half_width: float = DEFAULT_BOX_HALF_WIDTH,
 ) -> SaturationReport:
     """Replicate sampling + estimation and compare Var(theta_1) to its bound.
 
     Each replicate draws ``shots`` outcomes from the true distribution with an
     independently derived child seed; all replicates are then fit together by
-    local maximum likelihood starting from the true parameters.  The
+    local maximum likelihood starting from the true parameters, in a search
+    box of half-width ``DEFAULT_BOX_HALF_WIDTH`` around them.  The
     theoretical variance bound is the exact classical bound on theta_1 in the
     reduced chart, read off the ring spectrum with no matrix formed
     (:func:`ghzsense.bounds._mc_spectral_bound`), over ``shots``; it equals
@@ -504,7 +503,7 @@ def crb_saturation_experiment(
     for r, child in enumerate(child_seeds):
         counts[r] = _draw(probabilities, shots, int(child))
     fit = mle_estimate(
-        counts, theta_true, box_half_width, photons=photons, nodes=nodes
+        counts, theta_true, DEFAULT_BOX_HALF_WIDTH, photons=photons, nodes=nodes
     )
     estimates = fit.theta
     var_theta1 = float(np.var(estimates[:, 0], ddof=1))

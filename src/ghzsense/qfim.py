@@ -39,13 +39,14 @@ from .ghz_state import (
 
 SYMMETRY_TOL = 1e-10
 PSD_TOL = 1e-9
+_RANK_TOL = 1e-9  # relative singular-value cutoff of rank_and_nullspace
+_ORACLE_STEP = 1e-6  # central-difference step of both finite-difference oracles
 
 # Ring geometry (charts and reparametrizations) is a pure function of the
 # ring size.  Rings up to RING_MEMO_MAX_NODES are built once and shared,
 # keeping the RING_MEMO_SIZES most recently used sizes: about 10 MiB per ring
-# at d = 512, up to 6 MiB more once the pair-sum Grams of its three charts are
-# formed, and up to 12 MiB more once each chart holds a quantum and a
-# classical Fisher matrix.  Larger rings are built on every call.
+# at d = 512, and up to 12 MiB more once each of its three charts holds a
+# quantum and a classical Fisher matrix.  Larger rings are built on every call.
 RING_MEMO_MAX_NODES = 512
 RING_MEMO_SIZES = 4
 _RING_MEMOS = []
@@ -73,10 +74,6 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _read_only_copy(values) -> np.ndarray:
-    return _read_only(np.array(values, dtype=float))
-
-
 @dataclass(eq=False, frozen=True)
 class Chart:
     """Parameter chart: named directions in phase space.
@@ -87,11 +84,9 @@ class Chart:
     :mod:`ghzsense.reparam`), whose inverse-matrix columns supply the
     directions.  Charts are shared between matrices and callers, so a chart
     is frozen and ``directions`` is its own read-only copy of the array
-    passed in.  :func:`qfim_pure` and :func:`ghzsense.measurement.cfim`
-    build their matrices from the chart's pair-sum Gram (G^T G, s), formed
-    once on first use and also read-only, so it cannot go stale.  The chart
-    keeps those validated matrices for the most recent photon number in one
-    slot, which a new photon number replaces.
+    passed in.  The chart keeps the validated matrices of
+    :func:`qfim_pure` and :func:`ghzsense.measurement.cfim` for the most
+    recent photon number in one slot, which a new photon number replaces.
     """
 
     name: str
@@ -111,27 +106,18 @@ class Chart:
                 "chart directions must be linearly independent columns"
             )
 
-    @functools.cached_property
-    def _gram(self) -> tuple[np.ndarray, np.ndarray]:
-        """(G^T G, s): G is :func:`pair_sum_gradients` and s the sum of its rows.
-
-        numpy forms ``grads.T @ grads`` as a symmetric rank-k update, so G^T G
-        is exactly symmetric and a matrix scaled from it needs no
-        symmetrizing.
-        """
-        grads = pair_sum_gradients(self.nodes, self)
-        return _read_only(grads.T @ grads), _read_only(grads.sum(axis=0))
-
     def _fisher_matrix(self, photons: int, kind: str, phi: np.ndarray) -> "FisherMatrix":
         """Fisher matrix of ``kind`` for ``photons`` at the validated phases ``phi``.
 
-        The entries are formed from the Gram and validated on first use:
-        QFIM = (N^2/2d) G^T G - (N^2/4d^2) s s^T (see the module docstring)
-        and CFIM = (N^2/4d) G^T G (see :mod:`ghzsense.measurement`).  The
-        slot keeps that matrix, its entries read-only, until a call with
-        another photon number replaces it.  Each call returns a shallow copy
-        with its own copy of those entries and a read-only copy of ``phi`` as
-        its phases, so a write to a result never reaches the slot.
+        On a slot miss the entries are formed from G = :func:`pair_sum_gradients`
+        and validated: QFIM = (N^2/2d) G^T G - (N^2/4d^2) s s^T, s the sum of
+        G's rows (see the module docstring), and CFIM = (N^2/4d) G^T G (see
+        :mod:`ghzsense.measurement`); numpy forms ``grads.T @ grads`` as a
+        symmetric rank-k update, so G^T G is exactly symmetric.  The slot
+        keeps that matrix, its entries read-only, until a call with another
+        photon number replaces it.  Each call returns a shallow copy with its
+        own copy of those entries, so a write to a result never reaches the
+        slot, and with the call's own ``phi``, set read-only, as its phases.
         """
         photons = int(photons)
         slot_photons, matrices = self._fisher_slot
@@ -140,9 +126,11 @@ class Chart:
             object.__setattr__(self, "_fisher_slot", (photons, matrices))
         matrix = matrices.get(kind)
         if matrix is None:
-            gram, sums = self._gram
             d = self.nodes
+            grads = pair_sum_gradients(d, self)
+            gram = grads.T @ grads
             if kind == "quantum":
+                sums = grads.sum(axis=0)
                 entries = (photons**2 / (2.0 * d)) * gram - (
                     photons**2 / (4.0 * d**2)
                 ) * np.outer(sums, sums)
@@ -153,7 +141,7 @@ class Chart:
             matrix = matrices.setdefault(kind, matrix)
         result = copy.copy(matrix)
         result.entries = matrix.entries.copy()
-        result.phases = _read_only_copy(phi)
+        result.phases = _read_only(phi)
         return result
 
     @property
@@ -198,12 +186,14 @@ def original_chart(d: int) -> Chart:
 class FisherMatrix:
     """Symmetric positive-semidefinite information matrix tied to a chart.
 
-    ``entries`` must be a finite (k, k) array, k the chart's parameter
-    count, symmetric to ``SYMMETRY_TOL``; the matrix stores its own copy of
-    the symmetric part, so changing the array passed in later changes
-    nothing.  The PSD test is :func:`_shifted_cholesky` with the shift
-    tol = PSD_TOL * max(1, b), b the largest absolute row sum, so the
-    tolerance grows with the matrix as its rounding does.  It succeeds
+    ``photons`` and ``nodes`` must pass the state's count checks and
+    ``chart`` must be a :class:`Chart` over ``nodes`` nodes.  ``entries``
+    must be a finite (k, k) array, k the chart's parameter count, symmetric
+    to ``SYMMETRY_TOL``; the matrix stores its own copy of the symmetric
+    part, so changing the array passed in later changes nothing.  The PSD
+    test is :func:`_shifted_cholesky` with the shift tol = PSD_TOL *
+    max(1, b), b the largest absolute row sum, so the tolerance grows with
+    the matrix as its rounding does.  It succeeds
     exactly when the smallest eigenvalue exceeds -tol up to rounding; a
     failed factorization is confirmed with ``eigvalsh`` before the matrix
     is rejected.  ``phases`` is a read-only copy.
@@ -219,6 +209,13 @@ class FisherMatrix:
     def __post_init__(self):
         if self.kind not in ("quantum", "classical"):
             raise ValidationError(f"kind must be 'quantum' or 'classical', got {self.kind!r}")
+        _check_counts(self.photons, self.nodes)
+        if not isinstance(self.chart, Chart):
+            raise ValidationError(f"chart must be a Chart, got {type(self.chart).__name__}")
+        if self.chart.nodes != self.nodes:
+            raise ValidationError(
+                f"chart is over {self.chart.nodes} nodes but the matrix has {self.nodes}"
+            )
         entries = _float_array(self.entries, "Fisher matrix", (self.chart.size,) * 2)
         self.entries = _symmetric_part(entries, SYMMETRY_TOL, "Fisher matrix")
         certified, tol = _shifted_cholesky(self.entries, PSD_TOL, 1.0)
@@ -300,7 +297,10 @@ def _entries_of(matrix, symmetric: bool = True) -> np.ndarray:
 
 
 def _directions_for(d: int, chart: Chart | None) -> tuple[Chart, np.ndarray]:
-    chart = chart if chart is not None else original_chart(d)
+    if chart is None:
+        chart = original_chart(d)
+    elif not isinstance(chart, Chart):
+        raise ValidationError(f"chart must be a Chart or None, got {type(chart).__name__}")
     if chart.nodes != d:
         raise ValidationError(
             f"chart is over {chart.nodes} nodes but the state has {d}"
@@ -346,12 +346,13 @@ def qfim_closed_form_original(photons: int, nodes: int) -> FisherMatrix:
     return FisherMatrix(scale * units, "quantum", original_chart(d), photons, nodes, None)
 
 
-def rank_and_nullspace(matrix, tol: float = 1e-9) -> RankReport:
+def rank_and_nullspace(matrix) -> RankReport:
     """Numerical rank and orthonormal null basis of a symmetric matrix.
 
     The matrix is read by :func:`_entries_of`, so it is exactly symmetric,
-    and its singular values below ``tol`` times the largest count as zero
-    (all of them for the zero matrix).  Two paths apply that rule:
+    and its singular values below ``_RANK_TOL`` = 1e-9 times the largest
+    count as zero (all of them for the zero matrix).  Two paths apply that
+    rule:
 
     - An exactly circulant matrix, ``m[i, j] == m[0, (j - i) % d]`` for
       every entry, as the original-chart QFIM and CFIM of a ring are, is
@@ -368,18 +369,18 @@ def rank_and_nullspace(matrix, tol: float = 1e-9) -> RankReport:
     m = _entries_of(matrix)
     row = _circulant_first_row(m)
     if row is None:
-        return _hermitian_rank_and_nullspace(m, tol)
-    return _circulant_rank_and_nullspace(row, tol)
+        return _hermitian_rank_and_nullspace(m)
+    return _circulant_rank_and_nullspace(row)
 
 
-def _hermitian_rank_and_nullspace(m: np.ndarray, tol: float) -> RankReport:
+def _hermitian_rank_and_nullspace(m: np.ndarray) -> RankReport:
     """The general path of :func:`rank_and_nullspace`, by eigh-based SVD."""
     _, singular, vt = np.linalg.svd(m, hermitian=True)
     if singular.size == 0 or singular[0] == 0.0:
         rank = 0
     else:
-        rank = int(np.sum(singular > tol * singular[0]))
-    return RankReport(rank, vt[rank:].T.copy(), float(tol))
+        rank = int(np.sum(singular > _RANK_TOL * singular[0]))
+    return RankReport(rank, vt[rank:].T.copy(), _RANK_TOL)
 
 
 def _circulant_first_row(m: np.ndarray) -> np.ndarray | None:
@@ -404,7 +405,7 @@ def _circulant_first_row(m: np.ndarray) -> np.ndarray | None:
     return row if np.array_equal(m, rotations) else None
 
 
-def _circulant_rank_and_nullspace(row: np.ndarray, tol: float) -> RankReport:
+def _circulant_rank_and_nullspace(row: np.ndarray) -> RankReport:
     """The circulant path of :func:`rank_and_nullspace`, from the first ``row``.
 
     The matrix is symmetric, so its first row c is an even sequence,
@@ -416,27 +417,25 @@ def _circulant_rank_and_nullspace(row: np.ndarray, tol: float) -> RankReport:
     singular = np.abs(np.fft.rfft(row).real)
     modes = np.arange(singular.size)
     paired = (modes != 0) & (2 * modes != d)
-    kept = singular > tol * singular.max()
+    kept = singular > _RANK_TOL * singular.max()
     rank = np.count_nonzero(kept) + np.count_nonzero(kept & paired)
     null, null_paired = modes[~kept], paired[~kept]
     angles = (np.outer(np.arange(d), null) % d) * (2.0 * np.pi / d)
     cosines = np.cos(angles) * np.where(null_paired, math.sqrt(2.0 / d), math.sqrt(1.0 / d))
     sines = np.sin(angles[:, null_paired]) * math.sqrt(2.0 / d)
-    return RankReport(rank, np.concatenate((cosines, sines), axis=1), float(tol))
+    return RankReport(rank, np.concatenate((cosines, sines), axis=1), _RANK_TOL)
 
 
 def qfim_finite_difference_oracle(
-    photons: int, nodes: int, phases, chart: Chart | None = None, step: float = 1e-6
+    photons: int, nodes: int, phases, chart: Chart | None = None
 ) -> FisherMatrix:
     """Independent cross-check: derivative states by central differences.
 
     Never calls the analytic derivative; each chart direction is probed by
-    re-imprinting the input state at phases +/- step along the direction.
-    With D the (2d, k) stack of those differences and o = D^H psi, the
-    matrix is 4 Re(D^H D - o o^H).
+    re-imprinting the input state at phases +/- ``_ORACLE_STEP`` = 1e-6
+    along the direction.  With D the (2d, k) stack of those differences and
+    o = D^H psi, the matrix is 4 Re(D^H D - o o^H).
     """
-    if not 0 < step < 1e-2:
-        raise ValidationError(f"finite-difference step must be in (0, 1e-2), got {step}")
     _check_counts(photons, nodes)
     phi = phase_vector(phases, nodes)
     chart, directions = _directions_for(nodes, chart)
@@ -446,10 +445,10 @@ def qfim_finite_difference_oracle(
         [
             apply_phases(base, phi + shift).amplitudes.ravel()
             - apply_phases(base, phi - shift).amplitudes.ravel()
-            for shift in (step * directions).T
+            for shift in (_ORACLE_STEP * directions).T
         ],
         axis=1,
-    ) / (2.0 * step)
+    ) / (2.0 * _ORACLE_STEP)
     # Re(D^H D) as one product over the stacked real and imaginary parts
     parts = np.concatenate((derivs.real, derivs.imag))
     overlaps = derivs.conj().T @ psi

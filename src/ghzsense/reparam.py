@@ -219,7 +219,10 @@ def build_orthogonal_d4() -> Reparametrization:
 
 @dataclass
 class InverseCheckReport:
-    """The literal closed-form inverse against the exact one, ``build_mc(d).inverse``."""
+    """The literal closed-form inverse against the exact one, ``build_mc(d).inverse``.
+
+    ``numerical`` is that read-only inverse itself, not a copy.
+    """
 
     nodes: int
     closed_form: np.ndarray
@@ -262,7 +265,7 @@ def _closed_form_inverse_check(rep: Reparametrization) -> InverseCheckReport:
     gap = np.abs(closed - rep.inverse)
     column_gap = gap.max(axis=0)
     matching = tuple(int(col) for col in np.flatnonzero(column_gap <= 1e-12))
-    return InverseCheckReport(d, closed, rep.inverse.copy(), float(column_gap.max()), matching)
+    return InverseCheckReport(d, closed, rep.inverse, float(column_gap.max()), matching)
 
 
 def pushforward_fisher(
@@ -276,6 +279,8 @@ def pushforward_fisher(
     The CLI and the sweep form reduced matrices in ``rep.chart(True)``
     itself; this route stays as a library function and an independent check.
     """
+    if not isinstance(matrix, FisherMatrix):
+        raise ValidationError(f"matrix must be a FisherMatrix, got {type(matrix).__name__}")
     if matrix.dim != rep.dim:
         raise ValidationError(
             f"matrix dimension {matrix.dim} does not match reparametrization "

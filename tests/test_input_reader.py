@@ -1,9 +1,9 @@
 """The one reader of caller-supplied number arrays, and the one Cholesky certificate.
 
 Every vector and matrix a caller hands the library goes through
-``ghz_state._float_array``: strings, ragged lists, None, non-finite entries
-and wrong shapes raise ValidationError, and a raw matrix must also be
-symmetric.  The outcome tables keep their own conversion, whose refusals
+``ghz_state._float_array``: strings, ragged lists, None, complex values,
+non-finite entries and wrong shapes raise ValidationError, and a raw matrix
+must also be symmetric.  The outcome tables keep their own conversion, whose refusals
 name the outcome label, under the same rule.  Every matrix certificate is ``qfim._shifted_cholesky``, checked
 here against the eigenvalue rule it stands in for.
 """
@@ -25,10 +25,11 @@ from ghzsense.qfim import (
     FisherMatrix,
     matrix_from_json_dict,
     matrix_to_json_dict,
+    original_chart,
     qfim_pure,
     rank_and_nullspace,
 )
-from ghzsense.reparam import Reparametrization, build_mc
+from ghzsense.reparam import Reparametrization, build_mc, pushforward_fisher
 
 PHOTONS, NODES = 2, 4
 PHI = np.full(NODES, 0.01)
@@ -81,6 +82,78 @@ def test_outcome_tables_and_the_fit_box_name_a_value_that_is_not_a_number():
         OutcomeDistribution(text, PHOTONS, NODES, PHI)
     with pytest.raises(ValidationError, match="^box half-width must be a positive number, got 'x'$"):
         mle_estimate(count_table(), np.zeros(NODES - 1), "x")
+
+
+def test_fisher_matrices_refuse_inconsistent_counts_and_charts():
+    chart = original_chart(NODES)
+    calls = {
+        "photon count must be an even integer": lambda: FisherMatrix(
+            np.eye(NODES), "quantum", chart, 3, 7, np.zeros(7)
+        ),
+        "chart is over 4 nodes but the matrix has 7": lambda: FisherMatrix(
+            np.eye(NODES), "quantum", chart, PHOTONS, 7, np.zeros(7)
+        ),
+        "photon count must be an integer, got 2.5": lambda: FisherMatrix(
+            np.eye(NODES), "quantum", chart, 2.5, NODES
+        ),
+        "photon count must be an even integer >= 2, got -5": lambda: matrix_from_json_dict(
+            {**matrix_to_json_dict(reduced_qfim()), "N": -5, "d": 9}
+        ),
+        "chart must be a Chart, got ndarray": lambda: FisherMatrix(
+            np.eye(NODES), "quantum", np.eye(NODES), PHOTONS, NODES
+        ),
+    }
+    for message, call in calls.items():
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            call()
+
+
+def test_matrix_and_chart_arguments_refuse_other_types():
+    calls = {
+        "matrix must be a FisherMatrix, got ndarray": [
+            lambda: bound_report(np.eye(3), E1),
+            lambda: pushforward_fisher(np.eye(NODES), build_mc(NODES)),
+        ],
+        "chart must be a Chart or None, got ndarray": [
+            lambda: qfim_pure(PHOTONS, NODES, PHI, chart=np.eye(NODES)),
+        ],
+    }
+    for message, group in calls.items():
+        for call in group:
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                call()
+
+
+def test_complex_and_overflowing_values_are_refused_not_truncated():
+    table, dist = count_table(), outcome_distribution(PHOTONS, NODES, PHI)
+    calls = {
+        "phase vector must be real": [
+            lambda: phase_vector(np.full(NODES, 0.1 + 2j), NODES),
+            lambda: phase_vector([np.complex128(0.1)] * NODES, NODES),
+        ],
+        "count entries must be real": [
+            lambda: CountTable(np.full(4 * NODES, 6.0 + 1j), 96, 1, PHOTONS, NODES, PHI),
+        ],
+        "probability entries must be real": [
+            lambda: OutcomeDistribution(dist.array + 0j, PHOTONS, NODES, PHI),
+        ],
+        "Fisher matrix must be real": [
+            lambda: FisherMatrix(
+                reduced_qfim().entries + 0j, "quantum", build_mc(NODES).chart(True),
+                PHOTONS, NODES,
+            ),
+        ],
+        "phase vector must be an array of numbers": [
+            lambda: phase_vector([10**400] * NODES, NODES),
+        ],
+        "count for .* must be a number": [
+            lambda: CountTable([10**400] * (4 * NODES), table.shots, 1, PHOTONS, NODES, PHI),
+        ],
+    }
+    for message, group in calls.items():
+        for call in group:
+            with pytest.raises(ValidationError, match=f"^{message}"):
+                call()
 
 
 def test_fit_refuses_a_nan_guess():
@@ -218,7 +291,7 @@ def bad_arrays(draw, valid, accepts=None, symmetric=False, none_ok=False):
     """
     valid = np.asarray(valid, dtype=float)
     accepts = accepts or (lambda shape: shape == valid.shape)
-    kinds = ["text", "ragged", "text entry", "non-finite entry", "wrong shape"]
+    kinds = ["text", "ragged", "text entry", "non-finite entry", "complex", "wrong shape"]
     kinds += [] if none_ok else ["none"]
     kind = draw(st.sampled_from(kinds + (["asymmetric"] if symmetric else [])))
     if kind == "text":
@@ -232,6 +305,8 @@ def bad_arrays(draw, valid, accepts=None, symmetric=False, none_ok=False):
         entries = valid.astype(object)
         entries.flat[index] = draw(non_numeric_text)
         return entries.tolist()
+    if kind == "complex":
+        return valid + 1j * draw(st.floats(-1.0, 1.0))
     if kind == "non-finite entry":
         entries = valid.copy()
         entries.flat[index] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))

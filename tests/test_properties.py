@@ -137,7 +137,7 @@ def test_circulant_rank_analysis_matches_the_eigh_path(nodes, planted, zero, til
 
     report = rank_and_nullspace(matrix)
     # the general path of the symmetric part that rank_and_nullspace reads
-    reference = qfim._hermitian_rank_and_nullspace(qfim._entries_of(matrix), 1e-9)
+    reference = qfim._hermitian_rank_and_nullspace(qfim._entries_of(matrix))
     nullity = nodes if zero else sum(1 if 2 * k in (0, nodes) else 2 for k in null)
     assert report.rank == reference.rank == nodes - nullity
     basis = report.null_basis

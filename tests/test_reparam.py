@@ -111,6 +111,12 @@ def test_closed_form_inverse_check_documents_the_discrepancy():
     np.testing.assert_allclose(report.numerical, MC4_INVERSE, atol=1e-12)
 
 
+def test_closed_form_inverse_check_reports_the_read_only_mc_inverse():
+    report = closed_form_inverse_check(8)
+    assert not report.numerical.flags.writeable
+    np.testing.assert_array_equal(report.numerical, build_mc(8).inverse)
+
+
 def test_closed_form_check_first_two_columns_match_for_larger_rings():
     for nodes in (4, 6, 8):
         report = closed_form_inverse_check(nodes)
@@ -323,7 +329,9 @@ def test_a_repeated_pipeline_forms_no_gram_and_factorizes_twice(monkeypatch, lin
     monkeypatch.setattr(qfim, "pair_sum_gradients", counting)
     calls = linalg_calls("cholesky")
     fisher_pipeline(4, 16, phi)
-    assert sorted(formed) == ["mc", "original"]
+    # one G per matrix formed into a slot: the reduced QFIM, and the original
+    # chart's QFIM and CFIM
+    assert sorted(formed) == ["mc", "original", "original"]
     # one PSD test per newly formed matrix and one certificate per exact
     # bound: 3 matrices from the charts' slots, the pushforward and 1 bound;
     # the sweep reads its bounds off the ring spectrum and factorizes nothing
