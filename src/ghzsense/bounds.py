@@ -45,7 +45,11 @@ def exact_crb(matrix, alpha, shots: int = 1) -> float:
     """
     entries = _entries_of(matrix)
     n = _check_shots(shots)
-    a = _weight(alpha, entries.shape[0])
+    return _exact_bound(entries, _weight(alpha, entries.shape[0]), n)
+
+
+def _exact_bound(entries: np.ndarray, a: np.ndarray, n: int) -> float:
+    """:func:`exact_crb` of already validated entries, weight and shot count."""
     if not _shifted_cholesky(entries, -RANK_RTOL)[0]:
         eigs = np.linalg.eigvalsh(entries)
         if eigs[-1] <= 0.0 or eigs[0] <= RANK_RTOL * eigs[-1]:
@@ -65,9 +69,17 @@ def weak_crb(matrix, alpha, shots: int = 1) -> float:
     """
     entries = _entries_of(matrix)
     n = _check_shots(shots)
-    a = _weight(alpha, entries.shape[0])
+    return _weak_bound(entries, _weight(alpha, entries.shape[0]), n)
+
+
+def _weak_bound(entries: np.ndarray, a: np.ndarray, n: int) -> float:
+    """:func:`weak_crb` of already validated entries, weight and shot count.
+
+    The weight is nonzero, so ``entries`` is not empty; its largest
+    absolute entry is max(max F, -min F), which forms no array.
+    """
     quad = float(a @ entries @ a)
-    scale = float(np.max(np.abs(entries), initial=0.0)) * float(a @ a)
+    scale = max(float(entries.max()), -float(entries.min())) * float(a @ a)
     if quad <= 1e-12 * max(scale, 1e-300):
         raise SingularMatrixError(
             "weight vector lies in the null space of the Fisher matrix "
@@ -108,14 +120,20 @@ class BoundReport:
 
 
 def bound_report(matrix: FisherMatrix, alpha, shots: int = 1) -> BoundReport:
-    """Assemble both bounds; the exact one may be unavailable when singular."""
+    """Assemble both bounds; the exact one may be unavailable when singular.
+
+    ``matrix`` must be a :class:`ghzsense.qfim.FisherMatrix`, whose entries
+    are already validated.  The weight and the shot count are validated
+    once, here, and both bounds are computed from them; the exact one keeps
+    its Cholesky certificate and its solve.
+    """
     if not isinstance(matrix, FisherMatrix):
         raise ValidationError(f"matrix must be a FisherMatrix, got {type(matrix).__name__}")
     a = _weight(alpha, matrix.dim)
     n = _check_shots(shots)
-    weak = weak_crb(matrix, a, n)
+    weak = _weak_bound(matrix.entries, a, n)
     try:
-        exact = exact_crb(matrix, a, n)
+        exact = _exact_bound(matrix.entries, a, n)
         reason = None
         gap = exact - weak
     except SingularMatrixError as exc:
@@ -188,11 +206,12 @@ def weak_vs_exact_check(matrix, alpha) -> WeakExactReport:
     )
 
 
-def _mc_spectral_bound(photons: int, nodes: int, alpha: np.ndarray, kind: str) -> float:
-    """Exact one-shot bound alpha^T F^{-1} alpha in the reduced ``mc`` chart, from the spectrum.
+def _mc_spectral_bounds(photons: int, nodes: int, alpha: np.ndarray) -> tuple[float, float]:
+    """Exact one-shot bounds alpha^T F^{-1} alpha in the reduced ``mc`` chart, from the spectrum.
 
-    ``photons`` and ``nodes`` must already be validated (d even), and
-    ``alpha`` is a weight on the d - 1 kept coordinates theta_1..theta_{d-1}.
+    Returns the (quantum, classical) pair.  ``photons`` and ``nodes`` must
+    already be validated (d even), and ``alpha`` is a weight on the d - 1
+    kept coordinates theta_1..theta_{d-1}.
     With J = ``build_mc(d).inverse[:, 1:]`` and W = ``build_mc(d).forward[1:]``,
     the reduced matrix of a node-chart matrix F is J^T F J.  W J = I and W
     annihilates the alternating null vector of F, so (J^T F J)^{-1} =
@@ -209,6 +228,11 @@ def _mc_spectral_bound(photons: int, nodes: int, alpha: np.ndarray, kind: str) -
     so that mode adds alpha_1^2 / N^2.  For the average phase, alpha = e_1,
     the other modes hold only rounding noise, far below an ulp of 1, and the
     bound is 1/N^2 as rounded.
+
+    Both kinds come from one FFT.  Off mode 0 each quantum term is the
+    classical term halved, exactly (a division by a power of two), so twice
+    the quantum sum is the classical sum itself, bit for bit, as if each
+    kind were summed on its own.
     """
     d = nodes
     u = np.full(d, float(alpha[0]))
@@ -216,10 +240,10 @@ def _mc_spectral_bound(photons: int, nodes: int, alpha: np.ndarray, kind: str) -
     u[2:] -= alpha[1:]
     spectrum = np.fft.rfft(u)[1 : d // 2]
     modes = np.cos((np.pi / d) * np.arange(1, d // 2)) ** 2
-    if kind == "quantum":
-        modes *= 2.0
-    rest = 2.0 * float(np.sum((spectrum.real**2 + spectrum.imag**2) / modes))
-    return (float(alpha[0]) ** 2 + rest / d**2) / float(photons) ** 2
+    total = float(np.sum((spectrum.real**2 + spectrum.imag**2) / modes))
+    first = float(alpha[0]) ** 2
+    scale = float(photons) ** 2
+    return (first + total / d**2) / scale, (first + 2.0 * total / d**2) / scale
 
 
 @dataclass
@@ -239,11 +263,12 @@ def heisenberg_sweep(photon_counts, node_counts) -> list[SweepRow]:
     Each bound is the exact one of theta_1, the average phase, in the
     reduced ``mc`` chart (``build_mc(d).chart(True)``), where the
     alternating coordinate that makes every original-chart matrix singular
-    is dropped.  It is read off the ring spectrum by
-    :func:`_mc_spectral_bound`, so no chart, matrix or factorization is
-    formed.  Both the quantum and classical matrices give an exact bound of
-    1/N at one shot, independent of d, so the paired measurement saturates
-    the scaling in N.  Every grid point is validated before any bound is
+    is dropped.  Both kinds are read off the ring spectrum with one FFT per
+    grid point by :func:`_mc_spectral_bounds`, bit-identical to summing
+    each kind on its own, so no chart, matrix or factorization is formed.
+    Both the quantum and classical matrices give an exact bound of 1/N at
+    one shot, independent of d, so the paired measurement saturates the
+    scaling in N.  Every grid point is validated before any bound is
     computed.
     """
     grid = [(photons, nodes) for photons in photon_counts for nodes in node_counts]
@@ -253,8 +278,8 @@ def heisenberg_sweep(photon_counts, node_counts) -> list[SweepRow]:
     rows = []
     for photons, nodes in grid:
         average = np.eye(1, nodes - 1)[0]
-        qcrb = math.sqrt(_mc_spectral_bound(photons, nodes, average, "quantum"))
-        ccrb = math.sqrt(_mc_spectral_bound(photons, nodes, average, "classical"))
+        quantum, classical = _mc_spectral_bounds(photons, nodes, average)
+        qcrb, ccrb = math.sqrt(quantum), math.sqrt(classical)
         rows.append(SweepRow(int(photons), int(nodes), qcrb, ccrb, ccrb / qcrb))
     return rows
 

@@ -101,7 +101,7 @@ def _float_array(values, what: str, shape: tuple) -> np.ndarray:
         sizes = ", ".join("any" if n is None else str(n) for n in shape)
         expected = f"({sizes},)" if len(shape) == 1 else f"({sizes})"
         raise ValidationError(f"{what} must have shape {expected}, got {array.shape}")
-    if not np.all(np.isfinite(array)):
+    if not np.isfinite(array).all():
         raise ValidationError(f"{what} entries must be finite")
     return array
 

@@ -27,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .bounds import _mc_spectral_bound
+from .bounds import _mc_spectral_bounds
 from .errors import ConvergenceError, ValidationError
 from .ghz_state import (  # noqa: F401
     MAX_SHOTS, _check_counts, _check_nodes, _check_seed, _check_shots, _float_array,
@@ -152,8 +152,13 @@ def _draw(probabilities: np.ndarray, shots: int, seed: int) -> np.ndarray:
 def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountTable:
     """Multinomial draw over the 4*d outcomes; a pure function of (dist, shots, seed).
 
-    ``shots`` may not exceed ``MAX_SHOTS``.
+    ``dist`` must be an :class:`~ghzsense.measurement.OutcomeDistribution`,
+    and ``shots`` may not exceed ``MAX_SHOTS``.
     """
+    if not isinstance(dist, OutcomeDistribution):
+        raise ValidationError(
+            f"dist must be an OutcomeDistribution, got {type(dist).__name__}"
+        )
     shots = _check_shots(shots)
     seed = _check_seed(seed)
     draws = _draw(_normalized(dist), shots, seed)
@@ -467,7 +472,7 @@ def crb_saturation_experiment(
     box of half-width ``DEFAULT_BOX_HALF_WIDTH`` around them.  The
     theoretical variance bound is the exact classical bound on theta_1 in the
     reduced chart, read off the ring spectrum with no matrix formed
-    (:func:`ghzsense.bounds._mc_spectral_bound`), over ``shots``; it equals
+    (:func:`ghzsense.bounds._mc_spectral_bounds`), over ``shots``; it equals
     1/(N^2 * shots).  The whole experiment is a pure function of its
     arguments; replicates use precomputed per-replicate seeds, so their
     estimates do not depend on evaluation order.  ``replicates * 4 * nodes`` may not exceed
@@ -493,7 +498,8 @@ def crb_saturation_experiment(
     _check_nodes(nodes, 4, even=True)
     theta_true = _mc_coordinates(phi[None, :])[0]
     dist = outcome_distribution(photons, nodes, phi)
-    bound = _mc_spectral_bound(photons, nodes, np.eye(1, nodes - 1)[0], "classical") / shots
+    _, classical = _mc_spectral_bounds(photons, nodes, np.eye(1, nodes - 1)[0])
+    bound = classical / shots
 
     child_seeds = np.random.SeedSequence(seed).generate_state(
         replicates, dtype=np.uint64

@@ -177,8 +177,12 @@ _original_chart = _ring_memo(_build_original_chart)
 
 
 def original_chart(d: int) -> Chart:
-    """Standard per-node phase chart phi_1..phi_d, shared per ring size."""
-    _check_nodes(d, 1)
+    """Standard per-node phase chart phi_1..phi_d, shared per ring size.
+
+    ``d`` follows the state's rule, an integer from 3 to ``MAX_NODES``, so
+    every Fisher matrix over the chart is accepted.
+    """
+    _check_nodes(d)
     return _original_chart(d)
 
 
@@ -250,11 +254,20 @@ def _symmetric_part(entries: np.ndarray, tol: float, what: str) -> np.ndarray:
     """``entries`` itself when exactly symmetric, else its symmetric part.
 
     An asymmetry max |entries - entries^T| above ``tol`` raises ValidationError.
+    The exactly symmetric case, that of every matrix the toolkit forms, is
+    decided by one entrywise comparison and forms no float array.  Otherwise
+    the asymmetry is measured in one scratch array, which then receives
+    0.5 * (entries + entries^T) and is returned.
     """
-    asym = float(np.max(np.abs(entries - entries.T), initial=0.0))
+    if (entries == entries.T).all():
+        return entries
+    scratch = np.subtract(entries, entries.T)
+    asym = float(np.abs(scratch, out=scratch).max())
     if asym > tol:
         raise ValidationError(f"{what} asymmetry {asym:.3e} exceeds {tol:.3g}")
-    return entries if asym == 0.0 else 0.5 * (entries + entries.T)
+    np.add(entries, entries.T, out=scratch)
+    scratch *= 0.5
+    return scratch
 
 
 def _shifted_cholesky(entries: np.ndarray, rtol: float, floor: float = 0.0) -> tuple[bool, float]:

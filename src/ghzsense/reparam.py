@@ -273,30 +273,30 @@ def pushforward_fisher(
 ) -> FisherMatrix:
     """Re-express a Fisher matrix in the coordinates of ``rep``.
 
-    With J the inverse matrix (columns are the new chart's phase-space
-    directions), the pushed matrix is J^T F J; dropping the irrelevant
-    coordinate afterwards removes its (identically zero) row and column.
+    With J the directions of ``rep.chart(drop_irrelevant)``, the columns of
+    the inverse matrix that the chart keeps, the pushed matrix is
+    0.5 * (P + P^T) with P = (J^T F) J, so it is exactly symmetric.  Only
+    the kept block is formed: dropping the irrelevant coordinate removes its
+    (identically zero) row and column before the product, not after.  That
+    block equals the corresponding block of the full product up to the
+    summation order of the matrix products, a few units in the last place.
     The CLI and the sweep form reduced matrices in ``rep.chart(True)``
     itself; this route stays as a library function and an independent check.
     """
     if not isinstance(matrix, FisherMatrix):
         raise ValidationError(f"matrix must be a FisherMatrix, got {type(matrix).__name__}")
+    if not isinstance(rep, Reparametrization):
+        raise ValidationError(f"rep must be a Reparametrization, got {type(rep).__name__}")
     if matrix.dim != rep.dim:
         raise ValidationError(
             f"matrix dimension {matrix.dim} does not match reparametrization "
             f"dimension {rep.dim}"
         )
-    jac = rep.inverse
+    chart = rep.chart(drop_irrelevant)
+    jac = chart.directions
     pushed = jac.T @ matrix.entries @ jac
-    pushed = 0.5 * (pushed + pushed.T)
-    if drop_irrelevant:
-        idx = np.array(rep.kept_indices, dtype=int)
-        pushed = pushed[np.ix_(idx, idx)]
+    np.add(pushed, pushed.T, out=pushed)
+    pushed *= 0.5
     return FisherMatrix(
-        pushed,
-        matrix.kind,
-        rep.chart(drop_irrelevant),
-        matrix.photons,
-        matrix.nodes,
-        matrix.phases,
+        pushed, matrix.kind, chart, matrix.photons, matrix.nodes, matrix.phases
     )

@@ -235,7 +235,8 @@ def test_sweep_validates_the_whole_grid_before_building_any_chart(
 ):
     computed = []
     monkeypatch.setattr(
-        "ghzsense.bounds._mc_spectral_bound", lambda *args: computed.append(args) or 1.0
+        "ghzsense.bounds._mc_spectral_bounds",
+        lambda *args: computed.append(args) or (1.0, 1.0),
     )
     with pytest.raises(ValidationError, match=message):
         heisenberg_sweep(photons, nodes)

@@ -114,6 +114,12 @@ def test_matrix_and_chart_arguments_refuse_other_types():
             lambda: bound_report(np.eye(3), E1),
             lambda: pushforward_fisher(np.eye(NODES), build_mc(NODES)),
         ],
+        "rep must be a Reparametrization, got ndarray": [
+            lambda: pushforward_fisher(qfim_pure(PHOTONS, NODES, np.zeros(NODES)), np.eye(NODES)),
+        ],
+        "dist must be an OutcomeDistribution, got ndarray": [
+            lambda: sample_counts(np.full(4 * NODES, 1 / (4 * NODES)), 100, 1),
+        ],
         "chart must be a Chart or None, got ndarray": [
             lambda: qfim_pure(PHOTONS, NODES, PHI, chart=np.eye(NODES)),
         ],
@@ -276,6 +282,13 @@ bad_scalars = st.one_of(
 )
 
 
+def wrong_types(*stand_ins):
+    """A value of another type for an object argument: text, None, a number or a stand-in."""
+    return st.one_of(
+        st.text(max_size=6), st.none(), finite_floats, st.sampled_from(stand_ins)
+    )
+
+
 def _json(value):
     return value.tolist() if isinstance(value, np.ndarray) else value
 
@@ -382,6 +395,14 @@ def _reader_targets() -> dict:
             lambda v: Reparametrization(rep.forward, v, rep.labels, rep.kept_indices, "mc"),
         ),
         "Reparametrization.apply": (bad_arrays(PHI), rep.apply),
+        "pushforward_fisher rep": (
+            wrong_types(rep.inverse, rep.inverse.tolist(), rep_doc, rep.chart(False)),
+            lambda v: pushforward_fisher(qfim_pure(PHOTONS, NODES, PHI), v),
+        ),
+        "sample_counts dist": (
+            wrong_types(dist.array, dist.array.tolist(), dist.to_json_dict(), table),
+            lambda v: sample_counts(v, 100, 1),
+        ),
         "Reparametrization.to_phases": (bad_arrays(rep.apply(PHI)), rep.to_phases),
         "mle_estimate guess": (bad_arrays(guess), lambda v: mle_estimate(table, v)),
         "mle_estimate box_half_width": (bad_widths, lambda v: mle_estimate(table, guess, v)),

@@ -12,7 +12,8 @@ as an exact round trip.  The O(d) maps between phases and the kept mc
 coordinates, which also build the mc matrices, are checked against dense
 products with a transform filled entry by entry and its numerical inverse.
 The exact bound of any weight in the reduced mc chart, read off the ring
-spectrum, is checked against the factorized reduced matrices.
+spectrum, is checked against the factorized reduced matrices, and both kinds
+from one FFT bit for bit against each kind summed on its own.
 """
 
 import cmath
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ghzsense.bounds import RANK_RTOL, _mc_spectral_bound, exact_crb
+from ghzsense.bounds import RANK_RTOL, _mc_spectral_bounds, exact_crb, heisenberg_sweep
 from ghzsense.errors import SingularMatrixError
 from ghzsense.ghz_state import RingState, apply_phases, build_input_state
 from ghzsense.measurement import cfim
@@ -248,4 +249,41 @@ def test_spectral_bound_matches_the_factorized_reduced_matrix(nodes, photons, ki
     information = qfim_pure if kind == "quantum" else cfim
     reduced = information(photons, nodes, np.zeros(nodes), build_mc(nodes).chart(True))
     expected = exact_crb(reduced, alpha)
-    assert abs(_mc_spectral_bound(photons, nodes, alpha, kind) - expected) <= 1e-12 * expected
+    quantum, classical = _mc_spectral_bounds(photons, nodes, alpha)
+    spectral = quantum if kind == "quantum" else classical
+    assert abs(spectral - expected) <= 1e-12 * expected
+
+
+def _one_kind_spectral_bound(photons, nodes, alpha, kind):
+    """Reference: the spectral bound of one kind, summed over its own eigenvalues."""
+    d = nodes
+    u = np.full(d, float(alpha[0]))
+    u[:-2] += alpha[1:]
+    u[2:] -= alpha[1:]
+    spectrum = np.fft.rfft(u)[1 : d // 2]
+    modes = np.cos((np.pi / d) * np.arange(1, d // 2)) ** 2
+    if kind == "quantum":
+        modes *= 2.0
+    rest = 2.0 * float(np.sum((spectrum.real**2 + spectrum.imag**2) / modes))
+    return (float(alpha[0]) ** 2 + rest / d**2) / float(photons) ** 2
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    nodes=st.integers(2, 2048).map(lambda half: 2 * half),
+    photons=st.integers(1, 49).map(lambda half: 2 * half),
+    seed=seeds,
+)
+@example(nodes=4, photons=2, seed=0)
+@example(nodes=4096, photons=98, seed=1)
+def test_both_spectral_kinds_from_one_fft_are_each_kind_bit_for_bit(nodes, photons, seed):
+    kinds = ("quantum", "classical")
+    (row,) = heisenberg_sweep([photons], [nodes])
+    average = np.eye(1, nodes - 1)[0]
+    assert (row.qcrb, row.ccrb) == tuple(
+        math.sqrt(_one_kind_spectral_bound(photons, nodes, average, kind)) for kind in kinds
+    )
+    alpha = np.random.default_rng(seed).normal(size=nodes - 1)
+    assert _mc_spectral_bounds(photons, nodes, alpha) == tuple(
+        _one_kind_spectral_bound(photons, nodes, alpha, kind) for kind in kinds
+    )

@@ -343,6 +343,15 @@ def test_original_chart_rejects_invalid_ring_sizes(nodes):
         original_chart(nodes)
 
 
+def test_original_chart_applies_the_state_s_smallest_ring():
+    # every Fisher matrix needs d >= 3, so a smaller chart could hold none
+    for nodes in (1, 2):
+        with pytest.raises(ValidationError, match=f"must be an integer >= 3, got {nodes}$"):
+            original_chart(nodes)
+    assert original_chart(3).size == 3
+    assert qfim_pure(2, 3, np.zeros(3)).chart is original_chart(3)
+
+
 def test_ring_size_cap_is_checked_before_the_chart_is_built():
     # the phases are never looked at: the count check comes first
     with pytest.raises(ValidationError, match="exceeds the cap"):

@@ -208,6 +208,35 @@ def test_mc_pushforward_frozen_values_for_two_photons_four_nodes():
     np.testing.assert_allclose(reduced.entries, np.diag([4.0, 8.0, 8.0]), atol=1e-10)
 
 
+@settings(deadline=None, max_examples=40)
+@given(
+    nodes=st.sampled_from([4, 6, 8, 16, 64, 256]),
+    orthogonal=st.booleans(),
+    drop=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(nodes=256, orthogonal=False, drop=True, seed=0)
+@example(nodes=256, orthogonal=False, drop=False, seed=1)
+@example(nodes=4, orthogonal=True, drop=True, seed=2)
+@example(nodes=4, orthogonal=True, drop=False, seed=3)
+def test_kept_column_pushforward_matches_the_full_product_then_slice(
+    nodes, orthogonal, drop, seed
+):
+    rep = build_orthogonal_d4() if orthogonal else build_mc(nodes)
+    nodes = rep.dim
+    grads = np.random.default_rng(seed).normal(size=(nodes, nodes))
+    base = qfim.FisherMatrix(grads @ grads.T / nodes, "quantum", original_chart(nodes), 2, nodes)
+    pushed = pushforward_fisher(base, rep, drop).entries
+    # the full product J^T F J, symmetrized, then the kept block
+    full = rep.inverse.T @ base.entries @ rep.inverse
+    full = 0.5 * (full + full.T)
+    if drop:
+        full = full[np.ix_(rep.kept_indices, rep.kept_indices)]
+    assert np.array_equal(pushed, pushed.T)
+    scale = float(np.max(np.abs(full)))
+    assert np.max(np.abs(pushed - full)) <= 4 * np.finfo(float).eps * scale
+
+
 def test_reparametrization_validates_inverse_consistency():
     forward = np.eye(4)
     inverse = 2.0 * np.eye(4)
