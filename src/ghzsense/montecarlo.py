@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -59,6 +59,30 @@ _MULTIPLIER_ITERATIONS = 100
 # allocate (32 MiB of int64 counts; the fit's float working arrays take a few
 # times that).  Larger experiments are refused before anything is allocated.
 MAX_COUNT_CELLS = 2**22
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) with its default
+# pool of four 32-bit words.  Every call of its hashmix steps a constant
+# sequence that does not depend on the data, so the sequences are taken once,
+# as Python ints mod 2**32: the xor constant and the multiplier of each call.
+_MASK32 = 0xFFFFFFFF
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    xors, mults = [], []
+    const = init
+    for _ in range(calls):
+        xors.append(const)
+        const = const * mult & _MASK32
+        mults.append(const)
+    return np.array(xors, dtype=np.uint32), np.array(mults, dtype=np.uint32)
+
+
+# 4 calls fill the pool and 12 mix it; 8 more give the 4 uint64 output words
+_POOL_XOR, _POOL_MULT = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_OUTPUT_XOR, _OUTPUT_MULT = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
 
 
 @dataclass(eq=False, frozen=True)
@@ -144,8 +168,62 @@ def _normalized(dist: OutcomeDistribution) -> np.ndarray:
     return dist.array / dist.array.sum()
 
 
-def _draw(probabilities: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Multinomial counts over the 4*d outcomes, from probabilities that sum to 1."""
+def _hashmix(words, xors, mults):
+    words = (words ^ xors) * mults
+    return words ^ (words >> _XSHIFT)
+
+
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """Row r is ``SeedSequence(int(seeds[r])).generate_state(4, np.uint64)``.
+
+    ``seeds`` is a uint64 array; all of it is hashed at once in uint32 array
+    arithmetic.  A seed becomes the words [lo32, hi32, 0, 0]: the pool pads
+    a shorter entropy with zeros, so a seed below 2**32 hashes the same.
+    """
+    pool = np.zeros((len(seeds), 4), dtype=np.uint32)
+    pool[:, 0] = seeds & _MASK32
+    pool[:, 1] = seeds >> 32
+    pool = _hashmix(pool, _POOL_XOR[:4], _POOL_MULT[:4])
+    for source in range(4):
+        # the source word is hashed once per other word, and stays fixed meanwhile
+        calls = slice(4 + 3 * source, 7 + 3 * source)
+        hashed = _hashmix(pool[:, source, None], _POOL_XOR[calls], _POOL_MULT[calls])
+        others = [i for i in range(4) if i != source]
+        mixed = pool[:, others] * _MIX_MULT_L - hashed * _MIX_MULT_R
+        pool[:, others] = mixed ^ (mixed >> _XSHIFT)
+    state = _hashmix(np.tile(pool, 2), _OUTPUT_XOR, _OUTPUT_MULT).astype(np.uint64)
+    # uint64 word k is 32-bit words 2k (low) and 2k + 1 (high), on every byte order
+    return state[:, 0::2] | (state[:, 1::2] << 32)
+
+
+@cache
+def _hashed_seed_type():
+    """A seed sequence that hands its four uint64 words to a bit generator as they are.
+
+    The class is made on first use, so that importing ghzsense does not
+    import numpy.random.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class HashedSeed(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 asks for the 4 uint64 words that _seed_words made
+            return self.words
+
+    return HashedSeed
+
+
+def _draw(probabilities: np.ndarray, shots: int, seed: int | np.ndarray) -> np.ndarray:
+    """Multinomial counts over the 4*d outcomes, from probabilities that sum to 1.
+
+    ``seed`` is an int, or the row of :func:`_seed_words` for one: both draw
+    what ``np.random.default_rng(int_seed)`` draws.
+    """
+    if isinstance(seed, np.ndarray):
+        seed = _hashed_seed_type()(seed)
     return np.random.default_rng(seed).multinomial(shots, probabilities)
 
 
@@ -475,7 +553,10 @@ def crb_saturation_experiment(
     (:func:`ghzsense.bounds._mc_spectral_bounds`), over ``shots``; it equals
     1/(N^2 * shots).  The whole experiment is a pure function of its
     arguments; replicates use precomputed per-replicate seeds, so their
-    estimates do not depend on evaluation order.  ``replicates * 4 * nodes`` may not exceed
+    estimates do not depend on evaluation order.  The child generators are
+    seeded in one pass (:func:`_seed_words` hashes every child seed at once),
+    and each draws bit for bit what ``np.random.default_rng(child)`` draws,
+    as the tests check.  ``replicates * 4 * nodes`` may not exceed
     ``MAX_COUNT_CELLS``, and ``shots`` may not exceed ``MAX_SHOTS``.
     """
     _check_counts(photons, nodes)
@@ -506,8 +587,8 @@ def crb_saturation_experiment(
     )
     probabilities = _normalized(dist)
     counts = np.empty((replicates, 4 * nodes), dtype=np.int64)
-    for r, child in enumerate(child_seeds):
-        counts[r] = _draw(probabilities, shots, int(child))
+    for r, words in enumerate(_seed_words(child_seeds)):
+        counts[r] = _draw(probabilities, shots, words)
     fit = mle_estimate(
         counts, theta_true, DEFAULT_BOX_HALF_WIDTH, photons=photons, nodes=nodes
     )

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -281,15 +282,41 @@ def test_photon_number_above_the_cap_is_status_2(command, photons, capsys):
     assert "exceeds the cap of 9007199254740992" in err and "Traceback" not in err
 
 
-def test_import_leaves_scipy_unloaded():
+def loaded_after_import(package, module):
+    """Whether a fresh interpreter has ``module`` in sys.modules after importing ``package``."""
     src = str(Path(ghzsense.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, ghzsense; print('scipy' in sys.modules)"
+    probe = f"import sys, {package}; print({module!r} in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_unloaded():
+    assert not loaded_after_import("ghzsense", "scipy")
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # simulate seeds its replicates through a numpy.random class made on first
+    # use; every other command never pays for importing numpy.random
+    assert not loaded_after_import("ghzsense.cli", "numpy.random")
+
+
+def test_readme_simulate_output_is_pinned(tmp_path, monkeypatch, capsys):
+    # the README run's file, byte for byte, as seeding each replicate with
+    # default_rng(child) writes it
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--N", "2", "--d", "4", "--shots", "100000", "--replicates", "200",
+            "--seed", "42", "--output", "run.json"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    written = (tmp_path / "run.json").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == (
+        "d54f5b61ead3c8bfafa43b309379e84539e2d532b064a25fca3dcf7edd3b665f"
+    )
+    assert json.loads(written)["var_theta1"] == 2.6304935214577834e-06
 
 
 def test_unknown_config_keys_rejected(tmp_path, capsys):

@@ -251,8 +251,8 @@ def test_saturation_refuses_replicate_counts_that_are_not_integers(replicates):
     assert str(caught.value) == f"replicates must be an integer, got {replicates!r}"
 
 
-def test_saturation_replicates_draw_what_sample_counts_draws(monkeypatch):
-    phases = np.full(8, 0.1)
+def assert_replicates_draw_what_sample_counts_draws(monkeypatch, phases, seed):
+    nodes = len(phases)
     fitted = []
 
     def recording_fit(counts, *args, **kwargs):
@@ -260,13 +260,54 @@ def test_saturation_replicates_draw_what_sample_counts_draws(monkeypatch):
         return mle_estimate(counts, *args, **kwargs)
 
     monkeypatch.setattr(montecarlo, "mle_estimate", recording_fit)
-    crb_saturation_experiment(2, 8, phases, 20000, 50, 13)
-    dist = outcome_distribution(2, 8, phases)
-    child_seeds = np.random.SeedSequence(13).generate_state(50, dtype=np.uint64)
+    crb_saturation_experiment(2, nodes, phases, 20000, 50, seed)
+    dist = outcome_distribution(2, nodes, phases)
+    child_seeds = np.random.SeedSequence(seed).generate_state(50, dtype=np.uint64)
     (counts,) = fitted
-    assert counts.shape == (50, 32)
+    assert counts.shape == (50, 4 * nodes)
     for row, child in zip(counts, child_seeds):
         np.testing.assert_array_equal(row, sample_counts(dist, 20000, int(child)).array)
+
+
+def test_saturation_replicates_draw_what_sample_counts_draws(monkeypatch):
+    assert_replicates_draw_what_sample_counts_draws(monkeypatch, np.full(8, 0.1), 13)
+
+
+def test_wide_replicates_with_distinct_phases_draw_what_sample_counts_draws(monkeypatch):
+    phases = 0.1 + 0.05 * np.sin(np.arange(64))
+    assert_replicates_draw_what_sample_counts_draws(monkeypatch, phases, 17)
+
+
+def edge_and_random_seeds(count, seed):
+    """The uint64 edge seeds 0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1 and ``count`` random ones."""
+    edges = np.array([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1], dtype=np.uint64)
+    rng = np.random.default_rng(seed)
+    return np.concatenate((edges, rng.integers(0, 2**64, count, dtype=np.uint64, endpoint=False)))
+
+
+def test_seed_words_match_numpy_seed_sequence():
+    seeds = edge_and_random_seeds(5000, 20)
+    words = montecarlo._seed_words(seeds)
+    assert words.dtype == np.uint64 and words.shape == (len(seeds), 4)
+    expected = [np.random.SeedSequence(int(s)).generate_state(4, np.uint64) for s in seeds]
+    np.testing.assert_array_equal(words, np.array(expected))
+
+
+def test_hashed_seed_words_give_the_bit_generator_of_the_int_seed():
+    seeds = edge_and_random_seeds(200, 21)
+    hashed = montecarlo._hashed_seed_type()
+    for seed, words in zip(seeds, montecarlo._seed_words(seeds)):
+        assert np.random.PCG64(hashed(words)).state == np.random.PCG64(int(seed)).state
+
+
+@pytest.mark.parametrize(
+    "nodes, var_theta1", [(8, 2.903253201584394e-06), (64, 2.2392218310100147e-06)]
+)
+def test_saturation_variance_is_pinned(nodes, var_theta1):
+    # what seeding each replicate with default_rng(child) gives; a drift in
+    # the replicate stream changes them
+    report = crb_saturation_experiment(2, nodes, np.full(nodes, 0.1), 100000, 200, 7)
+    assert report.var_theta1 == var_theta1
 
 
 def test_two_pairs_without_events_have_no_unique_maximum():
