@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -156,36 +155,6 @@ class RingState:
                 }
             )
         return {"N": int(self.photons), "d": int(self.nodes), "terms": rows}
-
-    @classmethod
-    def from_json_dict(cls, doc: Mapping) -> "RingState":
-        try:
-            photons = int(doc["N"])
-            nodes = int(doc["d"])
-            rows = doc["terms"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"malformed state document: {exc}") from exc
-        _check_counts(photons, nodes)
-        amplitudes = np.zeros((nodes, 2), dtype=complex)
-        seen = set()
-        for row in rows:
-            try:
-                j, k = (int(x) for x in row["pair"])
-                pol = str(row["pol"])
-                amp = complex(float(row["re"]), float(row["im"]))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ValidationError(f"malformed state term {row!r}: {exc}") from exc
-            if not 1 <= j <= nodes or k != j % nodes + 1:
-                raise ValidationError(
-                    f"node pair [{j}, {k}] is not cyclically adjacent for d={nodes}"
-                )
-            if pol not in POLARIZATIONS:
-                raise ValidationError(f"polarization must be 'H' or 'V', got {pol!r}")
-            if (j, pol) in seen:
-                raise ValidationError(f"duplicate term for pair {j} polarization {pol}")
-            seen.add((j, pol))
-            amplitudes[j - 1, POLARIZATIONS.index(pol)] = amp
-        return cls(amplitudes, photons, nodes)
 
 
 def build_input_state(photons: int, nodes: int) -> RingState:

@@ -23,7 +23,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .ghz_state import _check_counts, node_pair, phase_vector
+from .ghz_state import _check_counts, phase_vector
 from .qfim import (
     _ORACLE_STEP,
     Chart,
@@ -142,45 +142,6 @@ class OutcomeDistribution:
     def as_array(self) -> np.ndarray:
         """Writable copy of the probabilities in canonical label order."""
         return self.array.copy()
-
-    def to_json_dict(self) -> dict:
-        rows = [
-            {
-                "pair": list(node_pair(label.pair, self.nodes)),
-                "pattern": label.pattern,
-                "probability": p,
-            }
-            for label, p in self.probabilities.items()
-        ]
-        return {
-            "N": int(self.photons),
-            "d": int(self.nodes),
-            "phases": [float(x) for x in self.phases],
-            "outcomes": rows,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc) -> "OutcomeDistribution":
-        try:
-            probs = {
-                OutcomeLabel(int(row["pair"][0]), str(row["pattern"])): float(
-                    row["probability"]
-                )
-                for row in doc["outcomes"]
-            }
-            return cls(probs, int(doc["N"]), int(doc["d"]), doc["phases"])
-        except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"malformed distribution document: {exc}") from exc
-
-
-def distribution_to_csv(dist: OutcomeDistribution) -> str:
-    """CSV rows (pair, pattern, probability), 17 significant digits."""
-    lines = ["pair,pattern,probability"]
-    for label, p in dist.probabilities.items():
-        j, k = node_pair(label.pair, dist.nodes)
-        lines.append(f"{j}-{k},{label.pattern},{p:.17g}")
-    return "\n".join(lines) + "\n"
-
 
 def outcome_distribution(photons: int, nodes: int, phases) -> OutcomeDistribution:
     """Outcome probabilities of the paired diagonal-basis measurement."""

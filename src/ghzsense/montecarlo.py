@@ -40,12 +40,10 @@ from .measurement import (
     _float_entries,
     _label_at,
     outcome_distribution,
-    outcome_labels,
 )
 from .qfim import _read_only
 from .reparam import (
     _mc_coordinates,
-    _mc_kept_labels,
     _mc_pair_pullback,
     _mc_phases,
 )
@@ -138,29 +136,27 @@ class CountTable:
     def counts(self) -> MappingProxyType:
         return MappingProxyType(self._counts)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "N": int(self.photons),
-            "d": int(self.nodes),
-            "phases": [float(x) for x in self.phases],
-            "shots": int(self.shots),
-            "seed": int(self.seed),
-            "counts": [
-                {"pair": label.pair, "pattern": label.pattern, "count": count}
-                for label, count in self.counts.items()
-            ],
-        }
+
+def _kept_labels(count: int) -> tuple[str, ...]:
+    """The names theta_1..theta_count of the kept mc coordinates."""
+    return tuple(f"theta_{i}" for i in range(1, count + 1))
 
 
 @dataclass(eq=False)
 class EstimationResult:
-    """Converged maximum-likelihood estimate in the reduced chart."""
+    """Converged maximum-likelihood estimate in the reduced chart.
+
+    ``labels`` names the coordinates along the last axis of ``theta``.
+    """
 
     theta: np.ndarray
-    labels: tuple[str, ...]
     log_likelihood: float
     converged: bool
     iterations: int
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return _kept_labels(self.theta.shape[-1])
 
 
 def _normalized(dist: OutcomeDistribution) -> np.ndarray:
@@ -256,8 +252,7 @@ def _count_rows(counts, photons, nodes) -> tuple[np.ndarray, int, int, bool]:
     _check_counts(photons, nodes)
     batched = isinstance(counts, np.ndarray)
     if not batched:
-        get = counts.get
-        counts = [[get(label, 0) for label in outcome_labels(nodes)]]
+        counts = _canonical_entries(counts, nodes, "count table")[None, :]
     rows = _float_array(counts, "count array", (None, 4 * nodes))
     if rows.shape[0] < 1:
         raise ValidationError("count array must have at least one row")
@@ -387,7 +382,9 @@ def mle_estimate(
         Observed outcome weights.  An array of shape (R, 4d) holds R count
         tables, one per row in canonical label order, which are fit together.
         Plain mappings (useful for expected-count self-consistency checks)
-        and arrays require the ``photons`` and ``nodes`` keyword arguments.
+        and arrays require the ``photons`` and ``nodes`` keyword arguments;
+        a mapping must have exactly the 4d canonical labels as keys, as for
+        a :class:`CountTable`.
     initial_theta : array-like, shape (d-1,)
         Center of the search box, with finite entries; the signs of its pair
         sums pick each pair's branch.  They must lie strictly inside the
@@ -477,15 +474,17 @@ def mle_estimate(
     log_agree = np.log(0.5 / (nodes * (1.0 + t * t)))
     log_t2 = np.log(t * t, out=np.zeros_like(t), where=disagree > 0)
     log_likelihood = ((agree + disagree) * log_agree + disagree * log_t2).sum(axis=1)
-    labels = _mc_kept_labels(nodes)
     if not batched:
-        return EstimationResult(theta[0], labels, float(log_likelihood[0]), True, iterations)
-    return EstimationResult(theta, labels, log_likelihood, True, iterations)
+        return EstimationResult(theta[0], float(log_likelihood[0]), True, iterations)
+    return EstimationResult(theta, log_likelihood, True, iterations)
 
 
 @dataclass(eq=False)
 class SaturationReport:
-    """Replicated sample-and-estimate experiment against the exact bound."""
+    """Replicated sample-and-estimate experiment against the exact bound.
+
+    ``labels`` names the columns of ``estimates``.
+    """
 
     photons: int
     nodes: int
@@ -494,12 +493,15 @@ class SaturationReport:
     replicates: int
     seed: int
     theta_true: np.ndarray
-    labels: tuple[str, ...]
     estimates: np.ndarray
     var_theta1: float
     bound: float
     ratio: float
     mean_theta1: float
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return _kept_labels(self.estimates.shape[1])
 
     def to_json_dict(self) -> dict:
         return {
@@ -528,8 +530,9 @@ class SaturationReport:
 
     def long_csv(self) -> str:
         lines = ["replicate,parameter,estimate"]
+        labels = self.labels
         for r in range(self.estimates.shape[0]):
-            for m, label in enumerate(self.labels):
+            for m, label in enumerate(labels):
                 lines.append(f"{r},{label},{self.estimates[r, m]:.17g}")
         return "\n".join(lines) + "\n"
 
@@ -557,7 +560,9 @@ def crb_saturation_experiment(
     seeded in one pass (:func:`_seed_words` hashes every child seed at once),
     and each draws bit for bit what ``np.random.default_rng(child)`` draws,
     as the tests check.  ``replicates * 4 * nodes`` may not exceed
-    ``MAX_COUNT_CELLS``, and ``shots`` may not exceed ``MAX_SHOTS``.
+    ``MAX_COUNT_CELLS``, and ``shots`` may not exceed ``MAX_SHOTS``.  True
+    phases outside the identifiable window, or at which an outcome has
+    probability 0 (a pair sum of 0, say), are refused with ValidationError.
     """
     _check_counts(photons, nodes)
     phi = phase_vector(phases, nodes)
@@ -579,6 +584,13 @@ def crb_saturation_experiment(
     _check_nodes(nodes, 4, even=True)
     theta_true = _mc_coordinates(phi[None, :])[0]
     dist = outcome_distribution(photons, nodes, phi)
+    impossible = dist.array == 0.0
+    if impossible.any():
+        label = _label_at(int(np.argmax(impossible)))
+        raise ValidationError(
+            f"true probability of {label} is 0: no replicate can observe it, so "
+            "the fit of its pair does not vary and the variance ratio is meaningless"
+        )
     _, classical = _mc_spectral_bounds(photons, nodes, np.eye(1, nodes - 1)[0])
     bound = classical / shots
 
@@ -602,7 +614,6 @@ def crb_saturation_experiment(
         replicates,
         seed,
         theta_true,
-        fit.labels,
         estimates,
         var_theta1,
         bound,

@@ -159,14 +159,6 @@ class Chart:
             "directions": [[float(x) for x in row] for row in self.directions],
         }
 
-    @classmethod
-    def from_json_dict(cls, doc) -> "Chart":
-        try:
-            name, labels, directions = doc["name"], tuple(doc["labels"]), doc["directions"]
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed chart document: {exc}") from exc
-        return cls(name, labels, directions)
-
 
 def _build_original_chart(d: int) -> Chart:
     labels = tuple(f"phi_{i}" for i in range(1, d + 1))
@@ -485,12 +477,3 @@ def matrix_to_json_dict(matrix: FisherMatrix) -> dict:
         "chart": matrix.chart.to_json_dict(),
         "entries": [[float(x) for x in row] for row in matrix.entries],
     }
-
-
-def matrix_from_json_dict(doc) -> FisherMatrix:
-    try:
-        chart, entries, phases = doc["chart"], doc["entries"], doc["phases"]
-        kind, photons, nodes = str(doc["kind"]), int(doc["N"]), int(doc["d"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed matrix document: {exc}") from exc
-    return FisherMatrix(entries, kind, Chart.from_json_dict(chart), photons, nodes, phases)

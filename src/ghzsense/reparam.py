@@ -98,16 +98,6 @@ class Reparametrization:
             "inverse": [[float(x) for x in row] for row in self.inverse],
         }
 
-    @classmethod
-    def from_json_dict(cls, doc) -> "Reparametrization":
-        try:
-            forward, inverse, labels = doc["forward"], doc["inverse"], tuple(doc["labels"])
-            kept = tuple(int(i) for i in doc["kept_indices"])
-            name = str(doc["name"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"malformed reparametrization document: {exc}") from exc
-        return cls(forward, inverse, labels, kept, name)
-
 
 def build_mc(d: int) -> Reparametrization:
     """Average-phase-first cyclic-difference coordinates for an even ring.
@@ -139,14 +129,6 @@ def _build_mc(d: int) -> Reparametrization:
 
 
 _mc = _ring_memo(_build_mc)
-
-
-def _build_mc_kept_labels(d: int) -> tuple[str, ...]:
-    return tuple(f"theta_{i}" for i in range(1, d))
-
-
-# the labels of build_mc(d).kept_indices, shared per ring size
-_mc_kept_labels = _ring_memo(_build_mc_kept_labels)
 
 
 # The maps between phases and the kept mc coordinates theta_1..theta_{d-1}

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -319,6 +320,29 @@ def test_readme_simulate_output_is_pinned(tmp_path, monkeypatch, capsys):
     assert json.loads(written)["var_theta1"] == 2.6304935214577834e-06
 
 
+def test_simulate_at_a_zero_pair_sum_is_status_2(capsys):
+    argv = ["simulate", "--N", "2", "--d", "4", "--phases", "uniform:0", "--shots", "100000"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: invalid configuration: true probability of ")
+    assert "OutcomeLabel(pair=1, pattern='+-') is 0" in err
+
+
+def test_package_exports_only_names_the_readme_documents():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    undocumented = [
+        name
+        for name in ghzsense.__all__
+        if not re.search(rf"\b{name}\b", readme)
+        and not (
+            isinstance(getattr(ghzsense, name), type)
+            and issubclass(getattr(ghzsense, name), ghzsense.GhzSenseError)
+        )
+    ]
+    assert undocumented == []
+
+
 def test_unknown_config_keys_rejected(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"N": 2, "d": 4, "bogus": True}))
@@ -380,6 +404,49 @@ def test_matrix_json_payload_round_trips(tmp_path, capsys):
     entries = np.array(doc["entries"])
     assert entries.shape == (4, 4)
     assert doc["kind"] == "classical"
+
+
+def exact_floats(doc):
+    """``doc`` with every float as its exact hex form, so that == compares float bits."""
+    if isinstance(doc, float):
+        return doc.hex()
+    if isinstance(doc, dict):
+        return {key: exact_floats(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [exact_floats(value) for value in doc]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["state", "--N", "2", "--d", "4", "--phases", "0.1,0.2,0.3,0.4"],
+        ["qfim", "--N", "2", "--d", "4", "--phases", "uniform:0", "--chart", "original"],
+        ["cfim", "--N", "4", "--d", "6", "--chart", "mc"],
+        ["transform", "--d", "4", "--chart", "d4-orthogonal"],
+        ["bounds", "--N", "2", "--d", "4", "--chart", "original", "--alpha", "avg"],
+        ["sweep", "--N", "2,4,6", "--d", "4,6,8"],
+        SIM_ARGS,
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_output_reads_back_the_documents_floats_bit_for_bit(
+    argv, tmp_path, monkeypatch, capsys
+):
+    # the README commands in their JSON form; every float of the document a
+    # command builds from its result objects must survive the written text
+    docs = []
+    emit = cli._emit
+
+    def keeping(config, doc, *texts):
+        docs.append(doc())
+        emit(config, doc, *texts)
+
+    monkeypatch.setattr(cli, "_emit", keeping)
+    target = tmp_path / "out.json"
+    assert main(argv + ["--output", str(target)]) == 0
+    capsys.readouterr()
+    assert exact_floats(json.loads(target.read_text())) == exact_floats(docs[0])
 
 
 def test_d4_orthogonal_chart_requires_four_nodes(capsys):

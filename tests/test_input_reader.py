@@ -16,15 +16,13 @@ from hypothesis import strategies as st
 from ghzsense import qfim
 from ghzsense.bounds import RANK_RTOL, bound_report, exact_crb, weak_crb, weak_vs_exact_check
 from ghzsense.errors import ValidationError
-from ghzsense.ghz_state import RingState, apply_phases, build_input_state, phase_vector
+from ghzsense.ghz_state import apply_phases, build_input_state, phase_vector
 from ghzsense.measurement import OutcomeDistribution, outcome_distribution
 from ghzsense.montecarlo import CountTable, mle_estimate, sample_counts
 from ghzsense.qfim import (
     PSD_TOL,
     Chart,
     FisherMatrix,
-    matrix_from_json_dict,
-    matrix_to_json_dict,
     original_chart,
     qfim_pure,
     rank_and_nullspace,
@@ -96,8 +94,8 @@ def test_fisher_matrices_refuse_inconsistent_counts_and_charts():
         "photon count must be an integer, got 2.5": lambda: FisherMatrix(
             np.eye(NODES), "quantum", chart, 2.5, NODES
         ),
-        "photon count must be an even integer >= 2, got -5": lambda: matrix_from_json_dict(
-            {**matrix_to_json_dict(reduced_qfim()), "N": -5, "d": 9}
+        "photon count must be an even integer >= 2, got -5": lambda: FisherMatrix(
+            reduced_qfim().entries, "quantum", build_mc(NODES).chart(True), -5, 9
         ),
         "chart must be a Chart, got ndarray": lambda: FisherMatrix(
             np.eye(NODES), "quantum", np.eye(NODES), PHOTONS, NODES
@@ -170,9 +168,7 @@ def test_fit_refuses_a_nan_guess():
 @pytest.mark.parametrize("bad", ["abc", [[1.0, 2.0], [3.0]]], ids=["string", "ragged"])
 def test_strings_and_ragged_lists_are_validation_errors(bad):
     fisher = reduced_qfim()
-    chart_doc = fisher.chart.to_json_dict()
-    matrix_doc = matrix_to_json_dict(fisher)
-    rep_doc = build_mc(NODES).to_json_dict()
+    rep = build_mc(NODES)
     calls = [
         lambda: phase_vector(bad, NODES),
         lambda: exact_crb(np.eye(2), bad),
@@ -180,51 +176,11 @@ def test_strings_and_ragged_lists_are_validation_errors(bad):
         lambda: rank_and_nullspace(bad),
         lambda: FisherMatrix(bad, "quantum", fisher.chart, PHOTONS, NODES),
         lambda: Chart("c", ("a", "b"), bad),
-        lambda: Reparametrization.from_json_dict({**rep_doc, "forward": bad}),
-        lambda: matrix_from_json_dict({**matrix_doc, "entries": bad}),
-        lambda: Chart.from_json_dict({**chart_doc, "directions": bad}),
+        lambda: Reparametrization(bad, rep.inverse, rep.labels, rep.kept_indices, "mc"),
     ]
     for call in calls:
         with pytest.raises(ValidationError):
             call()
-
-
-def test_json_readers_refuse_malformed_scalar_fields():
-    matrix_doc = matrix_to_json_dict(reduced_qfim())
-    with pytest.raises(ValidationError, match="malformed matrix document"):
-        matrix_from_json_dict({**matrix_doc, "N": "x"})
-    rep_doc = build_mc(NODES).to_json_dict()
-    with pytest.raises(ValidationError, match="malformed reparametrization document"):
-        Reparametrization.from_json_dict({**rep_doc, "kept_indices": ["a"]})
-    with pytest.raises(ValidationError, match="malformed chart document"):
-        Chart.from_json_dict({"name": "c", "labels": None, "directions": [[1.0]]})
-
-
-def test_json_readers_refuse_infinite_integer_fields():
-    # json.loads reads "Infinity" as a float, and int() of it overflows
-    state_doc = build_input_state(PHOTONS, NODES).to_json_dict()
-    dist_doc = outcome_distribution(PHOTONS, NODES, PHI).to_json_dict()
-    readers = [
-        (RingState.from_json_dict, {**state_doc, "N": float("inf")}, "malformed state document"),
-        (OutcomeDistribution.from_json_dict, {**dist_doc, "d": float("inf")}, "malformed"),
-        (matrix_from_json_dict, {**matrix_to_json_dict(reduced_qfim()), "N": float("inf")},
-         "malformed matrix document"),
-    ]
-    for reader, doc, message in readers:
-        with pytest.raises(ValidationError, match=message):
-            reader(doc)
-
-
-def test_json_readers_round_trip_through_the_reader():
-    fisher = reduced_qfim()
-    back = matrix_from_json_dict(matrix_to_json_dict(fisher))
-    assert np.array_equal(back.entries, fisher.entries)
-    assert np.array_equal(back.phases, fisher.phases)
-    rep = build_mc(NODES)
-    again = Reparametrization.from_json_dict(rep.to_json_dict())
-    assert np.array_equal(again.forward, rep.forward)
-    assert np.array_equal(again.inverse, rep.inverse)
-    assert again.kept_indices == rep.kept_indices
 
 
 def test_fisher_matrix_stores_the_symmetric_part_of_a_tolerated_asymmetry():
@@ -289,10 +245,6 @@ def wrong_types(*stand_ins):
     )
 
 
-def _json(value):
-    return value.tolist() if isinstance(value, np.ndarray) else value
-
-
 @st.composite
 def bad_arrays(draw, valid, accepts=None, symmetric=False, none_ok=False):
     """An invalid stand-in for the valid array ``valid`` in one argument position.
@@ -347,9 +299,6 @@ def _reader_targets() -> dict:
     table = count_table()
     guess = rep.apply(PHI)[1:]
     state = build_input_state(PHOTONS, NODES)
-    matrix_doc = matrix_to_json_dict(fisher)
-    chart_doc = chart.to_json_dict()
-    rep_doc = rep.to_json_dict()
 
     def chart_shapes(shape):
         return len(shape) == 2 and shape[1] == chart.size
@@ -357,7 +306,6 @@ def _reader_targets() -> dict:
     def count_shapes(shape):
         return len(shape) == 2 and shape[0] >= 1 and shape[1] == 4 * NODES
 
-    bad_docs = st.one_of(st.text(max_size=6), st.none(), st.lists(st.integers(), max_size=2))
     bad_widths = st.one_of(bad_scalars, st.floats(max_value=0.0), st.booleans())
     dist = outcome_distribution(PHOTONS, NODES, PHI)
     symmetric = bad_arrays(entries, symmetric=True)
@@ -396,11 +344,11 @@ def _reader_targets() -> dict:
         ),
         "Reparametrization.apply": (bad_arrays(PHI), rep.apply),
         "pushforward_fisher rep": (
-            wrong_types(rep.inverse, rep.inverse.tolist(), rep_doc, rep.chart(False)),
+            wrong_types(rep.inverse, rep.inverse.tolist(), rep.to_json_dict(), rep.chart(False)),
             lambda v: pushforward_fisher(qfim_pure(PHOTONS, NODES, PHI), v),
         ),
         "sample_counts dist": (
-            wrong_types(dist.array, dist.array.tolist(), dist.to_json_dict(), table),
+            wrong_types(dist.array, dist.array.tolist(), dist.probabilities, table),
             lambda v: sample_counts(v, 100, 1),
         ),
         "Reparametrization.to_phases": (bad_arrays(rep.apply(PHI)), rep.to_phases),
@@ -417,43 +365,6 @@ def _reader_targets() -> dict:
             lambda v: mle_estimate(
                 np.array(v, dtype=object), guess, photons=PHOTONS, nodes=NODES
             ),
-        ),
-        "matrix_from_json_dict entries": (
-            symmetric, lambda v: matrix_from_json_dict({**matrix_doc, "entries": _json(v)})
-        ),
-        "matrix_from_json_dict phases": (
-            bad_arrays(PHI, none_ok=True),
-            lambda v: matrix_from_json_dict({**matrix_doc, "phases": _json(v)}),
-        ),
-        "matrix_from_json_dict chart": (
-            bad_arrays(chart.directions, accepts=chart_shapes),
-            lambda v: matrix_from_json_dict(
-                {**matrix_doc, "chart": {**chart_doc, "directions": _json(v)}}
-            ),
-        ),
-        "matrix_from_json_dict N": (
-            bad_scalars, lambda v: matrix_from_json_dict({**matrix_doc, "N": v})
-        ),
-        "matrix_from_json_dict document": (bad_docs, matrix_from_json_dict),
-        "Chart.from_json_dict directions": (
-            bad_arrays(chart.directions, accepts=chart_shapes),
-            lambda v: Chart.from_json_dict({**chart_doc, "directions": _json(v)}),
-        ),
-        "Chart.from_json_dict document": (bad_docs, Chart.from_json_dict),
-        "Reparametrization.from_json_dict forward": (
-            bad_arrays(rep.forward),
-            lambda v: Reparametrization.from_json_dict({**rep_doc, "forward": _json(v)}),
-        ),
-        "Reparametrization.from_json_dict inverse": (
-            bad_arrays(rep.inverse),
-            lambda v: Reparametrization.from_json_dict({**rep_doc, "inverse": _json(v)}),
-        ),
-        "Reparametrization.from_json_dict kept_indices": (
-            bad_scalars,
-            lambda v: Reparametrization.from_json_dict({**rep_doc, "kept_indices": [1, v]}),
-        ),
-        "Reparametrization.from_json_dict document": (
-            bad_docs, Reparametrization.from_json_dict
         ),
     }
 

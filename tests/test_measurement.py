@@ -10,7 +10,6 @@ from ghzsense.measurement import (
     OutcomeLabel,
     cfim,
     cfim_brute_force_oracle,
-    distribution_to_csv,
     outcome_distribution,
     outcome_labels,
 )
@@ -138,22 +137,6 @@ def test_validated_distribution_cannot_be_edited():
     copied = OutcomeDistribution(probs, 2, 4, np.full(4, 0.1))
     probs[0] = 0.9
     assert copied.probability(OutcomeLabel(1, "++")) == dist.probability(OutcomeLabel(1, "++"))
-
-
-def test_distribution_csv_includes_every_outcome():
-    dist = outcome_distribution(2, 4, np.full(4, 0.1))
-    text = distribution_to_csv(dist)
-    lines = text.strip().split("\n")
-    assert lines[0] == "pair,pattern,probability"
-    assert len(lines) == 17
-    assert lines[1].startswith("1-2,")
-
-
-def test_distribution_json_round_trip():
-    dist = outcome_distribution(4, 6, RNG.uniform(-0.5, 0.5, 6))
-    doc = dist.to_json_dict()
-    back = OutcomeDistribution.from_json_dict(doc)
-    assert back.to_json_dict() == doc
 
 
 def test_ring_size_cap_is_checked_before_the_chart_is_built():

@@ -66,7 +66,6 @@ def test_validated_count_table_cannot_be_edited():
     with pytest.raises(ValueError):
         table.array[0] += 500
     assert sum(table.counts.values()) == table.shots == 1000
-    assert table.to_json_dict()["shots"] == sum(table.array.tolist())
     # the table keeps its own copy of the counts it was built from
     draws = table.array.copy()
     copied = CountTable(draws, 1000, 7, 2, 4, PHI)
@@ -114,6 +113,23 @@ def test_noiseless_estimate_recovers_the_truth_exactly():
     np.testing.assert_allclose(result.theta, theta_true, atol=1e-9)
     assert result.converged
     assert result.labels == ("theta_1", "theta_2", "theta_3")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda counts: counts.update({OutcomeLabel(9, "++"): 0.0}),
+        lambda counts: counts.update({"1++": 0.0}),
+        lambda counts: counts.pop(OutcomeLabel(2, "+-")),
+        lambda counts: counts.update(expected_counts(2, 6, np.full(6, 0.1), 10**6)),
+    ],
+    ids=["unknown-label", "string-key", "missing-label", "six-node-labels"],
+)
+def test_fit_refuses_a_count_mapping_without_exactly_the_canonical_labels(edit):
+    counts = expected_counts(2, 4, PHI, 10**6)
+    edit(counts)
+    with pytest.raises(ValidationError, match="^count table must cover exactly the 16 canonical"):
+        mle_estimate(counts, build_mc(4).apply(PHI)[1:], photons=2, nodes=4)
 
 
 def test_stationary_zero_guess_walks_to_the_positive_truth():
@@ -226,6 +242,23 @@ def test_saturation_rejects_unidentifiable_truth():
     assert str(caught.value) == (
         "true pair sums outside the identifiable box: max |phi_j + phi_j+1| = 6.28319 "
         "must be < 2*pi/N = 3.14159"
+    )
+
+
+@pytest.mark.parametrize(
+    "phases, label",
+    [
+        (np.zeros(4), "OutcomeLabel(pair=1, pattern='+-')"),
+        (np.array([0.1, 0.2, -0.2, 0.3]), "OutcomeLabel(pair=2, pattern='+-')"),
+    ],
+    ids=["uniform-zero", "one-zero-pair-sum"],
+)
+def test_saturation_refuses_a_truth_with_an_outcome_of_probability_zero(phases, label):
+    with pytest.raises(ValidationError) as caught:
+        crb_saturation_experiment(2, 4, phases, 1000, 50, 1)
+    assert str(caught.value) == (
+        f"true probability of {label} is 0: no replicate can observe it, so the fit of "
+        "its pair does not vary and the variance ratio is meaningless"
     )
 
 

@@ -13,7 +13,6 @@ from ghzsense.measurement import cfim
 from ghzsense.qfim import (
     Chart,
     FisherMatrix,
-    matrix_from_json_dict,
     matrix_to_csv,
     matrix_to_json_dict,
     original_chart,
@@ -277,9 +276,14 @@ def test_csv_rendering_is_high_precision():
 def test_json_round_trip_is_byte_identical():
     matrix = qfim_pure(4, 6, RNG.uniform(-1.0, 1.0, 6))
     text = json.dumps(matrix_to_json_dict(matrix), indent=2, sort_keys=True)
-    back = matrix_from_json_dict(json.loads(text))
-    assert json.dumps(matrix_to_json_dict(back), indent=2, sort_keys=True) == text
-    assert np.array_equal(back.entries, matrix.entries)
+    doc = json.loads(text)
+    assert json.dumps(doc, indent=2, sort_keys=True) == text
+    for read, exact in (
+        (doc["entries"], matrix.entries),
+        (doc["phases"], matrix.phases),
+        (doc["chart"]["directions"], matrix.chart.directions),
+    ):
+        assert np.array_equal(np.array(read).view(np.int64), exact.view(np.int64))
 
 
 def rotated_spectrum(eigenvalues, seed=7):
