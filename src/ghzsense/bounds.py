@@ -172,26 +172,22 @@ class WeakExactReport:
 def weak_vs_exact_check(matrix, alpha) -> WeakExactReport:
     """Verify (a^T a)^2 / (a^T S a) <= a^T S^{-1} a for a positive definite S.
 
-    S is read like the matrix of :func:`exact_crb`.  Also reports the
-    eigenvector equality condition and the scalar corollary
+    S is read like the matrix of :func:`exact_crb`, and both sides and
+    (S^{-1})[0,0] come from the bounds themselves, so a matrix that
+    :func:`exact_crb` refuses raises the same SingularMatrixError.  Also
+    reports the eigenvector equality condition (a residual of at most 1e-9
+    times the largest absolute entry of S) and the scalar corollary
     1/S[0,0] <= (S^{-1})[0,0].
     """
     s = _entries_of(matrix)
     a = _weight(alpha, s.shape[0])
-    eigs = np.linalg.eigvalsh(s)
-    if eigs[0] <= 0.0:
-        raise ValidationError(
-            f"matrix must be positive definite; smallest eigenvalue is {eigs[0]:.3e}"
-        )
-    # columns: S^{-1} a and the first column of S^{-1}
-    solved = np.linalg.solve(s, np.column_stack([a, np.eye(s.shape[0])[:, 0]]))
-    exact_side = float(a @ solved[:, 0])
-    quad = float(a @ s @ a)
+    exact_side = _exact_bound(s, a, 1)
+    inverse_first = _exact_bound(s, np.eye(1, s.shape[0])[0], 1)
+    weak_side = _weak_bound(s, a, 1)
     norm2 = float(a @ a)
-    weak_side = norm2**2 / quad
-    rayleigh = quad / norm2
+    rayleigh = float(a @ s @ a) / norm2
     residual = float(np.linalg.norm(s @ a - rayleigh * a)) / math.sqrt(norm2)
-    inverse_first = float(solved[0, 1])
+    scale = max(float(s.max()), -float(s.min()))
     reciprocal_first = 1.0 / float(s[0, 0])
     return WeakExactReport(
         weak_side,
@@ -199,7 +195,7 @@ def weak_vs_exact_check(matrix, alpha) -> WeakExactReport:
         exact_side - weak_side,
         rayleigh,
         residual,
-        residual <= 1e-9,
+        residual <= 1e-9 * scale,
         reciprocal_first,
         inverse_first,
         reciprocal_first <= inverse_first + 1e-12,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bounds import bound_report, heisenberg_sweep, sweep_to_csv, sweep_to_json_dict
 from .errors import ConvergenceError, SingularMatrixError, ValidationError
-from .ghz_state import _check_counts, apply_phases, build_input_state, phase_vector
+from .ghz_state import _check_counts, _check_seed, apply_phases, build_input_state, phase_vector
 from .measurement import cfim
 from .montecarlo import crb_saturation_experiment
 from .qfim import FisherMatrix, matrix_to_csv, matrix_to_json_dict, qfim_pure, rank_and_nullspace
@@ -125,10 +125,7 @@ def _parse_phases(spec, d: int) -> np.ndarray:
 
 def _reparametrization(chart: str, d: int):
     """The reparametrization that reaches ``chart`` from the node chart; None for that chart."""
-    try:
-        build = CHARTS[chart][0]
-    except KeyError:
-        raise ValidationError(f"chart must be one of {', '.join(CHARTS)}; got {chart!r}") from None
+    build = CHARTS[chart][0]
     return build(d) if build else None
 
 
@@ -173,8 +170,6 @@ def _emit(config: RunConfig, doc, csv=None, summary=None) -> None:
 
 def _matrix_in_chart(config: RunConfig, kind: str) -> FisherMatrix:
     phi = _parse_phases(config.phases_spec, config.nodes)
-    if kind not in ("quantum", "classical"):
-        raise ValidationError(f"kind must be 'quantum' or 'classical', got {kind!r}")
     rep = _reparametrization(config.chart, config.nodes)
     chart = None if rep is None else rep.chart(True)
     return (qfim_pure if kind == "quantum" else cfim)(config.photons, config.nodes, phi, chart)
@@ -336,6 +331,12 @@ def _build_run_config(command: str, values: dict) -> RunConfig:
     for key in ("output", "format", "chart", "kind"):
         if key in given:
             setattr(config, "fmt" if key == "format" else key, str(given[key]))
+    for flag in COMMANDS[command][1]:
+        choices = FLAGS[flag].get("choices")
+        if choices and flag in given and str(given[flag]) not in choices:
+            raise ValidationError(
+                f"{flag} must be one of {', '.join(choices)}, got {given[flag]!r}"
+            )
     formats = COMMANDS[command][2]
     if config.fmt not in formats:
         raise ValidationError(f"{command} output supports {' or '.join(formats)} only")
@@ -344,8 +345,7 @@ def _build_run_config(command: str, values: dict) -> RunConfig:
     for key in ("shots", "replicates", "seed"):
         if key in given:
             setattr(config, key, _require_int(given[key], key))
-    if config.seed < 0:
-        raise ValidationError(f"seed must be a nonnegative integer, got {config.seed}")
+    _check_seed(config.seed)
 
     if command == "sweep":
         config.photon_list = _parse_int_list(given.get("N"), "N")
@@ -367,9 +367,6 @@ def _build_run_config(command: str, values: dict) -> RunConfig:
 
 def run(config: RunConfig) -> int:
     """Execute one command; returns the process exit status."""
-    if config.command not in COMMANDS:
-        print(f"error: unknown command {config.command!r}", file=sys.stderr)
-        return 2
     try:
         COMMANDS[config.command][0](config)
     except ValidationError as exc:

@@ -38,43 +38,37 @@ def node_pair(pair: int, d: int) -> tuple[int, int]:
     return pair, pair % d + 1
 
 
+def _check_int(value, what: str, low: int, high: int | None = None, even: bool = False) -> int:
+    """``value`` as an int: an integer (not a bool) from ``low`` to ``high``, even if ``even``.
+
+    This is the one reader of every count the library accepts; ``what``
+    names the count in the refusal.
+    """
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if value < low or (even and value % 2 != 0):
+        kind = "an even integer" if even else "an integer"
+        raise ValidationError(f"{what} must be {kind} >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ValidationError(f"{what} {value} exceeds the cap of {high}")
+    return int(value)
+
+
 def _check_counts(photons: int, nodes: int) -> None:
-    if not isinstance(photons, (int, np.integer)) or isinstance(photons, bool):
-        raise ValidationError(f"photon count must be an integer, got {photons!r}")
-    if photons < 2 or photons % 2 != 0:
-        raise ValidationError(
-            f"photon count must be an even integer >= 2, got {photons}"
-        )
-    if photons > MAX_PHOTONS:
-        raise ValidationError(f"photon count {photons} exceeds the cap of {MAX_PHOTONS}")
+    _check_int(photons, "photon count", 2, MAX_PHOTONS, even=True)
     _check_nodes(nodes)
 
 
 def _check_nodes(nodes, minimum: int = 3, even: bool = False) -> None:
-    """``nodes`` is an integer (not a bool) from ``minimum`` to ``MAX_NODES``, even if ``even``."""
-    if not isinstance(nodes, (int, np.integer)) or isinstance(nodes, bool):
-        raise ValidationError(f"node count must be an integer, got {nodes!r}")
-    if nodes < minimum or (even and nodes % 2 != 0):
-        kind = "an even integer" if even else "an integer"
-        raise ValidationError(f"node count must be {kind} >= {minimum}, got {nodes}")
-    if nodes > MAX_NODES:
-        raise ValidationError(f"node count {nodes} exceeds the cap of {MAX_NODES}")
+    _check_int(nodes, "node count", minimum, MAX_NODES, even)
 
 
 def _check_shots(shots) -> int:
-    """``shots`` as an int: a positive integer (not a bool) of at most ``MAX_SHOTS``."""
-    if not isinstance(shots, (int, np.integer)) or isinstance(shots, bool) or shots < 1:
-        raise ValidationError(f"shot count must be a positive integer, got {shots!r}")
-    if shots > MAX_SHOTS:
-        raise ValidationError(f"shot count {shots} exceeds the cap of {MAX_SHOTS}")
-    return int(shots)
+    return _check_int(shots, "shot count", 1, MAX_SHOTS)
 
 
 def _check_seed(seed) -> int:
-    """``seed`` as an int: a nonnegative integer, not a bool."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
-    return int(seed)
+    return _check_int(seed, "seed", 0)
 
 
 def _float_array(values, what: str, shape: tuple) -> np.ndarray:

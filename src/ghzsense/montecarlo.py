@@ -30,8 +30,8 @@ import numpy as np
 from .bounds import _mc_spectral_bounds
 from .errors import ConvergenceError, ValidationError
 from .ghz_state import (  # noqa: F401
-    MAX_SHOTS, _check_counts, _check_nodes, _check_seed, _check_shots, _float_array,
-    phase_vector,
+    MAX_SHOTS, _check_counts, _check_int, _check_nodes, _check_seed, _check_shots,
+    _float_array, phase_vector,
 )
 from .measurement import (
     OutcomeDistribution,
@@ -151,7 +151,6 @@ class EstimationResult:
 
     theta: np.ndarray
     log_likelihood: float
-    converged: bool
     iterations: int
 
     @property
@@ -475,8 +474,8 @@ def mle_estimate(
     log_t2 = np.log(t * t, out=np.zeros_like(t), where=disagree > 0)
     log_likelihood = ((agree + disagree) * log_agree + disagree * log_t2).sum(axis=1)
     if not batched:
-        return EstimationResult(theta[0], float(log_likelihood[0]), True, iterations)
-    return EstimationResult(theta, log_likelihood, True, iterations)
+        return EstimationResult(theta[0], float(log_likelihood[0]), iterations)
+    return EstimationResult(theta, log_likelihood, iterations)
 
 
 @dataclass(eq=False)
@@ -566,13 +565,7 @@ def crb_saturation_experiment(
     """
     _check_counts(photons, nodes)
     phi = phase_vector(phases, nodes)
-    if not isinstance(replicates, (int, np.integer)) or isinstance(replicates, bool):
-        raise ValidationError(f"replicates must be an integer, got {replicates!r}")
-    replicates = int(replicates)
-    if replicates < 50:
-        raise ValidationError(
-            f"at least 50 replicates are needed for a stable variance, got {replicates}"
-        )
+    replicates = _check_int(replicates, "replicates", 50)
     cells = replicates * 4 * int(nodes)
     if cells > MAX_COUNT_CELLS:
         raise ValidationError(

@@ -25,20 +25,18 @@ IDENTITY_TOL = 1e-10
 class Reparametrization:
     """Invertible linear change of phase coordinates theta = forward @ phi.
 
-    ``labels`` name the new coordinates with the irrelevant one first;
-    ``kept_indices`` are the coordinates retained when it is dropped.  Both
-    matrices must be finite and (d, d), d the number of labels.  The
-    ``inverse`` field, checked against ``forward`` to ``IDENTITY_TOL``, is the
-    one used everywhere in the toolkit; for ``mc`` it is the exact integer
-    inverse.  A reparametrization is frozen and stores its own read-only
-    copies of both matrices, so it and the charts built from it stay valid
-    when shared.
+    ``labels`` name the new coordinates with the irrelevant one first, the
+    one a reduced chart drops.  Both matrices must be finite and (d, d), d
+    the number of labels.  The ``inverse`` field, checked against
+    ``forward`` to ``IDENTITY_TOL``, is the one used everywhere in the
+    toolkit; for ``mc`` it is the exact integer inverse.  A
+    reparametrization is frozen and stores its own read-only copies of both
+    matrices, so it and the charts built from it stay valid when shared.
     """
 
     forward: np.ndarray
     inverse: np.ndarray
     labels: tuple[str, ...]
-    kept_indices: tuple[int, ...]
     name: str
     _charts: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -48,11 +46,6 @@ class Reparametrization:
         for name in ("forward", "inverse"):
             matrix = _float_array(getattr(self, name), f"{name} matrix", (d, d))
             object.__setattr__(self, name, _read_only(matrix))
-        object.__setattr__(self, "kept_indices", tuple(int(i) for i in self.kept_indices))
-        if any(not 0 <= i < d for i in self.kept_indices) or len(
-            set(self.kept_indices)
-        ) != len(self.kept_indices):
-            raise ValidationError("kept_indices must be distinct coordinate indices")
         residual = float(np.max(np.abs(self.forward @ self.inverse - np.eye(d))))
         if residual > IDENTITY_TOL:
             raise ValidationError(
@@ -74,17 +67,14 @@ class Reparametrization:
     def chart(self, drop_irrelevant: bool = False) -> Chart:
         """Chart whose directions are the columns of the inverse matrix.
 
+        With ``drop_irrelevant`` the first column and label are left out.
         Built and validated on first use, then the same object is returned.
         """
         drop = bool(drop_irrelevant)
         chart = self._charts.get(drop)
         if chart is None:
-            if drop:
-                idx = list(self.kept_indices)
-                labels = tuple(self.labels[i] for i in idx)
-                chart = Chart(self.name, labels, self.inverse[:, idx])
-            else:
-                chart = Chart(self.name, self.labels, self.inverse)
+            first = 1 if drop else 0
+            chart = Chart(self.name, self.labels[first:], self.inverse[:, first:])
             chart = self._charts.setdefault(drop, chart)
         return chart
 
@@ -93,7 +83,7 @@ class Reparametrization:
             "name": self.name,
             "d": int(self.dim),
             "labels": list(self.labels),
-            "kept_indices": list(self.kept_indices),
+            "kept_indices": list(range(1, self.dim)),
             "forward": [[float(x) for x in row] for row in self.forward],
             "inverse": [[float(x) for x in row] for row in self.inverse],
         }
@@ -125,7 +115,7 @@ def _build_mc(d: int) -> Reparametrization:
     forward = np.vstack((alternating / d, _mc_coordinates(np.eye(d)).T))
     inverse = np.column_stack((alternating, _mc_phases(np.eye(d - 1)).T))
     labels = tuple(f"theta_{i}" for i in range(d))
-    return Reparametrization(forward, inverse, labels, tuple(range(1, d)), "mc")
+    return Reparametrization(forward, inverse, labels, "mc")
 
 
 _mc = _ring_memo(_build_mc)
@@ -196,7 +186,7 @@ def build_orthogonal_d4() -> Reparametrization:
         ]
     )
     labels = ("phi_0", "phi_a", "phi_b", "phi_c")
-    return Reparametrization(forward, forward.T.copy(), labels, (1, 2, 3), "d4-orthogonal")
+    return Reparametrization(forward, forward.T.copy(), labels, "d4-orthogonal")
 
 
 @dataclass

@@ -143,6 +143,36 @@ def test_weak_vs_exact_check_refuses_a_matrix_containing_inf():
         weak_vs_exact_check(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("bound", [exact_crb, weak_crb])
+def test_bounds_refuse_a_zero_weight(bound):
+    with pytest.raises(ValidationError, match="^weight vector must be nonzero$"):
+        bound(np.eye(3), np.zeros(3))
+
+
+def test_weak_vs_exact_check_refuses_what_exact_crb_refuses():
+    # lambda_min / lambda_max = 1e-12 is below RANK_RTOL, although positive
+    matrix = np.diag([1.0, 1e-12])
+    for check in (exact_crb, weak_vs_exact_check):
+        with pytest.raises(SingularMatrixError, match="^Fisher matrix is numerically singular"):
+            check(matrix, np.ones(2))
+
+
+def test_weak_vs_exact_check_recognizes_an_eigenvector_of_a_large_matrix():
+    matrix = 1e8 * np.array([[2.0, 1.0], [1.0, 3.0]])
+    _, vecs = np.linalg.eigh(matrix)
+    report = weak_vs_exact_check(matrix, vecs[:, 0])
+    assert report.alpha_is_eigenvector
+    assert abs(report.gap) <= 1e-12 * report.exact_side
+
+
+def test_weak_vs_exact_check_rejects_a_non_eigenvector_of_a_small_matrix():
+    matrix = 1e-10 * np.array([[2.0, 1.0], [1.0, 3.0]])
+    report = weak_vs_exact_check(matrix, np.array([1.0, 0.0]))
+    assert report.weak_side == pytest.approx(5e9, rel=1e-12)
+    assert report.exact_side == pytest.approx(6e9, rel=1e-12)
+    assert not report.alpha_is_eigenvector
+
+
 def test_exact_bound_refuses_a_bare_lower_triangle_and_the_matrix_it_defines():
     # A raw array must be symmetric, so the bare triangle is refused.  The
     # symmetric matrix it defines has eigenvalues 1 and 1 +/- sqrt(2) c: the

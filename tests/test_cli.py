@@ -511,6 +511,40 @@ def test_malformed_config_values_are_status_2(command, doc, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["qfim", "--N", "2", "--d", "4", "--config", "missing.json"], None,
+         "cannot read config file: "),
+        (["qfim", "--N", "2", "--d", "4"], "{", "config file is not valid JSON: "),
+        (["qfim", "--N", "2"], {"d": 4.5}, "d must be an integer, got 4.5\n"),
+        (["transform", "--chart", "mc"], None, "d is required\n"),
+        (["qfim", "--N", "2", "--d", "4", "--phases", "uniform:x"], None,
+         "bad phases spec 'uniform:x': "),
+        (["bounds", "--N", "2", "--d", "4", "--chart", "d4-orthogonal", "--alpha", "1,2"], None,
+         "alpha has 2 entries but the matrix dimension is 3\n"),
+        (["bounds", "--N", "2", "--d", "4"], {"kind": "both"},
+         "kind must be one of quantum, classical, got 'both'\n"),
+        (["qfim", "--N", "2", "--d", "4"], {"chart": "polar"},
+         "chart must be one of original, d4-orthogonal, mc, got 'polar'\n"),
+    ],
+    ids=[
+        "missing-config", "config-not-json", "config-d-fraction", "transform-without-d",
+        "phases-uniform-not-a-number", "alpha-length", "config-kind", "config-chart",
+    ],
+)
+def test_each_refusal_names_its_input(argv, config, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        Path("run.json").write_text(config if isinstance(config, str) else json.dumps(config))
+        argv = [*argv, "--config", "run.json"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: invalid configuration: " + message)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["transform", "--d", "4", "--chart", "mc", "--output", "x", "--format", "csv"],

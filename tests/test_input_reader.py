@@ -63,7 +63,7 @@ def test_reparametrization_refuses_a_nan_matrix(field):
     matrices = {"forward": rep.forward.copy(), "inverse": rep.inverse.copy()}
     matrices[field][2, 1] = np.nan
     with pytest.raises(ValidationError, match=f"{field} matrix entries must be finite"):
-        Reparametrization(**matrices, labels=rep.labels, kept_indices=(1, 2, 3), name="mc")
+        Reparametrization(**matrices, labels=rep.labels, name="mc")
 
 
 def test_outcome_tables_and_the_fit_box_name_a_value_that_is_not_a_number():
@@ -176,7 +176,7 @@ def test_strings_and_ragged_lists_are_validation_errors(bad):
         lambda: rank_and_nullspace(bad),
         lambda: FisherMatrix(bad, "quantum", fisher.chart, PHOTONS, NODES),
         lambda: Chart("c", ("a", "b"), bad),
-        lambda: Reparametrization(bad, rep.inverse, rep.labels, rep.kept_indices, "mc"),
+        lambda: Reparametrization(bad, rep.inverse, rep.labels, "mc"),
     ]
     for call in calls:
         with pytest.raises(ValidationError):
@@ -336,11 +336,11 @@ def _reader_targets() -> dict:
         ),
         "Reparametrization forward": (
             bad_arrays(rep.forward),
-            lambda v: Reparametrization(v, rep.inverse, rep.labels, rep.kept_indices, "mc"),
+            lambda v: Reparametrization(v, rep.inverse, rep.labels, "mc"),
         ),
         "Reparametrization inverse": (
             bad_arrays(rep.inverse),
-            lambda v: Reparametrization(rep.forward, v, rep.labels, rep.kept_indices, "mc"),
+            lambda v: Reparametrization(rep.forward, v, rep.labels, "mc"),
         ),
         "Reparametrization.apply": (bad_arrays(PHI), rep.apply),
         "pushforward_fisher rep": (

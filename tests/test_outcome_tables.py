@@ -194,10 +194,10 @@ def test_refusal_messages_match_the_reference():
     )
     dist = outcome_distribution(2, d, phi)
     assert refusal(lambda: sample_counts(dist, 0, 1)) == (
-        "shot count must be a positive integer, got 0"
+        "shot count must be an integer >= 1, got 0"
     )
     assert refusal(lambda: sample_counts(dist, 10, -1)) == (
-        "seed must be a nonnegative integer, got -1"
+        "seed must be an integer >= 0, got -1"
     )
 
 

@@ -6,7 +6,9 @@ quantum matrix dominates the classical one and the two agree along the
 average phase.  The rank analysis that exposes their null space is checked
 on random PSD matrices of known rank, its Fourier path for circulant
 matrices against its eigh path, and the Cholesky certificate of the exact
-bound against the eigenvalue rule it stands in for.  The phase imprint is
+bound against the eigenvalue rule it stands in for; the weak-vs-exact check
+must refuse exactly what the exact bound refuses, and its eigenvector test
+must hold at every scale.  The phase imprint is
 checked bit for bit against a per-ket reference, and the state's JSON form
 as an exact round trip.  The O(d) maps between phases and the kept mc
 coordinates, which also build the mc matrices, are checked against dense
@@ -25,7 +27,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ghzsense.bounds import RANK_RTOL, _mc_spectral_bounds, exact_crb, heisenberg_sweep
+from ghzsense.bounds import (
+    RANK_RTOL, _mc_spectral_bounds, exact_crb, heisenberg_sweep, weak_vs_exact_check,
+)
 from ghzsense.errors import SingularMatrixError
 from ghzsense.ghz_state import apply_phases, build_input_state
 from ghzsense.measurement import cfim
@@ -148,15 +152,9 @@ def test_circulant_rank_analysis_matches_the_eigh_path(nodes, planted, zero, til
     np.testing.assert_allclose(basis @ basis.T, projector, rtol=0, atol=1e-10)
 
 
-@settings(deadline=None)
-@given(
-    size=st.integers(1, 30),
-    log_margin=st.floats(-1.0, 1.0),
-    log_scale=st.floats(-3.0, 3.0),
-    seed=seeds,
-)
-def test_exact_bound_verdict_matches_the_eigenvalue_rule(size, log_margin, log_scale, seed):
-    # lambda_min / lambda_max = RANK_RTOL * 10**log_margin, at least 1% off the threshold
+def planted_matrix(size, log_margin, log_scale, seed):
+    """A random symmetric matrix with largest eigenvalue 10**log_scale and
+    lambda_min / lambda_max = RANK_RTOL * 10**log_margin, at least 1% off the threshold."""
     assume(abs(10.0**log_margin - 1.0) >= 0.01)
     ratio = RANK_RTOL * 10.0**log_margin
     rng = np.random.default_rng(seed)
@@ -166,7 +164,18 @@ def test_exact_bound_verdict_matches_the_eigenvalue_rule(size, log_margin, log_s
     spectrum[0] = ratio * largest
     spectrum[-1] = largest
     matrix = basis @ np.diag(spectrum) @ basis.T
-    matrix = 0.5 * (matrix + matrix.T)
+    return 0.5 * (matrix + matrix.T)
+
+
+@settings(deadline=None)
+@given(
+    size=st.integers(1, 30),
+    log_margin=st.floats(-1.0, 1.0),
+    log_scale=st.floats(-3.0, 3.0),
+    seed=seeds,
+)
+def test_exact_bound_verdict_matches_the_eigenvalue_rule(size, log_margin, log_scale, seed):
+    matrix = planted_matrix(size, log_margin, log_scale, seed)
     eigs = np.linalg.eigvalsh(matrix)
     alpha = np.ones(size)
     if eigs[0] > RANK_RTOL * eigs[-1]:
@@ -174,6 +183,32 @@ def test_exact_bound_verdict_matches_the_eigenvalue_rule(size, log_margin, log_s
     else:
         with pytest.raises(SingularMatrixError):
             exact_crb(matrix, alpha)
+
+
+@settings(deadline=None)
+@given(
+    size=st.integers(1, 30),
+    log_margin=st.floats(-1.0, 1.0),
+    log_scale=st.floats(-10.0, 10.0),
+    seed=seeds,
+)
+def test_weak_vs_exact_check_refuses_like_exact_crb_and_scales_its_eigenvector_test(
+    size, log_margin, log_scale, seed
+):
+    matrix = planted_matrix(size, log_margin, log_scale, seed)
+    alpha = np.ones(size)
+    try:
+        exact_crb(matrix, alpha)
+    except SingularMatrixError as refusal:
+        with pytest.raises(SingularMatrixError) as caught:
+            weak_vs_exact_check(matrix, alpha)
+        assert str(caught.value) == str(refusal)
+        return
+    _, vecs = np.linalg.eigh(matrix)
+    for k in range(size):
+        assert weak_vs_exact_check(matrix, vecs[:, k]).alpha_is_eigenvector
+    if size > 1:  # the random basis leaves no matrix diagonal
+        assert not weak_vs_exact_check(matrix, np.eye(1, size)[0]).alpha_is_eigenvector
 
 
 @settings(deadline=None)

@@ -264,6 +264,17 @@ def test_chart_requires_full_column_rank():
         Chart("bad", ("a", "b"), directions)
 
 
+def test_chart_refuses_an_empty_label_list():
+    with pytest.raises(ValidationError, match="^chart needs at least one label$"):
+        Chart("empty", (), np.zeros((4, 0)))
+
+
+def test_matrix_refuses_a_chart_over_another_node_count():
+    chart = build_mc(4).chart(True)
+    with pytest.raises(ValidationError, match="^chart is over 4 nodes but the state has 6$"):
+        qfim_pure(2, 6, np.zeros(6), chart)
+
+
 def test_csv_rendering_is_high_precision():
     matrix = qfim_pure(4, 6, np.zeros(6))
     text = matrix_to_csv(matrix)

@@ -232,24 +232,32 @@ def test_kept_column_pushforward_matches_the_full_product_then_slice(
     full = rep.inverse.T @ base.entries @ rep.inverse
     full = 0.5 * (full + full.T)
     if drop:
-        full = full[np.ix_(rep.kept_indices, rep.kept_indices)]
+        full = full[np.ix_(range(1, rep.dim), range(1, rep.dim))]
     assert np.array_equal(pushed, pushed.T)
     scale = float(np.max(np.abs(full)))
     assert np.max(np.abs(pushed - full)) <= 4 * np.finfo(float).eps * scale
+
+
+def test_pushforward_refuses_a_matrix_over_another_dimension():
+    with pytest.raises(
+        ValidationError,
+        match="^matrix dimension 6 does not match reparametrization dimension 4$",
+    ):
+        pushforward_fisher(qfim_pure(2, 6, np.zeros(6)), build_mc(4))
 
 
 def test_reparametrization_validates_inverse_consistency():
     forward = np.eye(4)
     inverse = 2.0 * np.eye(4)
     with pytest.raises(ValidationError):
-        Reparametrization(forward, inverse, ("a", "b", "c", "d"), (1, 2, 3), "bad")
+        Reparametrization(forward, inverse, ("a", "b", "c", "d"), "bad")
 
 
 def test_reparametrization_json_round_trip():
     rep = build_mc(6)
     doc = json.loads(json.dumps(rep.to_json_dict(), indent=2, sort_keys=True))
     assert doc["labels"] == list(rep.labels)
-    assert doc["kept_indices"] == list(rep.kept_indices)
+    assert doc["kept_indices"] == list(range(1, rep.dim))
     for name in ("forward", "inverse"):
         exact = getattr(rep, name)
         assert np.array_equal(np.array(doc[name]).view(np.int64), exact.view(np.int64))
@@ -385,7 +393,7 @@ def test_saturation_experiment_inverts_no_matrix(linalg_calls):
 def test_reparametrization_keeps_its_own_copy_of_the_matrices():
     rep = build_mc(4)
     forward, inverse = np.array(rep.forward), np.array(rep.inverse)
-    copied = Reparametrization(forward, inverse, rep.labels, rep.kept_indices, "copy")
+    copied = Reparametrization(forward, inverse, rep.labels, "copy")
     chart = copied.chart(False)
     inverse[:] = 0.0
     forward[:] = 0.0
