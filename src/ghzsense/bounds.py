@@ -17,9 +17,7 @@ import numpy as np
 
 from .errors import SingularMatrixError, ValidationError
 from .ghz_state import _check_counts, _check_nodes, _check_shots, _float_array
-from .qfim import FisherMatrix, _entries_of, _shifted_cholesky
-
-RANK_RTOL = 1e-9
+from .qfim import RANK_RTOL, FisherMatrix, _entries_of, _shifted_cholesky
 
 
 def _weight(alpha, dim: int) -> np.ndarray:
@@ -36,29 +34,37 @@ def exact_crb(matrix, alpha, shots: int = 1) -> float:
     exceed ``RANK_RTOL`` times the largest.  For a singular matrix, remove
     the irrelevant direction with a reparametrization first.  A raw array
     is read by :func:`ghzsense.qfim._entries_of`: one that is not square,
-    not finite or not symmetric raises ValidationError.
-
-    The largest absolute row sum b bounds the largest eigenvalue, so a
-    successful Cholesky factorization of F - RANK_RTOL * b * I
-    (:func:`ghzsense.qfim._shifted_cholesky`) proves the test; only when it
-    fails does ``eigvalsh`` decide.
+    not finite or not symmetric raises ValidationError.  The singularity
+    test is :func:`_refuse_singular`.
     """
     entries = _entries_of(matrix)
     n = _check_shots(shots)
     return _exact_bound(entries, _weight(alpha, entries.shape[0]), n)
 
 
+def _refuse_singular(entries: np.ndarray) -> None:
+    """Raise SingularMatrixError unless lambda_min > ``RANK_RTOL`` * lambda_max.
+
+    The largest absolute row sum b bounds the largest eigenvalue, so a
+    successful Cholesky factorization of F - RANK_RTOL * b * I
+    (:func:`ghzsense.qfim._shifted_cholesky`) proves the test; only when it
+    fails does ``eigvalsh`` decide.
+    """
+    if _shifted_cholesky(entries, -RANK_RTOL)[0]:
+        return
+    eigs = np.linalg.eigvalsh(entries)
+    if eigs[-1] <= 0.0 or eigs[0] <= RANK_RTOL * eigs[-1]:
+        raise SingularMatrixError(
+            "Fisher matrix is numerically singular "
+            f"(smallest eigenvalue {eigs[0]:.3e}, largest {eigs[-1]:.3e}); "
+            "re-express it in an invertible chart via a reparametrization "
+            "before taking the exact bound"
+        )
+
+
 def _exact_bound(entries: np.ndarray, a: np.ndarray, n: int) -> float:
     """:func:`exact_crb` of already validated entries, weight and shot count."""
-    if not _shifted_cholesky(entries, -RANK_RTOL)[0]:
-        eigs = np.linalg.eigvalsh(entries)
-        if eigs[-1] <= 0.0 or eigs[0] <= RANK_RTOL * eigs[-1]:
-            raise SingularMatrixError(
-                "Fisher matrix is numerically singular "
-                f"(smallest eigenvalue {eigs[0]:.3e}, largest {eigs[-1]:.3e}); "
-                "re-express it in an invertible chart via a reparametrization "
-                "before taking the exact bound"
-            )
+    _refuse_singular(entries)
     return float(a @ np.linalg.solve(entries, a)) / n
 
 
@@ -172,17 +178,21 @@ class WeakExactReport:
 def weak_vs_exact_check(matrix, alpha) -> WeakExactReport:
     """Verify (a^T a)^2 / (a^T S a) <= a^T S^{-1} a for a positive definite S.
 
-    S is read like the matrix of :func:`exact_crb`, and both sides and
-    (S^{-1})[0,0] come from the bounds themselves, so a matrix that
-    :func:`exact_crb` refuses raises the same SingularMatrixError.  Also
-    reports the eigenvector equality condition (a residual of at most 1e-9
-    times the largest absolute entry of S) and the scalar corollary
-    1/S[0,0] <= (S^{-1})[0,0].
+    S is read like the matrix of :func:`exact_crb` and passes its
+    singularity test once, so a matrix that :func:`exact_crb` refuses
+    raises the same SingularMatrixError.  The exact side and (S^{-1})[0,0]
+    are then one single-column solve each, so the exact side is
+    :func:`exact_crb` of (S, a) bit for bit; the weak side is
+    :func:`weak_crb`'s.  Also reports the eigenvector equality condition (a
+    residual of at most 1e-9 times the largest absolute entry of S) and the
+    scalar corollary 1/S[0,0] <= (S^{-1})[0,0].
     """
     s = _entries_of(matrix)
     a = _weight(alpha, s.shape[0])
-    exact_side = _exact_bound(s, a, 1)
-    inverse_first = _exact_bound(s, np.eye(1, s.shape[0])[0], 1)
+    _refuse_singular(s)
+    first = np.eye(1, s.shape[0])[0]
+    exact_side = float(a @ np.linalg.solve(s, a))
+    inverse_first = float(first @ np.linalg.solve(s, first))
     weak_side = _weak_bound(s, a, 1)
     norm2 = float(a @ a)
     rayleigh = float(a @ s @ a) / norm2

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -19,7 +20,9 @@ import numpy as np
 
 from .bounds import bound_report, heisenberg_sweep, sweep_to_csv, sweep_to_json_dict
 from .errors import ConvergenceError, SingularMatrixError, ValidationError
-from .ghz_state import _check_counts, _check_seed, apply_phases, build_input_state, phase_vector
+from .ghz_state import (
+    _check_counts, _check_int, _check_seed, apply_phases, build_input_state, phase_vector
+)
 from .measurement import cfim
 from .montecarlo import crb_saturation_experiment
 from .qfim import FisherMatrix, matrix_to_csv, matrix_to_json_dict, qfim_pure, rank_and_nullspace
@@ -44,7 +47,8 @@ CHARTS = {
     "mc": (build_mc, lambda dim: np.eye(1, dim)[0]),
 }
 
-# flag -> argparse options; each flag is also a config-file key.
+# flag -> argparse options; each flag is also a config-file key, read only by
+# the commands that take the flag.
 FLAGS = {
     "N": {"help": "photon number (even); sweep takes a comma list"},
     "d": {"help": "node count; sweep takes a comma list"},
@@ -80,13 +84,16 @@ class RunConfig:
 
 
 def _require_int(value, name: str) -> int:
+    """Flag text read by ``int()``; any other config value by the library's integer rule.
+
+    No floor is applied here: each floor is applied where the value is used.
+    """
+    if not isinstance(value, str):
+        return _check_int(value, name, -math.inf)
     try:
-        out = int(value)
-    except (TypeError, ValueError, OverflowError):
+        return int(value)
+    except ValueError:
         raise ValidationError(f"{name} must be an integer, got {value!r}") from None
-    if isinstance(value, float) and value != out:
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return out
 
 
 def _tokens(value) -> list:
@@ -106,10 +113,14 @@ def _parse_int_list(value, name: str) -> tuple[int, ...]:
 
 
 def _parse_floats(spec, name: str) -> list[float]:
+    """The numbers of a comma list or a JSON list; a JSON true or false is no number."""
+    tokens = _tokens(spec)
     try:
-        return [float(v) for v in _tokens(spec)]
+        if not any(isinstance(v, bool) for v in tokens):
+            return [float(v) for v in tokens]
     except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"bad {name} spec {spec!r}") from None
+        pass
+    raise ValidationError(f"bad {name} spec {spec!r}")
 
 
 def _parse_phases(spec, d: int) -> np.ndarray:
@@ -305,7 +316,13 @@ COMMANDS = {
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    values = {key: getattr(args, key, None) for key in CONFIG_KEYS}
+    """The command's flags, ``output`` and ``format``: each from the command line, else the config.
+
+    A config file may hold any key of ``CONFIG_KEYS``; the keys the command
+    does not take are ignored.
+    """
+    keys = (*COMMANDS[args.command][1], "output", "format")
+    values = {key: getattr(args, key) for key in keys}
     config_path = getattr(args, "config", None)
     if config_path:
         try:
@@ -319,8 +336,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
         unknown = sorted(set(doc) - set(CONFIG_KEYS))
         if unknown:
             raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
-        for key in CONFIG_KEYS:
-            if values.get(key) is None and key in doc:
+        for key in keys:
+            if values[key] is None and key in doc:
                 values[key] = doc[key]
     return values
 
@@ -330,10 +347,12 @@ def _build_run_config(command: str, values: dict) -> RunConfig:
     given = {key: value for key, value in values.items() if value is not None}
     for key in ("output", "format", "chart", "kind"):
         if key in given:
-            setattr(config, "fmt" if key == "format" else key, str(given[key]))
+            if not isinstance(given[key], str):
+                raise ValidationError(f"{key} must be a string, got {given[key]!r}")
+            setattr(config, "fmt" if key == "format" else key, given[key])
     for flag in COMMANDS[command][1]:
         choices = FLAGS[flag].get("choices")
-        if choices and flag in given and str(given[flag]) not in choices:
+        if choices and flag in given and given[flag] not in choices:
             raise ValidationError(
                 f"{flag} must be one of {', '.join(choices)}, got {given[flag]!r}"
             )
@@ -354,7 +373,7 @@ def _build_run_config(command: str, values: dict) -> RunConfig:
         if "d" not in given:
             raise ValidationError("d is required")
         config.nodes = _require_int(given["d"], "d")
-        config.chart = str(given.get("chart", "mc"))
+        config.chart = given.get("chart", "mc")
     else:
         if "N" not in given or "d" not in given:
             raise ValidationError("N and d are required")

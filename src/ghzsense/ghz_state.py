@@ -99,6 +99,15 @@ def _float_array(values, what: str, shape: tuple) -> np.ndarray:
     return array
 
 
+def _pair_sums(values: np.ndarray) -> np.ndarray:
+    """x_j = phi_j + phi_{j+1} along the last axis, the last pair closing the ring.
+
+    This is the one statement of the ring's pair sums: the state, the outcome
+    probabilities, the fit and the pair-sum gradients all read them here.
+    """
+    return values + np.concatenate((values[..., 1:], values[..., :1]), axis=-1)
+
+
 def phase_vector(values, d: int) -> np.ndarray:
     """``values`` as a new length-d float64 phase vector with finite entries."""
     return _float_array(values, "phase vector", (d,))
@@ -177,5 +186,5 @@ def apply_phases(state: RingState, phases) -> RingState:
     exp(i*(N/2)*(phi_j + phi_{j+1})); horizontal kets are unchanged."""
     phi = phase_vector(phases, state.nodes)
     amplitudes = state.amplitudes.copy()
-    amplitudes[:, 1] *= np.exp(1j * (state.photons / 2.0) * (phi + np.roll(phi, -1)))
+    amplitudes[:, 1] *= np.exp(1j * (state.photons / 2.0) * _pair_sums(phi))
     return RingState(amplitudes, state.photons, state.nodes)

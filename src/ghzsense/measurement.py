@@ -23,13 +23,9 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .ghz_state import _check_counts, phase_vector
+from .ghz_state import _check_counts, _pair_sums, phase_vector
 from .qfim import (
-    _ORACLE_STEP,
-    Chart,
-    FisherMatrix,
-    _directions_for,
-    _read_only,
+    Chart, FisherMatrix, _central_differences, _directions_for, _read_only, _slot_matrix
 )
 
 PATTERNS = ("++", "--", "+-", "-+")
@@ -147,7 +143,7 @@ def outcome_distribution(photons: int, nodes: int, phases) -> OutcomeDistributio
     """Outcome probabilities of the paired diagonal-basis measurement."""
     _check_counts(photons, nodes)
     phi = phase_vector(phases, nodes)
-    c = np.cos((photons / 2.0) * (phi + np.roll(phi, -1)))
+    c = np.cos((photons / 2.0) * _pair_sums(phi))
     agree = (1.0 + c) / (4.0 * nodes)
     disagree = (1.0 - c) / (4.0 * nodes)
     # canonical order per pair: ++, -- (agree), +-, -+ (disagree)
@@ -167,10 +163,7 @@ def cfim(photons: int, nodes: int, phases, chart: Chart | None = None) -> Fisher
     matrix, formed and validated on the first of them; each result carries
     its own phases.
     """
-    _check_counts(photons, nodes)
-    phi = phase_vector(phases, nodes)
-    chart, _ = _directions_for(nodes, chart)
-    return chart._fisher_matrix(photons, "classical", phi)
+    return _slot_matrix(photons, nodes, phases, chart, "classical")
 
 
 def cfim_brute_force_oracle(
@@ -179,28 +172,25 @@ def cfim_brute_force_oracle(
     """Independent cross-check: literal sum over outcomes with numerical dP.
 
     Computes sum_o (1/P_o) (dP_o/dm) (dP_o/dn) with central-difference
-    probability derivatives of step ``qfim._ORACLE_STEP`` = 1e-6.  Requires
-    every outcome probability to exceed 1e-8 so the quotient is well
-    conditioned.
+    probability derivatives of step 1e-6
+    (:func:`ghzsense.qfim._central_differences`).  Requires every outcome
+    probability to exceed 1e-8 so the quotient is well conditioned.
     """
     _check_counts(photons, nodes)
     phi = phase_vector(phases, nodes)
     chart, directions = _directions_for(nodes, chart)
-    base = outcome_distribution(photons, nodes, phi).as_array()
+
+    def probabilities(p):
+        return outcome_distribution(photons, nodes, p).as_array()
+
+    base = probabilities(phi)
     lowest = float(np.min(base))
     if lowest <= 1e-8:
         raise ValidationError(
             f"brute-force Fisher sum needs all outcome probabilities > 1e-8; "
             f"smallest is {lowest:.3e}"
         )
-    derivs = np.stack(
-        [
-            outcome_distribution(photons, nodes, phi + shift).as_array()
-            - outcome_distribution(photons, nodes, phi - shift).as_array()
-            for shift in (_ORACLE_STEP * directions).T
-        ],
-        axis=1,
-    ) / (2.0 * _ORACLE_STEP)
+    derivs = _central_differences(probabilities, phi, directions)
     # sum_o dP_o dP_o^T / P_o as one product over the (4d, k) stack
     weighted = derivs / np.sqrt(base)[:, None]
     return FisherMatrix(weighted.T @ weighted, "classical", chart, photons, nodes, phi)

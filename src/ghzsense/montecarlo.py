@@ -31,7 +31,7 @@ from .bounds import _mc_spectral_bounds
 from .errors import ConvergenceError, ValidationError
 from .ghz_state import (  # noqa: F401
     MAX_SHOTS, _check_counts, _check_int, _check_nodes, _check_seed, _check_shots,
-    _float_array, phase_vector,
+    _float_array, _pair_sums, phase_vector,
 )
 from .measurement import (
     OutcomeDistribution,
@@ -42,11 +42,7 @@ from .measurement import (
     outcome_distribution,
 )
 from .qfim import _read_only
-from .reparam import (
-    _mc_coordinates,
-    _mc_pair_pullback,
-    _mc_phases,
-)
+from .reparam import _mc_coordinates, _mc_labels, _mc_pair_pullback, _mc_phases
 
 DEFAULT_BOX_HALF_WIDTH = 0.25
 # Largest gradient max-norm of the per-event negative log likelihood that
@@ -137,11 +133,6 @@ class CountTable:
         return MappingProxyType(self._counts)
 
 
-def _kept_labels(count: int) -> tuple[str, ...]:
-    """The names theta_1..theta_count of the kept mc coordinates."""
-    return tuple(f"theta_{i}" for i in range(1, count + 1))
-
-
 @dataclass(eq=False)
 class EstimationResult:
     """Converged maximum-likelihood estimate in the reduced chart.
@@ -155,7 +146,7 @@ class EstimationResult:
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return _kept_labels(self.theta.shape[-1])
+        return _mc_labels(self.theta.shape[-1] + 1)[1:]
 
 
 def _normalized(dist: OutcomeDistribution) -> np.ndarray:
@@ -205,21 +196,21 @@ def _hashed_seed_type():
             self.words = words
 
         def generate_state(self, n_words, dtype=np.uint32):
-            # PCG64 asks for the 4 uint64 words that _seed_words made
+            # PCG64 asks for the 4 uint64 words it was made with
             return self.words
 
     return HashedSeed
 
 
-def _draw(probabilities: np.ndarray, shots: int, seed: int | np.ndarray) -> np.ndarray:
+def _draw(probabilities: np.ndarray, shots: int, words: np.ndarray) -> np.ndarray:
     """Multinomial counts over the 4*d outcomes, from probabilities that sum to 1.
 
-    ``seed`` is an int, or the row of :func:`_seed_words` for one: both draw
-    what ``np.random.default_rng(int_seed)`` draws.
+    ``words`` are the four uint64 seed words of an int seed,
+    ``np.random.SeedSequence(seed).generate_state(4, np.uint64)`` or its row
+    of :func:`_seed_words`, which are the words ``np.random.default_rng(seed)``
+    derives itself; so the draw is what that generator draws.
     """
-    if isinstance(seed, np.ndarray):
-        seed = _hashed_seed_type()(seed)
-    return np.random.default_rng(seed).multinomial(shots, probabilities)
+    return np.random.default_rng(_hashed_seed_type()(words)).multinomial(shots, probabilities)
 
 
 def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountTable:
@@ -234,7 +225,8 @@ def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountTabl
         )
     shots = _check_shots(shots)
     seed = _check_seed(seed)
-    draws = _draw(_normalized(dist), shots, seed)
+    words = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+    draws = _draw(_normalized(dist), shots, words)
     return CountTable(draws, shots, seed, dist.photons, dist.nodes, dist.phases)
 
 
@@ -348,11 +340,6 @@ def _fit_pair_sums(agree, disagree, branch, half) -> tuple[np.ndarray, int]:
     )
 
 
-def _ring_pair_sums(phases: np.ndarray) -> np.ndarray:
-    """x_j = phi_j + phi_{j+1} of every row, the last pair closing the ring."""
-    return phases + np.concatenate((phases[:, 1:], phases[:, :1]), axis=1)
-
-
 def _check_window(pair_sums, photons: int, what: str) -> float:
     """Refuse pair sums outside the identifiable window |x_j| < 2*pi/N; returns the window."""
     window = 2.0 * math.pi / photons
@@ -414,7 +401,7 @@ def mle_estimate(
         raise ValidationError(f"box half-width must be a positive number, got {box_half_width!r}")
     guess = _float_array(initial_theta, "initial guess", (nodes - 1,))
     _check_nodes(nodes, 4, even=True)
-    guess_sums = _ring_pair_sums(_mc_phases(guess[None, :]))[0]
+    guess_sums = _pair_sums(_mc_phases(guess[None, :]))[0]
     window = _check_window(guess_sums, photons, "initial guess")
     per_pair = weights.reshape(weights.shape[0], nodes, 4)
     agree = per_pair[:, :, 0] + per_pair[:, :, 1]
@@ -441,7 +428,7 @@ def mle_estimate(
     phi[:, 1:] = -alternating[1:] * np.cumsum(alternating * pair_sums, axis=1)[:, :-1]
     theta = _mc_coordinates(phi)
 
-    fitted = _ring_pair_sums(_mc_phases(theta))
+    fitted = _pair_sums(_mc_phases(theta))
     # the solved pair sums sit exactly on the window edge when a maximum does;
     # the recomputed ones may round to either side of it
     edge = np.maximum(np.abs(pair_sums), np.abs(fitted)).max(axis=1)
@@ -500,7 +487,7 @@ class SaturationReport:
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return _kept_labels(self.estimates.shape[1])
+        return _mc_labels(self.nodes)[1:]
 
     def to_json_dict(self) -> dict:
         return {
@@ -573,7 +560,7 @@ def crb_saturation_experiment(
         )
     seed = _check_seed(seed)
     shots = _check_shots(shots)
-    _check_window(phi + np.roll(phi, -1), photons, "true pair sums")
+    _check_window(_pair_sums(phi), photons, "true pair sums")
     _check_nodes(nodes, 4, even=True)
     theta_true = _mc_coordinates(phi[None, :])[0]
     dist = outcome_distribution(photons, nodes, phi)

@@ -34,12 +34,15 @@ import numpy as np
 
 from .errors import ValidationError
 from .ghz_state import (
-    _check_counts, _check_nodes, _float_array, apply_phases, build_input_state, phase_vector
+    _check_counts, _check_nodes, _float_array, _pair_sums, apply_phases, build_input_state,
+    phase_vector,
 )
 
 SYMMETRY_TOL = 1e-10
 PSD_TOL = 1e-9
-_RANK_TOL = 1e-9  # relative singular-value cutoff of rank_and_nullspace
+# The one singularity rule: an eigenvalue at most RANK_RTOL times the largest
+# counts as zero, in rank_and_nullspace and in ghzsense.bounds.exact_crb alike.
+RANK_RTOL = 1e-9
 _ORACLE_STEP = 1e-6  # central-difference step of both finite-difference oracles
 
 # Ring geometry (charts and reparametrizations) is a pure function of the
@@ -270,7 +273,7 @@ def _shifted_cholesky(entries: np.ndarray, rtol: float, floor: float = 0.0) -> t
     Success proves that the smallest eigenvalue exceeds -shift up to
     rounding.  This is the one certificate of the toolkit: the
     :class:`FisherMatrix` PSD test shifts up by PSD_TOL * max(1, b), and
-    :func:`ghzsense.bounds.exact_crb` shifts down by RANK_RTOL * b.
+    :func:`ghzsense.bounds.exact_crb` shifts down by ``RANK_RTOL`` * b.
     """
     shifted = np.abs(entries)
     shift = rtol * max(floor, float(np.max(shifted.sum(axis=1), initial=0.0)))
@@ -316,7 +319,19 @@ def _directions_for(d: int, chart: Chart | None) -> tuple[Chart, np.ndarray]:
 def pair_sum_gradients(d: int, chart: Chart | None = None) -> np.ndarray:
     """Rows are grad of x_j = phi_j + phi_{j+1} with respect to chart params."""
     chart, directions = _directions_for(d, chart)
-    return directions + np.roll(directions, -1, axis=0)
+    return _pair_sums(directions.T).T
+
+
+def _slot_matrix(photons: int, nodes: int, phases, chart: Chart | None, kind: str) -> FisherMatrix:
+    """The chart's matrix of ``kind`` after the count, phase and chart checks.
+
+    This is the one entry of :func:`qfim_pure` and
+    :func:`ghzsense.measurement.cfim`.
+    """
+    _check_counts(photons, nodes)
+    phi = phase_vector(phases, nodes)
+    chart, _ = _directions_for(nodes, chart)
+    return chart._fisher_matrix(photons, kind, phi)
 
 
 def qfim_pure(photons: int, nodes: int, phases, chart: Chart | None = None) -> FisherMatrix:
@@ -329,10 +344,7 @@ def qfim_pure(photons: int, nodes: int, phases, chart: Chart | None = None) -> F
     one matrix, formed and validated on the first of them; each result
     carries its own phases.
     """
-    _check_counts(photons, nodes)
-    phi = phase_vector(phases, nodes)
-    chart, _ = _directions_for(nodes, chart)
-    return chart._fisher_matrix(photons, "quantum", phi)
+    return _slot_matrix(photons, nodes, phases, chart, "quantum")
 
 
 def qfim_closed_form_original(photons: int, nodes: int) -> FisherMatrix:
@@ -355,7 +367,7 @@ def rank_and_nullspace(matrix) -> RankReport:
     """Numerical rank and orthonormal null basis of a symmetric matrix.
 
     The matrix is read by :func:`_entries_of`, so it is exactly symmetric,
-    and its singular values below ``_RANK_TOL`` = 1e-9 times the largest
+    and its singular values below ``RANK_RTOL`` = 1e-9 times the largest
     count as zero (all of them for the zero matrix).  Two paths apply that
     rule:
 
@@ -384,8 +396,8 @@ def _hermitian_rank_and_nullspace(m: np.ndarray) -> RankReport:
     if singular.size == 0 or singular[0] == 0.0:
         rank = 0
     else:
-        rank = int(np.sum(singular > _RANK_TOL * singular[0]))
-    return RankReport(rank, vt[rank:].T.copy(), _RANK_TOL)
+        rank = int(np.sum(singular > RANK_RTOL * singular[0]))
+    return RankReport(rank, vt[rank:].T.copy(), RANK_RTOL)
 
 
 def _circulant_first_row(m: np.ndarray) -> np.ndarray | None:
@@ -422,13 +434,25 @@ def _circulant_rank_and_nullspace(row: np.ndarray) -> RankReport:
     singular = np.abs(np.fft.rfft(row).real)
     modes = np.arange(singular.size)
     paired = (modes != 0) & (2 * modes != d)
-    kept = singular > _RANK_TOL * singular.max()
+    kept = singular > RANK_RTOL * singular.max()
     rank = np.count_nonzero(kept) + np.count_nonzero(kept & paired)
     null, null_paired = modes[~kept], paired[~kept]
     angles = (np.outer(np.arange(d), null) % d) * (2.0 * np.pi / d)
     cosines = np.cos(angles) * np.where(null_paired, math.sqrt(2.0 / d), math.sqrt(1.0 / d))
     sines = np.sin(angles[:, null_paired]) * math.sqrt(2.0 / d)
-    return RankReport(rank, np.concatenate((cosines, sines), axis=1), _RANK_TOL)
+    return RankReport(rank, np.concatenate((cosines, sines), axis=1), RANK_RTOL)
+
+
+def _central_differences(probe, phi: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """(probe(phi + h v) - probe(phi - h v)) / 2h for each chart direction v, as columns.
+
+    h is ``_ORACLE_STEP`` = 1e-6.  Both finite-difference oracles take their
+    derivatives here, independently of G.
+    """
+    return np.stack(
+        [probe(phi + shift) - probe(phi - shift) for shift in (_ORACLE_STEP * directions).T],
+        axis=1,
+    ) / (2.0 * _ORACLE_STEP)
 
 
 def qfim_finite_difference_oracle(
@@ -445,15 +469,12 @@ def qfim_finite_difference_oracle(
     phi = phase_vector(phases, nodes)
     chart, directions = _directions_for(nodes, chart)
     base = build_input_state(photons, nodes)
-    psi = apply_phases(base, phi).amplitudes.ravel()
-    derivs = np.stack(
-        [
-            apply_phases(base, phi + shift).amplitudes.ravel()
-            - apply_phases(base, phi - shift).amplitudes.ravel()
-            for shift in (_ORACLE_STEP * directions).T
-        ],
-        axis=1,
-    ) / (2.0 * _ORACLE_STEP)
+
+    def amplitudes(p):
+        return apply_phases(base, p).amplitudes.ravel()
+
+    psi = amplitudes(phi)
+    derivs = _central_differences(amplitudes, phi, directions)
     # Re(D^H D) as one product over the stacked real and imaginary parts
     parts = np.concatenate((derivs.real, derivs.imag))
     overlaps = derivs.conj().T @ psi

@@ -114,11 +114,15 @@ def _build_mc(d: int) -> Reparametrization:
     alternating = (-1.0) ** np.arange(1, d + 1)
     forward = np.vstack((alternating / d, _mc_coordinates(np.eye(d)).T))
     inverse = np.column_stack((alternating, _mc_phases(np.eye(d - 1)).T))
-    labels = tuple(f"theta_{i}" for i in range(d))
-    return Reparametrization(forward, inverse, labels, "mc")
+    return Reparametrization(forward, inverse, _mc_labels(d), "mc")
 
 
 _mc = _ring_memo(_build_mc)
+
+
+def _mc_labels(d: int) -> tuple[str, ...]:
+    """The names theta_0..theta_{d-1} of the ``mc`` coordinates."""
+    return tuple(f"theta_{i}" for i in range(d))
 
 
 # The maps between phases and the kept mc coordinates theta_1..theta_{d-1}
@@ -154,7 +158,7 @@ def _mc_phases(theta: np.ndarray) -> np.ndarray:
 
 
 def _mc_pair_pullback(pair_grad: np.ndarray) -> np.ndarray:
-    """``pair_grad @ (J + np.roll(J, -1, axis=0))`` with J = ``build_mc(d).inverse[:, 1:]``.
+    """``pair_grad @ G``, G the pair-sum gradients of J = ``build_mc(d).inverse[:, 1:]``.
 
     The transpose of the pair sums of :func:`_mc_phases`: each node collects
     the gradients of its two pairs, and each parity chain's adjoint is a

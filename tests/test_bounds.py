@@ -157,6 +157,26 @@ def test_weak_vs_exact_check_refuses_what_exact_crb_refuses():
             check(matrix, np.ones(2))
 
 
+def test_weak_vs_exact_check_certifies_an_accepted_matrix_once(monkeypatch):
+    # one singularity test, then one single-column solve per side, so the
+    # exact side and (S^-1)[0,0] are exact_crb's own values bit for bit
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return cholesky(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    matrix = random_pd(np.random.default_rng(11), 6)
+    alpha = np.arange(1.0, 7.0)
+    report = weak_vs_exact_check(matrix, alpha)
+    assert len(calls) == 1
+    assert report.exact_side == exact_crb(matrix, alpha)
+    assert report.first_diag_of_inverse == exact_crb(matrix, np.eye(1, 6)[0])
+    assert report.weak_side == weak_crb(matrix, alpha)
+
+
 def test_weak_vs_exact_check_recognizes_an_eigenvector_of_a_large_matrix():
     matrix = 1e8 * np.array([[2.0, 1.0], [1.0, 3.0]])
     _, vecs = np.linalg.eigh(matrix)

@@ -526,10 +526,30 @@ def test_malformed_config_values_are_status_2(command, doc, tmp_path, capsys):
          "kind must be one of quantum, classical, got 'both'\n"),
         (["qfim", "--N", "2", "--d", "4"], {"chart": "polar"},
          "chart must be one of original, d4-orthogonal, mc, got 'polar'\n"),
+        # a config value is read by the library's integer rule, as flag text is by int()
+        (["bounds", "--N", "2", "--d", "4", "--chart", "mc"], {"shots": True},
+         "shots must be an integer, got True\n"),
+        (["qfim", "--N", "2"], {"d": 4.0}, "d must be an integer, got 4.0\n"),
+        (["transform", "--chart", "d4-orthogonal"], {"d": 4.0},
+         "d must be an integer, got 4.0\n"),
+        # text keys must be JSON strings
+        (["qfim", "--N", "2", "--d", "4"], {"output": True}, "output must be a string, got True\n"),
+        (["qfim", "--N", "2", "--d", "4", "--output", "m.csv"], {"format": ["csv"]},
+         "format must be a string, got ['csv']\n"),
+        (["qfim", "--N", "2", "--d", "4"], {"chart": 1}, "chart must be a string, got 1\n"),
+        (["bounds", "--N", "2", "--d", "4"], {"kind": False}, "kind must be a string, got False\n"),
+        # a JSON boolean is no number in a number list
+        (["bounds", "--N", "2", "--d", "4"], {"phases": [True, False, True, False]},
+         "bad phases spec [True, False, True, False]\n"),
+        (["bounds", "--N", "2", "--d", "4", "--chart", "mc"], {"alpha": [True, False, False]},
+         "bad alpha spec [True, False, False]\n"),
     ],
     ids=[
         "missing-config", "config-not-json", "config-d-fraction", "transform-without-d",
         "phases-uniform-not-a-number", "alpha-length", "config-kind", "config-chart",
+        "config-shots-bool", "config-d-whole-float", "transform-config-d-whole-float",
+        "config-output-bool", "config-format-list", "config-chart-number", "config-kind-bool",
+        "config-phases-bools", "config-alpha-bools",
     ],
 )
 def test_each_refusal_names_its_input(argv, config, message, tmp_path, monkeypatch, capsys):
@@ -542,6 +562,23 @@ def test_each_refusal_names_its_input(argv, config, message, tmp_path, monkeypat
     assert out == ""
     assert err.startswith("error: invalid configuration: " + message)
     assert "Traceback" not in err
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == ([] if config is None else ["run.json"])
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"kind": "both"}, {"replicates": True}, {"shots": "x"}, {"seed": -1}, {"alpha": [True]}],
+    ids=["kind", "replicates", "shots", "seed", "alpha"],
+)
+def test_config_keys_the_command_does_not_take_are_ignored(doc, tmp_path, capsys):
+    argv = ["qfim", "--N", "2", "--d", "4"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(doc))
+    assert main([*argv, "--config", str(config)]) == 0
+    assert capsys.readouterr() == (expected, "")
 
 
 @pytest.mark.parametrize(

@@ -344,6 +344,14 @@ def test_seed_words_match_numpy_seed_sequence():
     np.testing.assert_array_equal(words, np.array(expected))
 
 
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**64, 2**70 + 5, 2**200])
+def test_sample_counts_draws_what_default_rng_draws(seed):
+    # sample_counts seeds through SeedSequence words; the stream is default_rng(seed)'s
+    dist = outcome_distribution(2, 8, np.full(8, 0.1))
+    expected = np.random.default_rng(seed).multinomial(100000, dist.array / dist.array.sum())
+    np.testing.assert_array_equal(sample_counts(dist, 100000, seed).array, expected)
+
+
 def test_hashed_seed_words_give_the_bit_generator_of_the_int_seed():
     seeds = edge_and_random_seeds(200, 21)
     hashed = montecarlo._hashed_seed_type()

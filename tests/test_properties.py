@@ -192,6 +192,26 @@ def test_exact_bound_verdict_matches_the_eigenvalue_rule(size, log_margin, log_s
     log_scale=st.floats(-10.0, 10.0),
     seed=seeds,
 )
+def test_rank_is_full_exactly_when_the_exact_bound_is_accepted(size, log_margin, log_scale, seed):
+    # one singularity rule, RANK_RTOL, serves rank_and_nullspace and exact_crb
+    matrix = planted_matrix(size, log_margin, log_scale, seed)
+    try:
+        exact_crb(matrix, np.ones(size))
+        accepted = True
+    except SingularMatrixError:
+        accepted = False
+    report = rank_and_nullspace(matrix)
+    assert report.tolerance == RANK_RTOL
+    assert (report.rank == size) == accepted
+
+
+@settings(deadline=None)
+@given(
+    size=st.integers(1, 30),
+    log_margin=st.floats(-1.0, 1.0),
+    log_scale=st.floats(-10.0, 10.0),
+    seed=seeds,
+)
 def test_weak_vs_exact_check_refuses_like_exact_crb_and_scales_its_eigenvector_test(
     size, log_margin, log_scale, seed
 ):
