@@ -158,7 +158,7 @@ def _emit(config: RunConfig, doc, csv=None, summary=None) -> None:
     first, named ``<name>-summary.csv``.  Nothing is formed without ``--output``.
     A relative path is resolved against ``GHZSENSE_OUTPUT_DIR`` when it is set.
     """
-    if not config.output:
+    if config.output is None:
         return
     path = Path(config.output)
     if not path.is_absolute() and os.environ.get(OUTPUT_DIR_ENV):
@@ -350,6 +350,8 @@ def _build_run_config(command: str, values: dict) -> RunConfig:
             if not isinstance(given[key], str):
                 raise ValidationError(f"{key} must be a string, got {given[key]!r}")
             setattr(config, "fmt" if key == "format" else key, given[key])
+    if config.output == "":
+        raise ValidationError("output must be a nonempty path")
     for flag in COMMANDS[command][1]:
         choices = FLAGS[flag].get("choices")
         if choices and flag in given and given[flag] not in choices:

@@ -538,6 +538,10 @@ def test_malformed_config_values_are_status_2(command, doc, tmp_path, capsys):
          "format must be a string, got ['csv']\n"),
         (["qfim", "--N", "2", "--d", "4"], {"chart": 1}, "chart must be a string, got 1\n"),
         (["bounds", "--N", "2", "--d", "4"], {"kind": False}, "kind must be a string, got False\n"),
+        # an empty path names no file to write
+        (["qfim", "--N", "2", "--d", "4", "--output", ""], None,
+         "output must be a nonempty path\n"),
+        (["qfim", "--N", "2", "--d", "4"], {"output": ""}, "output must be a nonempty path\n"),
         # a JSON boolean is no number in a number list
         (["bounds", "--N", "2", "--d", "4"], {"phases": [True, False, True, False]},
          "bad phases spec [True, False, True, False]\n"),
@@ -549,6 +553,7 @@ def test_malformed_config_values_are_status_2(command, doc, tmp_path, capsys):
         "phases-uniform-not-a-number", "alpha-length", "config-kind", "config-chart",
         "config-shots-bool", "config-d-whole-float", "transform-config-d-whole-float",
         "config-output-bool", "config-format-list", "config-chart-number", "config-kind-bool",
+        "output-empty", "config-output-empty",
         "config-phases-bools", "config-alpha-bools",
     ],
 )

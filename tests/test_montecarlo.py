@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -198,6 +200,20 @@ def test_plain_mapping_requires_geometry():
         mle_estimate(rows[:, :-1], np.zeros(3), photons=2, nodes=4)
 
 
+def test_fit_refuses_geometry_that_contradicts_a_count_table():
+    table = sample_counts(outcome_distribution(2, 4, PHI), 10000, 5)
+    guess = build_mc(4).apply(PHI)[1:]
+    for geometry, message in [
+        ({"photons": 6, "nodes": 8}, "photons=6 contradicts the count table's photons = 2"),
+        ({"photons": 2, "nodes": 8}, "nodes=8 contradicts the count table's nodes = 4"),
+        ({"nodes": 6}, "nodes=6 contradicts the count table's nodes = 4"),
+    ]:
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            mle_estimate(table, guess, **geometry)
+    same = mle_estimate(table, guess, photons=2, nodes=4)
+    np.testing.assert_array_equal(same.theta, mle_estimate(table, guess).theta)
+
+
 def refused_counts():
     rows = np.array([list(expected_counts(2, 4, PHI, 1000).values())])
     negative = rows.copy()
@@ -302,20 +318,34 @@ def test_saturation_refuses_replicate_counts_that_are_not_integers(replicates):
     assert str(caught.value) == f"replicates must be an integer, got {replicates!r}"
 
 
-def assert_replicates_draw_what_sample_counts_draws(monkeypatch, phases, seed):
-    nodes = len(phases)
-    fitted = []
+def recorded_draws(monkeypatch, phases, seed, cpus):
+    """A saturation run on ``cpus`` usable CPUs: its report, its counts and the drawing threads."""
+    fitted, drawers = [], set()
+    draw = montecarlo._draw
+
+    def recording_draw(*args):
+        drawers.add(threading.get_ident())
+        return draw(*args)
 
     def recording_fit(counts, *args, **kwargs):
         fitted.append(np.array(counts))
         return mle_estimate(counts, *args, **kwargs)
 
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(montecarlo, "_draw", recording_draw)
     monkeypatch.setattr(montecarlo, "mle_estimate", recording_fit)
-    crb_saturation_experiment(2, nodes, phases, 20000, 50, seed)
-    dist = outcome_distribution(2, nodes, phases)
-    child_seeds = np.random.SeedSequence(seed).generate_state(50, dtype=np.uint64)
+    before = threading.active_count()
+    report = crb_saturation_experiment(2, len(phases), phases, 20000, 50, seed)
+    assert threading.active_count() == before
     (counts,) = fitted
-    assert counts.shape == (50, 4 * nodes)
+    assert counts.shape == (50, 4 * len(phases))
+    return report, counts, drawers
+
+
+def assert_replicates_draw_what_sample_counts_draws(monkeypatch, phases, seed):
+    _, counts, _ = recorded_draws(monkeypatch, phases, seed, 2)
+    dist = outcome_distribution(2, len(phases), phases)
+    child_seeds = np.random.SeedSequence(seed).generate_state(50, dtype=np.uint64)
     for row, child in zip(counts, child_seeds):
         np.testing.assert_array_equal(row, sample_counts(dist, 20000, int(child)).array)
 
@@ -327,6 +357,73 @@ def test_saturation_replicates_draw_what_sample_counts_draws(monkeypatch):
 def test_wide_replicates_with_distinct_phases_draw_what_sample_counts_draws(monkeypatch):
     phases = 0.1 + 0.05 * np.sin(np.arange(64))
     assert_replicates_draw_what_sample_counts_draws(monkeypatch, phases, 17)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("nodes", [8, 28, 32, 64])
+def test_threaded_replicates_draw_what_default_rng_draws(nodes, cpus, monkeypatch):
+    phases = np.full(nodes, 0.1)
+    _, counts, drawers = recorded_draws(monkeypatch, phases, 11, cpus)
+    # draws of fewer than _THREADED_MIN_OUTCOMES = 128 outcomes stay on the calling thread
+    assert len(drawers) == (cpus if 4 * nodes >= 128 else 1)
+    dist = outcome_distribution(2, nodes, phases)
+    probabilities = dist.array / dist.array.sum()
+    child_seeds = np.random.SeedSequence(11).generate_state(50, dtype=np.uint64)
+    for row, child in zip(counts, child_seeds):
+        expected = np.random.default_rng(int(child)).multinomial(20000, probabilities)
+        np.testing.assert_array_equal(row, expected)
+
+
+@pytest.mark.parametrize("nodes", [32, 64])
+def test_threaded_report_equals_the_serial_report_bit_for_bit(nodes, monkeypatch):
+    serial, _, _ = recorded_draws(monkeypatch, np.full(nodes, 0.1), 5, 1)
+    threaded, _, _ = recorded_draws(monkeypatch, np.full(nodes, 0.1), 5, 3)
+    np.testing.assert_array_equal(threaded.estimates, serial.estimates)
+    assert threaded.var_theta1 == serial.var_theta1
+    assert threaded.to_json_dict() == serial.to_json_dict()
+    assert threaded.long_csv() == serial.long_csv()
+    assert threaded.summary_csv() == serial.summary_csv()
+
+
+@pytest.mark.parametrize("row", [0, 25, 49], ids=["calling-thread", "middle", "last"])
+def test_a_draw_that_raises_on_one_row_raises_from_the_experiment(row, monkeypatch):
+    failing = montecarlo._seed_words(
+        np.random.SeedSequence(3).generate_state(50, dtype=np.uint64)
+    )[row]
+    failure = RuntimeError(f"row {row}")
+    draw = montecarlo._draw
+
+    def failing_draw(probabilities, shots, words):
+        if np.array_equal(words, failing):
+            raise failure
+        return draw(probabilities, shots, words)
+
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(montecarlo, "_draw", failing_draw)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as caught:
+        crb_saturation_experiment(2, 64, np.full(64, 0.1), 20000, 50, 3)
+    assert caught.value is failure
+    assert threading.active_count() == before
+
+
+def test_a_thread_that_cannot_start_raises_after_the_started_ones_are_joined(monkeypatch):
+    start = threading.Thread.start
+    starts = []
+
+    def second_start_fails(thread):
+        starts.append(thread)
+        if len(starts) == 2:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(threading.Thread, "start", second_start_fails)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="^can't start new thread$"):
+        crb_saturation_experiment(2, 64, np.full(64, 0.1), 20000, 50, 3)
+    assert threading.active_count() == before
+    assert not starts[0].is_alive()
 
 
 def edge_and_random_seeds(count, seed):
