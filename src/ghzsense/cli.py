@@ -255,8 +255,11 @@ def _cmd_bounds(config: RunConfig) -> None:
     matrix = _matrix_in_chart(config, config.kind)
     alpha = _parse_alpha(config.alpha_spec, config.chart, matrix.dim)
     report = bound_report(matrix, alpha, config.shots)
+    shown = ", ".join(f"{x:.6g}" for x in alpha[:6])
+    if alpha.size > 6:
+        shown += f", ... ({alpha.size} entries)"
     print(
-        f"variance bounds for alpha = [{', '.join(f'{x:.6g}' for x in alpha)}] "
+        f"variance bounds for alpha = [{shown}] "
         f"(kind={matrix.kind}, chart={matrix.chart.name}, N={config.photons}, "
         f"d={config.nodes}, shots={config.shots})"
     )
@@ -383,6 +386,8 @@ def _build_run_config(command: str, values: dict) -> RunConfig:
         config.nodes = _require_int(given["d"], "d")
         # before any phase vector or matrix of size d is allocated
         _check_counts(config.photons, config.nodes)
+        if command == "simulate" and "shots" not in given:
+            raise ValidationError("shots is required")
     return config
 
 

@@ -119,21 +119,19 @@ class RingState:
 
     ``amplitudes`` has shape (d, 2): row j - 1 holds the amplitudes of pair
     j's all-horizontal and all-vertical kets, so its row-major order is the
-    canonical ket order (pair 1..d, H before V).  It is a read-only copy of
-    the array passed in.  The JSON form lists the nonzero amplitudes only.
+    canonical ket order (pair 1..d, H before V), and its row count is the
+    ring size ``nodes``.  It is a read-only copy of the array passed in.
+    The JSON form lists the nonzero amplitudes only.
     """
 
     amplitudes: np.ndarray
     photons: int
-    nodes: int
 
     def __post_init__(self):
-        _check_counts(self.photons, self.nodes)
         amplitudes = np.array(self.amplitudes, dtype=complex)
-        if amplitudes.shape != (self.nodes, 2):
-            raise ValidationError(
-                f"amplitudes must have shape ({self.nodes}, 2), got {amplitudes.shape}"
-            )
+        if amplitudes.ndim != 2 or amplitudes.shape[1] != 2:
+            raise ValidationError(f"amplitudes must have shape (d, 2), got {amplitudes.shape}")
+        _check_counts(self.photons, amplitudes.shape[0])
         if not np.all(np.isfinite(amplitudes)):
             j, col = np.argwhere(~np.isfinite(amplitudes))[0]
             raise ValidationError(
@@ -141,6 +139,10 @@ class RingState:
             )
         amplitudes.flags.writeable = False
         object.__setattr__(self, "amplitudes", amplitudes)
+
+    @property
+    def nodes(self) -> int:
+        return self.amplitudes.shape[0]
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -178,7 +180,7 @@ def build_input_state(photons: int, nodes: int) -> RingState:
     """
     _check_counts(photons, nodes)
     amp = 1.0 / math.sqrt(2 * nodes)
-    return RingState(np.full((nodes, 2), amp, dtype=complex), photons, nodes)
+    return RingState(np.full((nodes, 2), amp, dtype=complex), photons)
 
 
 def apply_phases(state: RingState, phases) -> RingState:
@@ -187,4 +189,4 @@ def apply_phases(state: RingState, phases) -> RingState:
     phi = phase_vector(phases, state.nodes)
     amplitudes = state.amplitudes.copy()
     amplitudes[:, 1] *= np.exp(1j * (state.photons / 2.0) * _pair_sums(phi))
-    return RingState(amplitudes, state.photons, state.nodes)
+    return RingState(amplitudes, state.photons)

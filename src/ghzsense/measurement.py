@@ -93,19 +93,17 @@ class OutcomeDistribution:
 
     ``array`` holds the probabilities in canonical label order (see
     :func:`outcome_labels`).  It may be given as such an array or as a
-    mapping from :class:`OutcomeLabel`; like ``phases`` it is stored as a
-    read-only copy, so a validated distribution never changes.
-    ``probabilities`` is a read-only label-keyed view of it.
+    mapping from :class:`OutcomeLabel`; it is stored as a read-only copy,
+    so a validated distribution never changes.  ``probabilities`` is a
+    read-only label-keyed view of it.
     """
 
     array: np.ndarray
     photons: int
     nodes: int
-    phases: np.ndarray
 
     def __post_init__(self):
         _check_counts(self.photons, self.nodes)
-        object.__setattr__(self, "phases", _read_only(phase_vector(self.phases, self.nodes)))
         entries = _canonical_entries(self.array, self.nodes, "distribution")
         probs = _read_only(_float_entries(entries, "probability"))
         object.__setattr__(self, "array", probs)
@@ -148,7 +146,7 @@ def outcome_distribution(photons: int, nodes: int, phases) -> OutcomeDistributio
     disagree = (1.0 - c) / (4.0 * nodes)
     # canonical order per pair: ++, -- (agree), +-, -+ (disagree)
     probs = np.repeat(np.stack([agree, disagree], axis=1), 2)
-    return OutcomeDistribution(probs, photons, nodes, phi)
+    return OutcomeDistribution(probs, photons, nodes)
 
 
 def cfim(photons: int, nodes: int, phases, chart: Chart | None = None) -> FisherMatrix:
@@ -193,4 +191,4 @@ def cfim_brute_force_oracle(
     derivs = _central_differences(probabilities, phi, directions)
     # sum_o dP_o dP_o^T / P_o as one product over the (4d, k) stack
     weighted = derivs / np.sqrt(base)[:, None]
-    return FisherMatrix(weighted.T @ weighted, "classical", chart, photons, nodes, phi)
+    return FisherMatrix(weighted.T @ weighted, "classical", chart, photons, phi)

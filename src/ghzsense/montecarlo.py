@@ -22,7 +22,7 @@ import math
 import numbers
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from types import MappingProxyType
 from typing import Mapping
@@ -43,7 +43,6 @@ from .measurement import (
     _label_at,
     outcome_distribution,
 )
-from .qfim import _read_only
 from .reparam import _mc_coordinates, _mc_labels, _mc_pair_pullback, _mc_phases
 
 DEFAULT_BOX_HALF_WIDTH = 0.25
@@ -94,23 +93,18 @@ class CountTable:
     ``array`` holds the counts as int64 in canonical label order (see
     :func:`ghzsense.measurement.outcome_labels`).  It may be given as such an
     array or as a mapping from :class:`OutcomeLabel`; every count must be a
-    whole number, and like ``phases`` the counts are stored as a read-only
-    copy, so a validated table never changes.  ``counts`` is a read-only
-    label-keyed view of them.
+    whole number, and the counts are stored as a read-only copy, so a
+    validated table never changes.  ``shots``, their sum, must pass the
+    shot-count rule.  ``counts`` is a read-only label-keyed view of them.
     """
 
     array: np.ndarray
-    shots: int
-    seed: int
     photons: int
     nodes: int
-    phases: np.ndarray
+    shots: int = field(init=False)
 
     def __post_init__(self):
         _check_counts(self.photons, self.nodes)
-        object.__setattr__(self, "shots", _check_shots(self.shots))
-        object.__setattr__(self, "seed", _check_seed(self.seed))
-        object.__setattr__(self, "phases", _read_only(phase_vector(self.phases, self.nodes)))
         entries = _canonical_entries(self.array, self.nodes, "count table")
         if not np.can_cast(entries.dtype, np.int64):
             entries = _float_entries(entries, "count")
@@ -126,11 +120,7 @@ class CountTable:
         negative = counts < 0
         if negative.any():
             raise ValidationError(f"count for {_label_at(int(np.argmax(negative)))} is negative")
-        total = sum(counts.tolist())
-        if total != self.shots:
-            raise ValidationError(
-                f"counts sum to {total}, expected shots = {self.shots}"
-            )
+        object.__setattr__(self, "shots", _check_shots(sum(counts.tolist())))
 
     @cached_property
     def _counts(self) -> dict:
@@ -277,7 +267,7 @@ def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountTabl
     seed = _check_seed(seed)
     words = np.random.SeedSequence(seed).generate_state(4, np.uint64)
     draws = _draw(_normalized(dist), shots, words)
-    return CountTable(draws, shots, seed, dist.photons, dist.nodes, dist.phases)
+    return CountTable(draws, dist.photons, dist.nodes)
 
 
 def _count_rows(counts, photons, nodes) -> tuple[np.ndarray, int, int, bool]:

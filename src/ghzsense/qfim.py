@@ -139,7 +139,7 @@ class Chart:
                 ) * np.outer(sums, sums)
             else:
                 entries = (photons**2 / (4.0 * d)) * gram
-            matrix = FisherMatrix(entries, kind, self, photons, d)
+            matrix = FisherMatrix(entries, kind, self, photons)
             matrix.entries.flags.writeable = False
             matrix = matrices.setdefault(kind, matrix)
         result = copy.copy(matrix)
@@ -185,14 +185,14 @@ def original_chart(d: int) -> Chart:
 class FisherMatrix:
     """Symmetric positive-semidefinite information matrix tied to a chart.
 
-    ``photons`` and ``nodes`` must pass the state's count checks and
-    ``chart`` must be a :class:`Chart` over ``nodes`` nodes.  ``entries``
-    must be a finite (k, k) array, k the chart's parameter count, symmetric
-    to ``SYMMETRY_TOL``; the matrix stores its own copy of the symmetric
-    part, so changing the array passed in later changes nothing.  The PSD
-    test is :func:`_shifted_cholesky` with the shift tol = PSD_TOL *
-    max(1, b), b the largest absolute row sum, so the tolerance grows with
-    the matrix as its rounding does.  It succeeds
+    ``chart`` must be a :class:`Chart`, and ``photons`` and the chart's
+    node count, the matrix's ``nodes``, must pass the state's count checks.
+    ``entries`` must be a finite (k, k) array, k the chart's parameter
+    count, symmetric to ``SYMMETRY_TOL``; the matrix stores its own copy of
+    the symmetric part, so changing the array passed in later changes
+    nothing.  The PSD test is :func:`_shifted_cholesky` with the shift
+    tol = PSD_TOL * max(1, b), b the largest absolute row sum, so the
+    tolerance grows with the matrix as its rounding does.  It succeeds
     exactly when the smallest eigenvalue exceeds -tol up to rounding; a
     failed factorization is confirmed with ``eigvalsh`` before the matrix
     is rejected.  ``phases`` is a read-only copy.
@@ -202,19 +202,14 @@ class FisherMatrix:
     kind: str
     chart: Chart
     photons: int
-    nodes: int
     phases: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in ("quantum", "classical"):
             raise ValidationError(f"kind must be 'quantum' or 'classical', got {self.kind!r}")
-        _check_counts(self.photons, self.nodes)
         if not isinstance(self.chart, Chart):
             raise ValidationError(f"chart must be a Chart, got {type(self.chart).__name__}")
-        if self.chart.nodes != self.nodes:
-            raise ValidationError(
-                f"chart is over {self.chart.nodes} nodes but the matrix has {self.nodes}"
-            )
+        _check_counts(self.photons, self.chart.nodes)
         entries = _float_array(self.entries, "Fisher matrix", (self.chart.size,) * 2)
         self.entries = _symmetric_part(entries, SYMMETRY_TOL, "Fisher matrix")
         certified, tol = _shifted_cholesky(self.entries, PSD_TOL, 1.0)
@@ -228,17 +223,23 @@ class FisherMatrix:
             self.phases = _read_only(phase_vector(self.phases, self.nodes))
 
     @property
+    def nodes(self) -> int:
+        return self.chart.nodes
+
+    @property
     def dim(self) -> int:
         return self.entries.shape[0]
 
 
 @dataclass
 class RankReport:
-    """Numerical rank and an orthonormal null-space basis (columns)."""
+    """Numerical rank and an orthonormal null-space basis (columns).
+
+    Singular values at most ``RANK_RTOL`` times the largest count as zero.
+    """
 
     rank: int
     null_basis: np.ndarray
-    tolerance: float
 
     @property
     def nullity(self) -> int:
@@ -360,7 +361,7 @@ def qfim_closed_form_original(photons: int, nodes: int) -> FisherMatrix:
     offset = np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
     distance = np.minimum(offset, d - offset)
     units = np.where(distance == 0, d - 1, np.where(distance == 1, d / 2 - 1, -1.0))
-    return FisherMatrix(scale * units, "quantum", original_chart(d), photons, nodes, None)
+    return FisherMatrix(scale * units, "quantum", original_chart(d), photons)
 
 
 def rank_and_nullspace(matrix) -> RankReport:
@@ -397,7 +398,7 @@ def _hermitian_rank_and_nullspace(m: np.ndarray) -> RankReport:
         rank = 0
     else:
         rank = int(np.sum(singular > RANK_RTOL * singular[0]))
-    return RankReport(rank, vt[rank:].T.copy(), RANK_RTOL)
+    return RankReport(rank, vt[rank:].T.copy())
 
 
 def _circulant_first_row(m: np.ndarray) -> np.ndarray | None:
@@ -440,7 +441,7 @@ def _circulant_rank_and_nullspace(row: np.ndarray) -> RankReport:
     angles = (np.outer(np.arange(d), null) % d) * (2.0 * np.pi / d)
     cosines = np.cos(angles) * np.where(null_paired, math.sqrt(2.0 / d), math.sqrt(1.0 / d))
     sines = np.sin(angles[:, null_paired]) * math.sqrt(2.0 / d)
-    return RankReport(rank, np.concatenate((cosines, sines), axis=1), RANK_RTOL)
+    return RankReport(rank, np.concatenate((cosines, sines), axis=1))
 
 
 def _central_differences(probe, phi: np.ndarray, directions: np.ndarray) -> np.ndarray:
@@ -479,7 +480,7 @@ def qfim_finite_difference_oracle(
     parts = np.concatenate((derivs.real, derivs.imag))
     overlaps = derivs.conj().T @ psi
     entries = 4.0 * (parts.T @ parts - np.outer(overlaps, overlaps.conj()).real)
-    return FisherMatrix(entries, "quantum", chart, photons, nodes, phi)
+    return FisherMatrix(entries, "quantum", chart, photons, phi)
 
 
 def matrix_to_csv(matrix) -> str:

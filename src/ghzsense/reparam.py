@@ -273,6 +273,4 @@ def pushforward_fisher(
     pushed = jac.T @ matrix.entries @ jac
     np.add(pushed, pushed.T, out=pushed)
     pushed *= 0.5
-    return FisherMatrix(
-        pushed, matrix.kind, chart, matrix.photons, matrix.nodes, matrix.phases
-    )
+    return FisherMatrix(pushed, matrix.kind, chart, matrix.photons, matrix.phases)

@@ -228,7 +228,9 @@ def test_negative_seed_is_status_2_before_sampling(source, tmp_path, monkeypatch
 
 
 def test_oversized_replicate_count_is_status_2_before_allocating(capsys):
-    argv = ["simulate", "--N", "2", "--d", "4", "--replicates", "1000000000000"]
+    argv = [
+        "simulate", "--N", "2", "--d", "4", "--shots", "100000", "--replicates", "1000000000000"
+    ]
     tracemalloc.start()
     try:
         status = main(argv)
@@ -318,6 +320,18 @@ def test_readme_simulate_output_is_pinned(tmp_path, monkeypatch, capsys):
         "d54f5b61ead3c8bfafa43b309379e84539e2d532b064a25fca3dcf7edd3b665f"
     )
     assert json.loads(written)["var_theta1"] == 2.6304935214577834e-06
+
+
+def test_simulate_takes_its_shot_count_from_a_flag_or_the_config(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"N": 2, "d": 4, "shots": 1000, "replicates": 50}))
+    assert main(["simulate", "--config", str(config)]) == 0
+    assert main(["simulate", "--config", str(config), "--shots", "2000"]) == 0
+    out = capsys.readouterr().out
+    assert "shots=1000 replicates=50" in out and "shots=2000 replicates=50" in out
+    # bounds keeps its default of one repetition
+    assert main(["bounds", "--N", "2", "--d", "4", "--chart", "mc"]) == 0
+    assert ", shots=1)\n" in capsys.readouterr().out
 
 
 def test_simulate_at_a_zero_pair_sum_is_status_2(capsys):
@@ -467,6 +481,26 @@ def test_average_weight_in_each_chart(chart, nodes, weight, capsys):
     assert f"variance bounds for alpha = [{weight}] " in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "chart, nodes, weight",
+    [
+        ("original", 6, "0.166667, 0.166667, 0.166667, 0.166667, 0.166667, 0.166667"),
+        ("mc", 8, "1, 0, 0, 0, 0, 0, ... (7 entries)"),
+        ("mc", 64, "1, 0, 0, 0, 0, 0, ... (63 entries)"),
+        ("original", 64, ", ".join(["0.015625"] * 6) + ", ... (64 entries)"),
+    ],
+    ids=["original-6", "mc-8", "mc-64", "original-64"],
+)
+def test_bounds_summary_prints_at_most_six_weights(chart, nodes, weight, tmp_path, capsys):
+    target = tmp_path / "b.json"
+    argv = ["bounds", "--N", "2", "--d", str(nodes), "--chart", chart, "--output", str(target)]
+    assert main(argv) == 0
+    assert f"variance bounds for alpha = [{weight}] (" in capsys.readouterr().out
+    # the JSON keeps every weight
+    alpha = json.loads(target.read_text())["alpha"]
+    assert len(alpha) == (nodes if chart == "original" else nodes - 1)
+
+
 def test_chart_choices_are_the_chart_table(capsys):
     parser = cli._build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -542,6 +576,12 @@ def test_malformed_config_values_are_status_2(command, doc, tmp_path, capsys):
         (["qfim", "--N", "2", "--d", "4", "--output", ""], None,
          "output must be a nonempty path\n"),
         (["qfim", "--N", "2", "--d", "4"], {"output": ""}, "output must be a nonempty path\n"),
+        # simulate has no default shot count; its earlier refusals keep their messages
+        (["simulate", "--N", "2", "--d", "4"], None, "shots is required\n"),
+        (["simulate", "--N", "2", "--d", "4"], {"replicates": 50}, "shots is required\n"),
+        (["simulate", "--d", "4"], None, "N and d are required\n"),
+        (["simulate", "--N", "3", "--d", "4"], None,
+         "photon count must be an even integer >= 2, got 3\n"),
         # a JSON boolean is no number in a number list
         (["bounds", "--N", "2", "--d", "4"], {"phases": [True, False, True, False]},
          "bad phases spec [True, False, True, False]\n"),
@@ -554,6 +594,8 @@ def test_malformed_config_values_are_status_2(command, doc, tmp_path, capsys):
         "config-shots-bool", "config-d-whole-float", "transform-config-d-whole-float",
         "config-output-bool", "config-format-list", "config-chart-number", "config-kind-bool",
         "output-empty", "config-output-empty",
+        "simulate-without-shots", "config-simulate-without-shots", "simulate-without-N",
+        "simulate-odd-N-without-shots",
         "config-phases-bools", "config-alpha-bools",
     ],
 )

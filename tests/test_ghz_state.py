@@ -114,13 +114,27 @@ def test_phase_imprint_scales_with_photon_number():
 
 def test_amplitudes_are_a_read_only_copy():
     amplitudes = np.full((4, 2), 0.5 + 0j)
-    state = RingState(amplitudes, 2, 4)
+    state = RingState(amplitudes, 2)
     amplitudes[0, 0] = 7.0
     assert state.amplitudes[0, 0] == 0.5
     with pytest.raises(ValueError):
         state.amplitudes[0, 0] = 1.0
     with pytest.raises(ValidationError, match="shape"):
-        RingState(np.ones(8), 2, 4)
+        RingState(np.ones(8), 2)
+
+
+@pytest.mark.parametrize("nodes", [3, 4, 9, 64])
+def test_a_ring_state_is_over_its_amplitude_rows(nodes):
+    state = build_input_state(4, nodes)
+    for ring in (state, apply_phases(state, np.linspace(-0.2, 0.2, nodes))):
+        assert ring.nodes == ring.amplitudes.shape[0] == nodes
+
+
+def test_the_amplitude_rows_pass_the_node_count_rule():
+    with pytest.raises(ValidationError, match="^node count must be an integer >= 3, got 2$"):
+        RingState(np.full((2, 2), 0.5), 2)
+    with pytest.raises(ValidationError, match="^node count 4097 exceeds the cap of 4096$"):
+        RingState(np.zeros((4097, 2)), 2)
 
 
 def test_phase_vector_validates_shape_and_finiteness():
@@ -152,4 +166,4 @@ def test_ring_state_names_a_non_finite_amplitude(pair, pol, value, message):
     amplitudes = np.full((4, 2), 0.5 + 0j)
     amplitudes[pair - 1, pol] = value
     with pytest.raises(ValidationError, match=message):
-        RingState(amplitudes, 2, 4)
+        RingState(amplitudes, 2)

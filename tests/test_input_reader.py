@@ -8,6 +8,8 @@ name the outcome label, under the same rule.  Every matrix certificate is ``qfim
 here against the eigenvalue rule it stands in for.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -16,13 +18,14 @@ from hypothesis import strategies as st
 from ghzsense import qfim
 from ghzsense.bounds import RANK_RTOL, bound_report, exact_crb, weak_crb, weak_vs_exact_check
 from ghzsense.errors import ValidationError
-from ghzsense.ghz_state import apply_phases, build_input_state, phase_vector
+from ghzsense.ghz_state import RingState, apply_phases, build_input_state, phase_vector
 from ghzsense.measurement import OutcomeDistribution, outcome_distribution
 from ghzsense.montecarlo import CountTable, mle_estimate, sample_counts
 from ghzsense.qfim import (
     PSD_TOL,
     Chart,
     FisherMatrix,
+    RankReport,
     original_chart,
     qfim_pure,
     rank_and_nullspace,
@@ -72,12 +75,12 @@ def test_outcome_tables_and_the_fit_box_name_a_value_that_is_not_a_number():
         ValidationError,
         match=r"^count for OutcomeLabel\(pair=1, pattern='\+\+'\) must be a number, got 'a'$",
     ):
-        CountTable(text, 100, 1, PHOTONS, NODES, PHI)
+        CountTable(text, PHOTONS, NODES)
     with pytest.raises(
         ValidationError,
         match=r"^probability for OutcomeLabel\(pair=1, pattern='\+\+'\) must be a number",
     ):
-        OutcomeDistribution(text, PHOTONS, NODES, PHI)
+        OutcomeDistribution(text, PHOTONS, NODES)
     with pytest.raises(ValidationError, match="^box half-width must be a positive number, got 'x'$"):
         mle_estimate(count_table(), np.zeros(NODES - 1), "x")
 
@@ -86,24 +89,35 @@ def test_fisher_matrices_refuse_inconsistent_counts_and_charts():
     chart = original_chart(NODES)
     calls = {
         "photon count must be an even integer": lambda: FisherMatrix(
-            np.eye(NODES), "quantum", chart, 3, 7, np.zeros(7)
-        ),
-        "chart is over 4 nodes but the matrix has 7": lambda: FisherMatrix(
-            np.eye(NODES), "quantum", chart, PHOTONS, 7, np.zeros(7)
+            np.eye(NODES), "quantum", chart, 3, np.zeros(NODES)
         ),
         "photon count must be an integer, got 2.5": lambda: FisherMatrix(
-            np.eye(NODES), "quantum", chart, 2.5, NODES
+            np.eye(NODES), "quantum", chart, 2.5
         ),
         "photon count must be an even integer >= 2, got -5": lambda: FisherMatrix(
-            reduced_qfim().entries, "quantum", build_mc(NODES).chart(True), -5, 9
+            reduced_qfim().entries, "quantum", build_mc(NODES).chart(True), -5
         ),
         "chart must be a Chart, got ndarray": lambda: FisherMatrix(
-            np.eye(NODES), "quantum", np.eye(NODES), PHOTONS, NODES
+            np.eye(NODES), "quantum", np.eye(NODES), PHOTONS
         ),
     }
     for message, call in calls.items():
         with pytest.raises(ValidationError, match=f"^{message}"):
             call()
+
+
+def test_value_types_take_no_fact_that_another_argument_fixes():
+    # a table's shots are the sum of its counts, a matrix's nodes its chart's,
+    # a state's nodes its amplitude rows, and RANK_RTOL the rank tolerance
+    parameters = {
+        CountTable: ["array", "photons", "nodes"],
+        OutcomeDistribution: ["array", "photons", "nodes"],
+        FisherMatrix: ["entries", "kind", "chart", "photons", "phases"],
+        RingState: ["amplitudes", "photons"],
+        RankReport: ["rank", "null_basis"],
+    }
+    for value_type, names in parameters.items():
+        assert list(inspect.signature(value_type).parameters) == names, value_type.__name__
 
 
 def test_matrix_and_chart_arguments_refuse_other_types():
@@ -136,22 +150,21 @@ def test_complex_and_overflowing_values_are_refused_not_truncated():
             lambda: phase_vector([np.complex128(0.1)] * NODES, NODES),
         ],
         "count entries must be real": [
-            lambda: CountTable(np.full(4 * NODES, 6.0 + 1j), 96, 1, PHOTONS, NODES, PHI),
+            lambda: CountTable(np.full(4 * NODES, 6.0 + 1j), PHOTONS, NODES),
         ],
         "probability entries must be real": [
-            lambda: OutcomeDistribution(dist.array + 0j, PHOTONS, NODES, PHI),
+            lambda: OutcomeDistribution(dist.array + 0j, PHOTONS, NODES),
         ],
         "Fisher matrix must be real": [
             lambda: FisherMatrix(
-                reduced_qfim().entries + 0j, "quantum", build_mc(NODES).chart(True),
-                PHOTONS, NODES,
+                reduced_qfim().entries + 0j, "quantum", build_mc(NODES).chart(True), PHOTONS
             ),
         ],
         "phase vector must be an array of numbers": [
             lambda: phase_vector([10**400] * NODES, NODES),
         ],
         "count for .* must be a number": [
-            lambda: CountTable([10**400] * (4 * NODES), table.shots, 1, PHOTONS, NODES, PHI),
+            lambda: CountTable([10**400] * (4 * NODES), PHOTONS, NODES),
         ],
     }
     for message, group in calls.items():
@@ -174,7 +187,7 @@ def test_strings_and_ragged_lists_are_validation_errors(bad):
         lambda: exact_crb(np.eye(2), bad),
         lambda: weak_crb(np.eye(2), bad),
         lambda: rank_and_nullspace(bad),
-        lambda: FisherMatrix(bad, "quantum", fisher.chart, PHOTONS, NODES),
+        lambda: FisherMatrix(bad, "quantum", fisher.chart, PHOTONS),
         lambda: Chart("c", ("a", "b"), bad),
         lambda: Reparametrization(bad, rep.inverse, rep.labels, "mc"),
     ]
@@ -187,12 +200,12 @@ def test_fisher_matrix_stores_the_symmetric_part_of_a_tolerated_asymmetry():
     fisher = reduced_qfim()
     entries = fisher.entries.copy()
     entries[0, 1] += 4e-11
-    stored = FisherMatrix(entries, "quantum", fisher.chart, PHOTONS, NODES).entries
+    stored = FisherMatrix(entries, "quantum", fisher.chart, PHOTONS).entries
     assert np.array_equal(stored, stored.T)
     assert np.array_equal(stored, 0.5 * (entries + entries.T))
     # an exactly symmetric matrix is stored as it is
     assert np.array_equal(
-        FisherMatrix(fisher.entries, "quantum", fisher.chart, PHOTONS, NODES).entries,
+        FisherMatrix(fisher.entries, "quantum", fisher.chart, PHOTONS).entries,
         fisher.entries,
     )
 
@@ -324,11 +337,11 @@ def _reader_targets() -> dict:
         "weak_vs_exact_check matrix": (symmetric, lambda v: weak_vs_exact_check(v, E1)),
         "weak_vs_exact_check alpha": (bad_arrays(E1), lambda v: weak_vs_exact_check(entries, v)),
         "FisherMatrix entries": (
-            symmetric, lambda v: FisherMatrix(v, "quantum", chart, PHOTONS, NODES)
+            symmetric, lambda v: FisherMatrix(v, "quantum", chart, PHOTONS)
         ),
         "FisherMatrix phases": (
             bad_arrays(PHI, none_ok=True),
-            lambda v: FisherMatrix(entries, "quantum", chart, PHOTONS, NODES, v),
+            lambda v: FisherMatrix(entries, "quantum", chart, PHOTONS, v),
         ),
         "Chart directions": (
             bad_arrays(chart.directions, accepts=chart_shapes),
@@ -355,10 +368,10 @@ def _reader_targets() -> dict:
         "mle_estimate guess": (bad_arrays(guess), lambda v: mle_estimate(table, v)),
         "mle_estimate box_half_width": (bad_widths, lambda v: mle_estimate(table, guess, v)),
         "CountTable array": (
-            bad_arrays(table.array), lambda v: CountTable(v, 10_000, 1, PHOTONS, NODES, PHI)
+            bad_arrays(table.array), lambda v: CountTable(v, PHOTONS, NODES)
         ),
         "OutcomeDistribution array": (
-            bad_arrays(dist.array), lambda v: OutcomeDistribution(v, PHOTONS, NODES, PHI)
+            bad_arrays(dist.array), lambda v: OutcomeDistribution(v, PHOTONS, NODES)
         ),
         "mle_estimate counts": (
             bad_arrays(table.array[None, :], accepts=count_shapes),

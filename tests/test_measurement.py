@@ -122,7 +122,7 @@ def test_distribution_rejects_negative_or_unnormalized_input():
     labels = outcome_labels(4)
     bad = {label: -0.1 for label in labels}
     with pytest.raises(ValidationError):
-        OutcomeDistribution(bad, 2, 4, np.zeros(4))
+        OutcomeDistribution(bad, 2, 4)
 
 
 def test_validated_distribution_cannot_be_edited():
@@ -134,7 +134,7 @@ def test_validated_distribution_cannot_be_edited():
     assert math.fsum(dist.probabilities.values()) == pytest.approx(1.0, abs=1e-12)
     # the distribution keeps its own copy of the array it was built from
     probs = dist.as_array()
-    copied = OutcomeDistribution(probs, 2, 4, np.full(4, 0.1))
+    copied = OutcomeDistribution(probs, 2, 4)
     probs[0] = 0.9
     assert copied.probability(OutcomeLabel(1, "++")) == dist.probability(OutcomeLabel(1, "++"))
 

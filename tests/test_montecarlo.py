@@ -57,7 +57,7 @@ def test_count_table_requires_full_coverage():
     partial = dict(table.counts)
     del partial[OutcomeLabel(1, "++")]
     with pytest.raises(ValidationError):
-        CountTable(partial, 100, 1, 2, 4, PHI)
+        CountTable(partial, 2, 4)
 
 
 def test_validated_count_table_cannot_be_edited():
@@ -70,7 +70,7 @@ def test_validated_count_table_cannot_be_edited():
     assert sum(table.counts.values()) == table.shots == 1000
     # the table keeps its own copy of the counts it was built from
     draws = table.array.copy()
-    copied = CountTable(draws, 1000, 7, 2, 4, PHI)
+    copied = CountTable(draws, 2, 4)
     draws[0] += 500
     assert sum(copied.counts.values()) == 1000
 
@@ -82,15 +82,15 @@ def test_count_table_refuses_fractional_counts():
     rows = np.array([counts[label] for label in labels])
     for bad in (counts, rows):
         with pytest.raises(ValidationError, match="must be a finite integer"):
-            CountTable(bad, 100, 1, 2, 4, PHI)
+            CountTable(bad, 2, 4)
     for value in (np.nan, np.inf, 2.0**63):
         rows = np.zeros(16)
         rows[3] = value
         with pytest.raises(ValidationError, match="must be a finite integer"):
-            CountTable(rows, 100, 1, 2, 4, PHI)
+            CountTable(rows, 2, 4)
     # whole numbers held as floats are counts
     counts[labels[0]], counts[labels[1]] = 50.0, 50.0
-    assert CountTable(counts, 100, 1, 2, 4, PHI).counts[labels[0]] == 50
+    assert CountTable(counts, 2, 4).counts[labels[0]] == 50
 
 
 def test_shot_counts_above_the_int64_cap_are_refused_before_drawing(monkeypatch):
@@ -105,6 +105,31 @@ def test_shot_counts_above_the_int64_cap_are_refused_before_drawing(monkeypatch)
     ):
         with pytest.raises(ValidationError, match="exceeds the cap of 9223372036854775807"):
             run()
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    nodes=st.integers(3, 64),
+    shots=st.one_of(st.integers(1, 10**6), st.just(montecarlo.MAX_SHOTS)),
+    seed=st.integers(0, 2**64),
+)
+def test_a_sampled_table_holds_exactly_its_shots(nodes, shots, seed):
+    phases = np.random.default_rng(nodes).uniform(-0.3, 0.3, nodes)
+    table = sample_counts(outcome_distribution(2, nodes, phases), shots, seed)
+    assert type(table.shots) is int and table.shots == shots
+
+
+def test_a_count_table_holds_the_sum_of_its_counts_by_the_shot_rule():
+    counts = np.zeros(16, dtype=np.int64)
+    with pytest.raises(ValidationError, match="^shot count must be an integer >= 1, got 0$"):
+        CountTable(counts, 2, 4)
+    counts[:2] = 2**62
+    with pytest.raises(
+        ValidationError, match=f"^shot count {2**63} exceeds the cap of {montecarlo.MAX_SHOTS}$"
+    ):
+        CountTable(counts, 2, 4)
+    counts[1] -= 1
+    assert CountTable(counts, 2, 4).shots == montecarlo.MAX_SHOTS
 
 
 def test_noiseless_estimate_recovers_the_truth_exactly():

@@ -63,7 +63,7 @@ def reference_distribution_refusal(probs, d):
     return None
 
 
-def reference_count_refusal(counts, shots, d):
+def reference_count_refusal(counts, d):
     if set(counts) != set(reference_labels(d)):
         return f"count table must cover exactly the {4 * d} canonical outcomes"
     total = 0
@@ -71,8 +71,8 @@ def reference_count_refusal(counts, shots, d):
         if value < 0:
             return f"count for {label} is negative"
         total += value
-    if total != shots:
-        return f"counts sum to {total}, expected shots = {shots}"
+    if total < 1:  # the shot count is the sum of the counts
+        return f"shot count must be an integer >= 1, got {total}"
     return None
 
 
@@ -89,7 +89,7 @@ def test_distribution_matches_the_reference(photons, d):
     probs = reference_probabilities(photons, d, phi)
     dist = outcome_distribution(photons, d, phi)
     assert dist.probabilities == probs
-    from_mapping = OutcomeDistribution(probs, photons, d, phi)
+    from_mapping = OutcomeDistribution(probs, photons, d)
     np.testing.assert_array_equal(from_mapping.array, dist.array)
 
 
@@ -152,12 +152,12 @@ def bad_count_tables(d):
     cases = []
     missing = dict(even)
     del missing[labels[2]]
-    cases.append((missing, 10 * 4 * d))
+    cases.append(missing)
     negative = dict(even)
     negative[labels[7]] = -1
     negative[labels[8]] = 21
-    cases.append((negative, 10 * 4 * d))
-    cases.append((even, 10 * 4 * d - 1))
+    cases.append(negative)
+    cases.append(dict.fromkeys(labels, 0))
     return cases
 
 
@@ -181,15 +181,15 @@ def test_refusal_messages_match_the_reference():
         expected = reference_distribution_refusal(probs, d)
         assert expected is not None
         for form in both_forms(probs, d):
-            assert refusal(lambda: OutcomeDistribution(form, 2, d, phi)) == expected
-    for counts, shots in bad_count_tables(d):
-        expected = reference_count_refusal(counts, shots, d)
+            assert refusal(lambda: OutcomeDistribution(form, 2, d)) == expected
+    for counts in bad_count_tables(d):
+        expected = reference_count_refusal(counts, d)
         assert expected is not None
         for form in both_forms(counts, d):
-            assert refusal(lambda: CountTable(form, shots, 1, 2, d, phi)) == expected
+            assert refusal(lambda: CountTable(form, 2, d)) == expected
     # an array of the wrong length is refused like a mapping without full coverage
     short = np.full(4 * d - 1, 1.0 / (4 * d - 1))
-    assert refusal(lambda: OutcomeDistribution(short, 2, d, phi)) == (
+    assert refusal(lambda: OutcomeDistribution(short, 2, d)) == (
         f"distribution must cover exactly the {4 * d} canonical outcomes"
     )
     dist = outcome_distribution(2, d, phi)
@@ -227,10 +227,7 @@ def test_refusal_messages_match_the_reference():
 def test_count_tables_check_shots_and_seed_like_sample_counts(shots, seed):
     d = 4
     phi = np.zeros(d)
-    counts = np.zeros(4 * d, dtype=np.int64)
-    counts[0] = 100
     expected = refusal(lambda: sample_counts(outcome_distribution(2, d, phi), shots, seed))
-    assert refusal(lambda: CountTable(counts, shots, seed, 2, d, phi)) == expected
     if type(seed) is int and seed == 1:  # a shot case: the bounds take shots but no seed
         matrix = cfim(2, d, phi, build_mc(d).chart(True))
         for bound in (exact_crb, weak_crb, bound_report):

@@ -22,7 +22,7 @@ from ghzsense.qfim import (
     qfim_pure,
     rank_and_nullspace,
 )
-from ghzsense.reparam import build_mc
+from ghzsense.reparam import build_mc, build_orthogonal_d4, pushforward_fisher
 
 RNG = np.random.default_rng(20210407)
 
@@ -94,7 +94,7 @@ def test_odd_ring_matrix_is_nonsingular():
 
 def test_rank_of_zero_matrix_is_zero():
     chart = original_chart(4)
-    zero = FisherMatrix(np.zeros((4, 4)), "quantum", chart, 2, 4, None)
+    zero = FisherMatrix(np.zeros((4, 4)), "quantum", chart, 2, None)
     report = rank_and_nullspace(zero)
     assert report.rank == 0
     assert report.null_basis.shape == (4, 4)
@@ -244,16 +244,16 @@ def test_matrix_validation_rejects_asymmetry_and_nan():
     chart = original_chart(3)
     bad = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(ValidationError):
-        FisherMatrix(bad, "quantum", chart, 2, 3, None)
+        FisherMatrix(bad, "quantum", chart, 2, None)
     nan = np.full((3, 3), np.nan)
     with pytest.raises(ValidationError):
-        FisherMatrix(nan, "quantum", chart, 2, 3, None)
+        FisherMatrix(nan, "quantum", chart, 2, None)
 
 
 def test_matrix_kind_must_be_known():
     chart = original_chart(3)
     with pytest.raises(ValidationError):
-        FisherMatrix(np.eye(3), "bayesian", chart, 2, 3, None)
+        FisherMatrix(np.eye(3), "bayesian", chart, 2, None)
 
 
 def test_chart_requires_full_column_rank():
@@ -309,19 +309,19 @@ def test_psd_check_rejects_an_eigenvalue_just_below_the_tolerance():
     entries = rotated_spectrum([-1e-8, 0.5, 1.0, 2.0])
     # b, the largest absolute row sum, is 2.385 here: the tolerance is 1e-9 * b
     with pytest.raises(ValidationError, match=r"negative eigenvalue -1\.000e-08 < -2\.385e-09$"):
-        FisherMatrix(entries, "quantum", original_chart(4), 2, 4, None)
+        FisherMatrix(entries, "quantum", original_chart(4), 2, None)
 
 
 def test_psd_check_accepts_an_eigenvalue_just_above_the_tolerance():
     entries = rotated_spectrum([-1e-10, 0.5, 1.0, 2.0])
-    matrix = FisherMatrix(entries, "quantum", original_chart(4), 2, 4, None)
+    matrix = FisherMatrix(entries, "quantum", original_chart(4), 2, None)
     assert np.array_equal(matrix.entries, entries)
 
 
 def test_psd_check_accepts_the_exactly_singular_wide_ring_matrix():
     entries = qfim_pure(4, 256, np.zeros(256)).entries
     assert rank_and_nullspace(entries).nullity == 1
-    FisherMatrix(entries, "quantum", original_chart(256), 4, 256, None)
+    FisherMatrix(entries, "quantum", original_chart(256), 4, None)
 
 
 @pytest.mark.parametrize("nodes", [4, 6, 16, 256])
@@ -411,9 +411,24 @@ def test_g_is_formed_once_per_slot_fill(monkeypatch):
     np.testing.assert_array_equal(entries, entries.T)
 
 
+@pytest.mark.parametrize("nodes", [4, 6, 16])
+def test_a_fisher_matrix_is_over_the_nodes_of_its_chart(nodes):
+    phi = RNG.uniform(-0.3, 0.3, nodes)
+    rep = build_mc(nodes)
+    matrices = [
+        information(2, nodes, phi, chart)
+        for information in (qfim_pure, cfim)
+        for chart in (None, rep.chart(False), rep.chart(True))
+    ]
+    reps = [rep, build_orthogonal_d4()] if nodes == 4 else [rep]
+    matrices += [pushforward_fisher(matrices[0], r, drop) for r in reps for drop in (False, True)]
+    for matrix in matrices:
+        assert matrix.nodes == matrix.chart.nodes == nodes
+
+
 def test_fisher_matrix_keeps_its_own_entries():
     entries = np.eye(3)
-    matrix = FisherMatrix(entries, "classical", original_chart(3), 2, 3)
+    matrix = FisherMatrix(entries, "classical", original_chart(3), 2)
     entries[0, 1] = 5.0
     entries[2, 2] = -7.0
     np.testing.assert_array_equal(matrix.entries, np.eye(3))
@@ -424,7 +439,7 @@ def test_phases_are_a_read_only_copy_of_the_callers_array(information):
     phi = np.full(8, 0.1)
     for matrix in (
         information(2, 8, phi),
-        FisherMatrix(information(2, 8, phi).entries, "quantum", original_chart(8), 2, 8, phi),
+        FisherMatrix(information(2, 8, phi).entries, "quantum", original_chart(8), 2, phi),
     ):
         phi[0] = 99.0
         assert matrix.phases[0] == 0.1

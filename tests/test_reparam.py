@@ -226,7 +226,7 @@ def test_kept_column_pushforward_matches_the_full_product_then_slice(
     rep = build_orthogonal_d4() if orthogonal else build_mc(nodes)
     nodes = rep.dim
     grads = np.random.default_rng(seed).normal(size=(nodes, nodes))
-    base = qfim.FisherMatrix(grads @ grads.T / nodes, "quantum", original_chart(nodes), 2, nodes)
+    base = qfim.FisherMatrix(grads @ grads.T / nodes, "quantum", original_chart(nodes), 2)
     pushed = pushforward_fisher(base, rep, drop).entries
     # the full product J^T F J, symmetrized, then the kept block
     full = rep.inverse.T @ base.entries @ rep.inverse
