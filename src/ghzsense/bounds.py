@@ -97,18 +97,24 @@ def _weak_bound(entries: np.ndarray, a: np.ndarray, n: int) -> float:
 
 @dataclass
 class BoundReport:
-    """Exact and weak bounds for one weight vector, with matrix provenance."""
+    """Exact and weak bounds for one weight vector, with matrix provenance.
+
+    ``equality_gap`` is exact - weak, None when the exact bound is.
+    """
 
     alpha: np.ndarray
     shots: int
     weak_bound: float
     exact_bound: float | None
     exact_unavailable_reason: str | None
-    equality_gap: float | None
     kind: str
     chart_name: str
     photons: int
     nodes: int
+
+    @property
+    def equality_gap(self) -> float | None:
+        return None if self.exact_bound is None else self.exact_bound - self.weak_bound
 
     def to_json_dict(self) -> dict:
         return {
@@ -141,18 +147,15 @@ def bound_report(matrix: FisherMatrix, alpha, shots: int = 1) -> BoundReport:
     try:
         exact = _exact_bound(matrix.entries, a, n)
         reason = None
-        gap = exact - weak
     except SingularMatrixError as exc:
         exact = None
         reason = str(exc)
-        gap = None
     return BoundReport(
         a,
         n,
         weak,
         exact,
         reason,
-        gap,
         matrix.kind,
         matrix.chart.name,
         matrix.photons,
@@ -162,17 +165,27 @@ def bound_report(matrix: FisherMatrix, alpha, shots: int = 1) -> BoundReport:
 
 @dataclass
 class WeakExactReport:
-    """Two sides of the weak-vs-exact comparison for one (S, alpha) pair."""
+    """Two sides of the weak-vs-exact comparison for one (S, alpha) pair.
+
+    ``gap`` is exact - weak, and ``first_diag_holds`` tests
+    1/S[0,0] <= (S^{-1})[0,0] + 1e-12.
+    """
 
     weak_side: float
     exact_side: float
-    gap: float
     rayleigh_quotient: float
     eigenvector_residual: float
     alpha_is_eigenvector: bool
     first_diag_reciprocal: float
     first_diag_of_inverse: float
-    first_diag_holds: bool
+
+    @property
+    def gap(self) -> float:
+        return self.exact_side - self.weak_side
+
+    @property
+    def first_diag_holds(self) -> bool:
+        return self.first_diag_reciprocal <= self.first_diag_of_inverse + 1e-12
 
 
 def weak_vs_exact_check(matrix, alpha) -> WeakExactReport:
@@ -198,17 +211,14 @@ def weak_vs_exact_check(matrix, alpha) -> WeakExactReport:
     rayleigh = float(a @ s @ a) / norm2
     residual = float(np.linalg.norm(s @ a - rayleigh * a)) / math.sqrt(norm2)
     scale = max(float(s.max()), -float(s.min()))
-    reciprocal_first = 1.0 / float(s[0, 0])
     return WeakExactReport(
         weak_side,
         exact_side,
-        exact_side - weak_side,
         rayleigh,
         residual,
         residual <= 1e-9 * scale,
-        reciprocal_first,
+        1.0 / float(s[0, 0]),
         inverse_first,
-        reciprocal_first <= inverse_first + 1e-12,
     )
 
 
@@ -254,13 +264,16 @@ def _mc_spectral_bounds(photons: int, nodes: int, alpha: np.ndarray) -> tuple[fl
 
 @dataclass
 class SweepRow:
-    """One (N, d) point of the average-phase bound sweep."""
+    """One (N, d) point of the average-phase bound sweep; ``ratio`` is ccrb / qcrb."""
 
     photons: int
     nodes: int
     qcrb: float
     ccrb: float
-    ratio: float
+
+    @property
+    def ratio(self) -> float:
+        return self.ccrb / self.qcrb
 
 
 def heisenberg_sweep(photon_counts, node_counts) -> list[SweepRow]:
@@ -286,7 +299,7 @@ def heisenberg_sweep(photon_counts, node_counts) -> list[SweepRow]:
         average = np.eye(1, nodes - 1)[0]
         quantum, classical = _mc_spectral_bounds(photons, nodes, average)
         qcrb, ccrb = math.sqrt(quantum), math.sqrt(classical)
-        rows.append(SweepRow(int(photons), int(nodes), qcrb, ccrb, ccrb / qcrb))
+        rows.append(SweepRow(int(photons), int(nodes), qcrb, ccrb))
     return rows
 
 

@@ -1,9 +1,9 @@
 """Command-line interface: analysis commands, config handling, report emission.
 
-Two tables drive it.  ``CHARTS`` states each parameter chart once: the
-reparametrization that reaches it from the node chart and the ``--alpha avg``
-weight in its reduced coordinates.  ``COMMANDS`` gives each command its
-handler, flags and the output formats it can write.
+Two tables drive it.  ``CHARTS`` states each parameter chart once, by the
+reparametrization that reaches it from the node chart; the ``--alpha avg``
+weight is read off the reduced chart's directions.  ``COMMANDS`` gives each
+command its handler, flags and the output formats it can write.
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ from .ghz_state import (
 )
 from .measurement import cfim
 from .montecarlo import crb_saturation_experiment
-from .qfim import FisherMatrix, matrix_to_csv, matrix_to_json_dict, qfim_pure, rank_and_nullspace
+from .qfim import (
+    Chart, FisherMatrix, matrix_to_csv, matrix_to_json_dict, qfim_pure, rank_and_nullspace
+)
 from .reparam import _closed_form_inverse_check, build_mc, build_orthogonal_d4
 
 OUTPUT_DIR_ENV = "GHZSENSE_OUTPUT_DIR"
@@ -37,14 +39,12 @@ def _d4_orthogonal(d: int):
     return build_orthogonal_d4()
 
 
-# chart -> (builder of the reparametrization that reaches it from the node
-# chart, or None for the node chart itself; the weight that extracts the
-# ring-average phase, as a function of the reduced dimension: 1/d per node,
-# or phi_a/2 and theta_1 as the first reduced coordinate).
+# chart -> builder of the reparametrization that reaches it from the node
+# chart, or None for the node chart itself.
 CHARTS = {
-    "original": (None, lambda dim: np.full(dim, 1.0 / dim)),
-    "d4-orthogonal": (_d4_orthogonal, lambda dim: 0.5 * np.eye(1, dim)[0]),
-    "mc": (build_mc, lambda dim: np.eye(1, dim)[0]),
+    "original": None,
+    "d4-orthogonal": _d4_orthogonal,
+    "mc": build_mc,
 }
 
 # flag -> argparse options; each flag is also a config-file key, read only by
@@ -124,8 +124,6 @@ def _parse_floats(spec, name: str) -> list[float]:
 
 
 def _parse_phases(spec, d: int) -> np.ndarray:
-    if spec is None:
-        spec = "uniform:0"
     if isinstance(spec, str) and spec.strip().startswith("uniform:"):
         try:
             return phase_vector(np.full(d, float(spec.strip().split(":", 1)[1])), d)
@@ -136,17 +134,23 @@ def _parse_phases(spec, d: int) -> np.ndarray:
 
 def _reparametrization(chart: str, d: int):
     """The reparametrization that reaches ``chart`` from the node chart; None for that chart."""
-    build = CHARTS[chart][0]
+    build = CHARTS[chart]
     return build(d) if build else None
 
 
-def _parse_alpha(spec, chart: str, dim: int) -> np.ndarray:
-    if spec is None or (isinstance(spec, str) and spec.strip() == "avg"):
-        return CHARTS[chart][1](dim)
+def _parse_alpha(spec, chart: Chart) -> np.ndarray:
+    """The weight ``spec`` over the chart's coordinates.
+
+    ``avg`` is J^T 1 / d, J the chart's (d, k) directions.  The direction a
+    reduced chart drops alternates, so it sums to zero over the nodes, and
+    the dot product of ``avg`` with the coordinates is the mean phase.
+    """
+    if isinstance(spec, str) and spec.strip() == "avg":
+        return chart.directions.sum(axis=0) / chart.nodes
     alpha = np.array(_parse_floats(spec, "alpha"))
-    if alpha.shape != (dim,):
+    if alpha.shape != (chart.size,):
         raise ValidationError(
-            f"alpha has {alpha.shape[0]} entries but the matrix dimension is {dim}"
+            f"alpha has {alpha.shape[0]} entries but the matrix dimension is {chart.size}"
         )
     return alpha
 
@@ -253,7 +257,7 @@ def _cmd_transform(config: RunConfig) -> None:
 def _cmd_bounds(config: RunConfig) -> None:
     """Exact and weak variance bounds."""
     matrix = _matrix_in_chart(config, config.kind)
-    alpha = _parse_alpha(config.alpha_spec, config.chart, matrix.dim)
+    alpha = _parse_alpha(config.alpha_spec, matrix.chart)
     report = bound_report(matrix, alpha, config.shots)
     shown = ", ".join(f"{x:.6g}" for x in alpha[:6])
     if alpha.size > 6:
@@ -265,7 +269,7 @@ def _cmd_bounds(config: RunConfig) -> None:
     )
     print(f"  weak bound:  {report.weak_bound:.6g}")
     if report.exact_bound is None:
-        if CHARTS[config.chart][0] is None:
+        if CHARTS[config.chart] is None:
             print("  exact bound: unavailable without reparametrization")
         else:  # the chart already drops the alternating phase
             print("  exact bound: unavailable, the matrix is numerically singular in this chart")
@@ -365,7 +369,8 @@ def _build_run_config(command: str, values: dict) -> RunConfig:
     if config.fmt not in formats:
         raise ValidationError(f"{command} output supports {' or '.join(formats)} only")
     config.alpha_spec = given.get("alpha", config.alpha_spec)
-    config.phases_spec = given.get("phases", "uniform:0.1" if command == "simulate" else None)
+    default_phases = "uniform:0.1" if command == "simulate" else "uniform:0"
+    config.phases_spec = given.get("phases", default_phases)
     for key in ("shots", "replicates", "seed"):
         if key in given:
             setattr(config, key, _require_int(given[key], key))

@@ -517,21 +517,41 @@ def mle_estimate(
 class SaturationReport:
     """Replicated sample-and-estimate experiment against the exact bound.
 
+    It holds the experiment's inputs, the fitted ``estimates`` (one row per
+    replicate) and the ``bound``; every other value is read off them.
     ``labels`` names the columns of ``estimates``.
     """
 
     photons: int
-    nodes: int
     phases: np.ndarray
     shots: int
-    replicates: int
     seed: int
-    theta_true: np.ndarray
     estimates: np.ndarray
-    var_theta1: float
     bound: float
-    ratio: float
-    mean_theta1: float
+
+    @property
+    def nodes(self) -> int:
+        return self.phases.shape[0]
+
+    @property
+    def replicates(self) -> int:
+        return self.estimates.shape[0]
+
+    @property
+    def theta_true(self) -> np.ndarray:
+        return _mc_coordinates(self.phases[None, :])[0]
+
+    @property
+    def var_theta1(self) -> float:
+        return float(np.var(self.estimates[:, 0], ddof=1))
+
+    @property
+    def mean_theta1(self) -> float:
+        return float(np.mean(self.estimates[:, 0]))
+
+    @property
+    def ratio(self) -> float:
+        return self.var_theta1 / self.bound
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -632,19 +652,4 @@ def crb_saturation_experiment(
     fit = mle_estimate(
         counts, theta_true, DEFAULT_BOX_HALF_WIDTH, photons=photons, nodes=nodes
     )
-    estimates = fit.theta
-    var_theta1 = float(np.var(estimates[:, 0], ddof=1))
-    return SaturationReport(
-        int(photons),
-        int(nodes),
-        phi,
-        shots,
-        replicates,
-        seed,
-        theta_true,
-        estimates,
-        var_theta1,
-        bound,
-        var_theta1 / bound,
-        float(np.mean(estimates[:, 0])),
-    )
+    return SaturationReport(int(photons), phi, shots, seed, fit.theta, bound)

@@ -155,6 +155,11 @@ class Chart:
     def size(self) -> int:
         return self.directions.shape[1]
 
+    @functools.cached_property
+    def _is_node_chart(self) -> bool:
+        """Whether the directions equal the d x d identity, compared by value."""
+        return np.array_equal(self.directions, np.eye(self.nodes))
+
     def to_json_dict(self) -> dict:
         return {
             "name": self.name,
@@ -436,7 +441,7 @@ def _circulant_rank_and_nullspace(row: np.ndarray) -> RankReport:
     modes = np.arange(singular.size)
     paired = (modes != 0) & (2 * modes != d)
     kept = singular > RANK_RTOL * singular.max()
-    rank = np.count_nonzero(kept) + np.count_nonzero(kept & paired)
+    rank = int(np.count_nonzero(kept) + np.count_nonzero(kept & paired))
     null, null_paired = modes[~kept], paired[~kept]
     angles = (np.outer(np.arange(d), null) % d) * (2.0 * np.pi / d)
     cosines = np.cos(angles) * np.where(null_paired, math.sqrt(2.0 / d), math.sqrt(1.0 / d))

@@ -43,6 +43,8 @@ class Reparametrization:
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
         d = len(self.labels)
+        if d < 1:
+            raise ValidationError("reparametrization needs at least one label")
         for name in ("forward", "inverse"):
             matrix = _float_array(getattr(self, name), f"{name} matrix", (d, d))
             object.__setattr__(self, name, _read_only(matrix))
@@ -197,14 +199,28 @@ def build_orthogonal_d4() -> Reparametrization:
 class InverseCheckReport:
     """The literal closed-form inverse against the exact one, ``build_mc(d).inverse``.
 
-    ``numerical`` is that read-only inverse itself, not a copy.
+    ``numerical`` is that read-only inverse itself, not a copy.  A column
+    matches when it is within 1e-12 of the exact one in every entry.
     """
 
-    nodes: int
     closed_form: np.ndarray
     numerical: np.ndarray
-    max_abs_discrepancy: float
-    matching_columns: tuple[int, ...]
+
+    @property
+    def nodes(self) -> int:
+        return self.numerical.shape[0]
+
+    @property
+    def _column_gap(self) -> np.ndarray:
+        return np.abs(self.closed_form - self.numerical).max(axis=0)
+
+    @property
+    def max_abs_discrepancy(self) -> float:
+        return float(self._column_gap.max())
+
+    @property
+    def matching_columns(self) -> tuple[int, ...]:
+        return tuple(int(col) for col in np.flatnonzero(self._column_gap <= 1e-12))
 
 
 def closed_form_inverse_check(d: int) -> InverseCheckReport:
@@ -238,10 +254,7 @@ def _closed_form_inverse_check(rep: Reparametrization) -> InverseCheckReport:
         closed[first::2, first::2] = block
     closed[:, 0] = (-1.0) ** np.arange(1, d + 1)
     closed[:, 1] = 1.0
-    gap = np.abs(closed - rep.inverse)
-    column_gap = gap.max(axis=0)
-    matching = tuple(int(col) for col in np.flatnonzero(column_gap <= 1e-12))
-    return InverseCheckReport(d, closed, rep.inverse, float(column_gap.max()), matching)
+    return InverseCheckReport(closed, rep.inverse)
 
 
 def pushforward_fisher(
@@ -258,11 +271,18 @@ def pushforward_fisher(
     summation order of the matrix products, a few units in the last place.
     The CLI and the sweep form reduced matrices in ``rep.chart(True)``
     itself; this route stays as a library function and an independent check.
+    ``matrix`` must be over a node chart: its chart's directions must equal
+    the d x d identity, compared by value.
     """
     if not isinstance(matrix, FisherMatrix):
         raise ValidationError(f"matrix must be a FisherMatrix, got {type(matrix).__name__}")
     if not isinstance(rep, Reparametrization):
         raise ValidationError(f"rep must be a Reparametrization, got {type(rep).__name__}")
+    if not matrix.chart._is_node_chart:
+        raise ValidationError(
+            "matrix must be over the node chart, whose directions are the identity; "
+            f"got chart {matrix.chart.name!r}"
+        )
     if matrix.dim != rep.dim:
         raise ValidationError(
             f"matrix dimension {matrix.dim} does not match reparametrization "

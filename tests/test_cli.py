@@ -15,6 +15,7 @@ import pytest
 import ghzsense
 from ghzsense import cli
 from ghzsense.cli import main
+from ghzsense.qfim import original_chart
 
 SIM_ARGS = [
     "simulate",
@@ -479,6 +480,24 @@ def test_average_weight_in_each_chart(chart, nodes, weight, capsys):
     argv = ["bounds", "--N", "2", "--d", str(nodes), "--chart", chart, "--alpha", "avg"]
     assert main(argv) == 0
     assert f"variance bounds for alpha = [{weight}] " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("nodes", [4, 5, 8, 64, 1024])
+def test_average_weight_is_read_off_the_chart_directions_bit_for_bit(nodes):
+    # the chart table holds builders only; avg is J^T 1 / d, byte for byte the
+    # weights once written per chart: 1/d per node, theta_1, and phi_a / 2
+    assert all(build is None or callable(build) for build in cli.CHARTS.values())
+    written = {
+        "original": np.full(nodes, 1.0 / nodes),
+        "mc": np.eye(1, nodes - 1)[0],
+        "d4-orthogonal": 0.5 * np.eye(1, 3)[0],
+    }
+    for chart, weight in written.items():
+        if (chart == "mc" and nodes % 2) or (chart == "d4-orthogonal" and nodes != 4):
+            continue
+        rep = cli._reparametrization(chart, nodes)
+        directions = original_chart(nodes) if rep is None else rep.chart(True)
+        assert cli._parse_alpha("avg", directions).tobytes() == weight.tobytes(), chart
 
 
 @pytest.mark.parametrize(

@@ -16,11 +16,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ghzsense import qfim
-from ghzsense.bounds import RANK_RTOL, bound_report, exact_crb, weak_crb, weak_vs_exact_check
+from ghzsense.bounds import (
+    RANK_RTOL, BoundReport, SweepRow, WeakExactReport, bound_report, exact_crb,
+    heisenberg_sweep, weak_crb, weak_vs_exact_check,
+)
 from ghzsense.errors import ValidationError
 from ghzsense.ghz_state import RingState, apply_phases, build_input_state, phase_vector
 from ghzsense.measurement import OutcomeDistribution, outcome_distribution
-from ghzsense.montecarlo import CountTable, mle_estimate, sample_counts
+from ghzsense.montecarlo import (
+    CountTable, SaturationReport, crb_saturation_experiment, mle_estimate, sample_counts
+)
 from ghzsense.qfim import (
     PSD_TOL,
     Chart,
@@ -30,7 +35,10 @@ from ghzsense.qfim import (
     qfim_pure,
     rank_and_nullspace,
 )
-from ghzsense.reparam import Reparametrization, build_mc, pushforward_fisher
+from ghzsense.reparam import (
+    InverseCheckReport, Reparametrization, _mc_coordinates, build_mc, closed_form_inverse_check,
+    pushforward_fisher,
+)
 
 PHOTONS, NODES = 2, 4
 PHI = np.full(NODES, 0.01)
@@ -108,16 +116,61 @@ def test_fisher_matrices_refuse_inconsistent_counts_and_charts():
 
 def test_value_types_take_no_fact_that_another_argument_fixes():
     # a table's shots are the sum of its counts, a matrix's nodes its chart's,
-    # a state's nodes its amplitude rows, and RANK_RTOL the rank tolerance
+    # a state's nodes its amplitude rows, and RANK_RTOL the rank tolerance;
+    # a result holds its inputs and what was computed, not arithmetic on them
     parameters = {
         CountTable: ["array", "photons", "nodes"],
         OutcomeDistribution: ["array", "photons", "nodes"],
         FisherMatrix: ["entries", "kind", "chart", "photons", "phases"],
         RingState: ["amplitudes", "photons"],
         RankReport: ["rank", "null_basis"],
+        SaturationReport: ["photons", "phases", "shots", "seed", "estimates", "bound"],
+        BoundReport: [
+            "alpha", "shots", "weak_bound", "exact_bound", "exact_unavailable_reason",
+            "kind", "chart_name", "photons", "nodes",
+        ],
+        WeakExactReport: [
+            "weak_side", "exact_side", "rayleigh_quotient", "eigenvector_residual",
+            "alpha_is_eigenvector", "first_diag_reciprocal", "first_diag_of_inverse",
+        ],
+        InverseCheckReport: ["closed_form", "numerical"],
+        SweepRow: ["photons", "nodes", "qcrb", "ccrb"],
     }
     for value_type, names in parameters.items():
         assert list(inspect.signature(value_type).parameters) == names, value_type.__name__
+
+
+def test_result_types_derive_their_report_values_read_only():
+    saturation = crb_saturation_experiment(2, 4, np.full(4, 0.1), 20000, 50, 13)
+    estimates = saturation.estimates
+    var_theta1 = float(np.var(estimates[:, 0], ddof=1))
+    bounds = bound_report(reduced_qfim(), E1)
+    singular = bound_report(qfim_pure(PHOTONS, NODES, PHI), np.ones(NODES))
+    check = weak_vs_exact_check(np.diag([1.0, 2.0, 4.0]), np.ones(3))
+    (row,) = heisenberg_sweep([4], [6])
+    inverse = closed_form_inverse_check(6)
+    column_gap = np.abs(inverse.closed_form - inverse.numerical).max(axis=0)
+    derived = [
+        (saturation, "nodes", 4),
+        (saturation, "replicates", 50),
+        (saturation, "var_theta1", var_theta1),
+        (saturation, "mean_theta1", float(np.mean(estimates[:, 0]))),
+        (saturation, "ratio", var_theta1 / saturation.bound),
+        (bounds, "equality_gap", bounds.exact_bound - bounds.weak_bound),
+        (singular, "equality_gap", None),
+        (check, "gap", check.exact_side - check.weak_side),
+        (check, "first_diag_holds", True),
+        (row, "ratio", row.ccrb / row.qcrb),
+        (inverse, "nodes", 6),
+        (inverse, "max_abs_discrepancy", float(column_gap.max())),
+        (inverse, "matching_columns", (0, 1)),
+    ]
+    for result, name, value in derived:
+        assert getattr(result, name) == value, name
+        with pytest.raises(AttributeError):
+            setattr(result, name, value)
+    theta_true = _mc_coordinates(saturation.phases[None, :])[0]
+    assert saturation.theta_true.tobytes() == theta_true.tobytes()
 
 
 def test_matrix_and_chart_arguments_refuse_other_types():

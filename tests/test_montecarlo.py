@@ -349,7 +349,9 @@ def recorded_draws(monkeypatch, phases, seed, cpus):
     draw = montecarlo._draw
 
     def recording_draw(*args):
-        drawers.add(threading.get_ident())
+        # the thread objects, not their idents: an ended thread's ident may be
+        # handed on to the next thread started
+        drawers.add(threading.current_thread())
         return draw(*args)
 
     def recording_fit(counts, *args, **kwargs):

@@ -33,8 +33,8 @@ from ghzsense.bounds import (
 from ghzsense.errors import SingularMatrixError
 from ghzsense.ghz_state import apply_phases, build_input_state
 from ghzsense.measurement import cfim
-from ghzsense import qfim
-from ghzsense.qfim import Chart, qfim_pure, rank_and_nullspace
+from ghzsense import cli, qfim
+from ghzsense.qfim import Chart, original_chart, qfim_pure, rank_and_nullspace
 from ghzsense.reparam import _mc_coordinates, _mc_pair_pullback, _mc_phases, build_mc
 
 even_rings = st.integers(2, 32).map(lambda half: 2 * half)
@@ -340,3 +340,18 @@ def test_both_spectral_kinds_from_one_fft_are_each_kind_bit_for_bit(nodes, photo
     assert _mc_spectral_bounds(photons, nodes, alpha) == tuple(
         _one_kind_spectral_bound(photons, nodes, alpha, kind) for kind in kinds
     )
+
+
+@settings(deadline=None)
+@given(chart=st.sampled_from(list(cli.CHARTS)), nodes=even_rings, seed=seeds)
+@example(chart="d4-orthogonal", nodes=4, seed=0)
+def test_avg_weight_extracts_the_mean_phase_in_every_chart(chart, nodes, seed):
+    if chart == "d4-orthogonal":
+        nodes = 4
+    phi = np.random.default_rng(seed).uniform(-math.pi, math.pi, nodes)
+    rep = cli._reparametrization(chart, nodes)
+    if rep is None:
+        alpha, theta = cli._parse_alpha("avg", original_chart(nodes)), phi
+    else:
+        alpha, theta = cli._parse_alpha("avg", rep.chart(True)), rep.apply(phi)[1:]
+    assert abs(alpha @ theta - np.mean(phi)) <= 1e-13

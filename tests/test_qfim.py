@@ -128,6 +128,19 @@ def test_original_chart_matrices_are_exactly_circulant(photons, nodes):
         np.testing.assert_array_equal(entries, entries[0][offsets])
 
 
+@pytest.mark.parametrize(
+    "reduced, factorizations", [(False, 0), (True, 1)], ids=["circulant", "eigh"]
+)
+def test_rank_is_a_python_int_on_both_paths(reduced, factorizations, linalg_calls):
+    chart = build_mc(8).chart(True) if reduced else None
+    matrix = qfim_pure(2, 8, np.zeros(8), chart)
+    calls = linalg_calls("eigh", "svd")
+    report = rank_and_nullspace(matrix)
+    assert sum(calls.values()) == factorizations
+    assert type(report.rank) is int
+    assert report.rank == 7
+
+
 def test_rank_analysis_factorizes_only_matrices_that_are_not_circulant(linalg_calls):
     original = qfim_pure(4, 256, np.zeros(256))
     reduced = qfim_pure(4, 256, np.zeros(256), build_mc(256).chart(True))

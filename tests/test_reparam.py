@@ -246,6 +246,35 @@ def test_pushforward_refuses_a_matrix_over_another_dimension():
         pushforward_fisher(qfim_pure(2, 6, np.zeros(6)), build_mc(4))
 
 
+def test_pushforward_refuses_a_matrix_over_any_chart_but_the_node_chart():
+    d4_chart = build_orthogonal_d4().chart(False)
+    wide_chart = qfim.Chart("wide", ("a", "b", "c", "d"), np.eye(6, 4))
+    refused = [
+        (qfim_pure(2, 4, np.zeros(4), d4_chart), build_mc(4), "d4-orthogonal"),
+        (qfim.FisherMatrix(np.eye(4), "quantum", wide_chart, 2), build_orthogonal_d4(), "wide"),
+        # above the ring memo, a matrix over a non-node chart of the right size
+        (qfim_pure(2, 514, np.zeros(514), build_mc(514).chart(False)), build_mc(514), "mc"),
+    ]
+    for matrix, rep, name in refused:
+        with pytest.raises(
+            ValidationError,
+            match="^matrix must be over the node chart, whose directions are the identity; "
+            f"got chart '{name}'$",
+        ):
+            pushforward_fisher(matrix, rep)
+    # the node chart is recognized by value, not by identity: a chart with the
+    # identity's directions built anew, also above the memo, is accepted
+    labels = tuple(f"n{i}" for i in range(4))
+    nodes = qfim_pure(2, 4, np.zeros(4), qfim.Chart("nodes", labels, np.eye(4)))
+    assert pushforward_fisher(nodes, build_mc(4)).chart is build_mc(4).chart(False)
+    assert pushforward_fisher(qfim_pure(2, 514, np.zeros(514)), build_mc(514)).dim == 514
+
+
+def test_reparametrization_needs_at_least_one_label():
+    with pytest.raises(ValidationError, match="^reparametrization needs at least one label$"):
+        Reparametrization(np.zeros((0, 0)), np.zeros((0, 0)), (), "x")
+
+
 def test_reparametrization_validates_inverse_consistency():
     forward = np.eye(4)
     inverse = 2.0 * np.eye(4)
