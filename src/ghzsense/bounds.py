@@ -11,6 +11,7 @@ when alpha is an eigenvector of F.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,13 +19,31 @@ import numpy as np
 from .errors import SingularMatrixError, ValidationError
 from .ghz_state import _check_counts, _check_nodes, _check_shots, _float_array
 from .qfim import RANK_RTOL, FisherMatrix, _entries_of, _shifted_cholesky
+from .reparam import _mc_coordinates_adjoint
 
 
 def _weight(alpha, dim: int) -> np.ndarray:
+    """``alpha`` read as a nonzero weight on ``dim`` coordinates.
+
+    Its alpha^T alpha must pass :func:`_in_range`, as must each bound computed
+    from it, so a weight too large or too small for float64 arithmetic is
+    refused with ValidationError, not with an overflow or a meaningless bound.
+    """
     a = _float_array(alpha, "weight vector", (dim,))
-    if np.linalg.norm(a) == 0.0:
+    if not a.any():
         raise ValidationError("weight vector must be nonzero")
+    with np.errstate(over="ignore"):
+        _in_range(float(a @ a), "alpha^T alpha")
     return a
+
+
+def _in_range(value: float, what: str) -> float:
+    """``value``, a quantity of the weight, if it is a positive finite normal float."""
+    if not (math.isfinite(value) and value >= sys.float_info.min):
+        raise ValidationError(
+            f"weight vector gives {what} = {value:.3e}, not a positive finite normal float"
+        )
+    return value
 
 
 def exact_crb(matrix, alpha, shots: int = 1) -> float:
@@ -35,7 +54,8 @@ def exact_crb(matrix, alpha, shots: int = 1) -> float:
     the irrelevant direction with a reparametrization first.  A raw array
     is read by :func:`ghzsense.qfim._entries_of`: one that is not square,
     not finite or not symmetric raises ValidationError.  The singularity
-    test is :func:`_refuse_singular`.
+    test is :func:`_refuse_singular`, and the weight and the bound follow
+    the rule of :func:`_weight`.
     """
     entries = _entries_of(matrix)
     n = _check_shots(shots)
@@ -65,7 +85,9 @@ def _refuse_singular(entries: np.ndarray) -> None:
 def _exact_bound(entries: np.ndarray, a: np.ndarray, n: int) -> float:
     """:func:`exact_crb` of already validated entries, weight and shot count."""
     _refuse_singular(entries)
-    return float(a @ np.linalg.solve(entries, a)) / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = float(a @ np.linalg.solve(entries, a)) / n
+    return _in_range(bound, "exact bound")
 
 
 def weak_crb(matrix, alpha, shots: int = 1) -> float:
@@ -84,15 +106,21 @@ def _weak_bound(entries: np.ndarray, a: np.ndarray, n: int) -> float:
     The weight is nonzero, so ``entries`` is not empty; its largest
     absolute entry is max(max F, -min F), which forms no array.
     """
-    quad = float(a @ entries @ a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = float(a @ entries @ a)
     scale = max(float(entries.max()), -float(entries.min())) * float(a @ a)
-    if quad <= 1e-12 * max(scale, 1e-300):
+    # an overflowed quad (inf, or nan from inf - inf) is left to the range rule
+    if quad <= 1e-12 * max(scale, 1e-300) and math.isfinite(quad):
         raise SingularMatrixError(
             "weight vector lies in the null space of the Fisher matrix "
             f"(alpha^T F alpha = {quad:.3e} for alpha = {a.tolist()}); "
             "no finite information is available along this direction"
         )
-    return float(a @ a) ** 2 / (n * quad)
+    try:
+        bound = float(a @ a) ** 2 / (n * quad)
+    except OverflowError:  # (alpha^T alpha)^2 beyond the float64 range
+        bound = math.inf
+    return _in_range(bound, "weak bound")
 
 
 @dataclass
@@ -191,20 +219,19 @@ class WeakExactReport:
 def weak_vs_exact_check(matrix, alpha) -> WeakExactReport:
     """Verify (a^T a)^2 / (a^T S a) <= a^T S^{-1} a for a positive definite S.
 
-    S is read like the matrix of :func:`exact_crb` and passes its
-    singularity test once, so a matrix that :func:`exact_crb` refuses
-    raises the same SingularMatrixError.  The exact side and (S^{-1})[0,0]
-    are then one single-column solve each, so the exact side is
-    :func:`exact_crb` of (S, a) bit for bit; the weak side is
-    :func:`weak_crb`'s.  Also reports the eigenvector equality condition (a
-    residual of at most 1e-9 times the largest absolute entry of S) and the
-    scalar corollary 1/S[0,0] <= (S^{-1})[0,0].
+    S is read like the matrix of :func:`exact_crb`, and the exact side is
+    that function's bound of (S, a) at one shot, bit for bit: one
+    singularity test and one single-column solve, so a matrix or a weight
+    that :func:`exact_crb` refuses raises the same error.  (S^{-1})[0,0] is
+    one more single-column solve, and the weak side is :func:`weak_crb`'s.
+    Also reports the eigenvector equality condition (a residual of at most
+    1e-9 times the largest absolute entry of S) and the scalar corollary
+    1/S[0,0] <= (S^{-1})[0,0].
     """
     s = _entries_of(matrix)
     a = _weight(alpha, s.shape[0])
-    _refuse_singular(s)
+    exact_side = _exact_bound(s, a, 1)
     first = np.eye(1, s.shape[0])[0]
-    exact_side = float(a @ np.linalg.solve(s, a))
     inverse_first = float(first @ np.linalg.solve(s, first))
     weak_side = _weak_bound(s, a, 1)
     norm2 = float(a @ a)
@@ -231,11 +258,11 @@ def _mc_spectral_bounds(photons: int, nodes: int, alpha: np.ndarray) -> tuple[fl
     With J = ``build_mc(d).inverse[:, 1:]`` and W = ``build_mc(d).forward[1:]``,
     the reduced matrix of a node-chart matrix F is J^T F J.  W J = I and W
     annihilates the alternating null vector of F, so (J^T F J)^{-1} =
-    W F^+ W^T, and the bound is w^T F^+ w with w = W^T alpha, the adjoint of
-    :func:`ghzsense.reparam._mc_coordinates`.  F is circulant, with the
-    eigenvalue (N^2/d) c_k on Fourier mode k: c_k = cos^2(pi k/d) for the
-    classical matrix, and 2 cos^2(pi k/d) except c_0 = 1 for the quantum one.
-    With U the DFT of u = d w, the bound is the sum of
+    W F^+ W^T, and the bound is w^T F^+ w with w = W^T alpha.  F is
+    circulant, with the eigenvalue (N^2/d) c_k on Fourier mode k:
+    c_k = cos^2(pi k/d) for the classical matrix, and 2 cos^2(pi k/d) except
+    c_0 = 1 for the quantum one.  With U the DFT of u = d w,
+    :func:`ghzsense.reparam._mc_coordinates_adjoint`, the bound is the sum of
     |U_k|^2 / (d^2 N^2 c_k) over every mode but the null mode k = d/2, which
     is dropped by its index.  Every kept c_k is at least sin^2(pi/d) > 0, so
     nothing is refused, and no d x d matrix is formed.  The DFT of a real u
@@ -251,10 +278,7 @@ def _mc_spectral_bounds(photons: int, nodes: int, alpha: np.ndarray) -> tuple[fl
     kind were summed on its own.
     """
     d = nodes
-    u = np.full(d, float(alpha[0]))
-    u[:-2] += alpha[1:]
-    u[2:] -= alpha[1:]
-    spectrum = np.fft.rfft(u)[1 : d // 2]
+    spectrum = np.fft.rfft(_mc_coordinates_adjoint(alpha))[1 : d // 2]
     modes = np.cos((np.pi / d) * np.arange(1, d // 2)) ** 2
     total = float(np.sum((spectrum.real**2 + spectrum.imag**2) / modes))
     first = float(alpha[0]) ** 2

@@ -108,9 +108,40 @@ def _pair_sums(values: np.ndarray) -> np.ndarray:
     return values + np.concatenate((values[..., 1:], values[..., :1]), axis=-1)
 
 
+def _pair_sum_phases(pair_sums: np.ndarray) -> np.ndarray:
+    """Phases with the given pair sums along the last axis, the inverse of :func:`_pair_sums`.
+
+    The pair sums of an even ring satisfy sum_j (-1)^j x_j = 0, and any
+    such x is reached: phi_0 = 0 and phi_k = (-1)^(k-1) sum_{i<k} (-1)^i x_i.
+    The alternating direction, which changes no pair sum, is left at zero.
+    """
+    alternating = (-1.0) ** np.arange(pair_sums.shape[-1])
+    phi = np.zeros_like(pair_sums)
+    phi[..., 1:] = -alternating[1:] * np.cumsum(alternating * pair_sums, axis=-1)[..., :-1]
+    return phi
+
+
 def phase_vector(values, d: int) -> np.ndarray:
-    """``values`` as a new length-d float64 phase vector with finite entries."""
-    return _float_array(values, "phase vector", (d,))
+    """``values`` as a new length-d float64 phase vector with finite entries and pair sums.
+
+    This is the one reader of every phase vector: the state, both Fisher
+    matrices, the outcome probabilities and the experiment read their
+    phases here.  A pair sum phi_j + phi_{j+1} beyond the float64 range
+    raises ValidationError naming the two phases.
+    """
+    phi = _float_array(values, "phase vector", (d,))
+    if np.abs(phi).max(initial=0.0) < 2.0**1023:  # no sum of two can overflow
+        return phi
+    with np.errstate(over="ignore"):
+        overflow = ~np.isfinite(_pair_sums(phi))
+    if overflow.any():
+        j, k = node_pair(int(np.argmax(overflow)) + 1, d)
+        first, second = float(phi[j - 1]), float(phi[k - 1])
+        raise ValidationError(
+            f"phase vector pair sum phi_{j} + phi_{k} = {first!r} + {second!r} "
+            "overflows the float64 range"
+        )
+    return phi
 
 
 @dataclass(eq=False, frozen=True)

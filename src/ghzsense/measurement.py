@@ -137,6 +137,17 @@ class OutcomeDistribution:
         """Writable copy of the probabilities in canonical label order."""
         return self.array.copy()
 
+
+def _pair_totals(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair's agree (++, --) and disagree (+-, -+) totals of canonical ``entries``.
+
+    ``entries`` has the 4d outcomes along its last axis, in the order that
+    :func:`outcome_distribution` lays out; both totals have d entries there.
+    """
+    per_pair = entries.reshape(*entries.shape[:-1], -1, 4)
+    return per_pair[..., 0] + per_pair[..., 1], per_pair[..., 2] + per_pair[..., 3]
+
+
 def outcome_distribution(photons: int, nodes: int, phases) -> OutcomeDistribution:
     """Outcome probabilities of the paired diagonal-basis measurement."""
     _check_counts(photons, nodes)

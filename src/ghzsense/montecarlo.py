@@ -19,13 +19,11 @@ documented convention); a pair with b_j = 0 is smooth through zero.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import threading
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
@@ -33,7 +31,7 @@ from .bounds import _mc_spectral_bounds
 from .errors import ConvergenceError, ValidationError
 from .ghz_state import (  # noqa: F401
     MAX_SHOTS, _check_counts, _check_int, _check_nodes, _check_seed, _check_shots,
-    _float_array, _pair_sums, phase_vector,
+    _float_array, _pair_sums, _pair_sum_phases, phase_vector,
 )
 from .measurement import (
     OutcomeDistribution,
@@ -41,11 +39,13 @@ from .measurement import (
     _canonical_entries,
     _float_entries,
     _label_at,
+    _pair_totals,
     outcome_distribution,
 )
 from .reparam import _mc_coordinates, _mc_labels, _mc_pair_pullback, _mc_phases
 
-DEFAULT_BOX_HALF_WIDTH = 0.25
+# Half-width of the per-coordinate search box around the fit's guess.
+_BOX_HALF_WIDTH = 0.25
 # Largest gradient max-norm of the per-event negative log likelihood that
 # certifies a fit, and the step cap of one table's multiplier solve.
 _GRADIENT_TOL = 1e-10
@@ -139,7 +139,6 @@ class EstimationResult:
     """
 
     theta: np.ndarray
-    log_likelihood: float
     iterations: int
 
     @property
@@ -270,8 +269,8 @@ def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountTabl
     return CountTable(draws, dist.photons, dist.nodes)
 
 
-def _count_rows(counts, photons, nodes) -> tuple[np.ndarray, int, int, bool]:
-    """Counts as an (R, 4d) float array in canonical label order."""
+def _count_rows(counts, photons, nodes) -> tuple[np.ndarray, int, int]:
+    """Counts as an (R, 4d) float array in canonical label order, with their N and d."""
     if isinstance(counts, CountTable):
         for name, given, own in (
             ("photons", photons, counts.photons), ("nodes", nodes, counts.nodes)
@@ -280,23 +279,18 @@ def _count_rows(counts, photons, nodes) -> tuple[np.ndarray, int, int, bool]:
                 raise ValidationError(
                     f"{name}={given!r} contradicts the count table's {name} = {own}"
                 )
-        return counts.array[None, :].astype(float), counts.photons, counts.nodes, False
-    elif not isinstance(counts, (Mapping, np.ndarray)):
+        return counts.array[None, :].astype(float), counts.photons, counts.nodes
+    elif not isinstance(counts, np.ndarray):
         raise ValidationError(f"unsupported counts object: {type(counts).__name__}")
     elif photons is None or nodes is None:
-        raise ValidationError(
-            "photons and nodes must be given when counts is a plain mapping or an array"
-        )
+        raise ValidationError("photons and nodes must be given when counts is an array")
     _check_counts(photons, nodes)
-    batched = isinstance(counts, np.ndarray)
-    if not batched:
-        counts = _canonical_entries(counts, nodes, "count table")[None, :]
     rows = _float_array(counts, "count array", (None, 4 * nodes))
     if rows.shape[0] < 1:
         raise ValidationError("count array must have at least one row")
     if np.any(rows < 0):
         raise ValidationError("counts must be nonnegative")
-    return rows, photons, nodes, batched
+    return rows, photons, nodes
 
 
 def _pair_maxima(agree, disagree, branch, half):
@@ -402,7 +396,6 @@ def _check_window(pair_sums, photons: int, what: str) -> float:
 def mle_estimate(
     counts,
     initial_theta,
-    box_half_width: float = DEFAULT_BOX_HALF_WIDTH,
     *,
     photons: int | None = None,
     nodes: int | None = None,
@@ -411,27 +404,25 @@ def mle_estimate(
 
     Parameters
     ----------
-    counts : CountTable, mapping from OutcomeLabel to count, or array
+    counts : CountTable or array
         Observed outcome weights.  An array of shape (R, 4d) holds R count
-        tables, one per row in canonical label order, which are fit together.
-        Plain mappings (useful for expected-count self-consistency checks)
-        and arrays require the ``photons`` and ``nodes`` keyword arguments;
-        a mapping must have exactly the 4d canonical labels as keys, as for
-        a :class:`CountTable`.  A table carries its own geometry; ``photons``
-        or ``nodes`` given with one must equal it.
+        tables, one per row in canonical label order, which are fit together;
+        it requires the ``photons`` and ``nodes`` keyword arguments.  A table
+        carries its own geometry; ``photons`` or ``nodes`` given with one
+        must equal it.  Label-keyed counts are read by
+        ``CountTable(mapping, photons, nodes)``.
     initial_theta : array-like, shape (d-1,)
-        Center of the search box, with finite entries; the signs of its pair
-        sums pick each pair's branch.  They must lie strictly inside the
-        window |x_j| < 2*pi/N.
-    box_half_width : float
-        Half-width of the per-coordinate search box around the guess.
+        Center of the search box, of half-width ``_BOX_HALF_WIDTH`` per
+        coordinate, with finite entries; the signs of its pair sums pick each
+        pair's branch.  They must lie strictly inside the window
+        |x_j| < 2*pi/N.
 
     Returns
     -------
     EstimationResult
         ``theta`` has shape (d-1,) for a single table and (R, d-1) for an
-        array, ``log_likelihood`` is a float or an (R,) array to match, and
-        ``iterations`` counts the multiplier steps of the slowest row.
+        array, and ``iterations`` counts the multiplier steps of the slowest
+        row.
 
     Notes
     -----
@@ -440,20 +431,12 @@ def mle_estimate(
     from the pair sums of the returned theta, outside the box, on or past the
     window, or with a per-event gradient max-norm above 1e-10.
     """
-    weights, photons, nodes, batched = _count_rows(counts, photons, nodes)
-    if (
-        not isinstance(box_half_width, numbers.Real)
-        or isinstance(box_half_width, bool)
-        or not (math.isfinite(box_half_width) and box_half_width > 0)
-    ):
-        raise ValidationError(f"box half-width must be a positive number, got {box_half_width!r}")
+    weights, photons, nodes = _count_rows(counts, photons, nodes)
     guess = _float_array(initial_theta, "initial guess", (nodes - 1,))
     _check_nodes(nodes, 4, even=True)
     guess_sums = _pair_sums(_mc_phases(guess[None, :]))[0]
     window = _check_window(guess_sums, photons, "initial guess")
-    per_pair = weights.reshape(weights.shape[0], nodes, 4)
-    agree = per_pair[:, :, 0] + per_pair[:, :, 1]
-    disagree = per_pair[:, :, 2] + per_pair[:, :, 3]
+    agree, disagree = _pair_totals(weights)
     total = agree.sum(axis=1) + disagree.sum(axis=1)
     if (total <= 0).any():
         raise ValidationError("counts must have positive total weight")
@@ -469,12 +452,9 @@ def mle_estimate(
     half = photons / 2.0
     branch = np.where(guess_sums < 0, -1.0, 1.0)
     pair_sums, iterations = _fit_pair_sums(agree, disagree, branch, half)
-    # phi_k = (-1)^(k-1) sum_{i<k} (-1)^i x_i has these pair sums; the
-    # alternating direction it leaves free is theta_0, which the kept coordinates drop
-    alternating = (-1.0) ** np.arange(nodes)
-    phi = np.zeros_like(pair_sums)
-    phi[:, 1:] = -alternating[1:] * np.cumsum(alternating * pair_sums, axis=1)[:, :-1]
-    theta = _mc_coordinates(phi)
+    # the alternating direction the phases leave free is theta_0, which the
+    # kept coordinates drop
+    theta = _mc_coordinates(_pair_sum_phases(pair_sums))
 
     fitted = _pair_sums(_mc_phases(theta))
     # the solved pair sums sit exactly on the window edge when a maximum does;
@@ -487,14 +467,13 @@ def mle_estimate(
             f"not inside the identifiable window 2*pi/N = {window:.6g}"
         )
     shift = np.abs(theta - guess).max(axis=1)
-    if (shift > box_half_width).any():
-        row = int(np.argmax(shift > box_half_width))
+    if (shift > _BOX_HALF_WIDTH).any():
+        row = int(np.argmax(shift > _BOX_HALF_WIDTH))
         raise ConvergenceError(
             f"count table {row} is fit {shift[row]:.6g} from the guess, outside "
-            f"the search box of half-width {box_half_width:.6g}"
+            f"the search box of half-width {_BOX_HALF_WIDTH:.6g}"
         )
-    # with t = tan(hx/2): -l_j'(x) = h (a_j t - b_j / t), 1 + cos hx = 2 / (1 + t^2)
-    # and 1 - cos hx = 2 t^2 / (1 + t^2)
+    # with t = tan(hx/2): -l_j'(x) = h (a_j t - b_j / t)
     t = np.tan(half * fitted / 2.0)
     inverse_t = np.divide(1.0, t, out=np.zeros_like(t), where=disagree > 0)
     pair_grad = half * (agree * t - disagree * inverse_t)
@@ -504,13 +483,9 @@ def mle_estimate(
             f"likelihood fit left gradient norm {float(np.max(grad_norm)):.3e} above "
             f"the tolerance {_GRADIENT_TOL:.3e}"
         )
-
-    log_agree = np.log(0.5 / (nodes * (1.0 + t * t)))
-    log_t2 = np.log(t * t, out=np.zeros_like(t), where=disagree > 0)
-    log_likelihood = ((agree + disagree) * log_agree + disagree * log_t2).sum(axis=1)
-    if not batched:
-        return EstimationResult(theta[0], float(log_likelihood[0]), iterations)
-    return EstimationResult(theta, log_likelihood, iterations)
+    if isinstance(counts, CountTable):
+        return EstimationResult(theta[0], iterations)
+    return EstimationResult(theta, iterations)
 
 
 @dataclass(eq=False)
@@ -603,8 +578,8 @@ def crb_saturation_experiment(
 
     Each replicate draws ``shots`` outcomes from the true distribution with an
     independently derived child seed; all replicates are then fit together by
-    local maximum likelihood starting from the true parameters, in a search
-    box of half-width ``DEFAULT_BOX_HALF_WIDTH`` around them.  The
+    local maximum likelihood starting from the true parameters, in the
+    search box of half-width ``_BOX_HALF_WIDTH`` around them.  The
     theoretical variance bound is the exact classical bound on theta_1 in the
     reduced chart, read off the ring spectrum with no matrix formed
     (:func:`ghzsense.bounds._mc_spectral_bounds`), over ``shots``; it equals
@@ -649,7 +624,5 @@ def crb_saturation_experiment(
         replicates, dtype=np.uint64
     )
     counts = _draw_rows(_normalized(dist), shots, _seed_words(child_seeds))
-    fit = mle_estimate(
-        counts, theta_true, DEFAULT_BOX_HALF_WIDTH, photons=photons, nodes=nodes
-    )
+    fit = mle_estimate(counts, theta_true, photons=photons, nodes=nodes)
     return SaturationReport(int(photons), phi, shots, seed, fit.theta, bound)

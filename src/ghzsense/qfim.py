@@ -193,9 +193,9 @@ class FisherMatrix:
     ``chart`` must be a :class:`Chart`, and ``photons`` and the chart's
     node count, the matrix's ``nodes``, must pass the state's count checks.
     ``entries`` must be a finite (k, k) array, k the chart's parameter
-    count, symmetric to ``SYMMETRY_TOL``; the matrix stores its own copy of
-    the symmetric part, so changing the array passed in later changes
-    nothing.  The PSD test is :func:`_shifted_cholesky` with the shift
+    count, symmetric by the rule of :func:`_symmetric_part`; the matrix
+    stores its own copy of the symmetric part, so changing the array passed
+    in later changes nothing.  The PSD test is :func:`_shifted_cholesky` with the shift
     tol = PSD_TOL * max(1, b), b the largest absolute row sum, so the
     tolerance grows with the matrix as its rounding does.  It succeeds
     exactly when the smallest eigenvalue exceeds -tol up to rounding; a
@@ -216,7 +216,7 @@ class FisherMatrix:
             raise ValidationError(f"chart must be a Chart, got {type(self.chart).__name__}")
         _check_counts(self.photons, self.chart.nodes)
         entries = _float_array(self.entries, "Fisher matrix", (self.chart.size,) * 2)
-        self.entries = _symmetric_part(entries, SYMMETRY_TOL, "Fisher matrix")
+        self.entries = _symmetric_part(entries, "Fisher matrix")
         certified, tol = _shifted_cholesky(self.entries, PSD_TOL, 1.0)
         if not certified:
             smallest = float(np.linalg.eigvalsh(self.entries)[0])
@@ -251,19 +251,22 @@ class RankReport:
         return self.null_basis.shape[1]
 
 
-def _symmetric_part(entries: np.ndarray, tol: float, what: str) -> np.ndarray:
+def _symmetric_part(entries: np.ndarray, what: str) -> np.ndarray:
     """``entries`` itself when exactly symmetric, else its symmetric part.
 
-    An asymmetry max |entries - entries^T| above ``tol`` raises ValidationError.
+    This is the one symmetry rule: an asymmetry max |entries - entries^T|
+    above ``SYMMETRY_TOL`` * max(1, largest |entry|) raises ValidationError.
     The exactly symmetric case, that of every matrix the toolkit forms, is
     decided by one entrywise comparison and forms no float array.  Otherwise
     the asymmetry is measured in one scratch array, which then receives
-    0.5 * (entries + entries^T) and is returned.
+    0.5 * (entries + entries^T) and is returned; the scale is read only then,
+    as max(max F, -min F), which forms no array.
     """
     if (entries == entries.T).all():
         return entries
     scratch = np.subtract(entries, entries.T)
     asym = float(np.abs(scratch, out=scratch).max())
+    tol = SYMMETRY_TOL * max(1.0, float(entries.max()), -float(entries.min()))
     if asym > tol:
         raise ValidationError(f"{what} asymmetry {asym:.3e} exceeds {tol:.3g}")
     np.add(entries, entries.T, out=scratch)
@@ -295,9 +298,9 @@ def _shifted_cholesky(entries: np.ndarray, rtol: float, floor: float = 0.0) -> t
 def _entries_of(matrix, symmetric: bool = True) -> np.ndarray:
     """Entries of a FisherMatrix, or a raw array read as a finite square matrix.
 
-    Unless ``symmetric`` is False, a raw array must also be symmetric to
-    SYMMETRY_TOL * max(1, largest |entry|), and its symmetric part is
-    returned; so every matrix read here is exactly symmetric.
+    Unless ``symmetric`` is False, a raw array must also pass the symmetry
+    rule of :func:`_symmetric_part`, and its symmetric part is returned; so
+    every matrix read here is exactly symmetric.
     """
     if isinstance(matrix, FisherMatrix):
         return matrix.entries
@@ -306,8 +309,7 @@ def _entries_of(matrix, symmetric: bool = True) -> np.ndarray:
         raise ValidationError(f"expected a square matrix, got shape {entries.shape}")
     if not symmetric:
         return entries
-    scale = max(1.0, float(np.max(np.abs(entries), initial=0.0)))
-    return _symmetric_part(entries, SYMMETRY_TOL * scale, "matrix")
+    return _symmetric_part(entries, "matrix")
 
 
 def _directions_for(d: int, chart: Chart | None) -> tuple[Chart, np.ndarray]:

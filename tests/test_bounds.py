@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -147,6 +148,39 @@ def test_weak_vs_exact_check_refuses_a_matrix_containing_inf():
 def test_bounds_refuse_a_zero_weight(bound):
     with pytest.raises(ValidationError, match="^weight vector must be nonzero$"):
         bound(np.eye(3), np.zeros(3))
+
+
+WEIGHT_BOUNDS = (exact_crb, weak_crb, bound_report, weak_vs_exact_check)
+
+
+@pytest.mark.parametrize(
+    "first, gives, refusing",
+    [
+        # (alpha^T alpha)^2 = 1e600 overflows in the weak bound; the exact
+        # bound, 2.5e299, is a normal float
+        (1e150, "weak bound = inf", WEIGHT_BOUNDS[1:]),
+        # alpha^T F alpha overflows too, which is no null space
+        (1e154, "weak bound = inf", WEIGHT_BOUNDS[1:]),
+        (1e200, "alpha^T alpha = inf", WEIGHT_BOUNDS),
+        # alpha^T alpha is subnormal or zero, though the weight is nonzero
+        # and lies along theta_1, off the null space
+        (1e-154, "alpha^T alpha = 1.000e-308", WEIGHT_BOUNDS),
+        (1e-160, "alpha^T alpha = 1.000e-320", WEIGHT_BOUNDS),
+        (1e-200, "alpha^T alpha = 0.000e+00", WEIGHT_BOUNDS),
+    ],
+    ids=["1e150", "1e154", "1e200", "1e-154", "1e-160", "1e-200"],
+)
+def test_a_weight_beyond_the_float_range_is_refused(first, gives, refusing):
+    matrix = cfim(2, 4, np.zeros(4), build_mc(4).chart(True))
+    alpha = np.array([first, 0.0, 0.0])
+    for bound in refusing:
+        with pytest.raises(
+            ValidationError,
+            match=f"^weight vector gives {re.escape(gives)}, not a positive finite normal float$",
+        ):
+            bound(matrix, alpha)
+    for bound in set(WEIGHT_BOUNDS) - set(refusing):
+        assert bound(matrix, alpha) == float(alpha @ np.linalg.solve(matrix.entries, alpha))
 
 
 def test_weak_vs_exact_check_refuses_what_exact_crb_refuses():

@@ -606,6 +606,22 @@ def test_malformed_config_values_are_status_2(command, doc, tmp_path, capsys):
          "bad phases spec [True, False, True, False]\n"),
         (["bounds", "--N", "2", "--d", "4", "--chart", "mc"], {"alpha": [True, False, False]},
          "bad alpha spec [True, False, False]\n"),
+        # a weight and its bound must be positive finite normal floats
+        (["bounds", "--N", "2", "--d", "4", "--chart", "mc", "--alpha", "1e150,0,0"], None,
+         "weight vector gives weak bound = inf, not a positive finite normal float\n"),
+        (["bounds", "--N", "2", "--d", "4", "--chart", "mc", "--alpha", "1e200,0,0"], None,
+         "weight vector gives alpha^T alpha = inf, not a positive finite normal float\n"),
+        (["bounds", "--N", "2", "--d", "4", "--chart", "mc", "--alpha", "1e-160,0,0"], None,
+         "weight vector gives alpha^T alpha = 1.000e-320, not a positive finite normal float\n"),
+        (["bounds", "--N", "2", "--d", "4", "--chart", "mc", "--alpha", "1e-200,0,0"], None,
+         "weight vector gives alpha^T alpha = 0.000e+00, not a positive finite normal float\n"),
+        # every pair sum of the phases must be a finite float
+        (["state", "--N", "2", "--d", "4", "--phases", "uniform:1e308"], None,
+         "bad phases spec 'uniform:1e308': phase vector pair sum phi_1 + phi_2 = "
+         "1e+308 + 1e+308 overflows the float64 range\n"),
+        (["simulate", "--N", "2", "--d", "4", "--shots", "1000", "--phases", "uniform:1e308"],
+         None, "bad phases spec 'uniform:1e308': phase vector pair sum phi_1 + phi_2 = "
+         "1e+308 + 1e+308 overflows the float64 range\n"),
     ],
     ids=[
         "missing-config", "config-not-json", "config-d-fraction", "transform-without-d",
@@ -616,6 +632,8 @@ def test_malformed_config_values_are_status_2(command, doc, tmp_path, capsys):
         "simulate-without-shots", "config-simulate-without-shots", "simulate-without-N",
         "simulate-odd-N-without-shots",
         "config-phases-bools", "config-alpha-bools",
+        "alpha-1e150", "alpha-1e200", "alpha-1e-160", "alpha-1e-200",
+        "state-phases-overflow", "simulate-phases-overflow",
     ],
 )
 def test_each_refusal_names_its_input(argv, config, message, tmp_path, monkeypatch, capsys):

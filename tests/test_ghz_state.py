@@ -13,7 +13,8 @@ from ghzsense.ghz_state import (
     node_pair,
     phase_vector,
 )
-from ghzsense.measurement import cfim
+from ghzsense.measurement import cfim, outcome_distribution
+from ghzsense.montecarlo import crb_saturation_experiment
 from ghzsense.qfim import qfim_pure
 
 
@@ -142,6 +143,34 @@ def test_phase_vector_validates_shape_and_finiteness():
         phase_vector([0.1, 0.2], 4)
     with pytest.raises(ValidationError):
         phase_vector([0.1, np.nan, 0.0, 0.0], 4)
+
+
+PHASE_READERS = {
+    "phase_vector": lambda phi: phase_vector(phi, 4),
+    "apply_phases": lambda phi: apply_phases(build_input_state(2, 4), phi),
+    "outcome_distribution": lambda phi: outcome_distribution(2, 4, phi),
+    "qfim_pure": lambda phi: qfim_pure(2, 4, phi),
+    "cfim": lambda phi: cfim(2, 4, phi),
+    "crb_saturation_experiment": lambda phi: crb_saturation_experiment(2, 4, phi, 1000, 50, 0),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(PHASE_READERS))
+def test_phases_whose_pair_sum_overflows_are_refused_by_name(reader):
+    # the ring-closing pair phi_4 + phi_1 overflows; a warning on the way
+    # would fail the test as well, since warnings are errors here
+    with pytest.raises(
+        ValidationError,
+        match=r"^phase vector pair sum phi_4 \+ phi_1 = 1e\+308 \+ 1e\+308 overflows the "
+        "float64 range$",
+    ):
+        PHASE_READERS[reader](np.array([1e308, 0.0, 0.0, 1e308]))
+
+
+def test_phases_of_any_size_with_finite_pair_sums_are_accepted():
+    alternating = np.array([1e308, -1e308, 1e308, -1e308])
+    np.testing.assert_array_equal(phase_vector(alternating, 4), alternating)
+    assert apply_phases(build_input_state(2, 4), alternating).norm() == pytest.approx(1.0)
 
 
 def test_state_json_round_trip_preserves_amplitudes_exactly():

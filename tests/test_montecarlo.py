@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import threading
 
 import numpy as np
@@ -24,11 +26,13 @@ LINALG_FUNCTIONS = (
 
 
 def expected_counts(photons, nodes, phases, shots):
-    dist = outcome_distribution(photons, nodes, phases)
-    return {
-        label: float(p * shots)
-        for label, p in zip(outcome_labels(nodes), dist.as_array())
-    }
+    """One row of expected, fractional, counts in canonical label order."""
+    return outcome_distribution(photons, nodes, phases).as_array()[None, :] * shots
+
+
+def by_label(row):
+    """A count row as a mapping from each outcome label to its count."""
+    return dict(zip(outcome_labels(row.size), row.tolist()))
 
 
 def test_sampling_is_deterministic_and_conserves_shots():
@@ -137,7 +141,7 @@ def test_noiseless_estimate_recovers_the_truth_exactly():
     theta_true = rep.apply(PHI)[1:]
     counts = expected_counts(2, 4, PHI, 10**6)
     result = mle_estimate(counts, theta_true, photons=2, nodes=4)
-    np.testing.assert_allclose(result.theta, theta_true, atol=1e-9)
+    np.testing.assert_allclose(result.theta[0], theta_true, atol=1e-9)
     assert result.labels == ("theta_1", "theta_2", "theta_3")
 
 
@@ -147,15 +151,16 @@ def test_noiseless_estimate_recovers_the_truth_exactly():
         lambda counts: counts.update({OutcomeLabel(9, "++"): 0.0}),
         lambda counts: counts.update({"1++": 0.0}),
         lambda counts: counts.pop(OutcomeLabel(2, "+-")),
-        lambda counts: counts.update(expected_counts(2, 6, np.full(6, 0.1), 10**6)),
+        lambda counts: counts.update(by_label(expected_counts(2, 6, np.full(6, 0.1), 10**6)[0])),
     ],
     ids=["unknown-label", "string-key", "missing-label", "six-node-labels"],
 )
 def test_fit_refuses_a_count_mapping_without_exactly_the_canonical_labels(edit):
-    counts = expected_counts(2, 4, PHI, 10**6)
+    # label-keyed counts reach the fit through a CountTable, which reads them
+    counts = by_label(expected_counts(2, 4, PHI, 10**6)[0])
     edit(counts)
     with pytest.raises(ValidationError, match="^count table must cover exactly the 16 canonical"):
-        mle_estimate(counts, build_mc(4).apply(PHI)[1:], photons=2, nodes=4)
+        mle_estimate(CountTable(counts, 2, 4), build_mc(4).apply(PHI)[1:])
 
 
 def test_stationary_zero_guess_walks_to_the_positive_truth():
@@ -165,32 +170,38 @@ def test_stationary_zero_guess_walks_to_the_positive_truth():
     theta_true = rep.apply(PHI)[1:]
     counts = expected_counts(2, 4, PHI, 10**6)
     result = mle_estimate(counts, np.zeros(3), photons=2, nodes=4)
-    np.testing.assert_allclose(result.theta, theta_true, atol=1e-9)
+    np.testing.assert_allclose(result.theta[0], theta_true, atol=1e-9)
 
 
 def test_counts_at_zero_truth_estimate_near_zero():
     counts = expected_counts(2, 4, np.zeros(4), 10**6)
     result = mle_estimate(counts, np.zeros(3), photons=2, nodes=4)
-    np.testing.assert_allclose(result.theta, np.zeros(3), atol=1e-6)
+    np.testing.assert_allclose(result.theta[0], np.zeros(3), atol=1e-6)
 
 
 def test_estimate_stays_inside_the_search_box():
+    # a guess 0.2 off the truth in theta_1 keeps each maximum, within 0.02
+    # from the truth, inside the box of half-width 0.25 around the guess
     dist = outcome_distribution(2, 4, PHI)
-    rep = build_mc(4)
-    theta_true = rep.apply(PHI)[1:]
+    guess = build_mc(4).apply(PHI)[1:] + [0.2, 0.0, 0.0]
+    assert montecarlo._BOX_HALF_WIDTH == 0.25
     for seed in range(5):
         table = sample_counts(dist, 2000, seed)
-        result = mle_estimate(table, theta_true, 0.05)
-        assert np.all(np.abs(result.theta - theta_true) <= 0.05 + 1e-12)
+        result = mle_estimate(table, guess)
+        assert np.all(np.abs(result.theta - guess) <= montecarlo._BOX_HALF_WIDTH)
 
 
 def test_maximum_outside_the_search_box_is_refused():
-    # this table's maximum lies about 0.014 from the truth in theta_3
+    # a guess 0.3 off the truth in theta_1, inside the window (pair sums
+    # 0.8 < pi), leaves the maximum near the truth, outside the box
     dist = outcome_distribution(2, 4, PHI)
     table = sample_counts(dist, 2000, 3)
-    theta_true = build_mc(4).apply(PHI)[1:]
-    with pytest.raises(ConvergenceError):
-        mle_estimate(table, theta_true, 1e-4)
+    guess = build_mc(4).apply(PHI)[1:] + [0.3, 0.0, 0.0]
+    with pytest.raises(
+        ConvergenceError, match=r"^count table 0 is fit 0\.\d+ from the guess, outside the search "
+        r"box of half-width 0\.25$",
+    ):
+        mle_estimate(table, guess)
 
 
 def test_estimates_match_between_table_and_plain_mapping():
@@ -199,7 +210,7 @@ def test_estimates_match_between_table_and_plain_mapping():
     rep = build_mc(4)
     theta_true = rep.apply(PHI)[1:]
     from_table = mle_estimate(table, theta_true)
-    from_map = mle_estimate(dict(table.counts), theta_true, photons=4, nodes=4)
+    from_map = mle_estimate(CountTable(dict(table.counts), 4, 4), theta_true)
     np.testing.assert_array_equal(from_table.theta, from_map.theta)
 
 
@@ -214,12 +225,21 @@ def test_guess_outside_identifiable_window_rejected():
     )
 
 
-def test_plain_mapping_requires_geometry():
-    counts = expected_counts(2, 4, PHI, 1000)
-    with pytest.raises(ValidationError):
-        mle_estimate(counts, np.zeros(3))
-    rows = np.array([[counts[label] for label in outcome_labels(4)]])
-    with pytest.raises(ValidationError):
+def test_the_fit_takes_and_returns_only_what_its_callers_use():
+    # a count table or an array of them, the guess, and the array's geometry;
+    # the search box is a module constant and the result holds no likelihood
+    parameters = inspect.signature(mle_estimate).parameters
+    assert list(parameters) == ["counts", "initial_theta", "photons", "nodes"]
+    table = sample_counts(outcome_distribution(2, 4, PHI), 10000, 5)
+    fit = mle_estimate(table, build_mc(4).apply(PHI)[1:])
+    assert [f.name for f in dataclasses.fields(fit)] == ["theta", "iterations"]
+
+
+def test_count_array_requires_geometry():
+    rows = expected_counts(2, 4, PHI, 1000)
+    with pytest.raises(
+        ValidationError, match="^photons and nodes must be given when counts is an array$"
+    ):
         mle_estimate(rows, np.zeros(3))
     with pytest.raises(ValidationError):
         mle_estimate(rows[:, :-1], np.zeros(3), photons=2, nodes=4)
@@ -240,11 +260,13 @@ def test_fit_refuses_geometry_that_contradicts_a_count_table():
 
 
 def refused_counts():
-    rows = np.array([list(expected_counts(2, 4, PHI, 1000).values())])
+    rows = expected_counts(2, 4, PHI, 1000)
     negative = rows.copy()
     negative[0, 5] = -1.0
     return {
         "unsupported counts object: list": rows[0].tolist(),
+        # a mapping is read by CountTable, not by the fit
+        "unsupported counts object: dict": by_label(rows[0]),
         "count array must have at least one row": np.zeros((0, 16)),
         "counts must be nonnegative": negative,
         "counts must have positive total weight": np.vstack((rows, np.zeros((1, 16)))),
@@ -494,9 +516,8 @@ def test_saturation_variance_is_pinned(nodes, var_theta1):
 
 
 def test_two_pairs_without_events_have_no_unique_maximum():
-    counts = {label: 0 for label in outcome_labels(4)}
-    counts[OutcomeLabel(1, "++")] = 1
-    counts[OutcomeLabel(3, "++")] = 1
+    counts = np.zeros((1, 16))
+    counts[0, [0, 8]] = 1.0  # ++ on pairs 1 and 3
     with pytest.raises(ConvergenceError):
         mle_estimate(counts, build_mc(4).apply(PHI)[1:], photons=2, nodes=4)
 
@@ -505,11 +526,10 @@ def test_one_pair_without_events_is_absorbed_by_the_ring_constraint():
     # noiseless counts on pairs 1, 3 and 4 fix their sums; the alternating
     # sum of an even ring then fixes pair 2, so the truth is the unique fit
     counts = expected_counts(2, 4, PHI, 10**6)
-    for pattern in ("++", "--", "+-", "-+"):
-        counts[OutcomeLabel(2, pattern)] = 0.0
+    counts[0, 4:8] = 0.0  # the four patterns of pair 2
     theta_true = build_mc(4).apply(PHI)[1:]
     result = mle_estimate(counts, theta_true + 0.01, photons=2, nodes=4)
-    np.testing.assert_allclose(result.theta, theta_true, atol=1e-9)
+    np.testing.assert_allclose(result.theta[0], theta_true, atol=1e-9)
 
 
 def reference_fit(agree, disagree, photons, guess, box=0.25, tol=1e-10):
@@ -575,7 +595,6 @@ def test_batched_fit_matches_dense_newton_reference(nodes, photons):
             draws = rng.multinomial(shots, p / p.sum(), size=4)
             fit = mle_estimate(draws, theta_true, photons=photons, nodes=nodes)
             assert fit.theta.shape == (4, nodes - 1)
-            assert fit.log_likelihood.shape == (4,)
             assert isinstance(fit.iterations, int)
             for row, theta in zip(draws.reshape(4, nodes, 4), fit.theta):
                 agree = (row[:, 0] + row[:, 1]).astype(float)
@@ -649,8 +668,12 @@ def test_slow_multiplier_table_converges_in_at_most_seventeen_steps():
     # 17 steps are those of the dense-product fitter this one replaced
     agree = [1.0, 1000.0, 1e5, 1000.0]
     disagree = [0.0, 1e5, 1e5, 1e5]
-    fit = mle_estimate(pair_table(agree, disagree), np.zeros(3), 100.0, photons=2, nodes=4)
     pinned = np.array([1.2200090208447307, 0.17537888596847906, 0.17537888596847928])
+    # the guess only picks the branches, all + as from the zero guess; 0.1
+    # below the maximum in theta_1, its pair sums (2.94, 2.24, 1.54, 2.24)
+    # lie inside the window pi, and the maximum inside the search box
+    guess = pinned - [0.1, 0.0, 0.0]
+    fit = mle_estimate(pair_table(agree, disagree), guess, photons=2, nodes=4)
     assert np.max(np.abs(fit.theta[0] - pinned)) <= 1e-12 * np.max(np.abs(pinned))
     assert fit.iterations <= 17
 

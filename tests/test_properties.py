@@ -12,7 +12,10 @@ must hold at every scale.  The phase imprint is
 checked bit for bit against a per-ket reference, and the state's JSON form
 as an exact round trip.  The O(d) maps between phases and the kept mc
 coordinates, which also build the mc matrices, are checked against dense
-products with a transform filled entry by entry and its numerical inverse.
+products with a transform filled entry by entry and its numerical inverse,
+and the adjoint the spectral bounds read against the transform itself.  The
+fit's two layout readers are checked as inverses: the pair totals of the
+outcome order, and the phases of given pair sums on the even-ring constraint.
 The exact bound of any weight in the reduced mc chart, read off the ring
 spectrum, is checked against the factorized reduced matrices, and both kinds
 from one FFT bit for bit against each kind summed on its own.
@@ -31,11 +34,13 @@ from ghzsense.bounds import (
     RANK_RTOL, _mc_spectral_bounds, exact_crb, heisenberg_sweep, weak_vs_exact_check,
 )
 from ghzsense.errors import SingularMatrixError
-from ghzsense.ghz_state import apply_phases, build_input_state
-from ghzsense.measurement import cfim
+from ghzsense.ghz_state import _pair_sum_phases, _pair_sums, apply_phases, build_input_state
+from ghzsense.measurement import _pair_totals, cfim, outcome_distribution, outcome_labels
 from ghzsense import cli, qfim
 from ghzsense.qfim import Chart, original_chart, qfim_pure, rank_and_nullspace
-from ghzsense.reparam import _mc_coordinates, _mc_pair_pullback, _mc_phases, build_mc
+from ghzsense.reparam import (
+    _mc_coordinates, _mc_coordinates_adjoint, _mc_pair_pullback, _mc_phases, build_mc,
+)
 
 even_rings = st.integers(2, 32).map(lambda half: 2 * half)
 photon_numbers = st.sampled_from([2, 4, 6, 8])
@@ -286,6 +291,49 @@ def test_structured_mc_maps_match_the_dense_products(nodes, rows, seed):
     ):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@settings(deadline=None)
+@given(nodes=even_rings, seed=seeds)
+def test_mc_coordinates_adjoint_is_d_times_the_kept_forward_rows(nodes, seed):
+    alpha = np.random.default_rng(seed).normal(size=nodes - 1)
+    want = nodes * alpha @ build_mc(nodes).forward[1:]
+    assert np.max(np.abs(_mc_coordinates_adjoint(alpha) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@settings(deadline=None)
+@given(nodes=even_rings, rows=st.integers(1, 3), seed=seeds)
+def test_pair_sum_phases_invert_the_pair_sums_on_the_ring_constraint(nodes, rows, seed):
+    rng = np.random.default_rng(seed)
+    alternating = (-1.0) ** np.arange(nodes)
+    # the last pair sum closes sum_j (-1)^j x_j = 0; whole numbers keep every
+    # partial sum exact, so the inverse is exact
+    whole = rng.integers(-(2**20), 2**20, (rows, nodes)).astype(float)
+    whole[:, -1] = whole[:, :-1] @ alternating[:-1]
+    phases = _pair_sum_phases(whole)
+    assert np.array_equal(phases[:, 0], np.zeros(rows))
+    assert np.array_equal(_pair_sums(phases), whole)
+    # real pair sums come back up to the rounding of the partial sums
+    real = rng.uniform(-np.pi, np.pi, (rows, nodes))
+    real[:, -1] = real[:, :-1] @ alternating[:-1]
+    assert np.max(np.abs(_pair_sums(_pair_sum_phases(real)) - real)) <= 1e-14 * nodes
+
+
+@settings(deadline=None)
+@given(nodes=st.integers(3, 64), photons=photon_numbers, rows=st.integers(1, 3), seed=seeds)
+def test_pair_totals_invert_the_outcome_layout(nodes, photons, rows, seed):
+    rng = np.random.default_rng(seed)
+    phi = rng.uniform(-1.0, 1.0, nodes)
+    agree, disagree = _pair_totals(outcome_distribution(photons, nodes, phi).array)
+    c = np.cos((photons / 2.0) * _pair_sums(phi))
+    assert np.array_equal(agree, (1.0 + c) / (2.0 * nodes))
+    assert np.array_equal(disagree, (1.0 - c) / (2.0 * nodes))
+    # count rows, summed label by label
+    counts = rng.integers(0, 1000, (rows, 4 * nodes))
+    want = np.zeros((2, rows, nodes), dtype=np.int64)
+    for index, label in enumerate(outcome_labels(nodes)):
+        want[int(label.pattern not in ("++", "--")), :, label.pair - 1] += counts[:, index]
+    assert np.array_equal(np.stack(_pair_totals(counts)), want)
 
 
 @settings(deadline=None, max_examples=60)
