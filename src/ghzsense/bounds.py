@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import SingularMatrixError, ValidationError
 from .ghz_state import _check_counts, _check_nodes, _check_shots, _float_array
-from .qfim import RANK_RTOL, FisherMatrix, _entries_of, _shifted_cholesky
+from .qfim import RANK_RTOL, FisherMatrix, _check_fisher, _entries_of, _shifted_cholesky
 from .reparam import _mc_coordinates_adjoint
 
 
@@ -103,42 +103,74 @@ def weak_crb(matrix, alpha, shots: int = 1) -> float:
 def _weak_bound(entries: np.ndarray, a: np.ndarray, n: int) -> float:
     """:func:`weak_crb` of already validated entries, weight and shot count.
 
+    The bound is :func:`_weak_quotient` at ``a`` as written.  Only when a
+    step of it overflows is it taken at the weight scaled by a power of two
+    (:func:`_scaled`) and multiplied by that power squared, which is exact,
+    so a weight whose bound is a normal float is not refused for the size
+    of (a^T a)^2.
+    """
+    bound = _weak_quotient(entries, a, n)
+    if bound == math.inf:
+        scaled, k = _scaled(a)
+        try:
+            bound = math.ldexp(_weak_quotient(entries, scaled, n), 2 * k)
+        except OverflowError:
+            bound = math.inf
+    return _in_range(bound, "weak bound")
+
+
+def _weak_quotient(entries: np.ndarray, a: np.ndarray, n: int) -> float:
+    """(a^T a)^2 / (n a^T F a), inf when a step of it overflows.
+
     The weight is nonzero, so ``entries`` is not empty; its largest
-    absolute entry is max(max F, -min F), which forms no array.
+    absolute entry is max(max F, -min F), which forms no array.  A weight
+    with a^T F a <= 1e-12 max|F| a^T a lies in the null space and raises
+    SingularMatrixError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         quad = float(a @ entries @ a)
-    scale = max(float(entries.max()), -float(entries.min())) * float(a @ a)
-    # an overflowed quad (inf, or nan from inf - inf) is left to the range rule
-    if quad <= 1e-12 * max(scale, 1e-300) and math.isfinite(quad):
+    norm2 = float(a @ a)
+    scale = max(float(entries.max()), -float(entries.min())) * norm2
+    denominator = n * quad
+    if not (math.isfinite(denominator) and math.isfinite(scale)):
+        return math.inf
+    if quad <= 1e-12 * max(scale, 1e-300):
         raise SingularMatrixError(
             "weight vector lies in the null space of the Fisher matrix "
             f"(alpha^T F alpha = {quad:.3e} for alpha = {a.tolist()}); "
             "no finite information is available along this direction"
         )
     try:
-        bound = float(a @ a) ** 2 / (n * quad)
+        return norm2**2 / denominator
     except OverflowError:  # (alpha^T alpha)^2 beyond the float64 range
-        bound = math.inf
-    return _in_range(bound, "weak bound")
+        return math.inf
+
+
+def _scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """``a`` times 2^-k, and k, the binary exponent of the largest |a_i|.
+
+    The largest scaled entry lies in [0.5, 1).  A power of two scales every
+    product and sum exactly, so a quantity of degree m in the weight is
+    2^(mk) times its value at the scaled weight, bit for bit, unless a step
+    leaves the normal float range.
+    """
+    k = math.frexp(float(np.abs(a).max()))[1]
+    return np.ldexp(a, -k), k
 
 
 @dataclass
 class BoundReport:
-    """Exact and weak bounds for one weight vector, with matrix provenance.
+    """Exact and weak bounds of one weight vector, with the matrix they were taken from.
 
     ``equality_gap`` is exact - weak, None when the exact bound is.
     """
 
+    matrix: FisherMatrix
     alpha: np.ndarray
     shots: int
     weak_bound: float
     exact_bound: float | None
     exact_unavailable_reason: str | None
-    kind: str
-    chart_name: str
-    photons: int
-    nodes: int
 
     @property
     def equality_gap(self) -> float | None:
@@ -152,10 +184,10 @@ class BoundReport:
             "exact_bound": None if self.exact_bound is None else float(self.exact_bound),
             "exact_unavailable_reason": self.exact_unavailable_reason,
             "equality_gap": None if self.equality_gap is None else float(self.equality_gap),
-            "kind": self.kind,
-            "chart": self.chart_name,
-            "N": int(self.photons),
-            "d": int(self.nodes),
+            "kind": self.matrix.kind,
+            "chart": self.matrix.chart.name,
+            "N": int(self.matrix.photons),
+            "d": int(self.matrix.nodes),
         }
 
 
@@ -167,9 +199,7 @@ def bound_report(matrix: FisherMatrix, alpha, shots: int = 1) -> BoundReport:
     once, here, and both bounds are computed from them; the exact one keeps
     its Cholesky certificate and its solve.
     """
-    if not isinstance(matrix, FisherMatrix):
-        raise ValidationError(f"matrix must be a FisherMatrix, got {type(matrix).__name__}")
-    a = _weight(alpha, matrix.dim)
+    a = _weight(alpha, _check_fisher(matrix).dim)
     n = _check_shots(shots)
     weak = _weak_bound(matrix.entries, a, n)
     try:
@@ -178,25 +208,15 @@ def bound_report(matrix: FisherMatrix, alpha, shots: int = 1) -> BoundReport:
     except SingularMatrixError as exc:
         exact = None
         reason = str(exc)
-    return BoundReport(
-        a,
-        n,
-        weak,
-        exact,
-        reason,
-        matrix.kind,
-        matrix.chart.name,
-        matrix.photons,
-        matrix.nodes,
-    )
+    return BoundReport(matrix, a, n, weak, exact, reason)
 
 
 @dataclass
 class WeakExactReport:
     """Two sides of the weak-vs-exact comparison for one (S, alpha) pair.
 
-    ``gap`` is exact - weak, and ``first_diag_holds`` tests
-    1/S[0,0] <= (S^{-1})[0,0] + 1e-12.
+    ``gap`` is exact - weak.  At alpha = e_0 the two sides are 1/S[0,0] and
+    (S^{-1})[0,0], the scalar corollary of the comparison.
     """
 
     weak_side: float
@@ -204,16 +224,10 @@ class WeakExactReport:
     rayleigh_quotient: float
     eigenvector_residual: float
     alpha_is_eigenvector: bool
-    first_diag_reciprocal: float
-    first_diag_of_inverse: float
 
     @property
     def gap(self) -> float:
         return self.exact_side - self.weak_side
-
-    @property
-    def first_diag_holds(self) -> bool:
-        return self.first_diag_reciprocal <= self.first_diag_of_inverse + 1e-12
 
 
 def weak_vs_exact_check(matrix, alpha) -> WeakExactReport:
@@ -222,31 +236,23 @@ def weak_vs_exact_check(matrix, alpha) -> WeakExactReport:
     S is read like the matrix of :func:`exact_crb`, and the exact side is
     that function's bound of (S, a) at one shot, bit for bit: one
     singularity test and one single-column solve, so a matrix or a weight
-    that :func:`exact_crb` refuses raises the same error.  (S^{-1})[0,0] is
-    one more single-column solve, and the weak side is :func:`weak_crb`'s.
-    Also reports the eigenvector equality condition (a residual of at most
-    1e-9 times the largest absolute entry of S) and the scalar corollary
-    1/S[0,0] <= (S^{-1})[0,0].
+    that :func:`exact_crb` refuses raises the same error.  The weak side is
+    :func:`weak_crb`'s.  Also reports the eigenvector equality condition (a
+    residual of at most 1e-9 times the largest absolute entry of S), taken
+    at the weight scaled by a power of two (:func:`_scaled`); the Rayleigh
+    quotient and the residual do not change with the weight's scale.  At
+    a = e_0 the sides are 1/S[0,0] and (S^{-1})[0,0].
     """
     s = _entries_of(matrix)
     a = _weight(alpha, s.shape[0])
     exact_side = _exact_bound(s, a, 1)
-    first = np.eye(1, s.shape[0])[0]
-    inverse_first = float(first @ np.linalg.solve(s, first))
     weak_side = _weak_bound(s, a, 1)
-    norm2 = float(a @ a)
-    rayleigh = float(a @ s @ a) / norm2
-    residual = float(np.linalg.norm(s @ a - rayleigh * a)) / math.sqrt(norm2)
+    u, _ = _scaled(a)
+    norm2 = float(u @ u)
+    rayleigh = float(u @ s @ u) / norm2
+    residual = float(np.linalg.norm(s @ u - rayleigh * u)) / math.sqrt(norm2)
     scale = max(float(s.max()), -float(s.min()))
-    return WeakExactReport(
-        weak_side,
-        exact_side,
-        rayleigh,
-        residual,
-        residual <= 1e-9 * scale,
-        1.0 / float(s[0, 0]),
-        inverse_first,
-    )
+    return WeakExactReport(weak_side, exact_side, rayleigh, residual, residual <= 1e-9 * scale)
 
 
 def _mc_spectral_bounds(photons: int, nodes: int, alpha: np.ndarray) -> tuple[float, float]:

@@ -183,11 +183,13 @@ def _emit(config: RunConfig, doc, csv=None, summary=None) -> None:
         print(f"wrote {target}")
 
 
-def _matrix_in_chart(config: RunConfig, kind: str) -> FisherMatrix:
+def _matrix_in_chart(config: RunConfig, kind: str) -> tuple[np.ndarray, FisherMatrix]:
+    """The parsed phases and the matrix of ``kind`` in the selected chart."""
     phi = _parse_phases(config.phases_spec, config.nodes)
     rep = _reparametrization(config.chart, config.nodes)
     chart = None if rep is None else rep.chart(True)
-    return (qfim_pure if kind == "quantum" else cfim)(config.photons, config.nodes, phi, chart)
+    information = qfim_pure if kind == "quantum" else cfim
+    return phi, information(config.photons, config.nodes, phi, chart)
 
 
 def _cmd_state(config: RunConfig) -> None:
@@ -212,7 +214,7 @@ def _cmd_cfim(config: RunConfig) -> None:
 
 
 def _cmd_matrix(config: RunConfig, kind: str) -> None:
-    matrix = _matrix_in_chart(config, kind)
+    phi, matrix = _matrix_in_chart(config, kind)
     report = rank_and_nullspace(matrix)
     status = "singular" if report.rank < matrix.dim else "full rank"
     print(
@@ -224,7 +226,11 @@ def _cmd_matrix(config: RunConfig, kind: str) -> None:
     for row in cells:
         print("  " + "  ".join(c.rjust(width) for c in row))
     print(f"rank {report.rank} of {matrix.dim} ({status})")
-    _emit(config, lambda: matrix_to_json_dict(matrix), lambda: matrix_to_csv(matrix))
+    _emit(
+        config,
+        lambda: {**matrix_to_json_dict(matrix), "phases": [float(x) for x in phi]},
+        lambda: matrix_to_csv(matrix),
+    )
 
 
 def _cmd_transform(config: RunConfig) -> None:
@@ -256,7 +262,7 @@ def _cmd_transform(config: RunConfig) -> None:
 
 def _cmd_bounds(config: RunConfig) -> None:
     """Exact and weak variance bounds."""
-    matrix = _matrix_in_chart(config, config.kind)
+    _, matrix = _matrix_in_chart(config, config.kind)
     alpha = _parse_alpha(config.alpha_spec, matrix.chart)
     report = bound_report(matrix, alpha, config.shots)
     shown = ", ".join(f"{x:.6g}" for x in alpha[:6])

@@ -144,6 +144,29 @@ def phase_vector(values, d: int) -> np.ndarray:
     return phi
 
 
+def _imprinted_phases(photons: int, phi: np.ndarray) -> np.ndarray:
+    """(N/2)(phi_j + phi_{j+1}), the phase that pair j's vertical ket acquires.
+
+    This is the one statement of the imprinted phase: the state and the
+    outcome probabilities read it here.  ``phi`` is a phase vector read by
+    :func:`phase_vector`, so its pair sums are finite; a product beyond the
+    float64 range raises ValidationError naming the pair, its two phases
+    and N.
+    """
+    with np.errstate(over="ignore"):
+        imprinted = (photons / 2.0) * _pair_sums(phi)
+    overflow = ~np.isfinite(imprinted)
+    if overflow.any():
+        pair = int(np.argmax(overflow)) + 1
+        j, k = node_pair(pair, phi.shape[0])
+        raise ValidationError(
+            f"imprinted phase (N/2)(phi_{j} + phi_{k}) of pair {pair} at N = {photons}, "
+            f"phi_{j} = {float(phi[j - 1])!r} and phi_{k} = {float(phi[k - 1])!r}, "
+            "overflows the float64 range"
+        )
+    return imprinted
+
+
 @dataclass(eq=False, frozen=True)
 class RingState:
     """Complex superposition over the 2*d ring-pair basis kets.
@@ -217,7 +240,7 @@ def build_input_state(photons: int, nodes: int) -> RingState:
 def apply_phases(state: RingState, phases) -> RingState:
     """Imprint local phases: the vertical ket of pair (j, j+1) acquires
     exp(i*(N/2)*(phi_j + phi_{j+1})); horizontal kets are unchanged."""
-    phi = phase_vector(phases, state.nodes)
+    imprinted = _imprinted_phases(state.photons, phase_vector(phases, state.nodes))
     amplitudes = state.amplitudes.copy()
-    amplitudes[:, 1] *= np.exp(1j * (state.photons / 2.0) * _pair_sums(phi))
+    amplitudes[:, 1] *= np.exp(1j * imprinted)
     return RingState(amplitudes, state.photons)

@@ -23,7 +23,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .ghz_state import _check_counts, _pair_sums, phase_vector
+from .ghz_state import _check_counts, _imprinted_phases, phase_vector
 from .qfim import (
     Chart, FisherMatrix, _central_differences, _directions_for, _read_only, _slot_matrix
 )
@@ -151,8 +151,7 @@ def _pair_totals(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def outcome_distribution(photons: int, nodes: int, phases) -> OutcomeDistribution:
     """Outcome probabilities of the paired diagonal-basis measurement."""
     _check_counts(photons, nodes)
-    phi = phase_vector(phases, nodes)
-    c = np.cos((photons / 2.0) * _pair_sums(phi))
+    c = np.cos(_imprinted_phases(photons, phase_vector(phases, nodes)))
     agree = (1.0 + c) / (4.0 * nodes)
     disagree = (1.0 - c) / (4.0 * nodes)
     # canonical order per pair: ++, -- (agree), +-, -+ (disagree)
@@ -169,8 +168,7 @@ def cfim(photons: int, nodes: int, phases, chart: Chart | None = None) -> Fisher
     sum is (N^2/4d) G^T G, with G the chart's
     :func:`ghzsense.qfim.pair_sum_gradients`.
     Calls with the same chart and photon number copy the entries of one
-    matrix, formed and validated on the first of them; each result carries
-    its own phases.
+    matrix, formed and validated on the first of them.
     """
     return _slot_matrix(photons, nodes, phases, chart, "classical")
 
@@ -202,4 +200,4 @@ def cfim_brute_force_oracle(
     derivs = _central_differences(probabilities, phi, directions)
     # sum_o dP_o dP_o^T / P_o as one product over the (4d, k) stack
     weighted = derivs / np.sqrt(base)[:, None]
-    return FisherMatrix(weighted.T @ weighted, "classical", chart, photons, phi)
+    return FisherMatrix(weighted.T @ weighted, "classical", chart, photons)

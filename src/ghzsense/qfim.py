@@ -15,12 +15,11 @@ Gram form
     F = (N^2 / 2d) * G^T G - (N^2 / 4d^2) * s s^T.
 
 It holds in every linear chart and is independent of the phases at which it
-is evaluated; the evaluation point is still recorded on the result for
-provenance.  Each chart therefore keeps the validated matrices of the most
-recent photon number it was asked for, and a repeated (chart, N) call forms
-and validates nothing; it only copies the kept entries.  The closed form and
-the finite-difference oracle below are computed independently of G, as
-cross-checks.
+is evaluated, so a matrix holds no phases.  Each chart therefore keeps the
+validated matrices of the most recent photon number it was asked for, and a
+repeated (chart, N) call forms and validates nothing; it only copies the
+kept entries.  The closed form and the finite-difference oracle below are
+computed independently of G, as cross-checks.
 """
 
 from __future__ import annotations
@@ -109,8 +108,8 @@ class Chart:
                 "chart directions must be linearly independent columns"
             )
 
-    def _fisher_matrix(self, photons: int, kind: str, phi: np.ndarray) -> "FisherMatrix":
-        """Fisher matrix of ``kind`` for ``photons`` at the validated phases ``phi``.
+    def _fisher_matrix(self, photons: int, kind: str) -> "FisherMatrix":
+        """Fisher matrix of ``kind`` for ``photons``, the same at every phase.
 
         On a slot miss the entries are formed from G = :func:`pair_sum_gradients`
         and validated: QFIM = (N^2/2d) G^T G - (N^2/4d^2) s s^T, s the sum of
@@ -120,7 +119,7 @@ class Chart:
         keeps that matrix, its entries read-only, until a call with another
         photon number replaces it.  Each call returns a shallow copy with its
         own copy of those entries, so a write to a result never reaches the
-        slot, and with the call's own ``phi``, set read-only, as its phases.
+        slot.
         """
         photons = int(photons)
         slot_photons, matrices = self._fisher_slot
@@ -144,7 +143,6 @@ class Chart:
             matrix = matrices.setdefault(kind, matrix)
         result = copy.copy(matrix)
         result.entries = matrix.entries.copy()
-        result.phases = _read_only(phi)
         return result
 
     @property
@@ -200,14 +198,14 @@ class FisherMatrix:
     tolerance grows with the matrix as its rounding does.  It succeeds
     exactly when the smallest eigenvalue exceeds -tol up to rounding; a
     failed factorization is confirmed with ``eigvalsh`` before the matrix
-    is rejected.  ``phases`` is a read-only copy.
+    is rejected.  It holds no phases: the information matrices of the ring
+    state are the same at every phase.
     """
 
     entries: np.ndarray
     kind: str
     chart: Chart
     photons: int
-    phases: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in ("quantum", "classical"):
@@ -224,8 +222,6 @@ class FisherMatrix:
                 raise ValidationError(
                     f"Fisher matrix has negative eigenvalue {smallest:.3e} < -{tol:.3e}"
                 )
-        if self.phases is not None:
-            self.phases = _read_only(phase_vector(self.phases, self.nodes))
 
     @property
     def nodes(self) -> int:
@@ -234,6 +230,13 @@ class FisherMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+
+def _check_fisher(matrix) -> FisherMatrix:
+    """``matrix`` if it is a :class:`FisherMatrix`; any other object raises ValidationError."""
+    if not isinstance(matrix, FisherMatrix):
+        raise ValidationError(f"matrix must be a FisherMatrix, got {type(matrix).__name__}")
+    return matrix
 
 
 @dataclass
@@ -295,20 +298,18 @@ def _shifted_cholesky(entries: np.ndarray, rtol: float, floor: float = 0.0) -> t
     return True, shift
 
 
-def _entries_of(matrix, symmetric: bool = True) -> np.ndarray:
+def _entries_of(matrix) -> np.ndarray:
     """Entries of a FisherMatrix, or a raw array read as a finite square matrix.
 
-    Unless ``symmetric`` is False, a raw array must also pass the symmetry
-    rule of :func:`_symmetric_part`, and its symmetric part is returned; so
-    every matrix read here is exactly symmetric.
+    A raw array must also pass the symmetry rule of :func:`_symmetric_part`,
+    and its symmetric part is returned; so every matrix read here is exactly
+    symmetric.
     """
     if isinstance(matrix, FisherMatrix):
         return matrix.entries
     entries = _float_array(matrix, "matrix", (None, None))
     if entries.shape[0] != entries.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {entries.shape}")
-    if not symmetric:
-        return entries
     return _symmetric_part(entries, "matrix")
 
 
@@ -337,9 +338,9 @@ def _slot_matrix(photons: int, nodes: int, phases, chart: Chart | None, kind: st
     :func:`ghzsense.measurement.cfim`.
     """
     _check_counts(photons, nodes)
-    phi = phase_vector(phases, nodes)
+    phase_vector(phases, nodes)
     chart, _ = _directions_for(nodes, chart)
-    return chart._fisher_matrix(photons, kind, phi)
+    return chart._fisher_matrix(photons, kind)
 
 
 def qfim_pure(photons: int, nodes: int, phases, chart: Chart | None = None) -> FisherMatrix:
@@ -349,8 +350,8 @@ def qfim_pure(photons: int, nodes: int, phases, chart: Chart | None = None) -> F
     :func:`pair_sum_gradients` of the chart and s is the sum of its rows
     (see the module docstring for the derivation), from the chart's cached
     Gram.  Calls with the same chart and photon number copy the entries of
-    one matrix, formed and validated on the first of them; each result
-    carries its own phases.
+    one matrix, formed and validated on the first of them.  The phases are
+    read by the phase rule only: the matrix is the same at every phase.
     """
     return _slot_matrix(photons, nodes, phases, chart, "quantum")
 
@@ -487,22 +488,22 @@ def qfim_finite_difference_oracle(
     parts = np.concatenate((derivs.real, derivs.imag))
     overlaps = derivs.conj().T @ psi
     entries = 4.0 * (parts.T @ parts - np.outer(overlaps, overlaps.conj()).real)
-    return FisherMatrix(entries, "quantum", chart, photons, phi)
+    return FisherMatrix(entries, "quantum", chart, photons)
 
 
-def matrix_to_csv(matrix) -> str:
-    """Row-major CSV with 17 significant digits per entry."""
-    m = _entries_of(matrix, symmetric=False)
-    lines = [",".join(f"{x:.17g}" for x in row) for row in m]
+def matrix_to_csv(matrix: FisherMatrix) -> str:
+    """Row-major CSV of a Fisher matrix's entries, 17 significant digits each."""
+    lines = [",".join(f"{x:.17g}" for x in row) for row in _check_fisher(matrix).entries]
     return "\n".join(lines) + "\n"
 
 
 def matrix_to_json_dict(matrix: FisherMatrix) -> dict:
+    """JSON form of a Fisher matrix: its kind, N, d, chart and entries."""
+    _check_fisher(matrix)
     return {
         "kind": matrix.kind,
         "N": int(matrix.photons),
         "d": int(matrix.nodes),
-        "phases": None if matrix.phases is None else [float(x) for x in matrix.phases],
         "chart": matrix.chart.to_json_dict(),
         "entries": [[float(x) for x in row] for row in matrix.entries],
     }

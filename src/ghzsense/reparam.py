@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .ghz_state import _check_nodes, _float_array
-from .qfim import Chart, FisherMatrix, _read_only, _ring_memo
+from .qfim import Chart, FisherMatrix, _check_fisher, _read_only, _ring_memo
 
 IDENTITY_TOL = 1e-10
 
@@ -61,10 +61,6 @@ class Reparametrization:
     def apply(self, phases) -> np.ndarray:
         """Map original phases to the new coordinates."""
         return self.forward @ _float_array(phases, "phase vector", (self.dim,))
-
-    def to_phases(self, params) -> np.ndarray:
-        """Map new coordinates back to original phases."""
-        return self.inverse @ _float_array(params, "parameter vector", (self.dim,))
 
     def chart(self, drop_irrelevant: bool = False) -> Chart:
         """Chart whose directions are the columns of the inverse matrix.
@@ -289,8 +285,7 @@ def pushforward_fisher(
     ``matrix`` must be over a node chart: its chart's directions must equal
     the d x d identity, compared by value.
     """
-    if not isinstance(matrix, FisherMatrix):
-        raise ValidationError(f"matrix must be a FisherMatrix, got {type(matrix).__name__}")
+    _check_fisher(matrix)
     if not isinstance(rep, Reparametrization):
         raise ValidationError(f"rep must be a Reparametrization, got {type(rep).__name__}")
     if not matrix.chart._is_node_chart:
@@ -308,4 +303,4 @@ def pushforward_fisher(
     pushed = jac.T @ matrix.entries @ jac
     np.add(pushed, pushed.T, out=pushed)
     pushed *= 0.5
-    return FisherMatrix(pushed, matrix.kind, chart, matrix.photons, matrix.phases)
+    return FisherMatrix(pushed, matrix.kind, chart, matrix.photons)

@@ -70,14 +70,17 @@ def test_eigenvector_weights_achieve_equality():
 
 
 def test_first_diagonal_reciprocal_never_exceeds_inverse_diagonal():
-    # 1/S_11 <= (S^-1)_11 for every positive definite S
+    # 1/S_11 <= (S^-1)_11 for every positive definite S: the weak-vs-exact
+    # comparison at alpha = e_0, whose sides are those two values bit for bit
     rng = np.random.default_rng(31337)
     for _ in range(1000):
         dim = int(rng.integers(2, 7))
         matrix = random_pd(rng, dim)
-        lhs = 1.0 / matrix[0, 0]
-        rhs = np.linalg.inv(matrix)[0, 0]
-        assert lhs <= rhs + 1e-12
+        first = np.eye(1, dim)[0]
+        report = weak_vs_exact_check(matrix, first)
+        assert report.weak_side == 1.0 / matrix[0, 0]
+        assert report.exact_side == np.linalg.solve(matrix, first)[0]
+        assert report.weak_side <= np.linalg.inv(matrix)[0, 0] + 1e-12
 
 
 def test_weak_vs_exact_report_fields():
@@ -90,7 +93,9 @@ def test_weak_vs_exact_report_fields():
     assert report.gap == pytest.approx(0.0, abs=1e-12)
     assert report.weak_side == pytest.approx(0.25, abs=1e-12)
     assert report.exact_side == pytest.approx(0.25, abs=1e-12)
-    assert report.first_diag_holds
+    first = weak_vs_exact_check(matrix, np.eye(1, 3)[0])
+    assert first.weak_side == 1.0 / matrix.entries[0, 0]
+    assert first.exact_side == exact_crb(matrix, np.eye(1, 3)[0])
 
 
 def test_exact_bound_refuses_singular_matrices():
@@ -154,33 +159,61 @@ WEIGHT_BOUNDS = (exact_crb, weak_crb, bound_report, weak_vs_exact_check)
 
 
 @pytest.mark.parametrize(
-    "first, gives, refusing",
+    "first, gives",
     [
-        # (alpha^T alpha)^2 = 1e600 overflows in the weak bound; the exact
-        # bound, 2.5e299, is a normal float
-        (1e150, "weak bound = inf", WEIGHT_BOUNDS[1:]),
-        # alpha^T F alpha overflows too, which is no null space
-        (1e154, "weak bound = inf", WEIGHT_BOUNDS[1:]),
-        (1e200, "alpha^T alpha = inf", WEIGHT_BOUNDS),
+        # (alpha^T alpha)^2 = 1e600 overflows as written, and at 1e154
+        # alpha^T F alpha = 4e308 too, but both bounds are normal floats
+        (1e150, 2.5e299),
+        (1e154, 2.5e307),
+        (1e200, "alpha^T alpha = inf"),
         # alpha^T alpha is subnormal or zero, though the weight is nonzero
         # and lies along theta_1, off the null space
-        (1e-154, "alpha^T alpha = 1.000e-308", WEIGHT_BOUNDS),
-        (1e-160, "alpha^T alpha = 1.000e-320", WEIGHT_BOUNDS),
-        (1e-200, "alpha^T alpha = 0.000e+00", WEIGHT_BOUNDS),
+        (1e-154, "alpha^T alpha = 1.000e-308"),
+        (1e-160, "alpha^T alpha = 1.000e-320"),
+        (1e-200, "alpha^T alpha = 0.000e+00"),
     ],
     ids=["1e150", "1e154", "1e200", "1e-154", "1e-160", "1e-200"],
 )
-def test_a_weight_beyond_the_float_range_is_refused(first, gives, refusing):
+def test_a_weight_beyond_the_float_range_is_refused(first, gives):
     matrix = cfim(2, 4, np.zeros(4), build_mc(4).chart(True))
     alpha = np.array([first, 0.0, 0.0])
-    for bound in refusing:
-        with pytest.raises(
-            ValidationError,
-            match=f"^weight vector gives {re.escape(gives)}, not a positive finite normal float$",
-        ):
-            bound(matrix, alpha)
-    for bound in set(WEIGHT_BOUNDS) - set(refusing):
-        assert bound(matrix, alpha) == float(alpha @ np.linalg.solve(matrix.entries, alpha))
+    if isinstance(gives, str):
+        for bound in WEIGHT_BOUNDS:
+            with pytest.raises(
+                ValidationError,
+                match=f"^weight vector gives {re.escape(gives)}, not a positive finite normal float$",
+            ):
+                bound(matrix, alpha)
+        return
+    exact = float(alpha @ np.linalg.solve(matrix.entries, alpha))
+    # the weak bound is the value of its expression where float64 does not
+    # overflow: at the weight scaled by 2^-600, where nothing overflows, and
+    # multiplied back by 2^1200, each scaling exact
+    weak = math.ldexp(weak_crb(matrix, np.ldexp(alpha, -600)), 1200)
+    assert exact == pytest.approx(gives, rel=1e-15)
+    assert weak == pytest.approx(gives, rel=1e-15)
+    report = bound_report(matrix, alpha)
+    check = weak_vs_exact_check(matrix, alpha)
+    assert exact_crb(matrix, alpha) == report.exact_bound == check.exact_side == exact
+    assert weak_crb(matrix, alpha) == report.weak_bound == check.weak_side == weak
+    assert check.alpha_is_eigenvector and check.rayleigh_quotient == 4.0
+
+
+def test_a_weak_bound_accepted_as_written_keeps_every_bit():
+    # the scaled form is taken only when the expression as written overflows
+    rng = np.random.default_rng(5)
+    written_count = 0
+    for _ in range(300):
+        dim = int(rng.integers(2, 7))
+        matrix = random_pd(rng, dim)
+        alpha = rng.normal(size=dim) * 10.0 ** rng.uniform(-70.0, 150.0)
+        try:
+            written = float(alpha @ alpha) ** 2 / float(alpha @ matrix @ alpha)
+        except OverflowError:
+            continue
+        written_count += 1
+        assert weak_crb(matrix, alpha) == written
+    assert written_count > 150
 
 
 def test_weak_vs_exact_check_refuses_what_exact_crb_refuses():
@@ -192,8 +225,8 @@ def test_weak_vs_exact_check_refuses_what_exact_crb_refuses():
 
 
 def test_weak_vs_exact_check_certifies_an_accepted_matrix_once(monkeypatch):
-    # one singularity test, then one single-column solve per side, so the
-    # exact side and (S^-1)[0,0] are exact_crb's own values bit for bit
+    # one singularity test, then one single-column solve, so the exact side
+    # is exact_crb's own value bit for bit
     calls = []
     cholesky = np.linalg.cholesky
 
@@ -207,8 +240,10 @@ def test_weak_vs_exact_check_certifies_an_accepted_matrix_once(monkeypatch):
     report = weak_vs_exact_check(matrix, alpha)
     assert len(calls) == 1
     assert report.exact_side == exact_crb(matrix, alpha)
-    assert report.first_diag_of_inverse == exact_crb(matrix, np.eye(1, 6)[0])
     assert report.weak_side == weak_crb(matrix, alpha)
+    first = weak_vs_exact_check(matrix, np.eye(1, 6)[0])
+    assert first.weak_side == 1.0 / matrix[0, 0]
+    assert first.exact_side == exact_crb(matrix, np.eye(1, 6)[0])
 
 
 def test_weak_vs_exact_check_recognizes_an_eigenvector_of_a_large_matrix():

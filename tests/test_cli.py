@@ -421,6 +421,24 @@ def test_matrix_json_payload_round_trips(tmp_path, capsys):
     assert doc["kind"] == "classical"
 
 
+@pytest.mark.parametrize("command", ["qfim", "cfim"])
+@pytest.mark.parametrize(
+    "chart, spec",
+    [("original", "0.11,0.07,-0.05,0.13"), ("mc", "uniform:0.3"), ("d4-orthogonal", "1e-300,2.5,-0.1,3")],
+)
+def test_matrix_json_phases_are_the_parsed_phases(command, chart, spec, tmp_path, capsys):
+    # the matrix holds no phases; the command writes the ones it parsed
+    target = tmp_path / "m.json"
+    argv = [command, "--N", "4", "--d", "4", "--phases", spec, "--chart", chart]
+    assert main([*argv, "--output", str(target)]) == 0
+    capsys.readouterr()
+    doc = json.loads(target.read_text())
+    assert exact_floats(doc.pop("phases")) == exact_floats(cli._parse_phases(spec, 4).tolist())
+    config = cli._build_run_config(command, {"N": "4", "d": "4", "phases": spec, "chart": chart})
+    _, matrix = cli._matrix_in_chart(config, "quantum" if command == "qfim" else "classical")
+    assert exact_floats(doc) == exact_floats(ghzsense.qfim.matrix_to_json_dict(matrix))
+
+
 def exact_floats(doc):
     """``doc`` with every float as its exact hex form, so that == compares float bits."""
     if isinstance(doc, float):
@@ -607,8 +625,8 @@ def test_malformed_config_values_are_status_2(command, doc, tmp_path, capsys):
         (["bounds", "--N", "2", "--d", "4", "--chart", "mc"], {"alpha": [True, False, False]},
          "bad alpha spec [True, False, False]\n"),
         # a weight and its bound must be positive finite normal floats
-        (["bounds", "--N", "2", "--d", "4", "--chart", "mc", "--alpha", "1e150,0,0"], None,
-         "weight vector gives weak bound = inf, not a positive finite normal float\n"),
+        (["bounds", "--N", "2", "--d", "4", "--chart", "mc", "--alpha", "1e155,0,0"], None,
+         "weight vector gives alpha^T alpha = inf, not a positive finite normal float\n"),
         (["bounds", "--N", "2", "--d", "4", "--chart", "mc", "--alpha", "1e200,0,0"], None,
          "weight vector gives alpha^T alpha = inf, not a positive finite normal float\n"),
         (["bounds", "--N", "2", "--d", "4", "--chart", "mc", "--alpha", "1e-160,0,0"], None,
@@ -622,6 +640,10 @@ def test_malformed_config_values_are_status_2(command, doc, tmp_path, capsys):
         (["simulate", "--N", "2", "--d", "4", "--shots", "1000", "--phases", "uniform:1e308"],
          None, "bad phases spec 'uniform:1e308': phase vector pair sum phi_1 + phi_2 = "
          "1e+308 + 1e+308 overflows the float64 range\n"),
+        # the pair sums are finite, the imprinted phase (N/2)(phi_1 + phi_2) is not
+        (["state", "--N", "4", "--d", "4", "--phases", "uniform:5e307"], None,
+         "imprinted phase (N/2)(phi_1 + phi_2) of pair 1 at N = 4, phi_1 = 5e+307 and "
+         "phi_2 = 5e+307, overflows the float64 range\n"),
     ],
     ids=[
         "missing-config", "config-not-json", "config-d-fraction", "transform-without-d",
@@ -632,8 +654,8 @@ def test_malformed_config_values_are_status_2(command, doc, tmp_path, capsys):
         "simulate-without-shots", "config-simulate-without-shots", "simulate-without-N",
         "simulate-odd-N-without-shots",
         "config-phases-bools", "config-alpha-bools",
-        "alpha-1e150", "alpha-1e200", "alpha-1e-160", "alpha-1e-200",
-        "state-phases-overflow", "simulate-phases-overflow",
+        "alpha-1e155", "alpha-1e200", "alpha-1e-160", "alpha-1e-200",
+        "state-phases-overflow", "simulate-phases-overflow", "state-imprinted-phase-overflow",
     ],
 )
 def test_each_refusal_names_its_input(argv, config, message, tmp_path, monkeypatch, capsys):

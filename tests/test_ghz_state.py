@@ -167,6 +167,36 @@ def test_phases_whose_pair_sum_overflows_are_refused_by_name(reader):
         PHASE_READERS[reader](np.array([1e308, 0.0, 0.0, 1e308]))
 
 
+IMPRINTERS = {
+    "apply_phases": lambda photons, phi: apply_phases(build_input_state(photons, 4), phi),
+    "outcome_distribution": lambda photons, phi: outcome_distribution(photons, 4, phi),
+}
+
+
+@pytest.mark.parametrize("imprint", sorted(IMPRINTERS))
+def test_an_imprinted_phase_that_overflows_is_refused_by_name(imprint):
+    # the pair sum phi_2 + phi_3 = 1e308 is finite, and so is its imprinted
+    # phase at N = 2, but not at N = 4; no warning is raised on the way
+    phi = np.array([0.0, 5e307, 5e307, 0.0])
+    IMPRINTERS[imprint](2, phi)
+    with pytest.raises(
+        ValidationError,
+        match=r"^imprinted phase \(N/2\)\(phi_2 \+ phi_3\) of pair 2 at N = 4, "
+        r"phi_2 = 5e\+307 and phi_3 = 5e\+307, overflows the float64 range$",
+    ):
+        IMPRINTERS[imprint](4, phi)
+
+
+def test_the_imprinted_phase_is_half_n_times_the_pair_sum():
+    phi = np.random.default_rng(3).uniform(-3.0, 3.0, 7)
+    sums = phi + np.roll(phi, -1)
+    state = apply_phases(build_input_state(6, 7), phi)
+    expected = np.full(7, 1.0 / math.sqrt(14), dtype=complex) * np.exp(1j * 3.0 * sums)
+    assert state.amplitudes[:, 1].tobytes() == expected.tobytes()
+    probabilities = outcome_distribution(6, 7, phi).array
+    assert probabilities[0::4].tobytes() == ((1.0 + np.cos(3.0 * sums)) / 28.0).tobytes()
+
+
 def test_phases_of_any_size_with_finite_pair_sums_are_accepted():
     alternating = np.array([1e308, -1e308, 1e308, -1e308])
     np.testing.assert_array_equal(phase_vector(alternating, 4), alternating)
