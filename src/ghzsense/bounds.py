@@ -103,19 +103,21 @@ def weak_crb(matrix, alpha, shots: int = 1) -> float:
 def _weak_bound(entries: np.ndarray, a: np.ndarray, n: int) -> float:
     """:func:`weak_crb` of already validated entries, weight and shot count.
 
-    The bound is :func:`_weak_quotient` at ``a`` as written.  Only when a
-    step of it overflows is it taken at the weight scaled by a power of two
-    (:func:`_scaled`) and multiplied by that power squared, which is exact,
-    so a weight whose bound is a normal float is not refused for the size
-    of (a^T a)^2.
+    The bound is :func:`_weak_quotient` at ``a``.  Where that is not a
+    normal float, because a step of it over- or underflowed, it is taken at
+    the weight scaled by a power of two to a largest entry in [0.5, 1)
+    (:func:`_scaled`) and multiplied by that power squared, which is exact.  So
+    a weight whose bound is a normal float is accepted whatever the size of
+    (a^T a)^2.  The scaled form is not taken everywhere: Python's
+    ``x ** 2`` is libm's pow, which is not correctly rounded, so at about
+    one weight in two thousand it would move the last bit of a bound that
+    the expression as written gives.
     """
     bound = _weak_quotient(entries, a, n)
-    if bound == math.inf:
+    if not sys.float_info.min <= bound < math.inf:
         scaled, k = _scaled(a)
-        try:
-            bound = math.ldexp(_weak_quotient(entries, scaled, n), 2 * k)
-        except OverflowError:
-            bound = math.inf
+        with np.errstate(over="ignore"):
+            bound = float(np.ldexp(_weak_quotient(entries, scaled, n), 2 * k))
     return _in_range(bound, "weak bound")
 
 
@@ -162,6 +164,8 @@ def _scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
 class BoundReport:
     """Exact and weak bounds of one weight vector, with the matrix they were taken from.
 
+    The matrix is frozen, so the kind, chart and photon number that
+    ``to_json_dict`` reads off it are those the bounds were computed with.
     ``equality_gap`` is exact - weak, None when the exact bound is.
     """
 

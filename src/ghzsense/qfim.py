@@ -142,7 +142,7 @@ class Chart:
             matrix.entries.flags.writeable = False
             matrix = matrices.setdefault(kind, matrix)
         result = copy.copy(matrix)
-        result.entries = matrix.entries.copy()
+        object.__setattr__(result, "entries", matrix.entries.copy())
         return result
 
     @property
@@ -184,18 +184,19 @@ def original_chart(d: int) -> Chart:
     return _original_chart(d)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class FisherMatrix:
     """Symmetric positive-semidefinite information matrix tied to a chart.
 
     ``chart`` must be a :class:`Chart`, and ``photons`` and the chart's
     node count, the matrix's ``nodes``, must pass the state's count checks.
     ``entries`` must be a finite (k, k) array, k the chart's parameter
-    count, symmetric by the rule of :func:`_symmetric_part`; the matrix
-    stores its own copy of the symmetric part, so changing the array passed
-    in later changes nothing.  The PSD test is :func:`_shifted_cholesky` with the shift
-    tol = PSD_TOL * max(1, b), b the largest absolute row sum, so the
-    tolerance grows with the matrix as its rounding does.  It succeeds
+    count, symmetric by the rule of :func:`_symmetric_part`.  The matrix is
+    frozen, and ``entries`` is its own copy of the symmetric part, so
+    changing the array passed in later changes nothing.  The PSD test is
+    :func:`_shifted_cholesky` with the shift tol = PSD_TOL * max(1, b), b
+    the largest absolute row sum, so the tolerance grows with the matrix as
+    its rounding does.  It succeeds
     exactly when the smallest eigenvalue exceeds -tol up to rounding; a
     failed factorization is confirmed with ``eigvalsh`` before the matrix
     is rejected.  It holds no phases: the information matrices of the ring
@@ -214,7 +215,7 @@ class FisherMatrix:
             raise ValidationError(f"chart must be a Chart, got {type(self.chart).__name__}")
         _check_counts(self.photons, self.chart.nodes)
         entries = _float_array(self.entries, "Fisher matrix", (self.chart.size,) * 2)
-        self.entries = _symmetric_part(entries, "Fisher matrix")
+        object.__setattr__(self, "entries", _symmetric_part(entries, "Fisher matrix"))
         certified, tol = _shifted_cholesky(self.entries, PSD_TOL, 1.0)
         if not certified:
             smallest = float(np.linalg.eigvalsh(self.entries)[0])

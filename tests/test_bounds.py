@@ -165,6 +165,9 @@ WEIGHT_BOUNDS = (exact_crb, weak_crb, bound_report, weak_vs_exact_check)
         # alpha^T F alpha = 4e308 too, but both bounds are normal floats
         (1e150, 2.5e299),
         (1e154, 2.5e307),
+        # (alpha^T alpha)^2 = 1e-600 underflows as written, but both bounds
+        # are normal floats
+        (1e-150, 2.5e-301),
         (1e200, "alpha^T alpha = inf"),
         # alpha^T alpha is subnormal or zero, though the weight is nonzero
         # and lies along theta_1, off the null space
@@ -172,7 +175,7 @@ WEIGHT_BOUNDS = (exact_crb, weak_crb, bound_report, weak_vs_exact_check)
         (1e-160, "alpha^T alpha = 1.000e-320"),
         (1e-200, "alpha^T alpha = 0.000e+00"),
     ],
-    ids=["1e150", "1e154", "1e200", "1e-154", "1e-160", "1e-200"],
+    ids=["1e150", "1e154", "1e-150", "1e200", "1e-154", "1e-160", "1e-200"],
 )
 def test_a_weight_beyond_the_float_range_is_refused(first, gives):
     matrix = cfim(2, 4, np.zeros(4), build_mc(4).chart(True))
@@ -186,10 +189,11 @@ def test_a_weight_beyond_the_float_range_is_refused(first, gives):
                 bound(matrix, alpha)
         return
     exact = float(alpha @ np.linalg.solve(matrix.entries, alpha))
-    # the weak bound is the value of its expression where float64 does not
-    # overflow: at the weight scaled by 2^-600, where nothing overflows, and
-    # multiplied back by 2^1200, each scaling exact
-    weak = math.ldexp(weak_crb(matrix, np.ldexp(alpha, -600)), 1200)
+    # the weak bound is the value of its expression where float64 neither
+    # overflows nor underflows: at the weight scaled to 1 by 2^-k, and
+    # multiplied back by 2^2k, each scaling exact
+    k = round(math.log2(first))
+    weak = math.ldexp(weak_crb(matrix, np.ldexp(alpha, -k)), 2 * k)
     assert exact == pytest.approx(gives, rel=1e-15)
     assert weak == pytest.approx(gives, rel=1e-15)
     report = bound_report(matrix, alpha)
@@ -200,7 +204,9 @@ def test_a_weight_beyond_the_float_range_is_refused(first, gives):
 
 
 def test_a_weak_bound_accepted_as_written_keeps_every_bit():
-    # the scaled form is taken only when the expression as written overflows
+    # the scaled form is taken only where the expression as written is not
+    # a normal float: x ** 2 is libm's pow, which is not correctly rounded,
+    # so the scaled form would move the last bit of some of these bounds
     rng = np.random.default_rng(5)
     written_count = 0
     for _ in range(300):

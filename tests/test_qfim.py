@@ -358,6 +358,14 @@ def test_chart_directions_are_a_read_only_copy():
         chart.labels = ("x", "y", "z")
 
 
+def test_a_fisher_matrix_is_frozen():
+    # a bound report reads the kind, chart and photon number off its matrix
+    matrix = cfim(2, 4, np.zeros(4))
+    for name, value in (("kind", "quantum"), ("chart", build_mc(4).chart(True)), ("photons", 4)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(matrix, name, value)
+
+
 def test_original_chart_is_shared_per_ring_size():
     chart = original_chart(16)
     assert original_chart(16) is chart
