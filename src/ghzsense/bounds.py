@@ -19,7 +19,6 @@ import numpy as np
 from .errors import SingularMatrixError, ValidationError
 from .ghz_state import _check_counts, _check_nodes, _check_shots, _float_array
 from .qfim import RANK_RTOL, FisherMatrix, _check_fisher, _entries_of, _shifted_cholesky
-from .reparam import _mc_coordinates_adjoint
 
 
 def _weight(alpha, dim: int) -> np.ndarray:
@@ -97,55 +96,52 @@ def weak_crb(matrix, alpha, shots: int = 1) -> float:
     """
     entries = _entries_of(matrix)
     n = _check_shots(shots)
-    return _weak_bound(entries, _weight(alpha, entries.shape[0]), n)
+    return _weak_bound(_weak_terms(entries, _weight(alpha, entries.shape[0])), n)
 
 
-def _weak_bound(entries: np.ndarray, a: np.ndarray, n: int) -> float:
-    """:func:`weak_crb` of already validated entries, weight and shot count.
+def _weak_bound(terms: tuple, n: int) -> float:
+    """:func:`weak_crb` at ``n`` shots of ``terms``, the :func:`_weak_terms` of a weight.
 
-    The bound is :func:`_weak_quotient` at ``a``.  Where that is not a
-    normal float, because a step of it over- or underflowed, it is taken at
-    the weight scaled by a power of two to a largest entry in [0.5, 1)
-    (:func:`_scaled`) and multiplied by that power squared, which is exact.  So
-    a weight whose bound is a normal float is accepted whatever the size of
-    (a^T a)^2.  The scaled form is not taken everywhere: Python's
-    ``x ** 2`` is libm's pow, which is not correctly rounded, so at about
-    one weight in two thousand it would move the last bit of a bound that
-    the expression as written gives.
+    With u = a 2^-k, n = m 2^e (m in [0.5, 1), ``math.frexp``), the bound
+    (a^T a)^2 / (n a^T F a) is (u^T u)^2 / (m u^T F u) times 2^(2k - e), and
+    each power-of-two scaling is exact.  So it is the expression as written,
+    bit for bit, wherever each step of that is a normal float, and a weight
+    whose bound is a normal float is accepted whatever the size of (a^T a)^2
+    or of n a^T F a.  The square is ``norm2 * norm2``, which is correctly
+    rounded; ``x ** 2`` is libm's pow, which is not.
     """
-    bound = _weak_quotient(entries, a, n)
-    if not sys.float_info.min <= bound < math.inf:
-        scaled, k = _scaled(a)
-        with np.errstate(over="ignore"):
-            bound = float(np.ldexp(_weak_quotient(entries, scaled, n), 2 * k))
+    _, k, norm2, quad = terms
+    m, e = math.frexp(float(n))
+    with np.errstate(over="ignore"):
+        bound = float(np.ldexp(norm2 * norm2 / (m * quad), 2 * k - e))
     return _in_range(bound, "weak bound")
 
 
-def _weak_quotient(entries: np.ndarray, a: np.ndarray, n: int) -> float:
-    """(a^T a)^2 / (n a^T F a), inf when a step of it overflows.
+def _weak_terms(entries: np.ndarray, a: np.ndarray) -> tuple:
+    """(u, k, u^T u, u^T F u) at u = a 2^-k, the weight scaled by :func:`_scaled`.
 
     The weight is nonzero, so ``entries`` is not empty; its largest
     absolute entry is max(max F, -min F), which forms no array.  A weight
-    with a^T F a <= 1e-12 max|F| a^T a lies in the null space and raises
-    SingularMatrixError.
+    with u^T F u <= 1e-12 max|F| u^T u lies in the null space and raises
+    SingularMatrixError, which reports a^T F a at the weight itself.  Where
+    u^T F u or that threshold overflows, the weak bound is refused as inf.
     """
+    u, k = _scaled(a)
     with np.errstate(over="ignore", invalid="ignore"):
-        quad = float(a @ entries @ a)
-    norm2 = float(a @ a)
+        quad = float(u @ entries @ u)
+    norm2 = float(u @ u)
     scale = max(float(entries.max()), -float(entries.min())) * norm2
-    denominator = n * quad
-    if not (math.isfinite(denominator) and math.isfinite(scale)):
-        return math.inf
+    if not (math.isfinite(quad) and math.isfinite(scale)):
+        _in_range(math.inf, "weak bound")  # raises: a step overflowed even at u
     if quad <= 1e-12 * max(scale, 1e-300):
+        with np.errstate(over="ignore", invalid="ignore"):
+            at_alpha = float(a @ entries @ a)
         raise SingularMatrixError(
             "weight vector lies in the null space of the Fisher matrix "
-            f"(alpha^T F alpha = {quad:.3e} for alpha = {a.tolist()}); "
+            f"(alpha^T F alpha = {at_alpha:.3e} for alpha = {a.tolist()}); "
             "no finite information is available along this direction"
         )
-    try:
-        return norm2**2 / denominator
-    except OverflowError:  # (alpha^T alpha)^2 beyond the float64 range
-        return math.inf
+    return u, k, norm2, quad
 
 
 def _scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
@@ -205,7 +201,7 @@ def bound_report(matrix: FisherMatrix, alpha, shots: int = 1) -> BoundReport:
     """
     a = _weight(alpha, _check_fisher(matrix).dim)
     n = _check_shots(shots)
-    weak = _weak_bound(matrix.entries, a, n)
+    weak = _weak_bound(_weak_terms(matrix.entries, a), n)
     try:
         exact = _exact_bound(matrix.entries, a, n)
         reason = None
@@ -243,67 +239,58 @@ def weak_vs_exact_check(matrix, alpha) -> WeakExactReport:
     that :func:`exact_crb` refuses raises the same error.  The weak side is
     :func:`weak_crb`'s.  Also reports the eigenvector equality condition (a
     residual of at most 1e-9 times the largest absolute entry of S), taken
-    at the weight scaled by a power of two (:func:`_scaled`); the Rayleigh
-    quotient and the residual do not change with the weight's scale.  At
-    a = e_0 the sides are 1/S[0,0] and (S^{-1})[0,0].
+    at the weight scaled by a power of two, with the Rayleigh quotient read
+    off the u^T S u and u^T u of the weak side (:func:`_weak_terms`); neither
+    changes with the weight's scale.  At a = e_0 the sides are 1/S[0,0] and
+    (S^{-1})[0,0].
     """
     s = _entries_of(matrix)
     a = _weight(alpha, s.shape[0])
     exact_side = _exact_bound(s, a, 1)
-    weak_side = _weak_bound(s, a, 1)
-    u, _ = _scaled(a)
-    norm2 = float(u @ u)
-    rayleigh = float(u @ s @ u) / norm2
+    terms = _weak_terms(s, a)
+    weak_side = _weak_bound(terms, 1)
+    u, _, norm2, quad = terms
+    rayleigh = quad / norm2
     residual = float(np.linalg.norm(s @ u - rayleigh * u)) / math.sqrt(norm2)
     scale = max(float(s.max()), -float(s.min()))
     return WeakExactReport(weak_side, exact_side, rayleigh, residual, residual <= 1e-9 * scale)
 
 
-def _mc_spectral_bounds(photons: int, nodes: int, alpha: np.ndarray) -> tuple[float, float]:
-    """Exact one-shot bounds alpha^T F^{-1} alpha in the reduced ``mc`` chart, from the spectrum.
+def _average_phase_bound(photons: int) -> float:
+    """Exact one-shot bound on theta_1, the average phase, in the reduced ``mc`` chart: 1/N^2.
 
-    Returns the (quantum, classical) pair.  ``photons`` and ``nodes`` must
-    already be validated (d even), and ``alpha`` is a weight on the d - 1
-    kept coordinates theta_1..theta_{d-1}.
-    With J = ``build_mc(d).inverse[:, 1:]`` and W = ``build_mc(d).forward[1:]``,
-    the reduced matrix of a node-chart matrix F is J^T F J.  W J = I and W
-    annihilates the alternating null vector of F, so (J^T F J)^{-1} =
-    W F^+ W^T, and the bound is w^T F^+ w with w = W^T alpha.  F is
-    circulant, with the eigenvalue (N^2/d) c_k on Fourier mode k:
-    c_k = cos^2(pi k/d) for the classical matrix, and 2 cos^2(pi k/d) except
-    c_0 = 1 for the quantum one.  With U the DFT of u = d w,
-    :func:`ghzsense.reparam._mc_coordinates_adjoint`, the bound is the sum of
-    |U_k|^2 / (d^2 N^2 c_k) over every mode but the null mode k = d/2, which
-    is dropped by its index.  Every kept c_k is at least sin^2(pi/d) > 0, so
-    nothing is refused, and no d x d matrix is formed.  The DFT of a real u
-    is even in k, so modes 1..d/2 - 1 are summed twice.  On mode 0,
-    c_0 = 1 and U_0 = d alpha_1 exactly (the differences in w sum to zero),
-    so that mode adds alpha_1^2 / N^2.  For the average phase, alpha = e_1,
-    the other modes hold only rounding noise, far below an ulp of 1, and the
-    bound is 1/N^2 as rounded.
-
-    Both kinds come from one FFT.  Off mode 0 each quantum term is the
-    classical term halved, exactly (a division by a power of two), so twice
-    the quantum sum is the classical sum itself, bit for bit, as if each
-    kind were summed on its own.
+    It is the same for the quantum and the classical matrix.  In that chart
+    the classical matrix is (N^2/4d) (G J)^T (G J) and the quantum one
+    (N^2/2d) (G J)^T (G J) - (N^2/4d^2) s s^T, with G the pair-sum
+    gradients, J = ``build_mc(d).inverse[:, 1:]`` and s the column sums of
+    G J.  The first column of J, theta_1's, is all ones, so its pair sums
+    are all 2, and every other column of J sums to 0, so its pair sums sum
+    to 0 too.  The theta_1 row of (G J)^T (G J) is then (4d, 0, ..., 0) and
+    s is (2d, 0, ..., 0): theta_1 is decoupled with diagonal entry N^2 for
+    both kinds, and its bound is the inverse of that entry, with no matrix
+    formed.
     """
-    d = nodes
-    spectrum = np.fft.rfft(_mc_coordinates_adjoint(alpha))[1 : d // 2]
-    modes = np.cos((np.pi / d) * np.arange(1, d // 2)) ** 2
-    total = float(np.sum((spectrum.real**2 + spectrum.imag**2) / modes))
-    first = float(alpha[0]) ** 2
-    scale = float(photons) ** 2
-    return (first + total / d**2) / scale, (first + 2.0 * total / d**2) / scale
+    return 1.0 / float(photons) ** 2
 
 
 @dataclass
 class SweepRow:
-    """One (N, d) point of the average-phase bound sweep; ``ratio`` is ccrb / qcrb."""
+    """One (N, d) point of the average-phase bound sweep.
+
+    ``qcrb`` and ``ccrb`` are the standard deviations of the quantum and
+    classical exact bounds at one shot, and ``ratio`` is ccrb / qcrb.
+    """
 
     photons: int
     nodes: int
-    qcrb: float
-    ccrb: float
+
+    @property
+    def qcrb(self) -> float:
+        return math.sqrt(_average_phase_bound(self.photons))
+
+    @property
+    def ccrb(self) -> float:
+        return math.sqrt(_average_phase_bound(self.photons))
 
     @property
     def ratio(self) -> float:
@@ -316,25 +303,18 @@ def heisenberg_sweep(photon_counts, node_counts) -> list[SweepRow]:
     Each bound is the exact one of theta_1, the average phase, in the
     reduced ``mc`` chart (``build_mc(d).chart(True)``), where the
     alternating coordinate that makes every original-chart matrix singular
-    is dropped.  Both kinds are read off the ring spectrum with one FFT per
-    grid point by :func:`_mc_spectral_bounds`, bit-identical to summing
-    each kind on its own, so no chart, matrix or factorization is formed.
-    Both the quantum and classical matrices give an exact bound of 1/N at
-    one shot, independent of d, so the paired measurement saturates the
-    scaling in N.  Every grid point is validated before any bound is
-    computed.
+    is dropped.  There theta_1 is decoupled and its diagonal entry is N^2
+    for both the quantum and the classical matrix
+    (:func:`_average_phase_bound`), so both bounds are 1/N at one shot,
+    independent of d, and no chart, matrix or factorization is formed: the
+    paired measurement saturates the scaling in N.  Every grid point is
+    validated before any row is formed.
     """
     grid = [(photons, nodes) for photons in photon_counts for nodes in node_counts]
     for photons, nodes in grid:
         _check_counts(photons, nodes)
         _check_nodes(nodes, 4, even=True)
-    rows = []
-    for photons, nodes in grid:
-        average = np.eye(1, nodes - 1)[0]
-        quantum, classical = _mc_spectral_bounds(photons, nodes, average)
-        qcrb, ccrb = math.sqrt(quantum), math.sqrt(classical)
-        rows.append(SweepRow(int(photons), int(nodes), qcrb, ccrb))
-    return rows
+    return [SweepRow(int(photons), int(nodes)) for photons, nodes in grid]
 
 
 def sweep_to_csv(rows) -> str:

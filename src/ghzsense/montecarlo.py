@@ -27,7 +27,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .bounds import _mc_spectral_bounds
+from .bounds import _average_phase_bound
 from .errors import ConvergenceError, ValidationError
 from .ghz_state import (  # noqa: F401
     MAX_SHOTS, _check_counts, _check_int, _check_nodes, _check_seed, _check_shots,
@@ -492,8 +492,9 @@ def mle_estimate(
 class SaturationReport:
     """Replicated sample-and-estimate experiment against the exact bound.
 
-    It holds the experiment's inputs, the fitted ``estimates`` (one row per
-    replicate) and the ``bound``; every other value is read off them.
+    It holds the experiment's inputs and the fitted ``estimates`` (one row
+    per replicate); every other value is read off them.  ``bound`` is the
+    exact classical bound on theta_1 over ``shots``, 1/(N^2 * shots), and
     ``labels`` names the columns of ``estimates``.
     """
 
@@ -502,7 +503,10 @@ class SaturationReport:
     shots: int
     seed: int
     estimates: np.ndarray
-    bound: float
+
+    @property
+    def bound(self) -> float:
+        return _average_phase_bound(self.photons) / self.shots
 
     @property
     def nodes(self) -> int:
@@ -580,12 +584,12 @@ def crb_saturation_experiment(
     independently derived child seed; all replicates are then fit together by
     local maximum likelihood starting from the true parameters, in the
     search box of half-width ``_BOX_HALF_WIDTH`` around them.  The
-    theoretical variance bound is the exact classical bound on theta_1 in the
-    reduced chart, read off the ring spectrum with no matrix formed
-    (:func:`ghzsense.bounds._mc_spectral_bounds`), over ``shots``; it equals
-    1/(N^2 * shots).  The whole experiment is a pure function of its
-    arguments; replicates use precomputed per-replicate seeds, so their
-    estimates do not depend on evaluation order.  The child generators are
+    theoretical variance bound, the report's ``bound``, is the exact
+    classical bound on theta_1 in the reduced chart, 1/N^2 with no matrix
+    formed (:func:`ghzsense.bounds._average_phase_bound`), over ``shots``.
+    The whole experiment is a pure function of its arguments; replicates
+    use precomputed per-replicate seeds, so their estimates do not depend
+    on evaluation order.  The child generators are
     seeded in one pass (:func:`_seed_words` hashes every child seed at once),
     and each draws bit for bit what ``np.random.default_rng(child)`` draws,
     as the tests check.  With at least ``_THREADED_MIN_OUTCOMES`` outcomes
@@ -617,12 +621,10 @@ def crb_saturation_experiment(
             f"true probability of {label} is 0: no replicate can observe it, so "
             "the fit of its pair does not vary and the variance ratio is meaningless"
         )
-    _, classical = _mc_spectral_bounds(photons, nodes, np.eye(1, nodes - 1)[0])
-    bound = classical / shots
 
     child_seeds = np.random.SeedSequence(seed).generate_state(
         replicates, dtype=np.uint64
     )
     counts = _draw_rows(_normalized(dist), shots, _seed_words(child_seeds))
     fit = mle_estimate(counts, theta_true, photons=photons, nodes=nodes)
-    return SaturationReport(int(photons), phi, shots, seed, fit.theta, bound)
+    return SaturationReport(int(photons), phi, shots, seed, fit.theta)

@@ -140,21 +140,6 @@ def _mc_coordinates(phases: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _mc_coordinates_adjoint(alpha: np.ndarray) -> np.ndarray:
-    """``d * alpha @ build_mc(d).forward[1:]``: d times the adjoint of :func:`_mc_coordinates`.
-
-    ``alpha`` is one weight on theta_1..theta_{d-1}.  Entry k (node phi_k)
-    is the weight of theta_1, the mean, plus that of theta_{k+2} and minus
-    that of theta_k, the scaled differences phi_k enters, where they exist;
-    the factor d keeps integer weights exact.
-    """
-    d = alpha.shape[0] + 1
-    u = np.full(d, float(alpha[0]))
-    u[:-2] += alpha[1:]
-    u[2:] -= alpha[1:]
-    return u
-
-
 def _mc_phases(theta: np.ndarray) -> np.ndarray:
     """``theta @ build_mc(d).inverse[:, 1:].T``: the phases with theta_0 = 0.
 

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -204,22 +205,50 @@ def test_a_weight_beyond_the_float_range_is_refused(first, gives):
 
 
 def test_a_weak_bound_accepted_as_written_keeps_every_bit():
-    # the scaled form is taken only where the expression as written is not
-    # a normal float: x ** 2 is libm's pow, which is not correctly rounded,
-    # so the scaled form would move the last bit of some of these bounds
+    # the weak bound is taken at the weight scaled by a power of two and
+    # scaled back, each scaling exact, so wherever the expression as written,
+    # with its square a correctly rounded product, is a normal float, the
+    # bound is that expression bit for bit
     rng = np.random.default_rng(5)
     written_count = 0
     for _ in range(300):
         dim = int(rng.integers(2, 7))
         matrix = random_pd(rng, dim)
         alpha = rng.normal(size=dim) * 10.0 ** rng.uniform(-70.0, 150.0)
-        try:
-            written = float(alpha @ alpha) ** 2 / float(alpha @ matrix @ alpha)
-        except OverflowError:
+        norm2 = float(alpha @ alpha)
+        written = norm2 * norm2 / float(alpha @ matrix @ alpha)
+        if not sys.float_info.min <= written < math.inf:
             continue
         written_count += 1
         assert weak_crb(matrix, alpha) == written
     assert written_count > 150
+
+
+def test_a_tiny_weight_off_the_null_space_is_not_refused():
+    # a^T F a = 2.25e-314 is below the null-space threshold's floor of
+    # 1e-312, but the test is taken at the weight scaled by a power of two,
+    # where u^T F u is 1e-6 times u^T u
+    matrix = np.diag([1e-6, 1.0])
+    alpha = np.array([1.5e-154, 0.0])
+    exact, weak = exact_crb(matrix, alpha), weak_crb(matrix, alpha)
+    assert exact == pytest.approx(2.25e-302, rel=1e-15)
+    assert weak == pytest.approx(exact, rel=1e-15)
+    check = weak_vs_exact_check(matrix, alpha)
+    assert (check.weak_side, check.exact_side) == (weak, exact)
+    assert check.alpha_is_eigenvector
+    assert check.rayleigh_quotient == pytest.approx(1e-6, rel=1e-15)
+
+
+def test_a_weak_bound_whose_denominator_overflows_is_not_refused():
+    # n a^T F a = 2^62 * 1e500 and (a^T a)^2 = 1e400 overflow, but the bound
+    # is a normal float; the exact bound of this eigenvector weight is the
+    # correctly rounded 1e200 / (2^62 * 1e300), and the weak one, after
+    # five roundings at the scaled weight, is 2 units in the last place below
+    matrix = 1e300 * np.eye(2)
+    alpha = np.array([1e100, 0.0])
+    exact = exact_crb(matrix, alpha, 2**62)
+    assert exact == 2.168404344971009e-119
+    assert weak_crb(matrix, alpha, 2**62) == 2.1684043449710084e-119
 
 
 def test_weak_vs_exact_check_refuses_what_exact_crb_refuses():
@@ -359,10 +388,7 @@ def test_sweep_validates_the_whole_grid_before_building_any_chart(
     photons, nodes, message, monkeypatch
 ):
     computed = []
-    monkeypatch.setattr(
-        "ghzsense.bounds._mc_spectral_bounds",
-        lambda *args: computed.append(args) or (1.0, 1.0),
-    )
+    monkeypatch.setattr("ghzsense.bounds.SweepRow", lambda *args: computed.append(args))
     with pytest.raises(ValidationError, match=message):
         heisenberg_sweep(photons, nodes)
     assert computed == []
@@ -391,10 +417,10 @@ LINALG_FUNCTIONS = (
 
 def test_average_bounds_at_large_rings_form_no_chart_and_factorize_nothing(monkeypatch):
     # d = 3600 and 4096 are past where the dense route's certificate refused
-    # these well-posed bounds; the spectral route builds no chart or mc
-    # reparametrization and calls no np.linalg function
+    # these well-posed bounds; the average-phase bound 1/N^2 builds no chart
+    # or mc reparametrization and calls no np.linalg function
     def refuse(*args, **kwargs):
-        raise AssertionError("called on the spectral route")
+        raise AssertionError("called by the average-phase bound")
 
     monkeypatch.setattr(qfim.Chart, "__post_init__", refuse)
     monkeypatch.setattr(reparam, "build_mc", refuse)
@@ -406,3 +432,9 @@ def test_average_bounds_at_large_rings_form_no_chart_and_factorize_nothing(monke
     assert report.bound == 1.0 / (4 * 10**6)
     assert report.theta_true.shape == (3599,)
     assert np.isfinite(report.ratio) and report.ratio > 0.0
+
+
+def test_the_saturation_bound_is_a_python_float_for_numpy_integer_counts():
+    report = crb_saturation_experiment(np.int64(2), np.int64(8), np.full(8, 0.1), 1000, 50, 3)
+    assert type(report.bound) is float
+    assert report.bound == 0.25 / 1000

@@ -323,6 +323,23 @@ def test_readme_simulate_output_is_pinned(tmp_path, monkeypatch, capsys):
     assert json.loads(written)["var_theta1"] == 2.6304935214577834e-06
 
 
+@pytest.mark.parametrize(
+    "argv, name, digest",
+    [
+        (["sweep", "--N", "2,4,6", "--d", "4,6,8", "--format", "csv"], "sweep.csv",
+         "33fa24f9c05cf2c996e591c118929c78425acf06828b6cfbf1d656cbaad18f70"),
+        (["bounds", "--N", "4", "--d", "8", "--chart", "mc", "--alpha", "avg"], "bounds.json",
+         "97894d54f3b1959855958d1e89fc0084ce07ae73689f147264db3ff7719d0a00"),
+    ],
+    ids=["readme-sweep", "bounds-mc-avg"],
+)
+def test_average_phase_bound_files_are_pinned(argv, name, digest, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--output", name]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
 def test_simulate_takes_its_shot_count_from_a_flag_or_the_config(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"N": 2, "d": 4, "shots": 1000, "replicates": 50}))

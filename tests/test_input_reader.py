@@ -125,7 +125,7 @@ def test_value_types_take_no_fact_that_another_argument_fixes():
         FisherMatrix: ["entries", "kind", "chart", "photons"],
         RingState: ["amplitudes", "photons"],
         RankReport: ["rank", "null_basis"],
-        SaturationReport: ["photons", "phases", "shots", "seed", "estimates", "bound"],
+        SaturationReport: ["photons", "phases", "shots", "seed", "estimates"],
         EstimationResult: ["theta", "iterations"],
         BoundReport: [
             "matrix", "alpha", "shots", "weak_bound", "exact_bound", "exact_unavailable_reason",
@@ -135,7 +135,7 @@ def test_value_types_take_no_fact_that_another_argument_fixes():
             "alpha_is_eigenvector",
         ],
         InverseCheckReport: ["closed_form", "numerical"],
-        SweepRow: ["photons", "nodes", "qcrb", "ccrb"],
+        SweepRow: ["photons", "nodes"],
     }
     for value_type, names in parameters.items():
         assert list(inspect.signature(value_type).parameters) == names, value_type.__name__
@@ -156,10 +156,13 @@ def test_result_types_derive_their_report_values_read_only():
         (saturation, "replicates", 50),
         (saturation, "var_theta1", var_theta1),
         (saturation, "mean_theta1", float(np.mean(estimates[:, 0]))),
+        (saturation, "bound", 1.0 / 4.0 / 20000),
         (saturation, "ratio", var_theta1 / saturation.bound),
         (bounds, "equality_gap", bounds.exact_bound - bounds.weak_bound),
         (singular, "equality_gap", None),
         (check, "gap", check.exact_side - check.weak_side),
+        (row, "qcrb", 0.25),
+        (row, "ccrb", 0.25),
         (row, "ratio", row.ccrb / row.qcrb),
         (inverse, "nodes", 6),
         (inverse, "max_abs_discrepancy", float(column_gap.max())),

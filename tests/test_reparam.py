@@ -98,6 +98,36 @@ def test_mc_inverse_column_sums_single_out_the_average(nodes):
     np.testing.assert_allclose(sums, expected, atol=1e-9)
 
 
+@pytest.mark.parametrize("nodes", range(4, 17, 2))
+def test_average_phase_decouples_exactly_in_integers(nodes):
+    # G J from the integer inverse and the integer pair-sum gradients: its
+    # Gram matrix has theta_1 row (4d, 0, ...) and its column sums s are
+    # (2d, 0, ...), so 4d^2 F, the reduced matrix F of either kind scaled
+    # to integers, has theta_1 row (4d^2 N^2, 0, ...): F's is (N^2, 0, ...)
+    d = nodes
+    g = pair_sum_gradients(d).astype(np.int64)
+    jac = build_mc(d).inverse[:, 1:].astype(np.int64)
+    assert np.array_equal(jac, build_mc(d).inverse[:, 1:])
+    gj = g @ jac
+    gram, s = gj.T @ gj, gj.sum(axis=0)
+    first = np.eye(1, d - 1, dtype=np.int64)[0]
+    assert np.array_equal(gram[0], 4 * d * first)
+    assert np.array_equal(s, 2 * d * first)
+    for photons in (2, 4, 6):
+        classical = d * photons**2 * gram
+        quantum = 2 * d * photons**2 * gram - photons**2 * np.outer(s, s)
+        for scaled in (classical, quantum):
+            assert np.array_equal(scaled[0], 4 * d**2 * photons**2 * first)
+    # in the node chart 4d^2 QFIM / N^2 = 2d G^T G - s s^T, s all 2s: 4(d - 1)
+    # on the diagonal, 2d - 4 on the cyclic neighbours and -4 elsewhere
+    node_s = g.sum(axis=0)
+    node = 2 * d * g.T @ g - np.outer(node_s, node_s)
+    offset = (np.arange(d)[:, None] - np.arange(d)[None, :]) % d
+    neighbour = (offset == 1) | (offset == d - 1)
+    closed = np.where(offset == 0, 4 * (d - 1), np.where(neighbour, 2 * d - 4, -4))
+    assert np.array_equal(node, closed)
+
+
 @pytest.mark.parametrize("nodes", [3, 5, 7])
 def test_mc_rejects_odd_rings(nodes):
     with pytest.raises(ValidationError):
@@ -338,7 +368,7 @@ def test_a_new_photon_number_replaces_the_chart_slot(linalg_calls):
 
 
 def test_sweep_builds_and_validates_no_chart(monkeypatch, linalg_calls):
-    # the sweep reads its bounds off the ring spectrum
+    # the sweep's bounds are 1/N^2, read off no matrix
     pushed = []
     built = []
 
@@ -356,7 +386,8 @@ def test_sweep_builds_and_validates_no_chart(monkeypatch, linalg_calls):
     monkeypatch.setattr(bounds, "pushforward_fisher", counting, raising=False)
     monkeypatch.setattr(qfim.Chart, "__post_init__", counting_charts)
     calls = linalg_calls("matrix_rank")
-    heisenberg_sweep([4], [16])
+    (row,) = heisenberg_sweep([4], [16])
+    assert (row.qcrb, row.ccrb) == (0.25, 0.25)
     assert calls["matrix_rank"] == 0
     assert pushed == []
     assert built == []
