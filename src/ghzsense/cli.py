@@ -67,12 +67,11 @@ CONFIG_KEYS = (*FLAGS, "output", "format")
 class RunConfig:
     """Validated, merged settings for one command invocation."""
 
-    command: str
     photons: int | None = None
     nodes: int | None = None
     photon_list: tuple[int, ...] = ()
     node_list: tuple[int, ...] = ()
-    phases_spec: object = None
+    phases: np.ndarray | None = None
     chart: str = "original"
     kind: str = "classical"
     alpha_spec: object = "avg"
@@ -183,19 +182,17 @@ def _emit(config: RunConfig, doc, csv=None, summary=None) -> None:
         print(f"wrote {target}")
 
 
-def _matrix_in_chart(config: RunConfig, kind: str) -> tuple[np.ndarray, FisherMatrix]:
-    """The parsed phases and the matrix of ``kind`` in the selected chart."""
-    phi = _parse_phases(config.phases_spec, config.nodes)
+def _matrix_in_chart(config: RunConfig, kind: str) -> FisherMatrix:
+    """The matrix of ``kind`` at the configured phases, in the selected chart."""
     rep = _reparametrization(config.chart, config.nodes)
     chart = None if rep is None else rep.chart(True)
     information = qfim_pure if kind == "quantum" else cfim
-    return phi, information(config.photons, config.nodes, phi, chart)
+    return information(config.photons, config.nodes, config.phases, chart)
 
 
 def _cmd_state(config: RunConfig) -> None:
     """Emit the phase-imprinted state."""
-    phi = _parse_phases(config.phases_spec, config.nodes)
-    state = apply_phases(build_input_state(config.photons, config.nodes), phi)
+    state = apply_phases(build_input_state(config.photons, config.nodes), config.phases)
     print(
         f"imprinted state  N={config.photons} d={config.nodes}: "
         f"{np.count_nonzero(state.amplitudes)} terms, norm {state.norm():.6g}"
@@ -214,7 +211,7 @@ def _cmd_cfim(config: RunConfig) -> None:
 
 
 def _cmd_matrix(config: RunConfig, kind: str) -> None:
-    phi, matrix = _matrix_in_chart(config, kind)
+    matrix = _matrix_in_chart(config, kind)
     report = rank_and_nullspace(matrix)
     status = "singular" if report.rank < matrix.dim else "full rank"
     print(
@@ -228,7 +225,7 @@ def _cmd_matrix(config: RunConfig, kind: str) -> None:
     print(f"rank {report.rank} of {matrix.dim} ({status})")
     _emit(
         config,
-        lambda: {**matrix_to_json_dict(matrix), "phases": [float(x) for x in phi]},
+        lambda: {**matrix_to_json_dict(matrix), "phases": [float(x) for x in config.phases]},
         lambda: matrix_to_csv(matrix),
     )
 
@@ -262,7 +259,7 @@ def _cmd_transform(config: RunConfig) -> None:
 
 def _cmd_bounds(config: RunConfig) -> None:
     """Exact and weak variance bounds."""
-    _, matrix = _matrix_in_chart(config, config.kind)
+    matrix = _matrix_in_chart(config, config.kind)
     alpha = _parse_alpha(config.alpha_spec, matrix.chart)
     report = bound_report(matrix, alpha, config.shots)
     shown = ", ".join(f"{x:.6g}" for x in alpha[:6])
@@ -299,9 +296,8 @@ def _cmd_sweep(config: RunConfig) -> None:
 
 def _cmd_simulate(config: RunConfig) -> None:
     """Bound-saturation experiment."""
-    phi = _parse_phases(config.phases_spec, config.nodes)
     report = crb_saturation_experiment(
-        config.photons, config.nodes, phi, config.shots, config.replicates, config.seed
+        config.photons, config.nodes, config.phases, config.shots, config.replicates, config.seed
     )
     print(
         f"saturation experiment  N={report.photons} d={report.nodes} "
@@ -342,7 +338,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             doc = json.loads(Path(config_path).read_text())
         except OSError as exc:
             raise ValidationError(f"cannot read config file: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not UTF-8, too long an integer, too deep
             raise ValidationError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise ValidationError("config file must hold a JSON object")
@@ -356,7 +352,12 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def _build_run_config(command: str, values: dict) -> RunConfig:
-    config = RunConfig(command=command)
+    """Every setting of ``command`` read from the merged ``values``, or ValidationError.
+
+    The phases are read last, into ``phases``, by the commands that take
+    them, so that no phase vector is allocated before N and d pass.
+    """
+    config = RunConfig()
     given = {key: value for key, value in values.items() if value is not None}
     for key in ("output", "format", "chart", "kind"):
         if key in given:
@@ -375,8 +376,6 @@ def _build_run_config(command: str, values: dict) -> RunConfig:
     if config.fmt not in formats:
         raise ValidationError(f"{command} output supports {' or '.join(formats)} only")
     config.alpha_spec = given.get("alpha", config.alpha_spec)
-    default_phases = "uniform:0.1" if command == "simulate" else "uniform:0"
-    config.phases_spec = given.get("phases", default_phases)
     for key in ("shots", "replicates", "seed"):
         if key in given:
             setattr(config, key, _require_int(given[key], key))
@@ -399,23 +398,10 @@ def _build_run_config(command: str, values: dict) -> RunConfig:
         _check_counts(config.photons, config.nodes)
         if command == "simulate" and "shots" not in given:
             raise ValidationError("shots is required")
+    if "phases" in COMMANDS[command][1]:
+        default = "uniform:0.1" if command == "simulate" else "uniform:0"
+        config.phases = _parse_phases(given.get("phases", default), config.nodes)
     return config
-
-
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit status."""
-    try:
-        COMMANDS[config.command][0](config)
-    except ValidationError as exc:
-        print(f"error: invalid configuration: {exc}", file=sys.stderr)
-        return 2
-    except SingularMatrixError as exc:
-        print(f"error: singular matrix: {exc}", file=sys.stderr)
-        return 3
-    except ConvergenceError as exc:
-        print(f"error: no convergence: {exc}", file=sys.stderr)
-        return 4
-    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -438,13 +424,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Read every setting of one command, then run it; returns the process exit status.
+
+    This is the one place that maps a refusal to its status: 2 for an
+    invalid configuration, 3 for a singular matrix, 4 for a fit that did not
+    converge.  A usage error from argparse exits 2 on its own.
+    """
     args = _build_parser().parse_args(argv)
     try:
-        config = _build_run_config(args.command, _merge_config(args))
+        COMMANDS[args.command][0](_build_run_config(args.command, _merge_config(args)))
     except ValidationError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2
-    return run(config)
+    except SingularMatrixError as exc:
+        print(f"error: singular matrix: {exc}", file=sys.stderr)
+        return 3
+    except ConvergenceError as exc:
+        print(f"error: no convergence: {exc}", file=sys.stderr)
+        return 4
+    return 0
 
 
 if __name__ == "__main__":

@@ -93,9 +93,9 @@ class CountTable:
     ``array`` holds the counts as int64 in canonical label order (see
     :func:`ghzsense.measurement.outcome_labels`).  It may be given as such an
     array or as a mapping from :class:`OutcomeLabel`; every count must be a
-    whole number, and the counts are stored as a read-only copy, so a
-    validated table never changes.  ``shots``, their sum, must pass the
-    shot-count rule.  ``counts`` is a read-only label-keyed view of them.
+    whole number, not a boolean, and the counts are stored as a read-only
+    copy, so a validated table never changes.  ``shots``, their sum, must
+    pass the shot-count rule.  ``counts`` is a read-only label-keyed view of them.
     """
 
     array: np.ndarray
@@ -106,6 +106,8 @@ class CountTable:
     def __post_init__(self):
         _check_counts(self.photons, self.nodes)
         entries = _canonical_entries(self.array, self.nodes, "count table")
+        if entries.dtype == bool:
+            raise ValidationError("count table entries must be whole numbers, not booleans")
         if not np.can_cast(entries.dtype, np.int64):
             entries = _float_entries(entries, "count")
             # int64 holds every whole number of magnitude below 2**63 exactly
@@ -285,6 +287,8 @@ def _count_rows(counts, photons, nodes) -> tuple[np.ndarray, int, int]:
     elif photons is None or nodes is None:
         raise ValidationError("photons and nodes must be given when counts is an array")
     _check_counts(photons, nodes)
+    if counts.dtype == bool:
+        raise ValidationError("count array entries must be whole numbers, not booleans")
     rows = _float_array(counts, "count array", (None, 4 * nodes))
     if rows.shape[0] < 1:
         raise ValidationError("count array must have at least one row")

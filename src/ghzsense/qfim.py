@@ -413,23 +413,12 @@ def _hermitian_rank_and_nullspace(m: np.ndarray) -> RankReport:
 def _circulant_first_row(m: np.ndarray) -> np.ndarray | None:
     """First row of the square ``m`` if ``m[i, j] == m[0, (j - i) % d]`` exactly.
 
-    With c the first row, row i of a circulant is c rotated right by i:
-    entry (i, j) is entry d - 1 - i + j of the doubled row (c[1:], c).
-    ``m`` is compared with a read-only strided view of the doubled row that
-    steps back one entry per row, so no d x d index array is formed; every
-    offset it reads lies in 0..2d - 2.  Returns None for any other matrix,
-    and for the empty one.
+    That holds when each row is the row above it rotated right by one.
+    Returns None for any other matrix, and for the empty one.
     """
-    d = m.shape[0]
-    if d == 0:
+    if m.shape[0] == 0:
         return None
-    row = m[0]
-    doubled = np.concatenate((row[1:], row))
-    step = doubled.itemsize
-    rotations = np.lib.stride_tricks.as_strided(
-        doubled[d - 1 :], shape=(d, d), strides=(-step, step), writeable=False
-    )
-    return row if np.array_equal(m, rotations) else None
+    return m[0] if np.array_equal(m[1:], np.roll(m[:-1], 1, axis=1)) else None
 
 
 def _circulant_rank_and_nullspace(row: np.ndarray) -> RankReport:

@@ -452,7 +452,7 @@ def test_matrix_json_phases_are_the_parsed_phases(command, chart, spec, tmp_path
     doc = json.loads(target.read_text())
     assert exact_floats(doc.pop("phases")) == exact_floats(cli._parse_phases(spec, 4).tolist())
     config = cli._build_run_config(command, {"N": "4", "d": "4", "phases": spec, "chart": chart})
-    _, matrix = cli._matrix_in_chart(config, "quantum" if command == "qfim" else "classical")
+    matrix = cli._matrix_in_chart(config, "quantum" if command == "qfim" else "classical")
     assert exact_floats(doc) == exact_floats(ghzsense.qfim.matrix_to_json_dict(matrix))
 
 
@@ -595,6 +595,21 @@ def test_malformed_config_values_are_status_2(command, doc, tmp_path, capsys):
     assert main([command, "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: invalid configuration: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe\x00bad", b'{"N": ' + b"2" * 5000 + b', "d": 4}', b"[" * 100_000],
+    ids=["not-utf8", "integer-past-the-digit-limit", "nested-past-the-recursion-limit"],
+)
+def test_a_config_file_that_json_cannot_read_is_status_2(content, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_bytes(content)
+    assert main(["qfim", "--N", "2", "--d", "4", "--config", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: invalid configuration: config file is not valid JSON: ")
     assert "Traceback" not in err
 
 

@@ -97,6 +97,15 @@ def test_count_table_refuses_fractional_counts():
     assert CountTable(counts, 2, 4).counts[labels[0]] == 50
 
 
+def test_count_table_refuses_boolean_counts():
+    # True is no count of one, as it is no shot count of one
+    for bad in (np.ones(16, dtype=bool), dict.fromkeys(outcome_labels(4), True)):
+        with pytest.raises(
+            ValidationError, match="^count table entries must be whole numbers, not booleans$"
+        ):
+            CountTable(bad, 2, 4)
+
+
 def test_shot_counts_above_the_int64_cap_are_refused_before_drawing(monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew at an oversized shot count")
@@ -269,6 +278,7 @@ def refused_counts():
         "unsupported counts object: dict": by_label(rows[0]),
         "count array must have at least one row": np.zeros((0, 16)),
         "counts must be nonnegative": negative,
+        "count array entries must be whole numbers, not booleans": np.ones((1, 16), dtype=bool),
         "counts must have positive total weight": np.vstack((rows, np.zeros((1, 16)))),
     }
 

@@ -151,6 +151,22 @@ def test_rank_analysis_factorizes_only_matrices_that_are_not_circulant(linalg_ca
     assert sum(calls.values()) == 1
 
 
+@pytest.mark.parametrize("nodes", [3, 5, 8])
+def test_a_toeplitz_matrix_whose_corner_breaks_the_ring_is_not_circulant(nodes, linalg_calls):
+    # a symmetric Toeplitz matrix t[|i - j|] with t[k] = t[d - k] is circulant;
+    # changing t[d - 1] moves only its two corner entries off the ring
+    first = np.linspace(4.0, 1.0, nodes)
+    first[1:] = np.minimum(first[1:], first[:0:-1])
+    offsets = np.abs(np.arange(nodes)[None, :] - np.arange(nodes)[:, None])
+    assert qfim._circulant_first_row(first[offsets]) is not None
+    first[-1] = first[1] + 0.5
+    toeplitz = first[offsets]
+    assert qfim._circulant_first_row(toeplitz) is None
+    calls = linalg_calls("eigh", "svd")
+    rank_and_nullspace(toeplitz)
+    assert sum(calls.values()) == 1
+
+
 def test_rank_analysis_refuses_a_matrix_containing_inf():
     with pytest.raises(ValidationError):
         rank_and_nullspace(np.array([[np.inf, 0.0], [0.0, 1.0]]))

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghzsense import bounds, qfim, reparam
-from ghzsense.bounds import bound_report, heisenberg_sweep
+from ghzsense.bounds import bound_report, exact_crb, heisenberg_sweep, weak_crb
 from ghzsense.errors import ValidationError
 from ghzsense.ghz_state import MAX_NODES
 from ghzsense.measurement import cfim
@@ -126,6 +127,82 @@ def test_average_phase_decouples_exactly_in_integers(nodes):
     neighbour = (offset == 1) | (offset == d - 1)
     closed = np.where(offset == 0, 4 * (d - 1), np.where(neighbour, 2 * d - 4, -4))
     assert np.array_equal(node, closed)
+
+
+def fraction_inverse(matrix):
+    """The inverse of a square list of Fraction rows, by Gauss-Jordan elimination."""
+    n = len(matrix)
+    rows = [[*row, *(Fraction(int(i == j)) for j in range(n))] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def exact_reduced_fisher(nodes, photons):
+    """The reduced mc QFIM and CFIM as Fraction rows, from the integer G J.
+
+    With gram = (GJ)^T (GJ) and s its column sums, the CFIM is N^2 gram / 4d
+    and the QFIM N^2 gram / 2d - N^2 s s^T / 4d^2.
+    """
+    d, n2 = nodes, photons**2
+    gj = pair_sum_gradients(d).astype(np.int64) @ build_mc(d).inverse[:, 1:].astype(np.int64)
+    gram, s = (gj.T @ gj).tolist(), gj.sum(axis=0).tolist()
+    return {
+        "quantum": [
+            [Fraction(n2 * g, 2 * d) - Fraction(n2 * a * b, 4 * d * d) for g, b in zip(row, s)]
+            for row, a in zip(gram, s)
+        ],
+        "classical": [[Fraction(n2 * g, 4 * d) for g in row] for row in gram],
+    }
+
+
+@pytest.mark.parametrize("nodes", range(4, 17, 2))
+def test_reduced_inverses_are_exactly_their_closed_form(nodes):
+    # N^2 F^-1 = 1 (+) c ((2/d) L - (8/d^2) s s^T), L = tridiag(-1, 2, -1) and
+    # s = (+1, -1, ...) of size d - 2, c = 1 (quantum) or 2 (classical); so
+    # theta_1's bound is 1/N^2 and every other theta's is 4c(d - 2)/(d^2 N^2)
+    d, k = nodes, nodes - 2
+    lap = 2 * np.eye(k, dtype=int) - np.eye(k, k, 1, dtype=int) - np.eye(k, k, -1, dtype=int)
+    sign = (-1) ** np.arange(k)
+    for photons in (2, 4, 6):
+        fisher = exact_reduced_fisher(d, photons)
+        for kind, c in (("quantum", 1), ("classical", 2)):
+            block = [
+                [c * (Fraction(2 * int(entry), d) - Fraction(8 * int(a * b), d * d))
+                 for entry, b in zip(row, sign)]
+                for row, a in zip(lap, sign)
+            ]
+            closed = [[Fraction(1), *[Fraction(0)] * k], *([Fraction(0), *row] for row in block)]
+            inverse = fraction_inverse(fisher[kind])
+            assert [[photons**2 * x for x in row] for row in inverse] == closed
+            assert [inverse[i][i] for i in range(1, k + 1)] == (
+                [Fraction(4 * c * (d - 2), d * d * photons**2)] * k
+            )
+
+
+@pytest.mark.parametrize(
+    "kind, information, weak, exact",
+    [
+        ("quantum", qfim_pure, Fraction(1, 24), Fraction(3, 32)),
+        ("classical", cfim, Fraction(1, 12), Fraction(3, 16)),
+    ],
+)
+def test_theta_3_bounds_at_eight_nodes_are_exact_rationals(kind, information, weak, exact):
+    # theta_3 is the third kept coordinate; its weak bound is 4/9 of its exact one
+    fisher = exact_reduced_fisher(8, 2)[kind]
+    assert 1 / fisher[2][2] == weak
+    assert fraction_inverse(fisher)[2][2] == exact
+    assert weak / exact == Fraction(4, 9)
+    matrix = information(2, 8, np.zeros(8), build_mc(8).chart(True))
+    alpha = np.eye(7)[2]
+    assert weak_crb(matrix, alpha) == pytest.approx(float(weak), rel=1e-12)
+    assert exact_crb(matrix, alpha) == pytest.approx(float(exact), rel=1e-12)
 
 
 @pytest.mark.parametrize("nodes", [3, 5, 7])
