@@ -15,7 +15,7 @@ valid at every phase point, not just where all probabilities are positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
@@ -23,7 +23,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .ghz_state import _check_counts, _imprinted_phases, phase_vector
+from .ghz_state import _check_counts, _check_shots, _imprinted_phases, phase_vector
 from .qfim import (
     Chart, FisherMatrix, _central_differences, _directions_for, _read_only, _slot_matrix
 )
@@ -48,20 +48,6 @@ def _label_at(index: int) -> OutcomeLabel:
     return OutcomeLabel(index // 4 + 1, PATTERNS[index % 4])
 
 
-def _canonical_entries(values, nodes: int, table: str) -> np.ndarray:
-    """Entries of a label-keyed mapping or of a flat array, in canonical label order."""
-    if isinstance(values, Mapping):
-        labels = outcome_labels(nodes)
-        values = [values[label] for label in labels] if set(values) == set(labels) else None
-    try:
-        entries = np.asarray(values)
-    except ValueError:  # a ragged sequence
-        entries = None
-    if entries is None or entries.shape != (4 * nodes,):
-        raise ValidationError(f"{table} must cover exactly the {4 * nodes} canonical outcomes")
-    return entries
-
-
 def _float_entries(entries: np.ndarray, what: str) -> np.ndarray:
     """Canonical ``entries`` as a new float64 array.
 
@@ -82,20 +68,32 @@ def _float_entries(entries: np.ndarray, what: str) -> np.ndarray:
     raise ValidationError(f"{what} for {_label_at(index)} must be a number, got {value!r}")
 
 
-def _by_label(entries: np.ndarray, nodes: int) -> dict:
-    """Mapping from each outcome label to its entry, in canonical order."""
-    return dict(zip(outcome_labels(nodes), entries.tolist()))
+def _refuse_booleans(values, what: str) -> None:
+    """Refuse count entries ``values`` if one is a boolean, alone or mixed with numbers.
+
+    numpy reads booleans mixed with numbers as 0 and 1, so only a numeric
+    array is judged by its dtype alone; any other input is read entry by
+    entry, where a numpy boolean or boolean array counts as a boolean too.
+    """
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        found = values.dtype == bool
+    else:
+        cells = np.asarray(values, dtype=object).flat
+        found = any(isinstance(v, bool) or getattr(v, "dtype", None) == bool for v in cells)
+    if found:
+        raise ValidationError(f"{what} entries must be whole numbers, not booleans")
 
 
 @dataclass(eq=False, frozen=True)
-class OutcomeDistribution:
-    """Probability table over the 4*d paired diagonal-basis outcomes.
+class _OutcomeTable:
+    """Frozen table of one entry per outcome, in canonical label order.
 
-    ``array`` holds the probabilities in canonical label order (see
-    :func:`outcome_labels`).  It may be given as such an array or as a
-    mapping from :class:`OutcomeLabel`; it is stored as a read-only copy,
-    so a validated distribution never changes.  ``probabilities`` is a
-    read-only label-keyed view of it.
+    ``array`` may be given as an array in canonical label order (see
+    :func:`outcome_labels`) or as a mapping from :class:`OutcomeLabel`
+    whose keys are exactly those labels.  A subclass's ``_read`` turns the
+    canonical entries (and the values they were read from) into a new array,
+    which is stored read-only, so a validated table never changes; its
+    ``_check`` then applies the subclass's rule to it.
     """
 
     array: np.ndarray
@@ -104,38 +102,101 @@ class OutcomeDistribution:
 
     def __post_init__(self):
         _check_counts(self.photons, self.nodes)
-        entries = _canonical_entries(self.array, self.nodes, "distribution")
-        probs = _read_only(_float_entries(entries, "probability"))
-        object.__setattr__(self, "array", probs)
-        bad = ~(np.isfinite(probs) & (probs >= 0.0))
+        values = self.array
+        if isinstance(values, Mapping):
+            labels = outcome_labels(self.nodes)
+            values = [values[label] for label in labels] if set(values) == set(labels) else None
+        try:
+            entries = np.asarray(values)
+        except ValueError:  # a ragged sequence
+            entries = None
+        if entries is None or entries.shape != (4 * self.nodes,):
+            raise ValidationError(
+                f"{self._TABLE} must cover exactly the {4 * self.nodes} canonical outcomes"
+            )
+        object.__setattr__(self, "array", _read_only(self._read(entries, values)))
+        self._check()
+
+    @cached_property
+    def _label_view(self) -> MappingProxyType:
+        """Read-only mapping from each outcome label to its entry, in canonical order."""
+        return MappingProxyType(dict(zip(outcome_labels(self.nodes), self.array.tolist())))
+
+
+class OutcomeDistribution(_OutcomeTable):
+    """Probability table over the 4*d paired diagonal-basis outcomes.
+
+    The probabilities must be finite, >= 0 and sum to 1, and the two
+    agreeing and the two disagreeing patterns of each pair must match.
+    ``probabilities`` is a read-only label-keyed view of ``array``.
+    """
+
+    _TABLE = "distribution"
+
+    def _read(self, entries: np.ndarray, values) -> np.ndarray:
+        return _float_entries(entries, "probability")
+
+    def _check(self):
+        bad = ~(np.isfinite(self.array) & (self.array >= 0.0))
         if bad.any():
             label = _label_at(int(np.argmax(bad)))
             raise ValidationError(f"probability for {label} must be finite and >= 0")
-        total = math.fsum(probs.tolist())
+        total = math.fsum(self.array.tolist())
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"probabilities sum to {total!r}, expected 1")
         # consecutive entries pair up as ++/-- and +-/-+
-        unmatched = probs[0::2] != probs[1::2]
+        unmatched = self.array[0::2] != self.array[1::2]
         if unmatched.any():
             raise ValidationError(
                 f"pattern symmetry violated for pair {int(np.argmax(unmatched)) // 2 + 1}: "
                 "++/-- and +-/-+ must match"
             )
 
-    @cached_property
-    def _probabilities(self) -> dict:
-        return _by_label(self.array, self.nodes)
-
     @property
     def probabilities(self) -> MappingProxyType:
-        return MappingProxyType(self._probabilities)
+        return self._label_view
 
     def probability(self, label: OutcomeLabel) -> float:
-        return self.probabilities[label]
+        return self._label_view[label]
 
     def as_array(self) -> np.ndarray:
         """Writable copy of the probabilities in canonical label order."""
         return self.array.copy()
+
+
+@dataclass(eq=False, frozen=True)
+class CountTable(_OutcomeTable):
+    """Observed outcome counts from one measurement run.
+
+    Every count must be a whole number, not a boolean, and none negative;
+    ``array`` stores them as int64.  ``shots``, their sum, must pass the
+    shot-count rule.  ``counts`` is a read-only label-keyed view of ``array``.
+    """
+
+    shots: int = field(init=False)
+    _TABLE = "count table"
+
+    def _read(self, entries: np.ndarray, values) -> np.ndarray:
+        _refuse_booleans(values, "count table")
+        if not np.can_cast(entries.dtype, np.int64):
+            entries = _float_entries(entries, "count")
+            # int64 holds every whole number of magnitude below 2**63 exactly
+            whole = np.isfinite(entries) & (entries == np.trunc(entries))
+            whole &= np.abs(entries) < 2.0**63
+            if not whole.all():
+                label = _label_at(int(np.argmax(~whole)))
+                raise ValidationError(f"count for {label} must be a finite integer below 2**63")
+        return entries.astype(np.int64)
+
+    def _check(self):
+        negative = self.array < 0
+        if negative.any():
+            raise ValidationError(f"count for {_label_at(int(np.argmax(negative)))} is negative")
+        object.__setattr__(self, "shots", _check_shots(sum(self.array.tolist())))
+
+    @property
+    def counts(self) -> MappingProxyType:
+        return self._label_view
 
 
 def _pair_totals(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

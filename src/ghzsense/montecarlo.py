@@ -21,9 +21,8 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, field
-from functools import cache, cached_property
-from types import MappingProxyType
+from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -34,12 +33,7 @@ from .ghz_state import (  # noqa: F401
     _float_array, _pair_sums, _pair_sum_phases, phase_vector,
 )
 from .measurement import (
-    OutcomeDistribution,
-    _by_label,
-    _canonical_entries,
-    _float_entries,
-    _label_at,
-    _pair_totals,
+    CountTable, OutcomeDistribution, _label_at, _pair_totals, _refuse_booleans,
     outcome_distribution,
 )
 from .reparam import _mc_coordinates, _mc_labels, _mc_pair_pullback, _mc_phases
@@ -84,53 +78,6 @@ def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.nd
 # 4 calls fill the pool and 12 mix it; 8 more give the 4 uint64 output words
 _POOL_XOR, _POOL_MULT = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
 _OUTPUT_XOR, _OUTPUT_MULT = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-
-
-@dataclass(eq=False, frozen=True)
-class CountTable:
-    """Observed outcome counts from one measurement run.
-
-    ``array`` holds the counts as int64 in canonical label order (see
-    :func:`ghzsense.measurement.outcome_labels`).  It may be given as such an
-    array or as a mapping from :class:`OutcomeLabel`; every count must be a
-    whole number, not a boolean, and the counts are stored as a read-only
-    copy, so a validated table never changes.  ``shots``, their sum, must
-    pass the shot-count rule.  ``counts`` is a read-only label-keyed view of them.
-    """
-
-    array: np.ndarray
-    photons: int
-    nodes: int
-    shots: int = field(init=False)
-
-    def __post_init__(self):
-        _check_counts(self.photons, self.nodes)
-        entries = _canonical_entries(self.array, self.nodes, "count table")
-        if entries.dtype == bool:
-            raise ValidationError("count table entries must be whole numbers, not booleans")
-        if not np.can_cast(entries.dtype, np.int64):
-            entries = _float_entries(entries, "count")
-            # int64 holds every whole number of magnitude below 2**63 exactly
-            whole = np.isfinite(entries) & (entries == np.trunc(entries))
-            whole &= np.abs(entries) < 2.0**63
-            if not whole.all():
-                label = _label_at(int(np.argmax(~whole)))
-                raise ValidationError(f"count for {label} must be a finite integer below 2**63")
-        counts = entries.astype(np.int64)
-        counts.flags.writeable = False
-        object.__setattr__(self, "array", counts)
-        negative = counts < 0
-        if negative.any():
-            raise ValidationError(f"count for {_label_at(int(np.argmax(negative)))} is negative")
-        object.__setattr__(self, "shots", _check_shots(sum(counts.tolist())))
-
-    @cached_property
-    def _counts(self) -> dict:
-        return _by_label(self.array, self.nodes)
-
-    @property
-    def counts(self) -> MappingProxyType:
-        return MappingProxyType(self._counts)
 
 
 @dataclass(eq=False)
@@ -287,8 +234,7 @@ def _count_rows(counts, photons, nodes) -> tuple[np.ndarray, int, int]:
     elif photons is None or nodes is None:
         raise ValidationError("photons and nodes must be given when counts is an array")
     _check_counts(photons, nodes)
-    if counts.dtype == bool:
-        raise ValidationError("count array entries must be whole numbers, not booleans")
+    _refuse_booleans(counts, "count array")
     rows = _float_array(counts, "count array", (None, 4 * nodes))
     if rows.shape[0] < 1:
         raise ValidationError("count array must have at least one row")

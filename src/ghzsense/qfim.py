@@ -349,10 +349,11 @@ def qfim_pure(photons: int, nodes: int, phases, chart: Chart | None = None) -> F
 
     Evaluates the Gram form (N^2/2d) G^T G - (N^2/4d^2) s s^T, where G is
     :func:`pair_sum_gradients` of the chart and s is the sum of its rows
-    (see the module docstring for the derivation), from the chart's cached
-    Gram.  Calls with the same chart and photon number copy the entries of
-    one matrix, formed and validated on the first of them.  The phases are
-    read by the phase rule only: the matrix is the same at every phase.
+    (see the module docstring for the derivation), in the chart's slot
+    (:meth:`Chart._fisher_matrix`).  Calls with the same chart and photon
+    number copy the entries of one matrix, formed and validated on the first
+    of them.  The phases are read by the phase rule only: the matrix is the
+    same at every phase.
     """
     return _slot_matrix(photons, nodes, phases, chart, "quantum")
 

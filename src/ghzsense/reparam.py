@@ -265,8 +265,9 @@ def pushforward_fisher(
     (identically zero) row and column before the product, not after.  That
     block equals the corresponding block of the full product up to the
     summation order of the matrix products, a few units in the last place.
-    The CLI and the sweep form reduced matrices in ``rep.chart(True)``
-    itself; this route stays as a library function and an independent check.
+    The CLI forms its reduced matrices in ``rep.chart(True)`` itself, and
+    the sweep forms none; this route stays as a library function and an
+    independent check.
     ``matrix`` must be over a node chart: its chart's directions must equal
     the d x d identity, compared by value.
     """

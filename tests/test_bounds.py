@@ -251,6 +251,16 @@ def test_a_weak_bound_whose_denominator_overflows_is_not_refused():
     assert weak_crb(matrix, alpha, 2**62) == 2.1684043449710084e-119
 
 
+def test_a_weak_bound_whose_quadratic_form_overflows_at_the_scaled_weight_is_refused():
+    # the weight needs no scaling (k = 0), and there u^T F u = 2.754e308
+    # overflows, so the weak bound is refused as inf
+    with pytest.raises(
+        ValidationError,
+        match="^weight vector gives weak bound = inf, not a positive finite normal float$",
+    ):
+        weak_crb(np.diag([1.7e308, 1.7e308]), [0.9, 0.9])
+
+
 def test_weak_vs_exact_check_refuses_what_exact_crb_refuses():
     # lambda_min / lambda_max = 1e-12 is below RANK_RTOL, although positive
     matrix = np.diag([1.0, 1e-12])

@@ -106,6 +106,26 @@ def test_count_table_refuses_boolean_counts():
             CountTable(bad, 2, 4)
 
 
+def booleans_among_counts():
+    """Count inputs with booleans that numpy reads as the numbers 0 and 1."""
+    mixed = [True] * 15 + [3]
+    return {
+        # numpy reads the values of each as an int64 array
+        "mapping": dict(zip(outcome_labels(4), mixed)),
+        "list": mixed,
+        # float() reads True as 1.0
+        "object-array": np.array([True] * 15 + [2], dtype=object),
+    }
+
+
+@pytest.mark.parametrize("form", list(booleans_among_counts()))
+def test_count_table_refuses_booleans_mixed_with_numbers(form):
+    with pytest.raises(
+        ValidationError, match="^count table entries must be whole numbers, not booleans$"
+    ):
+        CountTable(booleans_among_counts()[form], 2, 4)
+
+
 def test_shot_counts_above_the_int64_cap_are_refused_before_drawing(monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew at an oversized shot count")
@@ -288,6 +308,27 @@ def test_fit_refuses_counts_it_cannot_read(message):
     counts = refused_counts()[message]
     with pytest.raises(ValidationError, match=f"^{message}$"):
         mle_estimate(counts, build_mc(4).apply(PHI)[1:], photons=2, nodes=4)
+
+
+def test_fit_refuses_an_object_row_with_booleans_among_its_counts():
+    row = booleans_among_counts()["object-array"][None, :]
+    with pytest.raises(
+        ValidationError, match="^count array entries must be whole numbers, not booleans$"
+    ):
+        mle_estimate(row, np.zeros(3), photons=2, nodes=4)
+
+
+def test_a_fit_whose_gradient_is_above_the_tolerance_is_refused(monkeypatch):
+    # this table's fit leaves a nonzero gradient, so with a tolerance of 0
+    # the certificate, the fit's last check, refuses it
+    table = sample_counts(outcome_distribution(2, 4, PHI), 100_000, 5)
+    monkeypatch.setattr(montecarlo, "_GRADIENT_TOL", 0.0)
+    with pytest.raises(
+        ConvergenceError,
+        match=r"^likelihood fit left gradient norm \d\.\d{3}e[-+]\d+ above the tolerance "
+        r"0\.000e\+00$",
+    ):
+        mle_estimate(table, build_mc(4).apply(PHI)[1:])
 
 
 def test_multiplier_iteration_cap_raises_convergence_error(monkeypatch):

@@ -100,6 +100,13 @@ def test_rank_of_zero_matrix_is_zero():
     assert report.null_basis.shape == (4, 4)
 
 
+def test_the_empty_matrix_has_rank_zero_and_an_empty_null_basis():
+    # it has no first row, so the circulant path does not take it
+    report = rank_and_nullspace(np.zeros((0, 0)))
+    assert report.rank == 0
+    assert report.null_basis.shape == (0, 0)
+
+
 @pytest.mark.parametrize("photons", [2, 4, 8])
 @pytest.mark.parametrize("nodes", [3, 4, 5, 6, 15, 16, 63, 64, 255, 256])
 def test_original_chart_spectra_are_the_closed_form_circulant_spectra(photons, nodes):

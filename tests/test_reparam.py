@@ -144,15 +144,15 @@ def fraction_inverse(matrix):
     return [row[n:] for row in rows]
 
 
-def exact_reduced_fisher(nodes, photons):
-    """The reduced mc QFIM and CFIM as Fraction rows, from the integer G J.
+def exact_fisher(grads, photons):
+    """The QFIM and CFIM as Fraction rows, from an integer pair-sum gradient matrix.
 
-    With gram = (GJ)^T (GJ) and s its column sums, the CFIM is N^2 gram / 4d
-    and the QFIM N^2 gram / 2d - N^2 s s^T / 4d^2.
+    ``grads`` has one row per pair, so d rows.  With gram = grads^T grads and
+    s its column sums, the CFIM is N^2 gram / 4d and the QFIM
+    N^2 gram / 2d - N^2 s s^T / 4d^2.
     """
-    d, n2 = nodes, photons**2
-    gj = pair_sum_gradients(d).astype(np.int64) @ build_mc(d).inverse[:, 1:].astype(np.int64)
-    gram, s = (gj.T @ gj).tolist(), gj.sum(axis=0).tolist()
+    d, n2 = len(grads), photons**2
+    gram, s = (grads.T @ grads).tolist(), grads.sum(axis=0).tolist()
     return {
         "quantum": [
             [Fraction(n2 * g, 2 * d) - Fraction(n2 * a * b, 4 * d * d) for g, b in zip(row, s)]
@@ -160,6 +160,39 @@ def exact_reduced_fisher(nodes, photons):
         ],
         "classical": [[Fraction(n2 * g, 4 * d) for g in row] for row in gram],
     }
+
+
+def exact_node_fisher(nodes, photons):
+    """The node-chart QFIM and CFIM as Fraction rows, from the integer G."""
+    return exact_fisher(pair_sum_gradients(nodes).astype(np.int64), photons)
+
+
+def exact_reduced_fisher(nodes, photons):
+    """The reduced mc QFIM and CFIM as Fraction rows, from the integer G J."""
+    jac = build_mc(nodes).inverse[:, 1:].astype(np.int64)
+    return exact_fisher(pair_sum_gradients(nodes).astype(np.int64) @ jac, photons)
+
+
+def test_the_frozen_two_photon_four_node_matrix_is_exactly_the_rational_one():
+    # every entry is a dyadic rational, (1/4) {3, 1, -1} by cyclic offset
+    # {0, +-1, 2}, so its float is the rational itself
+    offset = (np.arange(4)[None, :] - np.arange(4)[:, None]) % 4
+    frozen = [[Fraction((3, 1, -1, 1)[k], 4) for k in row] for row in offset.tolist()]
+    assert exact_node_fisher(4, 2)["quantum"] == frozen
+    computed = qfim_pure(2, 4, np.zeros(4)).entries
+    assert [[Fraction(x) for x in row] for row in computed.tolist()] == frozen
+
+
+@pytest.mark.parametrize("nodes", range(4, 17, 2))
+def test_the_alternating_vector_is_exactly_null_in_the_node_chart(nodes):
+    # row j of G is e_j + e_(j+1), and on an even ring (-1)^j + (-1)^(j+1) = 0
+    # for every pair, the wrap-around one included
+    alternating = [(-1) ** j for j in range(nodes)]
+    assert not (pair_sum_gradients(nodes).astype(np.int64) @ alternating).any()
+    for photons in (2, 4, 6):
+        for kind, matrix in exact_node_fisher(nodes, photons).items():
+            image = [sum(x * a for x, a in zip(row, alternating)) for row in matrix]
+            assert image == [0] * nodes, kind
 
 
 @pytest.mark.parametrize("nodes", range(4, 17, 2))
@@ -203,6 +236,37 @@ def test_theta_3_bounds_at_eight_nodes_are_exact_rationals(kind, information, we
     alpha = np.eye(7)[2]
     assert weak_crb(matrix, alpha) == pytest.approx(float(weak), rel=1e-12)
     assert exact_crb(matrix, alpha) == pytest.approx(float(exact), rel=1e-12)
+
+
+def rational_weights(size):
+    """Dyadic weights, each exact as a float: e_1, all ones, halvings and a tilt."""
+    first = [Fraction(int(i == 0)) for i in range(size)]
+    halvings = [Fraction((-1) ** i, 2**i) for i in range(size)]
+    tilt = [Fraction(3, 4), *([Fraction(0)] * (size - 2)), Fraction(-5, 8)]
+    return [first, [Fraction(1)] * size, halvings, tilt]
+
+
+@pytest.mark.parametrize("nodes", [4, 6, 8])
+@pytest.mark.parametrize("photons", [2, 4])
+def test_weak_never_exceeds_exact_at_rational_weights(nodes, photons):
+    # weak = (a^T a)^2 / a^T F a and exact = a^T F^-1 a as rationals; theta_1
+    # decouples (its row of F is (N^2, 0, ...)), so e_1 gives equality
+    information = {"quantum": qfim_pure, "classical": cfim}
+    chart = build_mc(nodes).chart(True)
+    for kind, fisher in exact_reduced_fisher(nodes, photons).items():
+        inverse = fraction_inverse(fisher)
+        matrix = information[kind](photons, nodes, np.zeros(nodes), chart)
+        for alpha in rational_weights(nodes - 1):
+            norm2 = sum(a * a for a in alpha)
+            quad = sum(a * x * b for row, a in zip(fisher, alpha) for x, b in zip(row, alpha))
+            weak = norm2 * norm2 / quad
+            exact = sum(a * x * b for row, a in zip(inverse, alpha) for x, b in zip(row, alpha))
+            assert weak <= exact
+            if alpha[0] == 1 and not any(alpha[1:]):
+                assert weak == exact == Fraction(1, photons**2)
+            floats = np.array([float(a) for a in alpha])
+            assert weak_crb(matrix, floats) == pytest.approx(float(weak), rel=1e-12)
+            assert exact_crb(matrix, floats) == pytest.approx(float(exact), rel=1e-12)
 
 
 @pytest.mark.parametrize("nodes", [3, 5, 7])
