@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import inspect
 import threading
 
@@ -564,6 +565,72 @@ def test_saturation_variance_is_pinned(nodes, var_theta1):
     # the replicate stream changes them
     report = crb_saturation_experiment(2, nodes, np.full(nodes, 0.1), 100000, 200, 7)
     assert report.var_theta1 == var_theta1
+
+
+def theta_digest(theta):
+    """sha256 of the fitted theta as little-endian float64 bytes."""
+    return hashlib.sha256(np.ascontiguousarray(theta, dtype="<f8").tobytes()).hexdigest()
+
+
+def test_saturation_fit_is_pinned_bit_for_bit():
+    # the 200 replicate tables of the d = 64 saturation run, none with an
+    # empty, agree-free or disagree-free pair, fit together from the truth
+    phases = np.full(64, 0.1)
+    dist = outcome_distribution(2, 64, phases)
+    child_seeds = np.random.SeedSequence(7).generate_state(200, dtype=np.uint64)
+    counts = np.stack([sample_counts(dist, 10**5, int(child)).array for child in child_seeds])
+    per_pair = counts.reshape(200, 64, 4)
+    assert (per_pair[..., :2].sum(axis=-1) > 0).all() and (per_pair[..., 2:].sum(axis=-1) > 0).all()
+    fit = mle_estimate(counts, build_mc(64).apply(phases)[1:], photons=2, nodes=64)
+    assert theta_digest(fit.theta) == (
+        "82b2990c7b7fd8eefaaf7bd3dc47871184620ee8e2b6fbc28e089f540583c2dd"
+    )
+    assert fit.iterations == 3
+
+
+def test_wide_ring_fit_is_pinned_bit_for_bit():
+    # 105 of the 256 pairs of this table record no disagree event
+    phases = np.full(256, 0.05)
+    table = sample_counts(outcome_distribution(2, 256, phases), 10**5, 1)
+    per_pair = table.array.reshape(256, 4)
+    assert int((per_pair[:, 2:].sum(axis=1) == 0).sum()) == 105
+    fit = mle_estimate(table, build_mc(256).apply(phases)[1:])
+    assert theta_digest(fit.theta) == (
+        "7206340a448647ed3b2ad6e9c0f071ee9859c47f8a0f369490c00ad4e6aeecb7"
+    )
+    assert fit.iterations == 3
+
+
+def test_fits_with_empty_and_agree_free_pairs_are_pinned_bit_for_bit():
+    theta_true = build_mc(4).apply(PHI)[1:]
+    # one empty pair: the row is stuck at multiplier 0
+    counts = expected_counts(2, 4, PHI, 10**6)
+    counts[0, 4:8] = 0.0
+    fit = mle_estimate(counts, theta_true + 0.01, photons=2, nodes=4)
+    assert theta_digest(fit.theta) == (
+        "a80a1b1b06d9ac93201057c7096d126247d715728663e7afbfdf6d1e7ef63250"
+    )
+    assert fit.iterations == 0
+    # a pair with disagree events only
+    fit = mle_estimate(pair_table([0.0, 5.0, 5.0, 5.0], [2.0, 0.0, 0.0, 0.0]), theta_true,
+                       photons=4, nodes=4)
+    assert theta_digest(fit.theta) == (
+        "dbd856322c344c7f5aa8eeb787b2bd4244d0931aa0510ddf444f107d3a7debd2"
+    )
+    assert fit.iterations == 5
+    # low-shot rows fit together: pairs without disagree events in four rows,
+    # an empty pair in row 4 and an agree-free pair in row 5
+    rng = np.random.default_rng(5)
+    phases = np.full(8, 0.3)
+    p = outcome_distribution(2, 8, phases).as_array()
+    draws = rng.multinomial(200, p / p.sum(), size=6).astype(float)
+    draws[4, 12:16] = 0.0
+    draws[5, 0:2] = 0.0
+    fit = mle_estimate(draws, build_mc(8).apply(phases)[1:], photons=2, nodes=8)
+    assert theta_digest(fit.theta) == (
+        "c414d116082b43a90fa8078da2f1b3f1a0c1883d8b3dfe1802038753084775cf"
+    )
+    assert fit.iterations == 6
 
 
 def test_two_pairs_without_events_have_no_unique_maximum():
