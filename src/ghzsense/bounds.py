@@ -102,37 +102,43 @@ def weak_crb(matrix, alpha, shots: int = 1) -> float:
 def _weak_bound(terms: tuple, n: int) -> float:
     """:func:`weak_crb` at ``n`` shots of ``terms``, the :func:`_weak_terms` of a weight.
 
-    With u = a 2^-k, n = m 2^e (m in [0.5, 1), ``math.frexp``), the bound
-    (a^T a)^2 / (n a^T F a) is (u^T u)^2 / (m u^T F u) times 2^(2k - e), and
-    each power-of-two scaling is exact.  So it is the expression as written,
+    With u = a 2^-k, F = F' 2^j and n = m 2^e (m in [0.5, 1), ``math.frexp``),
+    the bound (a^T a)^2 / (n a^T F a) is (u^T u)^2 / (m u^T F' u) times
+    2^(2k - j - e), and each power-of-two scaling is exact.  So it is the expression as written,
     bit for bit, wherever each step of that is a normal float, and a weight
     whose bound is a normal float is accepted whatever the size of (a^T a)^2
     or of n a^T F a.  The square is ``norm2 * norm2``, which is correctly
     rounded; ``x ** 2`` is libm's pow, which is not.
     """
-    _, k, norm2, quad = terms
+    _, k, j, norm2, quad = terms
     m, e = math.frexp(float(n))
     with np.errstate(over="ignore"):
-        bound = float(np.ldexp(norm2 * norm2 / (m * quad), 2 * k - e))
+        bound = float(np.ldexp(norm2 * norm2 / (m * quad), 2 * k - j - e))
     return _in_range(bound, "weak bound")
 
 
 def _weak_terms(entries: np.ndarray, a: np.ndarray) -> tuple:
-    """(u, k, u^T u, u^T F u) at u = a 2^-k, the weight scaled by :func:`_scaled`.
+    """(u, k, j, u^T u, u^T F' u) at u = a 2^-k, the weight scaled by :func:`_scaled`.
 
-    The weight is nonzero, so ``entries`` is not empty; its largest
-    absolute entry is max(max F, -min F), which forms no array.  A weight
-    with u^T F u <= 1e-12 max|F| u^T u lies in the null space and raises
-    SingularMatrixError, which reports a^T F a at the weight itself.  Where
-    u^T F u or that threshold overflows, the weak bound is refused as inf.
+    F' = F 2^-j is F itself (j = 0) unless u^T F u or the null-space
+    threshold overflows; then j is the binary exponent of max|F|, so that
+    max|F'| lies in [0.5, 1) and u^T F' u is finite.  The weight is
+    nonzero, so ``entries`` is not empty; its largest absolute entry is
+    max(max F, -min F), which forms no array.  A weight with
+    u^T F' u <= 1e-12 max|F'| u^T u lies in the null space and raises
+    SingularMatrixError, which reports a^T F a at the weight itself.
     """
     u, k = _scaled(a)
     with np.errstate(over="ignore", invalid="ignore"):
         quad = float(u @ entries @ u)
     norm2 = float(u @ u)
-    scale = max(float(entries.max()), -float(entries.min())) * norm2
-    if not (math.isfinite(quad) and math.isfinite(scale)):
-        _in_range(math.inf, "weak bound")  # raises: a step overflowed even at u
+    top = max(float(entries.max()), -float(entries.min()))
+    j = 0
+    if not (math.isfinite(quad) and math.isfinite(top * norm2)):
+        j = math.frexp(top)[1]
+        top = math.ldexp(top, -j)
+        quad = float(u @ np.ldexp(entries, -j) @ u)
+    scale = top * norm2
     if quad <= 1e-12 * max(scale, 1e-300):
         with np.errstate(over="ignore", invalid="ignore"):
             at_alpha = float(a @ entries @ a)
@@ -141,7 +147,7 @@ def _weak_terms(entries: np.ndarray, a: np.ndarray) -> tuple:
             f"(alpha^T F alpha = {at_alpha:.3e} for alpha = {a.tolist()}); "
             "no finite information is available along this direction"
         )
-    return u, k, norm2, quad
+    return u, k, j, norm2, quad
 
 
 def _scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
@@ -239,21 +245,26 @@ def weak_vs_exact_check(matrix, alpha) -> WeakExactReport:
     that :func:`exact_crb` refuses raises the same error.  The weak side is
     :func:`weak_crb`'s.  Also reports the eigenvector equality condition (a
     residual of at most 1e-9 times the largest absolute entry of S), taken
-    at the weight scaled by a power of two, with the Rayleigh quotient read
-    off the u^T S u and u^T u of the weak side (:func:`_weak_terms`); neither
-    changes with the weight's scale.  At a = e_0 the sides are 1/S[0,0] and
-    (S^{-1})[0,0].
+    at the weight and the matrix scaled by powers of two, with the Rayleigh
+    quotient read off the u^T S' u and u^T u of the weak side
+    (:func:`_weak_terms`); neither changes with the weight's scale.  At
+    a = e_0 the sides are 1/S[0,0] and (S^{-1})[0,0].
     """
     s = _entries_of(matrix)
     a = _weight(alpha, s.shape[0])
     exact_side = _exact_bound(s, a, 1)
     terms = _weak_terms(s, a)
     weak_side = _weak_bound(terms, 1)
-    u, _, norm2, quad = terms
+    u, _, j, norm2, quad = terms
+    # at S 2^-j, the matrix of u^T S' u, and scaled back
+    s = np.ldexp(s, -j)
     rayleigh = quad / norm2
     residual = float(np.linalg.norm(s @ u - rayleigh * u)) / math.sqrt(norm2)
     scale = max(float(s.max()), -float(s.min()))
-    return WeakExactReport(weak_side, exact_side, rayleigh, residual, residual <= 1e-9 * scale)
+    return WeakExactReport(
+        weak_side, exact_side, math.ldexp(rayleigh, j), math.ldexp(residual, j),
+        residual <= 1e-9 * scale,
+    )
 
 
 def _average_phase_bound(photons: int) -> float:

@@ -218,8 +218,11 @@ def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountTabl
     return CountTable(draws, dist.photons, dist.nodes)
 
 
-def _count_rows(counts, photons, nodes) -> tuple[np.ndarray, int, int]:
-    """Counts as an (R, 4d) float array in canonical label order, with their N and d."""
+def _count_pairs(counts, photons, nodes) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Each pair's agree and disagree totals, (R, d) floats each, with their N and d.
+
+    The counts are read as an (R, 4d) float array in canonical label order.
+    """
     if isinstance(counts, CountTable):
         for name, given, own in (
             ("photons", photons, counts.photons), ("nodes", nodes, counts.nodes)
@@ -228,7 +231,7 @@ def _count_rows(counts, photons, nodes) -> tuple[np.ndarray, int, int]:
                 raise ValidationError(
                     f"{name}={given!r} contradicts the count table's {name} = {own}"
                 )
-        return counts.array[None, :].astype(float), counts.photons, counts.nodes
+        return *_pair_totals(counts.array[None, :].astype(float)), counts.photons, counts.nodes
     elif not isinstance(counts, np.ndarray):
         raise ValidationError(f"unsupported counts object: {type(counts).__name__}")
     elif photons is None or nodes is None:
@@ -240,70 +243,118 @@ def _count_rows(counts, photons, nodes) -> tuple[np.ndarray, int, int]:
         raise ValidationError("count array must have at least one row")
     if np.any(rows < 0):
         raise ValidationError("counts must be nonnegative")
-    return rows, photons, nodes
+    return *_pair_totals(rows), photons, nodes
 
 
-def _pair_maxima(agree, disagree, branch, half):
+def _pair_maxima(agree, disagree, empty, branch, half):
     """Pair sums maximizing l_j(x) - multiplier (-1)^j x, as a function of the multipliers.
 
     The returned function maps each row's multiplier to the pair sums and
-    -(-1)^j dx_j/dmultiplier; sqrt(a_j b_j), the masks and the signs are
-    formed once here.  With u = hx/2, s_j the branch if b_j > 0 and + if
-    b_j = 0, and mu = multiplier (-1)^j s_j / h, t = tan(s_j u) is: if
-    b_j > 0, the positive root of a_j t^2 + mu t - b_j = 0 in its
+    -(-1)^j dx_j/dmultiplier; it reuses its buffers, so a caller keeps
+    neither past the next call.  With u = hx/2, s_j the branch if b_j > 0
+    and + if b_j = 0, and mu = multiplier (-1)^j s_j / h, t = tan(s_j u) is:
+    if b_j > 0, the positive root of a_j t^2 + mu t - b_j = 0 in its
     cancellation-free form; if b_j = 0, -mu / a_j.  The pair sum is
     2 s_j arctan(t) / h, and its derivative 1/|l_j''| =
     2 / (h^2 (a_j (1 + t^2) + b_j (1 + 1/t^2))), except for an empty pair
-    and a pair held on the window edge (a_j = 0 and mu < 0): 0.
+    (``empty`` marks them) and a pair held on the window edge (a_j = 0 and
+    mu < 0): 0.
+
+    What does not depend on the multipliers is found once here: sqrt(a_j b_j),
+    the signs, and the flat indices of the masked entries, pairs without
+    disagree events ("bare") or with disagree events only ("barren").  Each
+    call forms the closed form of a pair with both kinds on the whole array,
+    then writes the masked entries over it by index, so a table without
+    them pays nothing for them.  The closed form of a bare pair's t, and
+    the part of a masked pair's curvature that its missing kind's count
+    multiplies, may be 0/0 or 0*inf before they are written over.  At
+    multiplier 0, hypot(+-0, g) = g and +-0 + g = g, so t = 2 b_j / g_j
+    exactly, with no hypot and no branch.
     """
-    sign = np.where(disagree > 0, branch, 1.0)
-    scale = (-1.0) ** np.arange(agree.shape[1]) * sign / half
+    nodes = agree.shape[1]
+    alternating = (-1.0) ** np.arange(nodes)
+    # bare pairs take + where the branch is -, so the signs are the branch
+    # itself, one per pair, when it has no -
+    sign = np.where(disagree > 0, branch, 1.0) if np.count_nonzero(branch < 0) else branch
+    scale = alternating * sign / half
     to_pair_sum = 2.0 * sign / half
-    geometric = 2.0 * np.sqrt(agree * disagree)
+    geometric = np.multiply(agree, disagree)
+    np.sqrt(geometric, out=geometric)
+    geometric *= 2.0
     twice_disagree = 2.0 * disagree
-    no_agree = agree == 0
-    no_disagree = disagree == 0
-    empty = no_agree & no_disagree
     with np.errstate(divide="ignore"):
         half_inverse_agree = 0.5 / agree
-    smooth_slope = np.where(no_disagree & ~no_agree, -2.0 * half_inverse_agree, 0.0)
     flex_scale = 2.0 / half**2
+    bare_mask = disagree == 0
+    bare = bare_mask.ravel().nonzero()[0]
+    barren = ((agree == 0) > bare_mask).ravel().nonzero()[0]
+    if bare.size:
+        void = empty.ravel().nonzero()[0]
+        bare_rows, bare_columns = np.divmod(bare, nodes)
+        bare_scale = alternating[bare_columns] / half
+        # -1/a_j written -2 (0.5/a_j), as the closed form has it; 0 for an empty pair
+        bare_slope = np.where(empty.ravel()[bare], 0.0, -2.0 * half_inverse_agree.ravel()[bare])
+    if barren.size:
+        barren_rows, barren_columns = np.divmod(barren, nodes)
+        barren_scale = np.broadcast_to(scale, agree.shape)[barren_rows, barren_columns]
+    mu, root, flex = (np.empty_like(agree) for _ in range(3))
 
     def pair_sums(multiplier):
-        mu = multiplier[:, None] * scale
-        root = np.hypot(mu, geometric)
-        rising = mu >= 0.0
-        # a pair without agree events and mu <= 0 has t = inf (u on the window
-        # edge); the branches and terms that np.where discards may be 0/0 or 0*inf
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(rising, twice_disagree / (mu + root), (root - mu) * half_inverse_agree)
-            t = np.where(no_disagree, mu * smooth_slope, t)
-            t2 = t * t
-            curvature = np.where(no_agree, 0.0, agree * (1.0 + t2))
-            curvature += np.where(no_disagree, 0.0, disagree * (1.0 + 1.0 / t2))
-            flex = np.where(empty | (no_agree & ~rising), 0.0, flex_scale / curvature)
-        return to_pair_sum * np.arctan(t), flex
+            if np.count_nonzero(multiplier):
+                np.multiply(multiplier[:, None], scale, out=mu)
+                np.hypot(mu, geometric, out=root)
+                rising = mu >= 0.0
+                np.add(mu, root, out=flex)
+                np.subtract(root, mu, out=root)
+                np.multiply(root, half_inverse_agree, out=root)
+                # a barren pair with mu < 0 has t = inf: u on the window edge
+                t = np.where(rising, np.divide(twice_disagree, flex, out=flex), root)
+            else:
+                t = twice_disagree / geometric
+            if bare.size:
+                t.put(bare, multiplier[bare_rows] * bare_scale * bare_slope)
+            t2 = np.multiply(t, t, out=root)
+            curvature = np.add(t2, 1.0, out=mu)
+            curvature *= agree
+            np.divide(1.0, t2, out=t2)
+            t2 += 1.0
+            t2 *= disagree
+            # a masked pair's curvature is the part of its present kind alone
+            if bare.size:
+                bare_flex = flex_scale / curvature.take(bare)
+            if barren.size:
+                barren_mu = multiplier[barren_rows] * barren_scale
+                barren_flex = np.where(barren_mu >= 0.0, flex_scale / t2.take(barren), 0.0)
+            curvature += t2
+            np.divide(flex_scale, curvature, out=flex)
+            if bare.size:
+                flex.put(bare, bare_flex)
+                flex.put(void, 0.0)
+            if barren.size:
+                flex.put(barren, barren_flex)
+        return np.multiply(to_pair_sum, np.arctan(t, out=root), out=t), flex
 
     return pair_sums
 
 
-def _fit_pair_sums(agree, disagree, branch, half) -> tuple[np.ndarray, int]:
+def _fit_pair_sums(agree, disagree, empty, branch, half) -> tuple[np.ndarray, int]:
     """Constrained maximum of every row's pair sums, and the slowest row's step count.
 
     g(lambda) = sum_j (-1)^j x_j(lambda) falls strictly (g' = -sum_j 1/|l_j''|).
     Newton steps on g keep a bracket: a step at most doubles the last while a
-    side is open, and bisection replaces one that leaves it.  A row with one
-    empty pair has lambda = 0, and that pair takes the ring residual.
+    side is open, and bisection replaces one that leaves it; the first step,
+    with both sides open and no last step, is taken as it is.  A row with
+    one empty pair (``empty`` marks them) has lambda = 0, and that pair takes
+    the ring residual.
     """
     alternating = (-1.0) ** np.arange(agree.shape[1])
-    empty = agree + disagree == 0
     stuck = empty.any(axis=1)
     multiplier = np.zeros(agree.shape[0])
     lower = np.full_like(multiplier, -np.inf)
     upper = np.full_like(multiplier, np.inf)
-    last_step = np.full_like(multiplier, np.inf)
     rounding = 4.0 * np.finfo(float).eps
-    maxima = _pair_maxima(agree, disagree, branch, half)
+    maxima = _pair_maxima(agree, disagree, empty, branch, half)
     for iterations in range(_MULTIPLIER_ITERATIONS + 1):
         pair_sums, flex = maxima(multiplier)
         residual = pair_sums @ alternating
@@ -317,9 +368,10 @@ def _fit_pair_sums(agree, disagree, branch, half) -> tuple[np.ndarray, int]:
             return pair_sums - empty * alternating * residual[:, None], iterations
         lower = np.where(residual >= 0, multiplier, lower)
         upper = np.where(residual < 0, multiplier, upper)
-        one_sided = np.isinf(lower) | np.isinf(upper)
-        bound = 2.0 * last_step
-        step = np.where(one_sided, np.minimum(np.maximum(step, -bound), bound), step)
+        if iterations:
+            one_sided = np.isinf(lower) | np.isinf(upper)
+            bound = 2.0 * last_step
+            step = np.where(one_sided, np.minimum(np.maximum(step, -bound), bound), step)
         target = multiplier + step
         target = np.where((target > lower) & (target < upper), target, 0.5 * (lower + upper))
         last_step = np.abs(target - multiplier)
@@ -381,16 +433,16 @@ def mle_estimate(
     from the pair sums of the returned theta, outside the box, on or past the
     window, or with a per-event gradient max-norm above 1e-10.
     """
-    weights, photons, nodes = _count_rows(counts, photons, nodes)
+    agree, disagree, photons, nodes = _count_pairs(counts, photons, nodes)
     guess = _float_array(initial_theta, "initial guess", (nodes - 1,))
     _check_nodes(nodes, 4, even=True)
     guess_sums = _pair_sums(_mc_phases(guess[None, :]))[0]
     window = _check_window(guess_sums, photons, "initial guess")
-    agree, disagree = _pair_totals(weights)
     total = agree.sum(axis=1) + disagree.sum(axis=1)
     if (total <= 0).any():
         raise ValidationError("counts must have positive total weight")
-    empty_pairs = (agree + disagree == 0).sum(axis=1)
+    empty = agree + disagree == 0
+    empty_pairs = empty.sum(axis=1)
     if (empty_pairs > 1).any():
         row = int(np.argmax(empty_pairs > 1))
         raise ConvergenceError(
@@ -401,7 +453,7 @@ def mle_estimate(
 
     half = photons / 2.0
     branch = np.where(guess_sums < 0, -1.0, 1.0)
-    pair_sums, iterations = _fit_pair_sums(agree, disagree, branch, half)
+    pair_sums, iterations = _fit_pair_sums(agree, disagree, empty, branch, half)
     # the alternating direction the phases leave free is theta_0, which the
     # kept coordinates drop
     theta = _mc_coordinates(_pair_sum_phases(pair_sums))
@@ -425,9 +477,18 @@ def mle_estimate(
         )
     # with t = tan(hx/2): -l_j'(x) = h (a_j t - b_j / t)
     t = np.tan(half * fitted / 2.0)
-    inverse_t = np.divide(1.0, t, out=np.zeros_like(t), where=disagree > 0)
-    pair_grad = half * (agree * t - disagree * inverse_t)
-    grad_norm = np.abs(_mc_pair_pullback(pair_grad / total[:, None])).max(axis=1)
+    # 1/t only where b_j > 0: a bare pair's b_j / t term is 0
+    bare = (disagree == 0).ravel().nonzero()[0]
+    inverse_t = t.copy()
+    inverse_t.put(bare, 1.0)
+    np.divide(1.0, inverse_t, out=inverse_t)
+    inverse_t.put(bare, 0.0)
+    inverse_t *= disagree
+    pair_grad = agree * t
+    pair_grad -= inverse_t
+    pair_grad *= half
+    pair_grad /= total[:, None]
+    grad_norm = np.abs(_mc_pair_pullback(pair_grad)).max(axis=1)
     if not (grad_norm <= _GRADIENT_TOL).all():
         raise ConvergenceError(
             f"likelihood fit left gradient norm {float(np.max(grad_norm)):.3e} above "

@@ -125,7 +125,10 @@ def _mc_labels(d: int) -> tuple[str, ...]:
 
 # The maps between phases and the kept mc coordinates theta_1..theta_{d-1}
 # (theta_0 = 0), in O(d) per row: the fitter maps one row per table, and
-# _build_mc maps the unit vectors to form both matrices.
+# _build_mc maps the unit vectors to form both matrices.  The parity chains
+# of many rows are summed node-major, shaped (d/2, rows, 2): a sum over the
+# chain axis then adds whole rows in chain order, the order in which a
+# row-major sum adds along that strided axis, in a few long passes.
 
 
 def _mc_coordinates(phases: np.ndarray) -> np.ndarray:
@@ -136,8 +139,23 @@ def _mc_coordinates(phases: np.ndarray) -> np.ndarray:
     d = phases.shape[1]
     theta = np.empty((phases.shape[0], d - 1))
     theta[:, 0] = phases.sum(axis=1) / d
-    theta[:, 1:] = (phases[:, :-2] - phases[:, 2:]) / d
+    differences = np.subtract(phases[:, :-2], phases[:, 2:], out=theta[:, 1:])
+    differences /= d
     return theta
+
+
+def _swap_chain_axes(chains: np.ndarray) -> np.ndarray:
+    """``chains``, C-ordered, with its first two axes swapped; the last has length 2.
+
+    Each entry pair along the last axis moves as one complex128, so the
+    copy is a plain two-axis transpose.  With one row there is nothing to
+    move, and the result is a view of ``chains``.
+    """
+    first, second = chains.shape[:2]
+    if first == 1 or second == 1:
+        return chains.reshape(second, first, 2)
+    pairs = chains.view(np.complex128)[..., 0]
+    return pairs.T.copy().view(np.float64).reshape(second, first, 2)
 
 
 def _mc_phases(theta: np.ndarray) -> np.ndarray:
@@ -149,10 +167,14 @@ def _mc_phases(theta: np.ndarray) -> np.ndarray:
     d (S/(d/2) - c) is written 2 S - d c, which is exact on integer input.
     """
     rows, d = theta.shape[0], theta.shape[1] + 1
-    chains = np.zeros((rows, d // 2, 2))
-    theta[:, 1:].reshape(rows, -1, 2).cumsum(axis=1, out=chains[:, 1:])
-    chains = 2.0 * chains.sum(axis=1, keepdims=True) - d * chains
-    return (theta[:, :1, None] + chains).reshape(rows, d)
+    chains = np.zeros((d // 2, rows, 2))
+    steps = theta[:, 1:].reshape(rows, -1, 2).transpose(1, 0, 2)
+    steps.cumsum(axis=0, out=chains[1:])
+    twice_sums = 2.0 * chains.sum(axis=0)
+    chains *= d
+    np.subtract(twice_sums, chains, out=chains)
+    chains += theta[:, :1].repeat(2, axis=1)
+    return _swap_chain_axes(chains).reshape(rows, d)
 
 
 def _mc_pair_pullback(pair_grad: np.ndarray) -> np.ndarray:
@@ -164,11 +186,13 @@ def _mc_pair_pullback(pair_grad: np.ndarray) -> np.ndarray:
     """
     rows, d = pair_grad.shape
     node_grad = pair_grad + np.concatenate((pair_grad[:, -1:], pair_grad[:, :-1]), axis=1)
-    chains = node_grad.reshape(rows, d // 2, 2)
-    centred = chains - chains.sum(axis=1, keepdims=True) / (d // 2)
     grad = np.empty((rows, d - 1))
     grad[:, 0] = node_grad.sum(axis=1)
-    grad[:, 1:] = (-d * centred[:, :0:-1].cumsum(axis=1)[:, ::-1]).reshape(rows, d - 2)
+    centred = _swap_chain_axes(node_grad.reshape(rows, d // 2, 2))
+    centred -= centred.sum(axis=0) / (d // 2)
+    tails = centred[:0:-1].cumsum(axis=0)[::-1]
+    tails *= -d
+    grad[:, 1:] = _swap_chain_axes(tails).reshape(rows, d - 2)
     return grad
 
 

@@ -253,12 +253,29 @@ def test_a_weak_bound_whose_denominator_overflows_is_not_refused():
 
 def test_a_weak_bound_whose_quadratic_form_overflows_at_the_scaled_weight_is_refused():
     # the weight needs no scaling (k = 0), and there u^T F u = 2.754e308
-    # overflows, so the weak bound is refused as inf
-    with pytest.raises(
-        ValidationError,
-        match="^weight vector gives weak bound = inf, not a positive finite normal float$",
-    ):
-        weak_crb(np.diag([1.7e308, 1.7e308]), [0.9, 0.9])
+    # overflows; at F scaled by 2^-1024 too, the weak bound of this
+    # eigenvector weight is 1.62 / 1.7e308, which is subnormal, so it is
+    # refused with that value, as the exact bound is
+    for bound, name in ((weak_crb, "weak"), (exact_crb, "exact")):
+        with pytest.raises(
+            ValidationError,
+            match=f"^weight vector gives {name} bound = 9.529e-309, not a positive finite "
+            "normal float$",
+        ):
+            bound(np.diag([1.7e308, 1.7e308]), [0.9, 0.9])
+
+
+def test_a_weak_bound_whose_quadratic_form_overflows_is_not_refused():
+    # u^T F u = 6.9e308 overflows at the weight, which needs no scaling, so
+    # the matrix is scaled by 2^-1024 as well; the weight is an eigenvector,
+    # and the weak bound is the exact one, a normal float
+    matrix, alpha = 1.7e308 * np.eye(5), np.full(5, 0.9)
+    assert exact_crb(matrix, alpha) == 2.3823529411764707e-308
+    assert weak_crb(matrix, alpha) == 2.3823529411764707e-308
+    check = weak_vs_exact_check(matrix, alpha)
+    assert (check.weak_side, check.exact_side) == (2.3823529411764707e-308,) * 2
+    assert check.rayleigh_quotient == pytest.approx(1.7e308, rel=1e-15)
+    assert check.alpha_is_eigenvector
 
 
 def test_weak_vs_exact_check_refuses_what_exact_crb_refuses():

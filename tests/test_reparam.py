@@ -238,6 +238,33 @@ def test_theta_3_bounds_at_eight_nodes_are_exact_rationals(kind, information, we
     assert exact_crb(matrix, alpha) == pytest.approx(float(exact), rel=1e-12)
 
 
+def test_the_four_node_orthogonal_chart_is_exactly_criterion_5():
+    # the chart's directions W are halves, so G (2W) is integer, and each
+    # Fisher matrix, quadratic in the directions, is a quarter of its value
+    # there: at N = 2 the reduced QFIM is I and the CFIM diag(1, 1/2, 1/2);
+    # the ring average is half of the first coordinate, and its exact bound
+    # is 1/4 for both kinds
+    rep = build_orthogonal_d4()
+    twice = (2 * rep.inverse[:, 1:]).astype(np.int64)
+    assert np.array_equal(twice, 2 * rep.inverse[:, 1:])
+    grads = pair_sum_gradients(4).astype(np.int64) @ twice
+    fisher = {
+        kind: [[x / 4 for x in row] for row in matrix]
+        for kind, matrix in exact_fisher(grads, 2).items()
+    }
+    assert fisher["quantum"] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert fisher["classical"] == [[1, 0, 0], [0, Fraction(1, 2), 0], [0, 0, Fraction(1, 2)]]
+    half = [Fraction(1, 2), 0, 0]
+    information = {"quantum": qfim_pure, "classical": cfim}
+    for kind, matrix in fisher.items():
+        inverse = fraction_inverse(matrix)
+        bound = sum(a * x * b for row, a in zip(inverse, half) for x, b in zip(row, half))
+        assert bound == Fraction(1, 4), kind
+        pushed = pushforward_fisher(information[kind](2, 4, np.zeros(4)), rep, True)
+        assert [[Fraction(x) for x in row] for row in pushed.entries.tolist()] == matrix
+        assert exact_crb(pushed, [0.5, 0.0, 0.0]) == 0.25
+
+
 def rational_weights(size):
     """Dyadic weights, each exact as a float: e_1, all ones, halvings and a tilt."""
     first = [Fraction(int(i == 0)) for i in range(size)]
