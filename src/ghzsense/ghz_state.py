@@ -116,10 +116,8 @@ def _pair_sum_phases(pair_sums: np.ndarray) -> np.ndarray:
     The alternating direction, which changes no pair sum, is left at zero.
     """
     alternating = (-1.0) ** np.arange(pair_sums.shape[-1])
-    partial = np.multiply(alternating, pair_sums)
-    partial.cumsum(axis=-1, out=partial)
     phi = np.zeros_like(pair_sums)
-    np.multiply(partial[..., :-1], -alternating[1:], out=phi[..., 1:])
+    phi[..., 1:] = -alternating[1:] * np.cumsum(alternating * pair_sums, axis=-1)[..., :-1]
     return phi
 
 

@@ -9,7 +9,11 @@ reaches exactly the x with sum_j (-1)^j x_j = 0, the only coupling, so the
 maximum solves l_j'(x_j) = lambda (-1)^j with one Lagrange multiplier per
 count table (Aitchison & Silvey, Ann. Math. Statist. 29, 813, 1958): a closed
 form per pair, and a one-dimensional root for lambda.  Many tables are fit at
-once, one row each.
+once, one row each.  The work that does not change between multiplier steps
+(sqrt(a_j b_j), the signs, the indices of the pairs without agree or without
+disagree events) is done once per fit; each step evaluates one closed form
+over the whole array into reused buffers and writes those masked pairs over
+it by index, and the step at multiplier 0 is exact without hypot.
 
 The likelihood is even under a global sign flip, so the fit is local: a pair
 with b_j > 0 keeps the sign of the guess's pair sum (+ when that is zero, a
@@ -250,11 +254,11 @@ def _pair_maxima(agree, disagree, empty, branch, half):
     """Pair sums maximizing l_j(x) - multiplier (-1)^j x, as a function of the multipliers.
 
     The returned function maps each row's multiplier to the pair sums and
-    -(-1)^j dx_j/dmultiplier; it reuses its buffers, so a caller keeps
-    neither past the next call.  With u = hx/2, s_j the branch if b_j > 0
-    and + if b_j = 0, and mu = multiplier (-1)^j s_j / h, t = tan(s_j u) is:
-    if b_j > 0, the positive root of a_j t^2 + mu t - b_j = 0 in its
-    cancellation-free form; if b_j = 0, -mu / a_j.  The pair sum is
+    -(-1)^j dx_j/dmultiplier, the latter in a buffer that its next call
+    overwrites.  With u = hx/2, s_j the branch if b_j > 0 and + if b_j = 0,
+    and mu = multiplier (-1)^j s_j / h, t = tan(s_j u) is: if b_j > 0, the
+    positive root of a_j t^2 + mu t - b_j = 0 in its cancellation-free form;
+    if b_j = 0, -mu / a_j.  The pair sum is
     2 s_j arctan(t) / h, and its derivative 1/|l_j''| =
     2 / (h^2 (a_j (1 + t^2) + b_j (1 + 1/t^2))), except for an empty pair
     (``empty`` marks them) and a pair held on the window edge (a_j = 0 and

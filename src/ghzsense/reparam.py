@@ -139,21 +139,17 @@ def _mc_coordinates(phases: np.ndarray) -> np.ndarray:
     d = phases.shape[1]
     theta = np.empty((phases.shape[0], d - 1))
     theta[:, 0] = phases.sum(axis=1) / d
-    differences = np.subtract(phases[:, :-2], phases[:, 2:], out=theta[:, 1:])
-    differences /= d
+    theta[:, 1:] = (phases[:, :-2] - phases[:, 2:]) / d
     return theta
 
 
 def _swap_chain_axes(chains: np.ndarray) -> np.ndarray:
-    """``chains``, C-ordered, with its first two axes swapped; the last has length 2.
+    """A C-ordered copy of ``chains`` with its first two axes swapped; the last has length 2.
 
     Each entry pair along the last axis moves as one complex128, so the
-    copy is a plain two-axis transpose.  With one row there is nothing to
-    move, and the result is a view of ``chains``.
+    copy is a plain two-axis transpose.
     """
     first, second = chains.shape[:2]
-    if first == 1 or second == 1:
-        return chains.reshape(second, first, 2)
     pairs = chains.view(np.complex128)[..., 0]
     return pairs.T.copy().view(np.float64).reshape(second, first, 2)
 
