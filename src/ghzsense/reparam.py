@@ -166,9 +166,7 @@ def _mc_phases(theta: np.ndarray) -> np.ndarray:
     chains = np.zeros((d // 2, rows, 2))
     steps = theta[:, 1:].reshape(rows, -1, 2).transpose(1, 0, 2)
     steps.cumsum(axis=0, out=chains[1:])
-    twice_sums = 2.0 * chains.sum(axis=0)
-    chains *= d
-    np.subtract(twice_sums, chains, out=chains)
+    chains = 2.0 * chains.sum(axis=0) - d * chains
     chains += theta[:, :1].repeat(2, axis=1)
     return _swap_chain_axes(chains).reshape(rows, d)
 
