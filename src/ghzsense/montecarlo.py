@@ -481,18 +481,9 @@ def mle_estimate(
         )
     # with t = tan(hx/2): -l_j'(x) = h (a_j t - b_j / t)
     t = np.tan(half * fitted / 2.0)
-    # 1/t only where b_j > 0: a bare pair's b_j / t term is 0
-    bare = (disagree == 0).ravel().nonzero()[0]
-    inverse_t = t.copy()
-    inverse_t.put(bare, 1.0)
-    np.divide(1.0, inverse_t, out=inverse_t)
-    inverse_t.put(bare, 0.0)
-    inverse_t *= disagree
-    pair_grad = agree * t
-    pair_grad -= inverse_t
-    pair_grad *= half
-    pair_grad /= total[:, None]
-    grad_norm = np.abs(_mc_pair_pullback(pair_grad)).max(axis=1)
+    inverse_t = np.divide(1.0, t, out=np.zeros_like(t), where=disagree > 0)
+    pair_grad = half * (agree * t - disagree * inverse_t)
+    grad_norm = np.abs(_mc_pair_pullback(pair_grad / total[:, None])).max(axis=1)
     if not (grad_norm <= _GRADIENT_TOL).all():
         raise ConvergenceError(
             f"likelihood fit left gradient norm {float(np.max(grad_norm)):.3e} above "
