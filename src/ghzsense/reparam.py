@@ -180,12 +180,12 @@ def _mc_pair_pullback(pair_grad: np.ndarray) -> np.ndarray:
     """
     rows, d = pair_grad.shape
     node_grad = pair_grad + np.concatenate((pair_grad[:, -1:], pair_grad[:, :-1]), axis=1)
-    grad = np.empty((rows, d - 1))
-    grad[:, 0] = node_grad.sum(axis=1)
     centred = _swap_chain_axes(node_grad.reshape(rows, d // 2, 2))
     centred -= centred.sum(axis=0) / (d // 2)
     tails = centred[:0:-1].cumsum(axis=0)[::-1]
     tails *= -d
+    grad = np.empty((rows, d - 1))
+    grad[:, 0] = node_grad.sum(axis=1)
     grad[:, 1:] = _swap_chain_axes(tails).reshape(rows, d - 2)
     return grad
 
