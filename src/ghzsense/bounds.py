@@ -105,11 +105,12 @@ def _weak_bound(terms: tuple, n: int) -> float:
     With u = a 2^-k, F = F' 2^j and n = m 2^e (m in [0.5, 1), ``math.frexp``),
     the bound (a^T a)^2 / (n a^T F a) is (u^T u)^2 / (m u^T F' u) times
     2^(2k - j - e), and each power-of-two scaling is exact.  F is scaled
-    (j > 0) only where u^T F u overflows.  So, with F unscaled, the bound is
-    the expression as written, bit for bit, wherever each step of that is a
-    normal float, and a weight whose bound is a normal float is accepted
-    whatever the size of (a^T a)^2 or of n a^T F a.  The square is ``norm2 * norm2``, which is correctly
-    rounded; ``x ** 2`` is libm's pow, which is not.
+    (j > 0) only where u^T F u overflows.  So, with F unscaled, the bound
+    is the expression as written, bit for bit, wherever each step of that
+    is a normal float, and a weight whose bound is a normal float is
+    accepted whatever the size of (a^T a)^2 or of n a^T F a.  The square
+    is ``norm2 * norm2``, which is correctly rounded; ``x ** 2`` is libm's
+    pow, which is not.
     """
     _, k, j, norm2, quad = terms
     m, e = math.frexp(float(n))

@@ -268,19 +268,16 @@ def _pair_maxima(agree, disagree, empty, branch, half):
     the signs, and the flat indices of the masked entries, pairs without
     disagree events ("bare") or with disagree events only ("barren").  Each
     call forms the closed form of a pair with both kinds on the whole array,
-    then writes the masked entries over it by index, so a table without
-    them pays nothing for them.  The closed form of a bare pair's t, and
+    then writes the masked entries over it by index; a table without them
+    has empty index sets, and those writes do nothing.  The closed form of a bare pair's t, and
     the part of a masked pair's curvature that its missing kind's count
     multiplies, may be 0/0 or 0*inf before they are written over.  At
     multiplier 0, hypot(+-0, g) = g and +-0 + g = g, so t = 2 b_j / g_j
     exactly, with no hypot and no branch.
     """
     nodes = agree.shape[1]
-    alternating = (-1.0) ** np.arange(nodes)
-    # bare pairs take + where the branch is -, so the signs are the branch
-    # itself, one per pair, when it has no -
-    sign = np.where(disagree > 0, branch, 1.0) if np.count_nonzero(branch < 0) else branch
-    scale = alternating * sign / half
+    sign = np.where(disagree > 0, branch, 1.0)
+    scale = (-1.0) ** np.arange(nodes) * sign / half
     to_pair_sum = 2.0 * sign / half
     geometric = np.multiply(agree, disagree)
     np.sqrt(geometric, out=geometric)
@@ -292,15 +289,11 @@ def _pair_maxima(agree, disagree, empty, branch, half):
     bare_mask = disagree == 0
     bare = bare_mask.ravel().nonzero()[0]
     barren = ((agree == 0) > bare_mask).ravel().nonzero()[0]
-    if bare.size:
-        void = empty.ravel().nonzero()[0]
-        bare_rows, bare_columns = np.divmod(bare, nodes)
-        bare_scale = alternating[bare_columns] / half
-        # -1/a_j written -2 (0.5/a_j), as the closed form has it; 0 for an empty pair
-        bare_slope = np.where(empty.ravel()[bare], 0.0, -2.0 * half_inverse_agree.ravel()[bare])
-    if barren.size:
-        barren_rows, barren_columns = np.divmod(barren, nodes)
-        barren_scale = np.broadcast_to(scale, agree.shape)[barren_rows, barren_columns]
+    void = empty.ravel().nonzero()[0]
+    bare_rows, barren_rows = bare // nodes, barren // nodes
+    bare_scale, barren_scale = scale.take(bare), scale.take(barren)
+    # -1/a_j written -2 (0.5/a_j), as the closed form has it; 0 for an empty pair
+    bare_slope = np.where(empty.take(bare), 0.0, -2.0 * half_inverse_agree.take(bare))
     mu, root, flex = (np.empty_like(agree) for _ in range(3))
 
     def pair_sums(multiplier):
@@ -316,8 +309,7 @@ def _pair_maxima(agree, disagree, empty, branch, half):
                 t = np.where(rising, np.divide(twice_disagree, flex, out=flex), root)
             else:
                 t = twice_disagree / geometric
-            if bare.size:
-                t.put(bare, multiplier[bare_rows] * bare_scale * bare_slope)
+            t.put(bare, multiplier[bare_rows] * bare_scale * bare_slope)
             t2 = np.multiply(t, t, out=root)
             curvature = np.add(t2, 1.0, out=mu)
             curvature *= agree
@@ -325,18 +317,14 @@ def _pair_maxima(agree, disagree, empty, branch, half):
             t2 += 1.0
             t2 *= disagree
             # a masked pair's curvature is the part of its present kind alone
-            if bare.size:
-                bare_flex = flex_scale / curvature.take(bare)
-            if barren.size:
-                barren_mu = multiplier[barren_rows] * barren_scale
-                barren_flex = np.where(barren_mu >= 0.0, flex_scale / t2.take(barren), 0.0)
+            bare_flex = flex_scale / curvature.take(bare)
+            barren_mu = multiplier[barren_rows] * barren_scale
+            barren_flex = np.where(barren_mu >= 0.0, flex_scale / t2.take(barren), 0.0)
             curvature += t2
             np.divide(flex_scale, curvature, out=flex)
-            if bare.size:
-                flex.put(bare, bare_flex)
-                flex.put(void, 0.0)
-            if barren.size:
-                flex.put(barren, barren_flex)
+            flex.put(bare, bare_flex)
+            flex.put(void, 0.0)
+            flex.put(barren, barren_flex)
         return np.multiply(to_pair_sum, np.arctan(t, out=root), out=t), flex
 
     return pair_sums
