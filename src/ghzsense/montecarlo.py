@@ -269,11 +269,11 @@ def _pair_maxima(agree, disagree, empty, branch, half):
     disagree events ("bare") or with disagree events only ("barren").  Each
     call forms the closed form of a pair with both kinds on the whole array,
     then writes the masked entries over it by index; a table without them
-    has empty index sets, and those writes do nothing.  The closed form of a bare pair's t, and
-    the part of a masked pair's curvature that its missing kind's count
-    multiplies, may be 0/0 or 0*inf before they are written over.  At
-    multiplier 0, hypot(+-0, g) = g and +-0 + g = g, so t = 2 b_j / g_j
-    exactly, with no hypot and no branch.
+    has empty index sets, and those writes do nothing.  The closed form of
+    a bare pair's t, and the part of a masked pair's curvature that its
+    missing kind's count multiplies, may be 0/0 or 0*inf before they are
+    written over.  At multiplier 0, hypot(+-0, g) = g and +-0 + g = g, so
+    t = 2 b_j / g_j exactly, with no hypot and no branch.
     """
     nodes = agree.shape[1]
     sign = np.where(disagree > 0, branch, 1.0)
