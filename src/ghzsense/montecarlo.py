@@ -10,10 +10,10 @@ maximum solves l_j'(x_j) = lambda (-1)^j with one Lagrange multiplier per
 count table (Aitchison & Silvey, Ann. Math. Statist. 29, 813, 1958): a closed
 form per pair, and a one-dimensional root for lambda.  Many tables are fit at
 once, one row each.  The work that does not change between multiplier steps
-(sqrt(a_j b_j), the signs, the indices of the pairs without agree or without
-disagree events) is done once per fit; each step evaluates one closed form
-over the whole array into reused buffers and writes those masked pairs over
-it by index, and the step at multiplier 0 is exact without hypot.
+(sqrt(a_j b_j), each column's scale, the indices of the pairs without agree
+or without disagree events) is done once per fit; each step evaluates one
+closed form over the whole array into reused buffers and writes those masked
+pairs over it by index, and the step at multiplier 0 is exact without hypot.
 
 The likelihood is even under a global sign flip, so the fit is local: a pair
 with b_j > 0 keeps the sign of the guess's pair sum (+ when that is zero, a
@@ -255,30 +255,30 @@ def _pair_maxima(agree, disagree, empty, branch, half):
 
     The returned function maps each row's multiplier to the pair sums and
     -(-1)^j dx_j/dmultiplier, the latter in a buffer that its next call
-    overwrites.  With u = hx/2, s_j the branch if b_j > 0 and + if b_j = 0,
-    and mu = multiplier (-1)^j s_j / h, t = tan(s_j u) is: if b_j > 0, the
+    overwrites.  With u = hx/2, s_j the branch and
+    mu = multiplier (-1)^j s_j / h, t = tan(s_j u) is: if b_j > 0, the
     positive root of a_j t^2 + mu t - b_j = 0 in its cancellation-free form;
-    if b_j = 0, -mu / a_j.  The pair sum is
-    2 s_j arctan(t) / h, and its derivative 1/|l_j''| =
-    2 / (h^2 (a_j (1 + t^2) + b_j (1 + 1/t^2))), except for an empty pair
-    (``empty`` marks them) and a pair held on the window edge (a_j = 0 and
-    mu < 0): 0.
+    if b_j = 0, -mu / a_j.  The pair sum is 2 s_j arctan(t) / h, and its
+    derivative 1/|l_j''| = 2 / (h^2 (a_j (1 + t^2) + b_j (1 + 1/t^2))),
+    except for an empty pair (``empty`` marks them) and a pair held on the
+    window edge (a_j = 0 and mu < 0): 0.  At b_j = 0, t is odd in s_j, and
+    so is arctan, bit for bit, so the pair sum does not depend on the
+    branch there: such a pair is smooth through zero.
 
     What does not depend on the multipliers is found once here: sqrt(a_j b_j),
-    the signs, and the flat indices of the masked entries, pairs without
-    disagree events ("bare") or with disagree events only ("barren").  Each
-    call forms the closed form of a pair with both kinds on the whole array,
-    then writes the masked entries over it by index; a table without them
-    has empty index sets, and those writes do nothing.  The closed form of
-    a bare pair's t, and the part of a masked pair's curvature that its
-    missing kind's count multiplies, may be 0/0 or 0*inf before they are
-    written over.  At multiplier 0, hypot(+-0, g) = g and +-0 + g = g, so
-    t = 2 b_j / g_j exactly, with no hypot and no branch.
+    the scales of the columns, and the flat indices of the masked entries,
+    pairs without disagree events ("bare") or with disagree events only
+    ("barren").  Each call forms the closed form of a pair with both kinds
+    on the whole array, then writes the masked entries over it by index; a
+    table without them has empty index sets, and those writes do nothing.
+    The closed form of a bare pair's t, and the part of a masked pair's
+    curvature that its missing kind's count multiplies, may be 0/0 or 0*inf
+    before they are written over.  At multiplier 0, hypot(+-0, g) = g and
+    +-0 + g = g, so t = 2 b_j / g_j exactly, with no hypot and no branch.
     """
     nodes = agree.shape[1]
-    sign = np.where(disagree > 0, branch, 1.0)
-    scale = (-1.0) ** np.arange(nodes) * sign / half
-    to_pair_sum = 2.0 * sign / half
+    scale = (-1.0) ** np.arange(nodes) * branch / half
+    to_pair_sum = 2.0 * branch / half
     geometric = np.multiply(agree, disagree)
     np.sqrt(geometric, out=geometric)
     geometric *= 2.0
@@ -290,8 +290,9 @@ def _pair_maxima(agree, disagree, empty, branch, half):
     bare = bare_mask.ravel().nonzero()[0]
     barren = ((agree == 0) > bare_mask).ravel().nonzero()[0]
     void = empty.ravel().nonzero()[0]
-    bare_rows, barren_rows = bare // nodes, barren // nodes
-    bare_scale, barren_scale = scale.take(bare), scale.take(barren)
+    bare_rows, bare_columns = np.divmod(bare, nodes)
+    barren_rows, barren_columns = np.divmod(barren, nodes)
+    bare_scale, barren_scale = scale[bare_columns], scale[barren_columns]
     # -1/a_j written -2 (0.5/a_j), as the closed form has it; 0 for an empty pair
     bare_slope = np.where(empty.take(bare), 0.0, -2.0 * half_inverse_agree.take(bare))
     mu, root, flex = (np.empty_like(agree) for _ in range(3))

@@ -601,6 +601,21 @@ def test_wide_ring_fit_is_pinned_bit_for_bit():
     assert fit.iterations == 3
 
 
+def test_wide_ring_fit_on_the_negative_branch_is_pinned_bit_for_bit():
+    # the mirrored phases draw the same table; every guess pair sum is
+    # negative, so each pair takes the - branch, and the 105 pairs without
+    # disagree events must come out as they do on the + branch
+    phases = np.full(256, -0.05)
+    table = sample_counts(outcome_distribution(2, 256, phases), 10**5, 1)
+    per_pair = table.array.reshape(256, 4)
+    assert int((per_pair[:, 2:].sum(axis=1) == 0).sum()) == 105
+    fit = mle_estimate(table, build_mc(256).apply(phases)[1:])
+    assert theta_digest(fit.theta) == (
+        "b692edb448e72b83b93050a6c40cb0e947403b1820c8e084fc0de82d32266989"
+    )
+    assert fit.iterations == 3
+
+
 def test_fits_with_empty_and_agree_free_pairs_are_pinned_bit_for_bit():
     theta_true = build_mc(4).apply(PHI)[1:]
     # one empty pair: the row is stuck at multiplier 0
