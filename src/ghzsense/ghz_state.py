@@ -88,15 +88,20 @@ def _float_array(values, what: str, shape: tuple) -> np.ndarray:
         raise ValidationError(f"{what} must be an array of numbers: {exc}") from None
     if np.iscomplexobj(array):
         raise ValidationError(f"{what} must be real, got dtype {array.dtype}")
+    _check_shape(array, what, shape)
+    if not np.isfinite(array).all():
+        raise ValidationError(f"{what} entries must be finite")
+    return array
+
+
+def _check_shape(array: np.ndarray, what: str, shape: tuple) -> None:
+    """Refuse ``array`` unless it has ``shape``, where None matches any size."""
     if array.ndim != len(shape) or any(
         n is not None and n != m for n, m in zip(shape, array.shape)
     ):
         sizes = ", ".join("any" if n is None else str(n) for n in shape)
         expected = f"({sizes},)" if len(shape) == 1 else f"({sizes})"
         raise ValidationError(f"{what} must have shape {expected}, got {array.shape}")
-    if not np.isfinite(array).all():
-        raise ValidationError(f"{what} entries must be finite")
-    return array
 
 
 def _pair_sums(values: np.ndarray) -> np.ndarray:

@@ -203,10 +203,14 @@ def _pair_totals(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each pair's agree (++, --) and disagree (+-, -+) totals of canonical ``entries``.
 
     ``entries`` has the 4d outcomes along its last axis, in the order that
-    :func:`outcome_distribution` lays out; both totals have d entries there.
+    :func:`outcome_distribution` lays out; both totals have d entries there,
+    each float(x) + float(y) of its two outcomes x and y.
     """
     per_pair = entries.reshape(*entries.shape[:-1], -1, 4)
-    return per_pair[..., 0] + per_pair[..., 1], per_pair[..., 2] + per_pair[..., 3]
+    return (
+        np.add(per_pair[..., 0], per_pair[..., 1], dtype=float),
+        np.add(per_pair[..., 2], per_pair[..., 3], dtype=float),
+    )
 
 
 def outcome_distribution(photons: int, nodes: int, phases) -> OutcomeDistribution:

@@ -23,8 +23,6 @@ documented convention); a pair with b_j = 0 is smooth through zero.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from functools import cache
 
@@ -33,8 +31,8 @@ import numpy as np
 from .bounds import _average_phase_bound
 from .errors import ConvergenceError, ValidationError
 from .ghz_state import (  # noqa: F401
-    MAX_SHOTS, _check_counts, _check_int, _check_nodes, _check_seed, _check_shots,
-    _float_array, _pair_sums, _pair_sum_phases, phase_vector,
+    MAX_SHOTS, _check_counts, _check_int, _check_nodes, _check_seed, _check_shape,
+    _check_shots, _float_array, _pair_sums, _pair_sum_phases, phase_vector,
 )
 from .measurement import (
     CountTable, OutcomeDistribution, _label_at, _pair_totals, _refuse_booleans,
@@ -52,13 +50,6 @@ _MULTIPLIER_ITERATIONS = 100
 # allocate (32 MiB of int64 counts; the fit's float working arrays take a few
 # times that).  Larger experiments are refused before anything is allocated.
 MAX_COUNT_CELLS = 2**22
-# Fewest outcomes per draw at which crb_saturation_experiment draws its
-# replicates on several threads.  numpy releases the GIL inside a multinomial
-# draw, but a shorter draw takes it back too soon and the threads convoy on
-# it: on 2 CPUs, two threads drew 200 replicates of 10**5 shots at 0.55-0.93x
-# of serial speed for 4d = 16-96, 1.18x at 112 and 1.54-1.81x for 4d = 128-512.
-_THREADED_MIN_OUTCOMES = 128
-
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) with its default
 # pool of four 32-bit words.  Every call of its hashmix steps a constant
 # sequence that does not depend on the data, so the sequences are taken once,
@@ -163,48 +154,6 @@ def _draw(probabilities: np.ndarray, shots: int, words: np.ndarray) -> np.ndarra
     return np.random.default_rng(_hashed_seed_type()(words)).multinomial(shots, probabilities)
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _draw_rows(probabilities: np.ndarray, shots: int, words: np.ndarray) -> np.ndarray:
-    """Row r is ``_draw(probabilities, shots, words[r])``.
-
-    Each row has its own generator, so the rows do not depend on which
-    thread draws them.  With at least ``_THREADED_MIN_OUTCOMES`` outcomes the
-    rows are split into one contiguous block per usable CPU; the calling
-    thread draws the first block and joins the others before returning or
-    raising the first exception a block raised.
-    """
-    counts = np.empty((len(words), probabilities.size), dtype=np.int64)
-    errors = []
-
-    def draw_block(rows):
-        try:
-            for r in rows:
-                counts[r] = _draw(probabilities, shots, words[r])
-        except BaseException as exc:  # raised again on the calling thread
-            errors.append(exc)
-
-    workers = _usable_cpus() if probabilities.size >= _THREADED_MIN_OUTCOMES else 1
-    blocks = np.array_split(np.arange(len(words)), workers)
-    threads = [threading.Thread(target=draw_block, args=(rows,)) for rows in blocks[1:]]
-    try:
-        for thread in threads:
-            thread.start()
-        draw_block(blocks[0])
-    finally:
-        for thread in threads:
-            if thread.ident is not None:  # started
-                thread.join()
-    if errors:
-        raise errors[0]
-    return counts
-
-
 def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountTable:
     """Multinomial draw over the 4*d outcomes; a pure function of (dist, shots, seed).
 
@@ -225,7 +174,9 @@ def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> CountTabl
 def _count_pairs(counts, photons, nodes) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Each pair's agree and disagree totals, (R, d) floats each, with their N and d.
 
-    The counts are read as an (R, 4d) float array in canonical label order.
+    The counts are an (R, 4d) array in canonical label order.  An integer or
+    real array is read where it lies, with no float copy of the table; any
+    other is read by :func:`_float_array`.
     """
     if isinstance(counts, CountTable):
         for name, given, own in (
@@ -235,17 +186,26 @@ def _count_pairs(counts, photons, nodes) -> tuple[np.ndarray, np.ndarray, int, i
                 raise ValidationError(
                     f"{name}={given!r} contradicts the count table's {name} = {own}"
                 )
-        return *_pair_totals(counts.array[None, :].astype(float)), counts.photons, counts.nodes
+        return *_pair_totals(counts.array[None, :]), counts.photons, counts.nodes
     elif not isinstance(counts, np.ndarray):
         raise ValidationError(f"unsupported counts object: {type(counts).__name__}")
     elif photons is None or nodes is None:
         raise ValidationError("photons and nodes must be given when counts is an array")
     _check_counts(photons, nodes)
     _refuse_booleans(counts, "count array")
-    rows = _float_array(counts, "count array", (None, 4 * nodes))
+    shape = (None, 4 * nodes)
+    rows = np.asarray(counts)  # a view: a subclass is read as a plain array
+    if rows.dtype.kind in "iuf":
+        _check_shape(rows, "count array", shape)
+    else:
+        rows = _float_array(rows, "count array", shape)
     if rows.shape[0] < 1:
         raise ValidationError("count array must have at least one row")
-    if np.any(rows < 0):
+    # two reductions, through which NaN propagates, and no (R, 4d) mask
+    low, high = float(rows.min()), float(rows.max())
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise ValidationError("count array entries must be finite")
+    if low < 0:
         raise ValidationError("counts must be nonnegative")
     return *_pair_totals(rows), photons, nodes
 
@@ -587,13 +547,13 @@ def crb_saturation_experiment(
     on evaluation order.  The child generators are
     seeded in one pass (:func:`_seed_words` hashes every child seed at once),
     and each draws bit for bit what ``np.random.default_rng(child)`` draws,
-    as the tests check.  With at least ``_THREADED_MIN_OUTCOMES`` outcomes
-    the replicates are drawn on up to one thread per usable CPU, all joined
-    before the fit; the result does not depend on the thread count.
+    as the tests check; the calling thread draws the replicates one row at a
+    time into one count table.
     ``replicates * 4 * nodes`` may not exceed ``MAX_COUNT_CELLS``, and
     ``shots`` may not exceed ``MAX_SHOTS``.  True phases outside the
     identifiable window, or at which an outcome has probability 0 (a pair sum
-    of 0, say), are refused with ValidationError.
+    of 0, say), are refused with ValidationError, and so is an experiment
+    whose replicates all fit the same theta_1.
     """
     _check_counts(photons, nodes)
     phi = phase_vector(phases, nodes)
@@ -620,6 +580,15 @@ def crb_saturation_experiment(
     child_seeds = np.random.SeedSequence(seed).generate_state(
         replicates, dtype=np.uint64
     )
-    counts = _draw_rows(_normalized(dist), shots, _seed_words(child_seeds))
+    probabilities = _normalized(dist)
+    counts = np.empty((replicates, probabilities.size), dtype=np.int64)
+    for row, words in zip(counts, _seed_words(child_seeds)):
+        row[:] = _draw(probabilities, shots, words)
     fit = mle_estimate(counts, theta_true, photons=photons, nodes=nodes)
+    theta1 = fit.theta[:, 0]
+    if (theta1 == theta1[0]).all():
+        raise ValidationError(
+            f"every replicate fits theta_1 = {theta1[0]:.17g}: the draws do not move "
+            "the fit, so Var(theta_1) = 0 and the variance ratio is meaningless"
+        )
     return SaturationReport(int(photons), phi, shots, seed, fit.theta)

@@ -361,6 +361,20 @@ def test_simulate_at_a_zero_pair_sum_is_status_2(capsys):
     assert "OutcomeLabel(pair=1, pattern='+-') is 0" in err
 
 
+def test_simulate_whose_replicates_all_fit_the_same_theta1_is_status_2(capsys):
+    argv = [
+        "simulate", "--N", "2", "--d", "4", "--shots", "100000", "--replicates", "50",
+        "--phases", "uniform:1e-5",
+    ]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: invalid configuration: every replicate fits theta_1 = 0: the draws do not "
+        "move the fit, so Var(theta_1) = 0 and the variance ratio is meaningless\n"
+    )
+
+
 def test_package_exports_only_names_the_readme_documents():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     undocumented = [

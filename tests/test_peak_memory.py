@@ -1,9 +1,10 @@
-"""Peak memory of one pushforward and one bound report at d = 256, in d x d arrays.
+"""Peak memory of one pushforward, one bound report and one count read, in d x d arrays.
 
 ``tracemalloc`` records the peak of the Python heap, numpy's array buffers
 included, above the memory held when the call starts.  The counts are those
-of the kept-column pushforward and of the validate-once bound report, so a
-change that adds a live d x d temporary to either fails here.  A peak means
+of the kept-column pushforward and of the validate-once bound report at
+d = 256, and of reading a 256 x 256 count table, so a change that adds a
+live d x d temporary to any of them fails here.  A peak means
 something only when no other allocation is interleaved with the call, so
 CI also runs this file in a process of its own.
 """
@@ -14,6 +15,7 @@ import numpy as np
 
 from ghzsense.bounds import bound_report
 from ghzsense.measurement import cfim
+from ghzsense.montecarlo import _count_pairs
 from ghzsense.qfim import qfim_pure
 from ghzsense.reparam import build_mc, pushforward_fisher
 
@@ -48,3 +50,12 @@ def test_a_bound_report_holds_at_most_two_d_by_d_arrays():
     average = np.eye(1, NODES - 1)[0]
     bound_report(reduced, average)  # a first call may allocate lazily
     assert peak_arrays(lambda: bound_report(reduced, average)) <= 2.0
+
+
+def test_reading_a_count_table_makes_no_float_copy_of_it():
+    # 256 tables of a 64-node ring: the two (R, d) pair totals are half an
+    # array, numpy's two fixed cast buffers about a quarter; a float copy of
+    # the table would add a whole array
+    counts = np.ones((256, 4 * 64), dtype=np.int64)
+    _count_pairs(counts, 2, 64)
+    assert peak_arrays(lambda: _count_pairs(counts, 2, 64)) <= 1.0
