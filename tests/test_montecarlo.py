@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import inspect
+import os
 import threading
 
 import numpy as np
@@ -494,8 +495,12 @@ def test_wide_replicates_with_distinct_phases_draw_what_sample_counts_draws(monk
     assert_replicates_draw_what_sample_counts_draws(monkeypatch, phases, 17)
 
 
+@pytest.mark.parametrize("cpus", [1, 3])
 @pytest.mark.parametrize("nodes", [8, 28, 32, 64])
-def test_replicates_draw_what_default_rng_draws_on_the_calling_thread(nodes, monkeypatch):
+def test_threaded_replicates_draw_what_default_rng_draws(nodes, cpus, monkeypatch):
+    # however many CPUs the process sees, every draw runs on the calling thread
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     phases = np.full(nodes, 0.1)
     counts, drawers = recorded_draws(monkeypatch, phases, 11)
     assert drawers == [threading.current_thread()] * 50
