@@ -204,12 +204,14 @@ def _pair_totals(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``entries`` has the 4d outcomes along its last axis, in the order that
     :func:`outcome_distribution` lays out; both totals have d entries there,
-    each float(x) + float(y) of its two outcomes x and y.
+    each float(x) + float(y) of its two outcomes x and y.  They are formed
+    C-ordered whatever the layout of ``entries``, so every reduction over
+    them, and with it every fit, takes the same bits for any memory layout.
     """
     per_pair = entries.reshape(*entries.shape[:-1], -1, 4)
     return (
-        np.add(per_pair[..., 0], per_pair[..., 1], dtype=float),
-        np.add(per_pair[..., 2], per_pair[..., 3], dtype=float),
+        np.add(per_pair[..., 0], per_pair[..., 1], dtype=float, order="C"),
+        np.add(per_pair[..., 2], per_pair[..., 3], dtype=float, order="C"),
     )
 
 

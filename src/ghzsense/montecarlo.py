@@ -175,8 +175,11 @@ def _count_pairs(counts, photons, nodes) -> tuple[np.ndarray, np.ndarray, int, i
     """Each pair's agree and disagree totals, (R, d) floats each, with their N and d.
 
     The counts are an (R, 4d) array in canonical label order.  An integer or
-    real array is read where it lies, with no float copy of the table; any
-    other is read by :func:`_float_array`.
+    real array is read where it lies, in any memory layout, with no float
+    copy of the table; any other is read by :func:`_float_array`.  Each
+    entry must be finite, nonnegative and at most ``MAX_SHOTS`` = 2**63 - 1,
+    so every pair total is at most 2**64 and every product of two at most
+    2**128, far inside the float range.
     """
     if isinstance(counts, CountTable):
         for name, given, own in (
@@ -201,12 +204,15 @@ def _count_pairs(counts, photons, nodes) -> tuple[np.ndarray, np.ndarray, int, i
         rows = _float_array(rows, "count array", shape)
     if rows.shape[0] < 1:
         raise ValidationError("count array must have at least one row")
-    # two reductions, through which NaN propagates, and no (R, 4d) mask
-    low, high = float(rows.min()), float(rows.max())
+    # two reductions, through which NaN propagates, and no (R, 4d) mask; the
+    # cap is compared as Python numbers, exactly (float64 rounds it to 2**63)
+    low, high = rows.min().item(), rows.max().item()
     if not (math.isfinite(low) and math.isfinite(high)):
         raise ValidationError("count array entries must be finite")
     if low < 0:
         raise ValidationError("counts must be nonnegative")
+    if high > MAX_SHOTS:
+        raise ValidationError(f"count array entry {high!r} exceeds the cap of {MAX_SHOTS}")
     return *_pair_totals(rows), photons, nodes
 
 
@@ -364,7 +370,9 @@ def mle_estimate(
         tables, one per row in canonical label order, which are fit together;
         it requires the ``photons`` and ``nodes`` keyword arguments.  A table
         carries its own geometry; ``photons`` or ``nodes`` given with one
-        must equal it.  Label-keyed counts are read by
+        must equal it.  An array's entries must be finite, nonnegative and
+        at most ``MAX_SHOTS``; its memory layout (C, Fortran or strided)
+        does not change a bit of the fit.  Label-keyed counts are read by
         ``CountTable(mapping, photons, nodes)``.
     initial_theta : array-like, shape (d-1,)
         Center of the search box, of half-width ``_BOX_HALF_WIDTH`` per

@@ -84,11 +84,14 @@ class Chart:
     d(phi)/d(param_m).  The original chart uses the standard basis.  Charts
     for transformed parameter sets are produced by reparametrizations (see
     :mod:`ghzsense.reparam`), whose inverse-matrix columns supply the
-    directions.  Charts are shared between matrices and callers, so a chart
-    is frozen and ``directions`` is its own read-only copy of the array
-    passed in.  The chart keeps the validated matrices of
-    :func:`qfim_pure` and :func:`ghzsense.measurement.cfim` for the most
-    recent photon number in one slot, which a new photon number replaces.
+    directions.  The columns must be linearly independent: directions equal
+    to the d x d identity are by construction, and any other chart is
+    tested by ``np.linalg.matrix_rank``.  Charts are shared between matrices
+    and callers, so a chart is frozen and ``directions`` is its own
+    read-only copy of the array passed in.  The chart keeps the validated
+    matrices of :func:`qfim_pure` and :func:`ghzsense.measurement.cfim` for
+    the most recent photon number in one slot, which a new photon number
+    replaces.
     """
 
     name: str
@@ -103,7 +106,7 @@ class Chart:
         object.__setattr__(self, "directions", _read_only(directions))
         if k < 1:
             raise ValidationError("chart needs at least one label")
-        if np.linalg.matrix_rank(directions) != k:
+        if not self._is_node_chart and np.linalg.matrix_rank(directions) != k:
             raise ValidationError(
                 "chart directions must be linearly independent columns"
             )
@@ -155,8 +158,11 @@ class Chart:
 
     @functools.cached_property
     def _is_node_chart(self) -> bool:
-        """Whether the directions equal the d x d identity, compared by value."""
-        return np.array_equal(self.directions, np.eye(self.nodes))
+        """Whether the directions equal the d x d identity, compared by value.
+
+        A chart that is not square is not, and forms no identity to compare with.
+        """
+        return self.size == self.nodes and np.array_equal(self.directions, np.eye(self.nodes))
 
     def to_json_dict(self) -> dict:
         return {
@@ -378,9 +384,10 @@ def rank_and_nullspace(matrix) -> RankReport:
     """Numerical rank and orthonormal null basis of a symmetric matrix.
 
     The matrix is read by :func:`_entries_of`, so it is exactly symmetric,
-    and its singular values below ``RANK_RTOL`` = 1e-9 times the largest
-    count as zero (all of them for the zero matrix).  Two paths apply that
-    rule:
+    and its singular values at most ``RANK_RTOL`` = 1e-9 times the largest
+    count as zero; for the zero and the empty matrix that largest is 0, so
+    the rank is 0.  Two paths apply that one rule, in the one expression
+    ``singular > RANK_RTOL * singular.max()``:
 
     - An exactly circulant matrix, ``m[i, j] == m[0, (j - i) % d]`` for
       every entry, as the original-chart QFIM and CFIM of a ring are, is
@@ -404,10 +411,7 @@ def rank_and_nullspace(matrix) -> RankReport:
 def _hermitian_rank_and_nullspace(m: np.ndarray) -> RankReport:
     """The general path of :func:`rank_and_nullspace`, by eigh-based SVD."""
     _, singular, vt = np.linalg.svd(m, hermitian=True)
-    if singular.size == 0 or singular[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(singular > RANK_RTOL * singular[0]))
+    rank = int(np.count_nonzero(singular > RANK_RTOL * singular.max(initial=0.0)))
     return RankReport(rank, vt[rank:].T.copy())
 
 

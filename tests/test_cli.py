@@ -340,6 +340,47 @@ def test_average_phase_bound_files_are_pinned(argv, name, digest, tmp_path, monk
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "command, stdout_digest, file_digests",
+    [
+        ("state --N 2 --d 4 --phases 0.1,0.2,0.3,0.4 --output state.json",
+         "2e0b25c6bcbcce51961b8913b4a5478f7cce21c1c5f24bdccd70f13012990ad8",
+         {"state.json": "2355a76495b8c08bbb0c5b5051c94e020aa3cabb63e5fdf7ddc6c84fdce87118"}),
+        ("qfim --N 2 --d 4 --phases uniform:0 --chart original",
+         "ca68291d367ac5693611d49b5b27f3aff4697e34da564c4ae623a0b95dffd66d", {}),
+        ("cfim --N 4 --d 6 --chart mc --output cfim.csv --format csv",
+         "dbc827a9d4c4c59fe019a697e6e99410896049eb2e47b9202be415472a7ae99e",
+         {"cfim.csv": "4c42498d1e11bf00c1723c6896455c58bc99f0067e68f4b08e2b356a2443339b"}),
+        ("transform --d 4 --chart d4-orthogonal --output rep.json",
+         "19183956a1fe778b7c4e1678f7bf62b210ae4c4a25b8d45a8ba42ad0076fa857",
+         {"rep.json": "8d519b4aafb3e631949395ba45172f4ff09f39ed6fdd1ed6499fdd7544ce1a45"}),
+        ("bounds --N 2 --d 4 --chart original --alpha avg",
+         "5cde73cbf3ae10bf9efeeeb98512665eb2b14bd92ff609a928982b00e8386dc3", {}),
+        ("sweep --N 2,4,6 --d 4,6,8 --output sweep.csv --format csv",
+         "e0041af52c6e1240f4b57a2e75559426b82914d51d06a9ae1db9da1628be7489",
+         {"sweep.csv": "33fa24f9c05cf2c996e591c118929c78425acf06828b6cfbf1d656cbaad18f70"}),
+        ("simulate --N 2 --d 4 --shots 100000 --replicates 200 --seed 42 --output run.json",
+         "910f7aa7a06417ed5b90ef4c4c58cd8f978dbfe46fbb105deda9e142570ddf54",
+         {"run.json": "d54f5b61ead3c8bfafa43b309379e84539e2d532b064a25fca3dcf7edd3b665f"}),
+    ],
+    ids=["state", "qfim", "cfim", "transform", "bounds", "sweep", "simulate"],
+)
+def test_readme_command_outputs_are_pinned(
+    command, stdout_digest, file_digests, tmp_path, monkeypatch, capsys
+):
+    # the stdout and every file of each README command, byte for byte
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GHZSENSE_OUTPUT_DIR", raising=False)
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+    written = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.iterdir())
+    }
+    assert written == file_digests
+
+
 def test_simulate_takes_its_shot_count_from_a_flag_or_the_config(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"N": 2, "d": 4, "shots": 1000, "replicates": 50}))

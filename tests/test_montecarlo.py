@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import inspect
 import os
+import re
 import threading
 
 import numpy as np
@@ -333,6 +334,52 @@ def test_a_negative_count_is_refused_after_a_non_finite_one():
     counts[1, 7] = np.inf
     with pytest.raises(ValidationError, match="^count array entries must be finite$"):
         mle_estimate(counts, np.zeros(3), photons=2, nodes=4)
+
+
+@pytest.mark.parametrize(
+    "counts, shown",
+    [
+        (np.full((1, 16), 1e308), "1e+308"),
+        (np.full((1, 16), 1e200), "1e+200"),
+        (np.full((1, 16), 1e160), "1e+160"),
+        (np.full((1, 16), 2.0**63), "9.223372036854776e+18"),
+        (np.full((1, 16), 2**64 - 1, dtype=np.uint64), "18446744073709551615"),
+    ],
+    ids=["1e308", "1e200", "1e160", "float-2**63", "uint64-max"],
+)
+def test_a_count_entry_above_the_int64_cap_is_refused(counts, shown):
+    # the pair totals of 1e308 and the products of 1e200 or 1e160 would
+    # overflow; the cap is compared exactly, so the float 2**63 is refused
+    message = rf"^count array entry {re.escape(shown)} exceeds the cap of {2**63 - 1}$"
+    with pytest.raises(ValidationError, match=message):
+        mle_estimate(counts, np.zeros(3), photons=2, nodes=4)
+
+
+def test_a_count_entry_at_the_int64_cap_is_read():
+    counts = np.full((1, 16), 2**63 - 1, dtype=np.int64)
+    agree, disagree, _, _ = montecarlo._count_pairs(counts, 2, 4)
+    np.testing.assert_array_equal(agree, np.full((1, 4), 2.0**64))
+    np.testing.assert_array_equal(disagree, np.full((1, 4), 2.0**64))
+
+
+@pytest.mark.parametrize("nodes", [4, 16, 64])
+def test_count_arrays_of_every_memory_layout_fit_the_same_bits(nodes):
+    phases = np.full(nodes, 0.1)
+    dist = outcome_distribution(2, nodes, phases)
+    counts = np.stack([sample_counts(dist, 100_000, seed).array for seed in range(7)])
+    guess = build_mc(nodes).apply(phases)[1:]
+    spaced = np.zeros((14, 4 * nodes), dtype=counts.dtype)
+    spaced[::2] = counts
+    layouts = {
+        "fortran": np.asfortranarray(counts),
+        "row-strided": spaced[::2],
+        "reversed": counts[::-1, ::-1].copy()[::-1, ::-1],
+    }
+    for name, array in layouts.items():
+        expected = mle_estimate(np.ascontiguousarray(array), guess, photons=2, nodes=nodes)
+        fit = mle_estimate(array, guess, photons=2, nodes=nodes)
+        np.testing.assert_array_equal(fit.theta, expected.theta, err_msg=name)
+        assert fit.iterations == expected.iterations, name
 
 
 def test_fit_refuses_an_object_row_with_booleans_among_its_counts():

@@ -300,6 +300,40 @@ def test_chart_requires_full_column_rank():
         Chart("bad", ("a", "b"), directions)
 
 
+@pytest.mark.parametrize("nodes", [3, 4, 256, 514])
+def test_the_node_chart_is_full_rank_by_construction(nodes, linalg_calls):
+    # its directions are the identity, so it needs no rank test; 514 is past
+    # the ring memo, so that chart is built anew on each call
+    calls = linalg_calls("matrix_rank")
+    chart = original_chart(nodes)
+    assert chart.size == nodes and chart._is_node_chart
+    assert calls == {}
+
+
+def test_every_other_chart_takes_one_rank_test(linalg_calls):
+    calls = linalg_calls("matrix_rank")
+    permuted = Chart("permuted", ("a", "b", "c", "d"), np.eye(4)[:, [1, 0, 3, 2]])
+    assert not permuted._is_node_chart
+    assert calls == {"matrix_rank": 1}
+    assert not Chart("column", ("a",), np.eye(4)[:, :1])._is_node_chart
+    assert calls == {"matrix_rank": 2}
+    singular = np.eye(4)
+    singular[:, 3] = singular[:, 0]
+    with pytest.raises(
+        ValidationError, match="^chart directions must be linearly independent columns$"
+    ):
+        Chart("singular", ("a", "b", "c", "d"), singular)
+    assert calls == {"matrix_rank": 3}
+
+
+def test_the_general_rank_path_counts_the_zero_matrix_as_rank_zero():
+    # every nonempty zero matrix is circulant, so rank_and_nullspace never
+    # sends one here; the general path applies the same rule to it
+    report = qfim._hermitian_rank_and_nullspace(np.zeros((3, 3)))
+    assert report.rank == 0
+    assert report.null_basis.shape == (3, 3)
+
+
 def test_chart_refuses_an_empty_label_list():
     with pytest.raises(ValidationError, match="^chart needs at least one label$"):
         Chart("empty", (), np.zeros((4, 0)))
